@@ -33,9 +33,7 @@ __all__ = [
     "halfplane_sign_symbol",
     "directional_hilbert",
     "pv_cotangent_symbol",
-    "pv_quadrature_hilbert",
     "region_symbol",
-    "polygon_multiplier",
     "trilinear_form",
 ]
 
@@ -134,28 +132,41 @@ def pv_cotangent_symbol(slope, nodes: int = 200_000):
     non-integer theta it converges to the periodized kernel's own
     symbol, which differs from the sign at order 1e-3; integer-slope
     use only is certified.  Shares no code with the sign symbol.
+
+    Evaluation: t_j = (2j + 1)/(2 nodes), so placing the folded weights
+    w_j = (2/nodes) pi cot(pi t_j) at the odd slots 2j + 1 of a length
+    2*nodes array u makes the sum at integer theta a DFT entry,
+    S(theta) = -i Im U[theta mod 2 nodes], with no phase factor.  The
+    real transform of u is taken once per factory call (U[2 nodes - m]
+    is conj U[m]), so every integer theta is a lookup; non-integer theta
+    fall back to the direct sum over the nodes.
     """
     half = nodes // 2
     t = (np.arange(half) + 0.5) / nodes
     w = (2.0 / nodes) * np.pi / np.tan(np.pi * t)
+    u = np.zeros(2 * nodes)
+    u[1:2 * half:2] = w
+    spec = np.fft.rfft(u)
 
     def m(ki, kj):
         theta = slope * ki - kj
         uniq, inv = np.unique(theta, return_inverse=True)
         vals = np.empty(uniq.size, dtype=complex)
-        # chunked outer product: uniq can reach ~1e3, nodes ~2e5
-        for a in range(0, uniq.size, 64):
-            b = min(a + 64, uniq.size)
-            s = np.sin(2.0 * np.pi * uniq[a:b, None] * t[None, :])
-            vals[a:b] = 1j * (s @ w)
+        whole = uniq == np.round(uniq)
+        k = np.round(uniq[whole]).astype(np.int64) % (2 * nodes)
+        upper = k > nodes
+        im = spec[np.where(upper, 2 * nodes - k, k)].imag
+        vals[whole] = 1j * np.where(upper, im, -im)
+        frac = uniq[~whole]
+        direct = np.empty(frac.size)
+        # chunked outer product: frac can reach ~1e3, nodes ~2e5
+        for a in range(0, frac.size, 64):
+            s = np.sin(2.0 * np.pi * frac[a:a + 64, None] * t[None, :])
+            direct[a:a + 64] = s @ w
+        vals[~whole] = 1j * direct
         return vals[inv].reshape(np.broadcast(ki, kj).shape)
 
     return m
-
-
-def pv_quadrature_hilbert(f, g, slope, nodes: int = 200_000):
-    """Directional Hilbert transform via the quadrature symbol."""
-    return bilinear_apply(f, g, pv_cotangent_symbol(slope, nodes))
 
 
 def region_symbol(contains, size, scale: float = 4.0):
@@ -164,19 +175,24 @@ def region_symbol(contains, size, scale: float = 4.0):
     ``contains`` maps an (n, 2) point array to booleans.  Integer mode
     pairs land at (scale*ki/size, scale*kj/size), so the open unit disk
     around the origin corresponds to the middle half-band of the grid.
+    The first call tests every mode pair of a ``size``-point grid in one
+    batch; every call after that is a table lookup, so ``ki`` and ``kj``
+    must be modes of that grid.
     """
+    lo = -(size // 2)
+    table = None
+
     def m(ki, kj):
-        sh = np.broadcast(ki, kj).shape
-        bki = np.broadcast_to(ki, sh).ravel()
-        bkj = np.broadcast_to(kj, sh).ravel()
-        pts = np.stack([bki * (scale / size), bkj * (scale / size)], axis=1)
-        return contains(pts).astype(float).reshape(sh)
+        nonlocal table
+        i, j = np.asarray(ki) - lo, np.asarray(kj) - lo
+        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= size:
+            raise ValueError(f"mode outside the {size}-point grid")
+        if table is None:
+            ks = np.arange(lo, lo + size) * (scale / size)
+            pts = np.stack([np.repeat(ks, size), np.tile(ks, size)], axis=1)
+            table = contains(pts).astype(float).reshape(size, size)
+        return table[i, j]
     return m
-
-
-def polygon_multiplier(f, g, polygon, scale: float = 4.0):
-    """Cut the mode-pair plane to ``polygon`` (anything with .contains)."""
-    return bilinear_apply(f, g, region_symbol(polygon.contains, f.size, scale))
 
 
 def trilinear_form(f, g, h, symbol):

@@ -3,7 +3,10 @@
 Exit codes carry the verdict so the tool can sit in a shell pipeline:
 0 means pass (or a comparison within budget), 1 means a threshold or
 drift breach, 2 means the request itself was bad (invalid config,
-unreadable run directory, mismatched experiments).
+unreadable run directory, an output directory that already holds
+records, mismatched experiments), 3 means a valid config could not be
+run (the experiment raised, e.g. a degenerate geometry or no admissible
+tile family).  Errors print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +24,18 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    result = ex.run(cfg)
+    records = os.path.join(args.out, "records.csv")
+    if os.path.exists(records):
+        print(f"error: {records} already exists; choose a fresh --out "
+              "directory", file=sys.stderr)
+        return 2
+    try:
+        result = ex.run(cfg)
+    except (ValueError, RuntimeError) as err:
+        print(f"error: {cfg.kind} run failed: {err}", file=sys.stderr)
+        return 3
     os.makedirs(args.out, exist_ok=True)
-    ex.write_records(os.path.join(args.out, "records.csv"), result.records)
+    ex.write_records(records, result.records)
     ex.write_summary(os.path.join(args.out, "summary.txt"), result)
     print(f"kind = {cfg.kind}")
     print(f"hash = {ex.config_hash(cfg)}")

@@ -21,8 +21,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import os
 import time
+import typing
 
 import numpy as np
 
@@ -123,6 +125,49 @@ _KIND_DEFAULTS: dict[str, dict] = {
 }
 
 
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_TYPE_LABELS = {bool: "true or false", str: "text", int: "an integer",
+                float: "a finite number"}
+
+
+def _as_type(want: type, value):
+    """``value`` as ``want`` (bool, str, int or float), or None if it is
+    not one.  Integral floats pass as ints and ints as floats; non-finite
+    numbers never pass."""
+    if want in (bool, str):
+        return value if isinstance(value, want) else None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    if want is int:
+        whole = (isinstance(value, numbers.Integral)
+                 or float(value).is_integer())
+        return int(value) if whole else None
+    try:
+        out = float(value)
+    except OverflowError:
+        return None
+    return out if math.isfinite(out) else None
+
+
+def _coerce(name: str, value):
+    """``value`` as the type the config field ``name`` declares; raise
+    ValueError naming the field when it is not one."""
+    want = _FIELD_TYPES[name]
+    if want in _TYPE_LABELS:
+        out, label = _as_type(want, value), _TYPE_LABELS[want]
+    elif value is None:  # the optional exponent triple
+        return None
+    else:
+        parts = ([_as_type(float, v) for v in value]
+                 if isinstance(value, tuple) else [None])
+        out = None if None in parts else tuple(parts)
+        label = "a comma-separated list of numbers or none"
+    if out is None:
+        raise ValueError(f"invalid config: {name} must be {label}, "
+                         f"got {value!r}")
+    return out
+
+
 def experiment_kinds() -> list[tuple[str, str]]:
     return [(k, _RUNNERS[k][1]) for k in sorted(_RUNNERS)]
 
@@ -139,6 +184,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     def bad(msg: str):
         raise ValueError(f"invalid config: {msg}")
 
+    for field in dataclasses.fields(ExperimentConfig):
+        _coerce(field.name, getattr(cfg, field.name))
     if cfg.kind not in _KIND_DEFAULTS:
         bad(f"unknown kind {cfg.kind!r}")
     if cfg.grid_n < 16 or cfg.grid_n % 2:
@@ -209,7 +256,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in pairs.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        setattr(cfg, key, _coerce(key, value))
     return cfg
 
 
@@ -339,6 +386,14 @@ def run_partition(cfg: ExperimentConfig):
     return metrics, failures
 
 
+def _wrapped_fraction(report: bil.AliasReport) -> float:
+    """Share of an apply's pair mass that wrapped.  Band-limited inputs
+    rebuilt by FFT carry roundoff on every mode, so a clean apply of them
+    still wraps a share of order 1e-17, never exactly zero."""
+    total = report.in_band_mass + report.wrapped_mass
+    return report.wrapped_mass / total if total > 0 else 0.0
+
+
 def run_polygon_scan(cfg: ExperimentConfig):
     if cfg.exponents is None:
         raise ValueError("polygon-scan needs an exponent triple")
@@ -346,6 +401,7 @@ def run_polygon_scan(cfg: ExperimentConfig):
     q = p3 / (p3 - 1.0)
     polygon = geo.LacunaryPolygon(cfg.mu_max)
     scale = cfg.grid_n / (cfg.domain_len * 2.0 ** cfg.k0)
+    symbol = bil.region_symbol(polygon.contains, cfg.grid_n, scale)
     ratios = []
     wrapped = 0.0
     for t in range(cfg.trials):
@@ -358,12 +414,10 @@ def run_polygon_scan(cfg: ExperimentConfig):
                              random_spans(rng, cfg.domain_len, cfg.set_count,
                                           0.05, 0.2),
                              cfg.moll_width)
-        out, report = bil.polygon_multiplier(f, g, polygon, scale)
+        out, report = bil.bilinear_apply(f, g, symbol)
         denom = f.norm(p1) * g.norm(p2)
         ratios.append(out.norm(q) / denom if denom > 0 else math.inf)
-        total = report.in_band_mass + report.wrapped_mass
-        if total > 0:
-            wrapped = max(wrapped, report.wrapped_mass / total)
+        wrapped = max(wrapped, _wrapped_fraction(report))
     fams10 = [geo.chord_intervals(mu, C0=cfg.c0, alpha=cfg.alpha)
               for mu in range(1, 11)]
     fams20 = fams10 + [geo.chord_intervals(mu, C0=cfg.c0, alpha=cfg.alpha)
@@ -388,18 +442,24 @@ def run_polygon_scan(cfg: ExperimentConfig):
 def run_hs_oracle(cfg: ExperimentConfig):
     worst = {s: 0.0 for s in HS_SLOPES}
     ident = 0.0
+    wrapped = 0.0
+    oracles = {s: bil.pv_cotangent_symbol(s, nodes=100_000)
+               for s in HS_SLOPES}
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
         f = band_noise(cfg.grid_n, cfg.domain_len, cfg.band, rng)
         g = band_noise(cfg.grid_n, cfg.domain_len, cfg.band, rng)
         for s in HS_SLOPES:
-            fast, _ = bil.directional_hilbert(f, g, s)
-            slow, _ = bil.pv_quadrature_hilbert(f, g, s, nodes=100_000)
+            fast, rf = bil.directional_hilbert(f, g, s)
+            slow, rs = bil.bilinear_apply(f, g, oracles[s])
             rel = (fast - slow).norm() / max(fast.norm(), 1e-300)
             worst[s] = max(worst[s], rel)
-        plain, _ = bil.bilinear_apply(f, g, bil.unit_symbol)
+            wrapped = max(wrapped, _wrapped_fraction(rf),
+                          _wrapped_fraction(rs))
+        plain, rp = bil.bilinear_apply(f, g, bil.unit_symbol)
         ref = f * g
         ident = max(ident, (plain - ref).norm() / max(ref.norm(), 1e-300))
+        wrapped = max(wrapped, _wrapped_fraction(rp))
     metrics = [(f"rel_err_s{s}_max", worst[s]) for s in HS_SLOPES]
     metrics.append(("identity_rel_max", ident))
     failures = []
@@ -408,6 +468,11 @@ def run_hs_oracle(cfg: ExperimentConfig):
             failures.append(f"slope {s} oracle error {worst[s]:.3e} > 1e-3")
     if ident > 1e-12:
         failures.append(f"unit symbol identity error {ident:.3e} > 1e-12")
+    if wrapped > 1e-12:
+        # aliased sums wrap identically on both paths, so the comparison
+        # would pass without testing the band-limited claim
+        failures.append(f"sum frequencies wrapped ({wrapped:.3e} of the "
+                        "pair mass > 1e-12); raise grid_n or lower band")
     return metrics, failures
 
 
@@ -749,7 +814,8 @@ def compare_runs(base_dir: str, cur_dir: str,
     """Per-metric floored relative drift between two run directories.
 
     Matching config hashes gate the comparison; a difference only in the
-    seed field asks for a new baseline instead of reporting an error.
+    seed field asks for a new baseline instead of reporting an error.  A
+    NaN or infinite value on either side is a breach of any budget.
     """
     base_cfg = read_summary_config(os.path.join(base_dir, "summary.txt"))
     cur_cfg = read_summary_config(os.path.join(cur_dir, "summary.txt"))
@@ -773,6 +839,10 @@ def compare_runs(base_dir: str, cur_dir: str,
             breaches.append(f"metric {name} present in only one run")
             continue
         a, b = base[name], cur[name]
+        if not (math.isfinite(a) and math.isfinite(b)):
+            worst = math.inf
+            breaches.append(f"{name}: {a!r} -> {b!r} (non-finite)")
+            continue
         drift = abs(a - b) / max(abs(a), abs(b), 1e-3)
         worst = max(worst, drift)
         if drift > budget:

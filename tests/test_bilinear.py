@@ -146,7 +146,7 @@ class TestQuadratureTwin:
         f = bandlimited(128, 8, RNG(9))
         g = bandlimited(128, 8, RNG(10))
         fast, _ = B.directional_hilbert(f, g, 2)
-        slow, _ = B.pv_quadrature_hilbert(f, g, 2, nodes=100_000)
+        slow, _ = B.bilinear_apply(f, g, B.pv_cotangent_symbol(2, 100_000))
         rel = (fast - slow).norm() / max(fast.norm(), 1e-300)
         assert rel < 1e-3
 
@@ -155,19 +155,60 @@ class TestQuadratureTwin:
         val = B.pv_cotangent_symbol(3, 1024)(np.array([[1]]), np.array([[3]]))
         assert val[0, 0] == 0
 
+    @pytest.mark.parametrize("nodes", [1001, 1024, 4097])
+    def test_transform_lookup_matches_direct_sum(self, nodes):
+        # integer theta are read off one FFT of the weights; recompute the
+        # folded sum node by node, including negative theta, theta >= nodes
+        # and theta = 0 mod nodes
+        thetas = np.array([-nodes - 3, -7, -1, 0, 1, 2, 9, nodes - 1, nodes,
+                           nodes + 1, 2 * nodes, 2 * nodes + 5, 3 * nodes - 4])
+        got = B.pv_cotangent_symbol(1, nodes)(thetas[:, None],
+                                              np.array([[0]]))[:, 0]
+        t = (np.arange(nodes // 2) + 0.5) / nodes
+        w = (2.0 / nodes) * np.pi / np.tan(np.pi * t)
+        direct = 1j * (np.sin(2 * np.pi * thetas[:, None] * t[None, :]) @ w)
+        assert np.abs(got - direct).max() < 1e-11
+
+    @pytest.mark.parametrize("nodes", [100_000, 99_999])
+    def test_transform_lookup_exact_at_driver_size(self, nodes):
+        # S(theta + nodes) = -S(theta) and S = i*pi on 0 < theta < nodes,
+        # so every integer theta has a closed form to compare against
+        thetas = np.array([-nodes - 3, -300, -1, 0, 1, 5, 300, nodes - 1,
+                           nodes, nodes + 1, 3 * nodes - 5])
+        q, r = np.divmod(thetas, nodes)
+        expect = np.where(r == 0, 0.0, 1j * np.pi * (-1.0) ** q)
+        # a negative slope: theta = -1 * ki - 0
+        got = B.pv_cotangent_symbol(-1, nodes)(-thetas[:, None],
+                                               np.array([[0]]))[:, 0]
+        assert np.abs(got - expect).max() < 1e-14
+
+    def test_half_integer_slope_mixes_both_paths(self):
+        # slope 1/2 gives integer theta at even ki and half-integers at odd
+        # ki; both must equal the node-by-node sum
+        nodes = 2048
+        ki = np.arange(-6, 7)[:, None]
+        kj = np.arange(-4, 5)[None, :]
+        got = B.pv_cotangent_symbol(0.5, nodes)(ki, kj)
+        t = (np.arange(nodes // 2) + 0.5) / nodes
+        w = (2.0 / nodes) * np.pi / np.tan(np.pi * t)
+        theta = (0.5 * ki - kj).ravel()
+        direct = 1j * (np.sin(2 * np.pi * theta[:, None] * t[None, :]) @ w)
+        assert np.abs(got.ravel() - direct).max() < 1e-12
+
 
 class TestRegionSymbol:
     def test_low_modes_pass_high_modes_blocked(self):
         n = 128
         P = G.LacunaryPolygon(3)
+        sym = B.region_symbol(P.contains, n)
         f = exponential(n, 2)   # maps to (0.0625, ...) well inside
         g = exponential(n, -3)
-        out, _ = B.polygon_multiplier(f, g, P)
+        out, _ = B.bilinear_apply(f, g, sym)
         expect = (f * g).values
         assert np.abs(out.values - expect).max() < 1e-12
 
         far = exponential(n, 40)  # maps to x = 1.25, outside the polygon
-        out2, _ = B.polygon_multiplier(far, g, P)
+        out2, _ = B.bilinear_apply(far, g, sym)
         assert np.abs(out2.values).max() == 0.0
 
     def test_region_scale_map(self):
@@ -177,6 +218,37 @@ class TestRegionSymbol:
         inside = sym(np.array([[n // 4]]), np.array([[0]]))
         past = sym(np.array([[n // 4 + 1]]), np.array([[0]]))
         assert inside[0, 0] == 1.0 and past[0, 0] == 0.0
+
+    @pytest.mark.parametrize("n,scale", [(128, 4.0), (129, 2.5)])
+    def test_table_matches_direct_containment(self, n, scale):
+        # the mask is built once over the whole mode mesh; on a sparse
+        # subset of modes it must equal contains() at the same points
+        P = G.LacunaryPolygon(8)
+        calls = []
+
+        def contains(pts):
+            calls.append(len(pts))
+            return P.contains(pts)
+
+        sym = B.region_symbol(contains, n, scale)
+        ks = np.arange(-(n // 2), n - n // 2)
+        for ki, kj in ((ks[::7], ks[::5]), (ks[3::11], ks[1::3])):
+            got = sym(ki[:, None], kj[None, :])
+            pts = np.stack(np.broadcast_arrays(ki[:, None] * (scale / n),
+                                               kj[None, :] * (scale / n)),
+                           axis=-1).reshape(-1, 2)
+            expect = P.contains(pts).astype(float).reshape(got.shape)
+            assert np.array_equal(got, expect)
+        assert calls == [n * n]
+
+    def test_modes_off_the_grid_refused(self):
+        # a symbol built for one grid must not index another grid's modes
+        sym = B.region_symbol(lambda p: np.ones(len(p), bool), 64)
+        for ki in (-33, 32):
+            with pytest.raises(ValueError, match="64-point grid"):
+                sym(np.array([[ki]]), np.array([[0]]))
+        assert sym(np.array([[-32, 31]]), np.array([[0]])).tolist() == \
+            [[1.0, 1.0]]
 
 
 class TestTrilinearForm:

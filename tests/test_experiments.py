@@ -61,6 +61,28 @@ class TestConfig:
             with pytest.raises(ValueError, match=hint):
                 ex.validate_config(cfg)
 
+    @pytest.mark.parametrize("line,field", [
+        ("trials = 2.5", "trials"), ("seed = abc", "seed"),
+        ("alpha = nan", "alpha"), ("band = inf", "band"),
+        ("exponents = 2", "exponents"), ("exponents = 1.5, x, 4", "exponents"),
+        ("allow_non_conjugate = 1", "allow_non_conjugate"),
+    ])
+    def test_mistyped_values_rejected(self, line, field):
+        with pytest.raises(ValueError, match=f"invalid config: {field} must"):
+            ex.parse_config(f"kind = model-sum\n{line}\n")
+
+    def test_values_coerced_to_field_types(self):
+        cfg = ex.parse_config("kind = tiles\ntrials = 3.0\nband = 8\n"
+                              "exponents = 2, 4, 4\n")
+        assert cfg.trials == 3 and type(cfg.trials) is int
+        assert type(cfg.band) is float
+        assert cfg.exponents == (2.0, 4.0, 4.0)
+
+    def test_validate_checks_field_types(self):
+        cfg = small("tiles", seed="abc")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ex.validate_config(cfg)
+
     def test_hash_ignores_grid_but_not_seed(self):
         a = small("tiles")
         b = small("tiles", grid_n=2 * a.grid_n)
@@ -133,6 +155,15 @@ class TestDrivers:
         for s in (1, 2, 5):
             assert named[f"rel_err_s{s}_max"] < 1e-3
         assert named["identity_rel_max"] < 1e-12
+
+    def test_hs_oracle_fails_when_sums_wrap(self):
+        # 16 modes with band 100 alias on both paths alike, so the oracle
+        # comparison alone would pass
+        res = ex.run(small("hs-oracle", grid_n=16, band=100.0, trials=1))
+        named = {r.metric: r.value for r in res.records}
+        assert named["rel_err_s1_max"] < 1e-3
+        assert not res.passed
+        assert any("wrapped" in msg for msg in res.failures)
 
     def test_forest_bessel_bounded(self):
         res = ex.run(small("forest-bessel"))
@@ -245,6 +276,26 @@ class TestCompare:
         assert rep.status == "drift"
         assert any("only one run" in msg for msg in rep.breaches)
 
+    @pytest.mark.parametrize("base,cur", [(1.0, float("nan")),
+                                          (float("nan"), float("nan")),
+                                          (2.0, float("inf"))])
+    def test_non_finite_values_breach(self, tmp_path, base, cur):
+        res = ex.run(small("tiles", trials=3))
+
+        def with_value(value):
+            return [r if r.metric != "tiles_max" else
+                    ex.ResultRecord(r.config, r.seed, r.metric, value,
+                                    r.grid_n, r.wall_time)
+                    for r in res.records]
+
+        write_run(ex.RunResult(res.config, with_value(base), [], 0.0),
+                  tmp_path / "a")
+        write_run(ex.RunResult(res.config, with_value(cur), [], 0.0),
+                  tmp_path / "b")
+        rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
+        assert rep.status == "drift" and rep.exit_code == 1
+        assert any("tiles_max" in msg for msg in rep.breaches)
+
     def test_seed_change_requests_rebaseline(self, tmp_path):
         write_run(ex.run(small("tiles", trials=3, seed=0)), tmp_path / "a")
         write_run(ex.run(small("tiles", trials=3, seed=1)), tmp_path / "b")
@@ -289,6 +340,41 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 2
         assert "scaling identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,hint", [
+        ("kind = tiles\ntrials = 2.5\n", "trials must be an integer"),
+        ("kind = tiles\nseed = abc\n", "seed must be an integer"),
+    ])
+    def test_run_mistyped_config_exits_two(self, tmp_path, capsys, body,
+                                           hint):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(body)
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert hint in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_run_error_exits_three(self, tmp_path, capsys):
+        # a valid config whose geometry degenerates inside the driver
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("kind = partition\nmu_max = 200\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: partition run failed: degenerate rectangle\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_rerun_into_same_out_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("kind = tiles\ntrials = 2\n")
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        before = (out / "records.csv").read_text()
+        assert cli_main(["run", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out)]) == 2
+        assert "already exists" in capsys.readouterr().err
+        assert (out / "records.csv").read_text() == before
 
     def test_compare_flow(self, tmp_path):
         cfg = tmp_path / "t.cfg"
