@@ -34,7 +34,6 @@ __all__ = [
     "directional_hilbert",
     "pv_cotangent_symbol",
     "region_symbol",
-    "trilinear_form",
 ]
 
 
@@ -75,7 +74,7 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol,
     ja = np.nonzero(np.abs(cg) > mode_floor)[0]
     out = np.zeros(n, dtype=complex)
     if ia.size == 0 or ja.size == 0:
-        return (GridFunction.from_spectrum(out, f.length, f.origin),
+        return (GridFunction.from_spectrum(out, f.length),
                 AliasReport(0.0, 0.0, 0))
     ki = ks[ia][:, None]
     kj = ks[ja][None, :]
@@ -91,7 +90,7 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol,
     wrapped_mass = float(absprod[wrapped].sum())
     in_band = float(absprod.sum() - wrapped_mass)
     report = AliasReport(in_band, wrapped_mass, int(prod.size))
-    return GridFunction.from_spectrum(out, f.length, f.origin), report
+    return GridFunction.from_spectrum(out, f.length), report
 
 
 def unit_symbol(ki, kj):
@@ -193,12 +192,3 @@ def region_symbol(contains, size, scale: float = 4.0):
             table = contains(pts).astype(float).reshape(size, size)
         return table[i, j]
     return m
-
-
-def trilinear_form(f, g, h, symbol):
-    """integral of T(f, g) * h over the period (no conjugation).
-
-    Returns ``(value, report)`` with the alias report of the inner apply.
-    """
-    out, report = bilinear_apply(f, g, symbol)
-    return complex((out * h).integral()), report

@@ -111,18 +111,9 @@ class Rect:
         return np.array([[self.x0, self.y0], [self.x1, self.y0],
                          [self.x1, self.y1], [self.x0, self.y1]])
 
-    def contains_point(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
-
     def intersects(self, other: "Rect", tol: float = 0.0) -> bool:
         return not (self.x1 < other.x0 - tol or other.x1 < self.x0 - tol
                     or self.y1 < other.y0 - tol or other.y1 < self.y0 - tol)
-
-    def reflect(self, flip_x: bool, flip_y: bool) -> "Rect":
-        x0, x1 = (-self.x1, -self.x0) if flip_x else (self.x0, self.x1)
-        y0, y1 = (-self.y1, -self.y0) if flip_y else (self.y0, self.y1)
-        return Rect(x0, x1, y0, y1)
 
 
 class ConvexQuad:
@@ -318,11 +309,6 @@ class ChordFrame:
     slope: float
     local_quad: ConvexQuad
 
-    def to_absolute(self, u, w):
-        ax, ay = self.anchor
-        return np.stack([ax - np.asarray(u, float),
-                         ay - self.slope * np.asarray(w, float)], axis=-1)
-
 
 def shell_frame(mu: int, r: int = 0) -> ChordFrame:
     c0 = (2.0 ** r - 1.0) * 4.0 ** (-mu)
@@ -513,8 +499,11 @@ def staircase_rect(mu: int, boosted: bool = True, overlap_frac: float = 0.0) -> 
     """Axis-hugging staircase rectangle under chord mu, second quadrant.
 
     Uses the corrected dilation factors (the ones the original figure
-    draws): the displayed closed form puts a corner outside the polygon
-    for every mu, see `staircase_rect_literal`.  `boosted` keeps the taller
+    draws).  The displayed closed form, with outer abscissa
+    (1 - 4^-mu) cos(pi 2^-mu / 2), inner abscissa (1 - 4^-(mu-1))
+    cos(pi 2^-mu) and the boosted height, puts its top-outer corner
+    outside the polygon for every mu (radius excess about
+    (3 pi^2/8 - 1) 4^-mu).  `boosted` keeps the taller
     height (1 - 4^-mu) sin(pi 2^-mu), which together with the corrected
     abscissas stays inside with margin ~0.3 * 4^-mu.  `overlap_frac`
     widens the inner edge into the neighbor so that alpha-shrinks of
@@ -530,22 +519,6 @@ def staircase_rect(mu: int, boosted: bool = True, overlap_frac: float = 0.0) -> 
     else:
         top = (1.0 - 4.0 ** (-mu + 1)) * math.sin(a)
     inner -= overlap_frac * (outer - inner)
-    return Rect(-outer, -inner, 0.0, top)
-
-
-def staircase_rect_literal(mu: int) -> Rect:
-    """The displayed closed form, kept verbatim for the record.
-
-    Its top-outer corner lies outside the polygon for every mu (radius
-    excess ~(3 pi^2/8 - 1) 4^-mu); the working collection uses
-    `staircase_rect` instead.
-    """
-    if mu < 2:
-        raise ValueError("staircase starts at mu = 2")
-    a = math.pi * 2.0 ** (-mu)
-    outer = (1.0 - 4.0 ** (-mu)) * math.cos(a / 2.0)
-    inner = (1.0 - 4.0 ** (-mu + 1)) * math.cos(a)
-    top = (1.0 - 4.0 ** (-mu)) * math.sin(a)
     return Rect(-outer, -inner, 0.0, top)
 
 

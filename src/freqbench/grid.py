@@ -1,12 +1,13 @@
 """Periodic sampled functions with exact spectral bookkeeping.
 
-Everything downstream runs on a uniformly sampled periodic interval:
-complex samples, a centered integer spectrum, and a small set of discrete
-operators whose exactness the rest of the package leans on.  The design
-rule here is that any statement a test wants to make "exactly" (mass of an
-indicator, a shifted spectrum, a partition of unity summing to one) must
-be exact in floating point, not merely accurate, so endpoints and widths
-are kept on binary-friendly lattices by the callers.
+Everything downstream runs on a uniformly sampled periodic interval
+[0, length): complex samples, a centered integer spectrum one shifted FFT
+away, and a small set of discrete operators whose exactness the rest of
+the package leans on.  The design rule here is that any statement a test
+wants to make "exactly" (mass of an indicator, a shifted spectrum, a
+partition of unity summing to one) must be exact in floating point, not
+merely accurate, so endpoints and widths are kept on binary-friendly
+lattices by the callers.
 """
 
 from __future__ import annotations
@@ -18,52 +19,45 @@ __all__ = [
     "indicator",
     "maximal_average",
     "smooth_ramp",
-    "PlateauBump",
     "PositiveBandKernel",
     "convolve",
-    "smooth_indicator",
 ]
 
 
 class GridFunction:
     """Complex function on a periodic interval, known by its samples.
 
-    The domain is [origin, origin + length), sampled at ``size`` equally
-    spaced points.  The spectrum is indexed by integer frequencies
-    k in [-size/2, size/2); coefficient c_k multiplies
-    exp(2*pi*i*k*x/length) with x the absolute coordinate, so shifting the
-    origin never silently re-phases coefficients.
+    The domain is [0, length), sampled at ``size`` equally spaced points
+    x_j = j * length / size.  The spectrum is indexed by integer
+    frequencies k in [-size/2, size/2); coefficient c_k multiplies
+    exp(2*pi*i*k*x/length), so a round trip through the spectrum is a
+    shifted FFT and its inverse with no phase factor.
     """
 
-    __slots__ = ("values", "length", "origin", "_spec")
+    __slots__ = ("values", "length", "_spec")
 
-    def __init__(self, values, length=1.0, origin=0.0):
+    def __init__(self, values, length=1.0):
         vals = np.asarray(values, dtype=complex)
         if vals.ndim != 1 or vals.size % 2:
             raise ValueError("need a 1-d sample array of even length")
         self.values = vals
         self.length = float(length)
-        self.origin = float(origin)
         self._spec = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_spectrum(cls, coeffs, length=1.0, origin=0.0):
+    def from_spectrum(cls, coeffs, length=1.0):
         """Build from centered coefficients aligned with ``freqs()``."""
         c = np.asarray(coeffs, dtype=complex)
-        n = c.size
-        ks = np.arange(-(n // 2), n // 2)
-        # undo the absolute-coordinate phase, then inverse FFT
-        b = c * np.exp(2j * np.pi * ks * (origin / length))
-        vals = np.fft.ifft(np.fft.ifftshift(b)) * n
-        out = cls(vals, length=length, origin=origin)
+        vals = np.fft.ifft(np.fft.ifftshift(c)) * c.size
+        out = cls(vals, length=length)
         out._spec = c.copy()
         return out
 
     @classmethod
-    def zeros(cls, size, length=1.0, origin=0.0):
-        return cls(np.zeros(size, dtype=complex), length=length, origin=origin)
+    def zeros(cls, size, length=1.0):
+        return cls(np.zeros(size, dtype=complex), length=length)
 
     # -- basic geometry ---------------------------------------------------
 
@@ -77,28 +71,22 @@ class GridFunction:
 
     @property
     def x(self):
-        """Sample points (absolute coordinates)."""
-        return self.origin + np.arange(self.size) * self.dx
+        """Sample points."""
+        return np.arange(self.size) * self.dx
 
     def freqs(self):
         n = self.size
         return np.arange(-(n // 2), n // 2)
 
     def same_grid(self, other):
-        return (
-            self.size == other.size
-            and self.length == other.length
-            and self.origin == other.origin
-        )
+        return self.size == other.size and self.length == other.length
 
     # -- spectrum ---------------------------------------------------------
 
     def spectrum(self):
         """Centered coefficients, aligned with ``freqs()``.  Cached."""
         if self._spec is None:
-            b = np.fft.fftshift(np.fft.fft(self.values)) / self.size
-            ks = self.freqs()
-            self._spec = b * np.exp(-2j * np.pi * ks * (self.origin / self.length))
+            self._spec = np.fft.fftshift(np.fft.fft(self.values)) / self.size
         return self._spec
 
     def modulate(self, shift):
@@ -125,25 +113,15 @@ class GridFunction:
                 "modulation by %d pushes %.3e of coefficient mass out of band"
                 % (shift, float(np.abs(dropped).max()))
             )
-        return GridFunction.from_spectrum(out, self.length, self.origin)
+        return GridFunction.from_spectrum(out, self.length)
 
     def multiply_spectrum(self, window):
         """Pointwise spectral multiplier; ``window`` is an array over
-        ``freqs()`` or a callable evaluated there."""
-        ks = self.freqs()
-        w = window(ks) if callable(window) else np.asarray(window)
-        if w.shape != ks.shape:
+        ``freqs()``."""
+        w = np.asarray(window)
+        if w.shape != (self.size,):
             raise ValueError("window shape mismatch")
-        return GridFunction.from_spectrum(self.spectrum() * w, self.length, self.origin)
-
-    def refine(self, factor=2):
-        """Same function on a grid ``factor`` times finer (spectrum zero-pad)."""
-        if factor < 1 or int(factor) != factor:
-            raise ValueError("factor must be a positive integer")
-        n, m = self.size, self.size * int(factor)
-        big = np.zeros(m, dtype=complex)
-        big[(m - n) // 2 : (m + n) // 2] = self.spectrum()
-        return GridFunction.from_spectrum(big, self.length, self.origin)
+        return GridFunction.from_spectrum(self.spectrum() * w, self.length)
 
     # -- integrals and norms ----------------------------------------------
 
@@ -168,8 +146,8 @@ class GridFunction:
         if isinstance(other, GridFunction):
             if not self.same_grid(other):
                 raise ValueError("grid mismatch")
-            return GridFunction(op(self.values, other.values), self.length, self.origin)
-        return GridFunction(op(self.values, other), self.length, self.origin)
+            return GridFunction(op(self.values, other.values), self.length)
+        return GridFunction(op(self.values, other), self.length)
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -193,23 +171,13 @@ class GridFunction:
         return self._binop(other, np.divide)
 
     def __neg__(self):
-        return GridFunction(-self.values, self.length, self.origin)
-
-    def conj(self):
-        return GridFunction(np.conj(self.values), self.length, self.origin)
-
-    def abs(self):
-        return GridFunction(np.abs(self.values), self.length, self.origin)
+        return GridFunction(-self.values, self.length)
 
     def __repr__(self):
-        return "GridFunction(size=%d, length=%g, origin=%g)" % (
-            self.size,
-            self.length,
-            self.origin,
-        )
+        return "GridFunction(size=%d, length=%g)" % (self.size, self.length)
 
 
-def indicator(intervals, size, length=1.0, origin=0.0):
+def indicator(intervals, size, length=1.0):
     """Indicator of a union of half-open intervals [a, b), sampled.
 
     Half-open on purpose: with endpoints on the sample lattice the grid
@@ -217,7 +185,7 @@ def indicator(intervals, size, length=1.0, origin=0.0):
     """
     if not hasattr(intervals[0], "__len__"):
         intervals = [intervals]
-    g = GridFunction.zeros(size, length=length, origin=origin)
+    g = GridFunction.zeros(size, length=length)
     xs = g.x
     mask = np.zeros(size, dtype=bool)
     for a, b in intervals:
@@ -252,10 +220,10 @@ def maximal_average(f, p=1.0):
             np.maximum(out[i0 + 1 :], run[: n - 1 - i0], out=out[i0 + 1 :])
     if p != 1.0:
         out **= 1.0 / p
-    return GridFunction(out.astype(complex), f.length, f.origin)
+    return GridFunction(out.astype(complex), f.length)
 
 
-# -- smooth bumps ---------------------------------------------------------
+# -- smooth ramp ----------------------------------------------------------
 
 
 def smooth_ramp(u):
@@ -269,56 +237,6 @@ def smooth_ramp(u):
     r[u <= 0] = 0.0
     r[u >= 1] = 1.0
     return r
-
-
-class PlateauBump:
-    """Smooth bump: 1 on a flat core, 0 outside a support interval.
-
-    support = (a, d), flat = (b, c) with a < b <= c < d.  The ramps are the
-    standard exponential ones, so every derivative vanishes at a, b, c, d.
-    """
-
-    __slots__ = ("support", "flat")
-
-    def __init__(self, support, flat):
-        a, d = map(float, support)
-        b, c = map(float, flat)
-        if not (a < b <= c < d):
-            raise ValueError("need support_lo < flat_lo <= flat_hi < support_hi")
-        self.support = (a, d)
-        self.flat = (b, c)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        a, d = self.support
-        b, c = self.flat
-        out = np.zeros_like(x)
-        left = (x > a) & (x < b)
-        out[left] = smooth_ramp((x[left] - a) / (b - a))
-        out[(x >= b) & (x <= c)] = 1.0
-        right = (x > c) & (x < d)
-        out[right] = smooth_ramp((d - x[right]) / (d - c))
-        return out
-
-    def derivative_bounds(self, orders, samples=1 << 14):
-        """Measured sup of |k-th derivative| * width^k for k in ``orders``.
-
-        Finite differences on a dense clenched grid; the returned constants
-        are what the adaptedness checks report.
-        """
-        a, d = self.support
-        width = d - a
-        pad = 0.05 * width
-        xs = np.linspace(a - pad, d + pad, samples)
-        h = xs[1] - xs[0]
-        vals = self(xs)
-        consts = {}
-        for k in sorted(orders):
-            deriv = vals
-            for _ in range(k):
-                deriv = np.gradient(deriv, h)
-            consts[k] = float(np.abs(deriv).max() * width**k)
-        return consts
 
 
 # -- positive band-limited kernels ----------------------------------------
@@ -335,12 +253,12 @@ class PositiveBandKernel:
     whose zero sets are disjoint, normalized to unit grid mass.  Spectrum
     radius is m*length/w integer frequencies; construction refuses
     parameters that would alias.  The polynomial envelope
-    (1+|t|/w)^(-2m) holds two-sidedly on a bounded window with measured
-    constants only; near far sinc zeros the lower constant genuinely
-    degrades, which is fine for every use the package makes of it.
+    (1+|t|/w)^(-2m) holds two-sidedly on a bounded window only; near far
+    sinc zeros the lower constant genuinely degrades, which is fine for
+    every use the package makes of it.
     """
 
-    __slots__ = ("size", "length", "width", "half_power", "values", "_mass")
+    __slots__ = ("size", "length", "width", "half_power", "values")
 
     def __init__(self, size, length, width, half_power):
         m = int(half_power)
@@ -364,7 +282,6 @@ class PositiveBandKernel:
         )
         mass = vals.sum() * dx
         self.values = vals / mass
-        self._mass = float(self.values.sum() * dx)
 
     @property
     def spectrum_radius(self):
@@ -374,32 +291,10 @@ class PositiveBandKernel:
         live = ks[c > 4e-16 * c.max()]
         return int(np.abs(live).max()) if live.size else 0
 
-    def envelope_constants(self, window_widths=40.0, samples=1 << 15):
-        """Two-sided constants for the (1+|t|/w)^(-2m) envelope on
-        |t| <= window_widths * w (measured, not asymptotic)."""
-        w, m = self.width, self.half_power
-        half = min(window_widths * w, self.length / 2 * 0.999)
-        ts = np.linspace(-half, half, samples)
-        raw = np.sinc(ts / w) ** (2 * m) + np.sinc(ts / (w * np.sqrt(2.0))) ** (2 * m)
-        env = (1.0 + np.abs(ts) / w) ** (-2 * m)
-        ratio = raw / env
-        return float(ratio.min()), float(ratio.max())
-
 
 def convolve(f, kernel):
     """Circular convolution of a grid function with a PositiveBandKernel."""
     if f.size != kernel.size or f.length != kernel.length:
         raise ValueError("kernel built for a different grid")
     out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kernel.values)) * f.dx
-    return GridFunction(out, f.length, f.origin)
-
-
-def smooth_indicator(intervals, kernel, origin=0.0):
-    """Indicator of an interval union, mollified by ``kernel``.
-
-    Strictly positive everywhere, band-limited, and exactly summable:
-    smoothing a partition of the domain by indicators returns the constant
-    one, because the kernel has unit grid mass.
-    """
-    ind = indicator(intervals, kernel.size, kernel.length, origin)
-    return convolve(ind, kernel)
+    return GridFunction(out, f.length)

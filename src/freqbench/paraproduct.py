@@ -17,8 +17,8 @@ three below the coupling depth); starting all three one step down, as a
 naive swap of summation order suggests, leaves a macroscopic defect that
 :func:`telescoping_decompose` can also exhibit on request.
 
-Square function and maximal martingale transform close the toolkit; both
-act band-by-band on the same annuli.
+A maximal martingale transform closes the toolkit; it acts band-by-band
+on the same annuli.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ def pk(f: GridFunction, k: int) -> GridFunction:
     return f.multiply_spectrum(band.astype(float))
 
 
-def mean_mode(f: GridFunction) -> GridFunction:
-    """The zero-frequency component, as a constant function."""
-    band = _abs_freqs(f) == 0.0
-    return f.multiply_spectrum(band.astype(float))
-
-
 def default_kbits(f: GridFunction) -> int:
     """Largest even band exponent whose doubled ball stays below Nyquist.
 
@@ -81,21 +75,11 @@ def pp_apply(f: GridFunction, g: GridFunction,
     """
     if kbits is None:
         kbits = default_kbits(f)
-    out = GridFunction.zeros(f.size, f.length, f.origin)
+    out = GridFunction.zeros(f.size, f.length)
     for d in _depth_range(kbits):
         piece = qk(f, kbits - 2 * d).values * pk(g, kbits - d).values
-        out = out + GridFunction(piece, f.length, f.origin)
+        out = out + GridFunction(piece, f.length)
     return out
-
-
-def square_function(psi: GridFunction, kmax: int | None = None) -> GridFunction:
-    """Pointwise l2 aggregate of the annulus projections."""
-    if kmax is None:
-        kmax = int(math.ceil(math.log2(psi.size / (2.0 * psi.length))))
-    acc = np.zeros(psi.size)
-    for k in range(0, kmax + 1):
-        acc += np.abs(qk(psi, k).values) ** 2
-    return GridFunction(np.sqrt(acc).astype(complex), psi.length, psi.origin)
 
 
 def max_martingale(a, psi: GridFunction,
@@ -114,7 +98,7 @@ def max_martingale(a, psi: GridFunction,
     for k in range(kmax, -1, -1):
         acc = acc + coeffs[k] * qk(psi, k).values
         np.maximum(best, np.abs(acc), out=best)
-    return GridFunction(best.astype(complex), psi.length, psi.origin)
+    return GridFunction(best.astype(complex), psi.length)
 
 
 def _pairing(u: GridFunction, h: GridFunction) -> complex:

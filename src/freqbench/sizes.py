@@ -114,10 +114,6 @@ def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
             level * _bump(u, order + 2) * np.tanh(0.5 * t)]
 
 
-def project(f: GridFunction, symbol: np.ndarray) -> GridFunction:
-    return f.multiply_spectrum(symbol)
-
-
 # ---------------------------------------------------------------------------
 # seminorms and sizes
 
@@ -151,7 +147,7 @@ class TreeSizer:
         best = 0.0
         for sym in multiplier_family(self.f, omega, marked, self.order,
                                      self.support_factor):
-            g = project(self.f, sym)
+            g = self.f.multiply_spectrum(sym)
             val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2)
                                 * self.f.dx))
             best = max(best, val)
@@ -169,7 +165,7 @@ class TreeSizer:
         best = 0.0
         for sym in multiplier_family(self.f, omega, None, self.order,
                                      self.support_factor):
-            g = project(self.f, sym)
+            g = self.f.multiply_spectrum(sym)
             val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2)
                                 * self.f.dx))
             best = max(best, val)
@@ -232,7 +228,7 @@ def exceptional_mask(density: GridFunction, factor: float = 100.0,
 
 def _interval_cells(lo: float, length: float, f: GridFunction) -> np.ndarray:
     n = f.size
-    start = int(round((lo - f.origin) / f.dx))
+    start = int(round(lo / f.dx))
     count = min(int(round(length / f.dx)), n)
     return np.mod(start + np.arange(count), n)
 
@@ -279,7 +275,7 @@ def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
     """
     width = max(blur * interval.length, min_width_cells * f.dx)
     kern = PositiveBandKernel(f.size, f.length, width, half_power=1)
-    box = GridFunction.zeros(f.size, f.length, f.origin)
+    box = GridFunction.zeros(f.size, f.length)
     cells = _interval_cells(interval.lo, min(interval.length, f.length), f)
     box.values[cells] = 1.0
     return convolve(box, kern).values.real
@@ -308,7 +304,7 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
                 omega = operator_intervals(p.cube, slope)[i]
                 sym = multiplier_family(fs[i], omega, None, order,
                                         support_factor)[0]
-                prod = prod * project(fs[i], sym).values
+                prod = prod * fs[i].multiply_spectrum(sym).values
             per_cube[p.cube] = prod
         cut = spatial_cutoff(f, p.interval, blur)
         total += complex(np.sum(cut * prod) * f.dx)

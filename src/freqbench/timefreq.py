@@ -20,7 +20,7 @@ Contents:
 - family health checks: :func:`spacing_violations`,
   :func:`diagonal_clearance_violations`, :func:`halo_violations`,
 - halo construction with endpoint avoidance (:func:`build_halos`),
-- tile orderings (:func:`le_matrix`, :func:`lessdot_matrix`),
+- tile orderings (:func:`le_matrix`, :func:`mt_lessdot`),
 - box footprints and footprint monotonicity (:func:`footprint_violations`,
   :func:`regularize`),
 - trees with explicit top data, greedy maximal selection
@@ -132,9 +132,6 @@ class MultiTile:
     def __post_init__(self):
         if self.interval.length * self.cube.side != 1.0:
             raise ValueError("spatial length must be reciprocal of cube side")
-
-    def stretched_halo(self, i: int) -> Iv:
-        return self.halos[i].scaled(HALO_STRETCH)
 
 
 def operator_intervals(cube: FreqCube, slope: float) -> tuple[Iv, Iv, Iv]:
@@ -325,15 +322,6 @@ def le_matrix(tiles: list[MultiTile]) -> np.ndarray:
     for a in range(n):
         for b in range(n):
             out[a, b] = mt_le(tiles[a], tiles[b])
-    return out
-
-
-def lessdot_matrix(tiles: list[MultiTile]) -> np.ndarray:
-    n = len(tiles)
-    out = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = mt_lessdot(tiles[a], tiles[b])
     return out
 
 

@@ -1,9 +1,12 @@
 """Configuration, drivers, record plumbing and the command line."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqbench.experiments as ex
 from freqbench.cli import main as cli_main
@@ -17,7 +20,53 @@ def small(kind, **tweaks):
     return cfg
 
 
+def finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that passes validate_config, for every kind."""
+    open_unit = dict(exclude_min=True, exclude_max=True)
+    allow = draw(st.booleans())
+    pair = finite(2.5, 100.0)
+    conjugate = st.tuples(pair, pair).map(
+        lambda ps: ps + (1.0 / (1.0 - 1.0 / ps[0] - 1.0 / ps[1]),))
+    loose = st.tuples(*[finite(1.0, 1e6, exclude_min=True)] * 3)
+    cfg = ex.default_config(draw(st.sampled_from(
+        [kind for kind, _ in ex.experiment_kinds()])))
+    fields = dict(
+        grid_n=st.integers(8, 1 << 14).map(lambda n: 2 * n),
+        domain_len=finite(0.0, 1e6, exclude_min=True),
+        seed=st.integers(0, 2 ** 63), trials=st.integers(1, 10 ** 6),
+        mu_max=st.integers(1, 64), alpha=finite(0.0, 1.0, **open_unit),
+        c0=st.integers(0, 64), k0=finite(),
+        scale_bits=st.integers(1, 16), span_bits=st.integers(0, 16),
+        clearance=finite(), compact_spread=finite(),
+        slope=finite(0.0, 1e6, exclude_min=True),
+        order=st.integers(1, 64), support_factor=finite(),
+        weight_power=st.integers(1, 64), blur=finite(),
+        exceptional_factor=finite(), decay_power=st.integers(1, 64),
+        band=finite(), moll_width=finite(), set_count=st.integers(0, 64),
+        kbits=st.integers(0, 64),
+        exponents=st.none() | (loose if allow else conjugate),
+        theta2=finite(0.0, 1.0, exclude_min=True),
+        theta3=finite(0.0, 1.0, exclude_min=True),
+        gamma2=finite(0.0, 0.5, **open_unit),
+        gamma3=finite(0.0, 0.5, **open_unit),
+        allow_non_conjugate=st.just(allow))
+    for name, strategy in fields.items():
+        setattr(cfg, name, draw(strategy))
+    ex.validate_config(cfg)
+    return cfg
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_canonical_round_trip_any_valid(self, cfg):
+        assert ex.parse_config(ex.canonical_text(cfg)) == cfg
+
     def test_canonical_round_trip(self):
         for kind in ("tiles", "model-sum", "size-decay"):
             cfg = ex.default_config(kind)
@@ -189,6 +238,15 @@ class TestDrivers:
         for i in (1, 2, 3):
             assert named[f"overlap_mu10_i{i}"] == named[f"overlap_mu20_i{i}"] == 2
 
+    def test_polygon_scan_fails_when_sums_wrap(self):
+        # at k0 = 6 the polygon covers the whole 128-mode band, so sums of
+        # mode pairs leave it
+        res = ex.run(small("polygon-scan", k0=6.0, trials=3))
+        named = {r.metric: r.value for r in res.records}
+        assert named["wrapped_fraction_max"] > 1e-12
+        assert not res.passed
+        assert any("wrapped" in msg for msg in res.failures)
+
     def test_model_sum_audits(self):
         res = ex.run(small("model-sum"))
         named = {r.metric: r.value for r in res.records}
@@ -213,14 +271,17 @@ class TestRecords:
         assert [(r.metric, r.value) for r in back] == \
                [(r.metric, r.value) for r in res.records]
 
-    def test_append_keeps_single_header(self, tmp_path):
+    def test_second_write_refused(self, tmp_path):
         res = ex.run(small("tiles", trials=2))
         path = tmp_path / "records.csv"
         ex.write_records(str(path), res.records)
-        ex.write_records(str(path), res.records)
-        lines = path.read_text().splitlines()
-        assert lines.count(ex.CSV_HEADER) == 1
-        assert len(lines) == 1 + 2 * len(res.records)
+        first = path.read_text()
+        with pytest.raises(FileExistsError):
+            ex.write_records(str(path), res.records)
+        assert path.read_text() == first
+        lines = first.splitlines()
+        assert lines[0] == ex.CSV_HEADER
+        assert len(lines) == 1 + len(res.records)
 
     def test_digest_blind_to_wall_time(self):
         res = ex.run(small("tiles", trials=2))
@@ -236,7 +297,42 @@ def write_run(res, outdir):
     ex.write_summary(os.path.join(outdir, "summary.txt"), res)
 
 
+def compare_values(base, cur):
+    """compare_runs over two runs holding one metric per value."""
+    cfg = ex.default_config("tiles")
+    digest = ex.config_hash(cfg)
+
+    def result(values):
+        return ex.RunResult(cfg, [ex.ResultRecord(digest, 0, f"m{i}", v,
+                                                  cfg.grid_n, 0.0)
+                                  for i, v in enumerate(values)], [], 0.0)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+        write_run(result(base), a)
+        write_run(result(cur), b)
+        return ex.compare_runs(a, b)
+
+
 class TestCompare:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(finite(), min_size=1, max_size=6))
+    def test_identical_values_ok(self, values):
+        rep = compare_values(values, values)
+        assert rep.status == "ok" and rep.worst_drift == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(finite(), min_size=1, max_size=6), st.data())
+    def test_any_non_finite_value_is_drift(self, values, data):
+        at = data.draw(st.integers(0, len(values) - 1))
+        bad = list(values)
+        bad[at] = data.draw(st.sampled_from(
+            [float("nan"), float("inf"), float("-inf")]))
+        other = data.draw(st.sampled_from([values, bad]))
+        pair = data.draw(st.permutations([bad, other]))
+        rep = compare_values(*pair)
+        assert rep.status == "drift" and rep.worst_drift == float("inf")
+
     def test_identical_runs_ok(self, tmp_path):
         res = ex.run(small("tiles", trials=3))
         write_run(res, tmp_path / "a")

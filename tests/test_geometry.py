@@ -225,9 +225,18 @@ class TestWhitneyFamilies:
         assert len(fam) >= 0  # early stop, still a family object
 
 
+def literal_staircase(mu):
+    """The staircase rectangle's displayed closed form."""
+    a = math.pi * 2.0 ** (-mu)
+    outer = (1.0 - 4.0 ** (-mu)) * math.cos(a / 2.0)
+    inner = (1.0 - 4.0 ** (-mu + 1)) * math.cos(a)
+    top = (1.0 - 4.0 ** (-mu)) * math.sin(a)
+    return G.Rect(-outer, -inner, 0.0, top)
+
+
 class TestStaircase:
     def test_literal_endpoints_depth_two(self):
-        r = G.staircase_rect_literal(2)
+        r = literal_staircase(2)
         assert r.x0 == pytest.approx(-(15.0 / 16.0) * math.cos(math.pi / 8), abs=1e-15)
         assert r.x1 == pytest.approx(-(3.0 / 4.0) * math.cos(math.pi / 4), abs=1e-15)
         assert r.y0 == 0.0
@@ -238,7 +247,7 @@ class TestStaircase:
         # working variant fixes the dilation factors
         P = G.LacunaryPolygon(8)
         for mu in range(2, 7):
-            lit = G.staircase_rect_literal(mu)
+            lit = literal_staircase(mu)
             assert not P.contains(np.array([lit.x0, lit.y1]))
 
     def test_working_corners_inside(self):

@@ -6,41 +6,38 @@ from hypothesis import given, settings, strategies as st
 
 from freqbench.grid import (
     GridFunction,
-    PlateauBump,
     PositiveBandKernel,
     convolve,
     indicator,
     maximal_average,
-    smooth_indicator,
     smooth_ramp,
 )
 
 
-def random_gridfunction(rng, size=128, length=1.0, origin=0.0):
+def random_gridfunction(rng, size=128, length=1.0):
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return GridFunction(vals, length=length, origin=origin)
+    return GridFunction(vals, length=length)
 
 
 class TestSpectrum:
     def test_roundtrip(self):
         rng = np.random.default_rng(7)
         f = random_gridfunction(rng)
-        g = GridFunction.from_spectrum(f.spectrum(), f.length, f.origin)
+        g = GridFunction.from_spectrum(f.spectrum(), f.length)
         assert np.abs(g.values - f.values).max() < 1e-12
 
     def test_single_mode(self):
-        # coefficient at k=3 is exp(2 pi i 3 x), independent of origin
+        # coefficient at k=3 is exp(2 pi i 3 x)
         n = 64
-        for origin in (0.0, -4.0):
-            c = np.zeros(n, dtype=complex)
-            c[n // 2 + 3] = 1.0
-            f = GridFunction.from_spectrum(c, length=1.0, origin=origin)
-            xs = f.x
-            assert np.abs(f.values - np.exp(2j * np.pi * 3 * xs)).max() < 1e-12
+        c = np.zeros(n, dtype=complex)
+        c[n // 2 + 3] = 1.0
+        f = GridFunction.from_spectrum(c, length=1.0)
+        xs = f.x
+        assert np.abs(f.values - np.exp(2j * np.pi * 3 * xs)).max() < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(11)
-        f = random_gridfunction(rng, size=256, length=8.0, origin=-4.0)
+        f = random_gridfunction(rng, size=256, length=8.0)
         lhs = f.norm(2) ** 2
         rhs = f.length * np.sum(np.abs(f.spectrum()) ** 2)
         assert abs(lhs - rhs) < 1e-10 * max(lhs, 1.0)
@@ -63,12 +60,15 @@ class TestSpectrum:
             f.modulate(1)
 
     def test_refine_preserves_band_limited(self):
+        # zero-padding the spectrum gives the same function on a grid
+        # twice as fine
         rng = np.random.default_rng(5)
         c = np.zeros(64, dtype=complex)
         c[24:40] = rng.standard_normal(16)
         f = GridFunction.from_spectrum(c, length=1.0)
-        g = f.refine(2)
-        assert g.size == 128
+        big = np.zeros(128, dtype=complex)
+        big[32:96] = f.spectrum()
+        g = GridFunction.from_spectrum(big, length=1.0)
         assert abs(g.norm(2) - f.norm(2)) < 1e-12
         # samples of g at even indices are samples of f
         assert np.abs(g.values[::2] - f.values).max() < 1e-11
@@ -86,7 +86,7 @@ class TestSpectrum:
 class TestNorms:
     def test_indicator_mass_exact(self):
         # half-open indicator with lattice endpoints has exact mass
-        f = indicator((0.0, 1.0), 256, length=8.0, origin=-4.0)
+        f = indicator((4.0, 5.0), 256, length=8.0)
         assert f.integral() == 1.0
         assert f.norm(1) == 1.0
 
@@ -104,20 +104,20 @@ class TestNorms:
 
 class TestMaximalAverage:
     def test_indicator_value_two_units_right(self):
-        # mass-1 indicator on [0,1); at x=2 the best closed interval is
-        # [0,2]: average exactly 1/2
-        f = indicator((0.0, 1.0), 256, length=8.0, origin=-4.0)
+        # mass-1 indicator on [4,5); at x=6 the best closed interval is
+        # [4,6]: average exactly 1/2
+        f = indicator((4.0, 5.0), 256, length=8.0)
         m = maximal_average(f)
         x = f.x
-        idx = int(np.argmin(np.abs(x - 2.0)))
-        assert x[idx] == 2.0
+        idx = int(np.argmin(np.abs(x - 6.0)))
+        assert x[idx] == 6.0
         assert m.values[idx].real == 0.5
 
     def test_power_variant(self):
         # p=2 at the same point: sqrt(1/2)
-        f = indicator((0.0, 1.0), 256, length=8.0, origin=-4.0)
+        f = indicator((4.0, 5.0), 256, length=8.0)
         m = maximal_average(f, p=2.0)
-        idx = int(np.argmin(np.abs(f.x - 2.0)))
+        idx = int(np.argmin(np.abs(f.x - 6.0)))
         assert abs(m.values[idx].real - np.sqrt(0.5)) < 1e-12
 
     def test_dominates_function(self):
@@ -138,12 +138,12 @@ class TestMaximalAverage:
         # the 4^l-dilate, up to 8^l, when the dilate stays in the domain
         rng = np.random.default_rng(41)
         vals = np.abs(rng.standard_normal(256)) + 0.05
-        f = GridFunction(vals.astype(complex), length=8.0, origin=-4.0)
+        f = GridFunction(vals.astype(complex), length=8.0)
         m = maximal_average(f).values.real
         x = f.x
         for l in (1, 2):
-            base = (x >= -0.25) & (x < 0.25)
-            big = (x >= -0.25 * 4**l) & (x < 0.25 * 4**l)
+            base = (x >= 3.75) & (x < 4.25)
+            big = (x >= 4.0 - 0.25 * 4**l) & (x < 4.0 + 0.25 * 4**l)
             assert m[base].min() <= 8.0**l * m[big].min() + 1e-9
 
 
@@ -154,21 +154,6 @@ class TestBumps:
         assert r[0] == 0.0 and r[1] == 0.0
         assert r[3] == 1.0 and r[4] == 1.0
         assert 0.0 < r[2] < 1.0
-
-    def test_plateau_support_and_core(self):
-        b = PlateauBump(support=(-1.0, 1.0), flat=(-0.5, 0.5))
-        xs = np.linspace(-2, 2, 401)
-        v = b(xs)
-        assert np.all(v[np.abs(xs) >= 1.0] == 0.0)
-        assert np.all(v[np.abs(xs) <= 0.5] == 1.0)
-        assert np.all((v >= 0.0) & (v <= 1.0))
-
-    def test_derivative_bounds_finite(self):
-        b = PlateauBump(support=(0.0, 4.0), flat=(1.0, 3.0))
-        consts = b.derivative_bounds(orders=(0, 1, 2))
-        assert consts[0] == 1.0
-        assert 0 < consts[1] < 50.0
-        assert 0 < consts[2] < 2000.0
 
 
 class TestPositiveKernel:
@@ -186,9 +171,15 @@ class TestPositiveKernel:
             PositiveBandKernel(size=64, length=1.0, width=1 / 16, half_power=8)
 
     def test_envelope_two_sided_on_window(self):
-        k = PositiveBandKernel(size=1024, length=1.0, width=1 / 32, half_power=4)
-        lo, hi = k.envelope_constants(window_widths=12.0)
-        assert 0.0 < lo < 1.0 < hi < 10.0
+        # on the samples within 12 widths of the peak, the unnormalized
+        # kernel (both sinc powers are 1 at t = 0) stays between two
+        # constant multiples of (1 + |t|/w)^(-2m)
+        w, m = 1 / 32, 4
+        k = PositiveBandKernel(size=1024, length=1.0, width=w, half_power=m)
+        raw = np.roll(2.0 * k.values / k.values[0], 384)[:769]
+        t = np.arange(-384, 385) / 1024
+        ratio = raw / (1.0 + np.abs(t) / w) ** (-2 * m)
+        assert 0.0 < ratio.min() < 1.0 < ratio.max() < 10.0
 
     def test_partition_of_unity_exact(self):
         # smoothing a partition by indicators gives the constant 1; decay
@@ -196,7 +187,7 @@ class TestPositiveKernel:
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=2)
         cuts = np.linspace(0.0, 1.0, 9)
         parts = [
-            smooth_indicator((a, b), k)
+            convolve(indicator((a, b), 512, 1.0), k)
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
         total = parts[0]

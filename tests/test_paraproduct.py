@@ -9,11 +9,9 @@ from freqbench.paraproduct import (
     NAIVE_OFFSETS,
     default_kbits,
     max_martingale,
-    mean_mode,
     pk,
     pp_apply,
     qk,
-    square_function,
     telescoping_decompose,
 )
 
@@ -45,7 +43,7 @@ class TestBandProjections:
         rng = np.random.default_rng(1)
         f = noise(200.0, rng)
         for k in (3, 6, 8):
-            acc = mean_mode(f)
+            acc = pk(f, -1)  # the ball |xi| <= 1/2 holds only the zero mode
             for el in range(0, k + 1):
                 acc = acc + qk(f, el)
             assert np.abs((pk(f, k) - acc).values).max() < 1e-12
@@ -59,7 +57,7 @@ class TestBandProjections:
     def test_parseval_over_bands(self):
         rng = np.random.default_rng(3)
         f = noise(500.0, rng)
-        total = mean_mode(f).norm() ** 2
+        total = pk(f, -1).norm() ** 2
         for k in range(0, 10):
             total += qk(f, k).norm() ** 2
         assert total == pytest.approx(f.norm() ** 2, rel=1e-12)
@@ -169,11 +167,6 @@ class TestTelescoping:
 
 
 class TestSquareAndMartingale:
-    def test_square_function_of_single_mode(self):
-        f = mode(12, amp=1.7)
-        s = square_function(f)
-        assert np.allclose(s.values.real, np.abs(f.values), atol=1e-12)
-
     def test_unit_coefficients_give_ball_remainders(self):
         rng = np.random.default_rng(40)
         psi = noise(400.0, rng)

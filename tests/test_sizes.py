@@ -12,7 +12,6 @@ from freqbench.sizes import (
     layer_split,
     model_sum,
     multiplier_family,
-    project,
     single_tree_audit,
     spatial_cutoff,
     supinf_maximal_bound,
@@ -310,7 +309,7 @@ class TestModelSum:
             for i in range(3):
                 omega = operator_intervals(p.cube, SLOPE)[i]
                 sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
-                prod = prod * project(fs[i], sym).values
+                prod = prod * fs[i].multiply_spectrum(sym).values
             cut = spatial_cutoff(f, p.interval)
             ref += complex(np.sum(cut * prod) * f.dx)
         assert got == pytest.approx(ref, rel=1e-12)

@@ -27,7 +27,6 @@ from freqbench.timefreq import (
     greedy_select,
     halo_violations,
     le_matrix,
-    lessdot_matrix,
     mt_le,
     mt_lessdot,
     operator_intervals,
@@ -38,6 +37,11 @@ from freqbench.timefreq import (
     tree_footprint_violations,
     tree_members,
 )
+
+
+def lessdot(tiles):
+    """Matrix of the frequency-only order over all tile pairs."""
+    return np.array([[mt_lessdot(p, q) for q in tiles] for p in tiles])
 
 
 def diag_cube(side, anchor, spread=3.0, perm=(0, 1, 2)):
@@ -182,12 +186,12 @@ class TestOrderings:
 
     def test_lessdot_coarser_than_le(self):
         tiles = self.family()
-        le, ld = le_matrix(tiles), lessdot_matrix(tiles)
+        le, ld = le_matrix(tiles), lessdot(tiles)
         assert (le <= ld).all()
 
     def test_no_cross_cluster_relations(self):
         tiles = self.family()
-        ld = lessdot_matrix(tiles)
+        ld = lessdot(tiles)
         cluster = np.array([round(p.cube.centers[0] / CLUSTER_SPACING)
                             for p in tiles])
         off = cluster[:, None] != cluster[None, :]
