@@ -192,6 +192,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad(f"grid_n must be even and >= 16, got {cfg.grid_n}")
     if cfg.domain_len <= 0:
         bad("domain_len must be positive")
+    if cfg.seed < 0:
+        bad(f"seed must be >= 0, got {cfg.seed}")
     if cfg.trials < 1:
         bad("trials must be >= 1")
     if not 0 < cfg.alpha < 1:
@@ -267,7 +269,11 @@ def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
         cfg = parse_config(fh.read())
     env = os.environ.get(GRID_ENV)
     if env is not None:
-        cfg.grid_n = int(env)
+        try:
+            cfg.grid_n = int(env)
+        except ValueError:
+            raise ValueError(f"invalid {GRID_ENV}: expected an integer, "
+                             f"got {env!r}") from None
     if seed is not None:
         cfg.seed = int(seed)
     validate_config(cfg)

@@ -8,8 +8,9 @@ the same few ingredients:
   forms, no cancellation down to mu ~ 25);
 - convex containment tests for the polygon, chord-shell quadrilaterals and
   their sheared pullbacks;
-- integer-exact Whitney squares against the diagonal, mapped to rectangle
-  families hugging each chord;
+- Whitney rectangle families hugging each chord: dyadic squares selected
+  against the diagonal by integer offsets, pushed through the chord shear
+  and kept as coordinate arrays;
 - the axis-hugging staircase, pole caps and central square;
 - interval projections of the chord families and a bounded-overlap counter;
 - a normalized product-bump partition of unity over the whole cover, with a
@@ -23,7 +24,7 @@ reference quadrant; the other three are reflections).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -328,48 +329,7 @@ def shell_frame(mu: int, r: int = 0) -> ChordFrame:
 
 
 # ---------------------------------------------------------------------------
-# Whitney squares against the diagonal
-
-
-@dataclass(frozen=True)
-class DyadicSquare:
-    """Square of side 2^j centered at (m, n) * 2^(j-q)."""
-
-    j: int
-    q: int
-    m: int
-    n: int
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** self.j
-
-    @property
-    def center(self) -> tuple[float, float]:
-        step = 2.0 ** (self.j - self.q)
-        return (self.m * step, self.n * step)
-
-    def rect(self) -> Rect:
-        cx, cy = self.center
-        h = 0.5 * self.side
-        return Rect(cx - h, cx + h, cy - h, cy + h)
-
-
-def diagonal_gap(square: DyadicSquare, factor: int) -> bool:
-    """True when the factor-dilate of the square misses the diagonal.
-
-    Integer-exact: factor*S meets {u = w} iff |m - n| <= factor * 2^q.
-    """
-    return abs(square.m - square.n) > factor * (1 << square.q)
-
-
-def diagonal_near(square: DyadicSquare, factor: int) -> bool:
-    """True when the factor-dilate of the square meets the diagonal."""
-    return abs(square.m - square.n) <= factor * (1 << square.q)
-
-
-# ---------------------------------------------------------------------------
-# rectangle families (stored as coordinate arrays, not object soup)
+# Whitney rectangle families (stored as coordinate arrays)
 
 
 @dataclass
@@ -384,7 +344,6 @@ class RectFamily:
     x1: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
-    squares: list[DyadicSquare] = field(default_factory=list)
     n_clipped: int = 0
 
     def __len__(self) -> int:
@@ -397,32 +356,34 @@ class RectFamily:
         x0, x1 = ((-self.x1, -self.x0) if flip_x else (self.x0, self.x1))
         y0, y1 = ((-self.y1, -self.y0) if flip_y else (self.y0, self.y1))
         return RectFamily(self.kind, quadrant, self.mu, self.shell,
-                          np.array(x0), np.array(x1), np.array(y0), np.array(y1),
-                          list(self.squares))
+                          x0, x1, y0, y1)
 
 
 DEFAULT_GUARD_FRAC = 0.2
+Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
+MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
-def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4, q: int = 1,
+def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4,
                         alpha: float = 0.99,
                         guard_frac: float = DEFAULT_GUARD_FRAC,
-                        thin: bool = True, max_scales: int = 16,
                         clip: LacunaryPolygon | None = None) -> RectFamily:
     """Whitney rectangles for one chord shell (second quadrant).
 
-    Dyadic squares near the diagonal (C0-dilate clear of it, 4C0-dilate
-    meeting it) are kept when the alpha-dilate of their sheared image meets
-    the shell, then pushed forward through the chord shear.  Scales run
-    from the coarsest that clears the band down to the one whose closest
-    squares sit inside the sampling guard (guard_frac * 4^-mu off the
-    chord), so the family covers every guarded point of its shell.
+    A dyadic square of side 2^j centred at (m, n) 2^(j-Q) in the sheared
+    local frame is a candidate when its C0-dilate clears the diagonal and
+    its 4C0-dilate meets it: C0 2^Q < n - m <= 4 C0 2^Q, integer-exact.
+    It is kept when its alpha-dilate meets the shell, then pushed forward
+    through the chord shear.  Scales run from the coarsest that clears the
+    band down to the one whose closest squares sit inside the sampling
+    guard (guard_frac * 4^-mu off the chord), at most MAX_SCALES of them,
+    so the family covers every guarded point of its shell.
 
-    `thin` keeps the full offset band (C0, 4C0] * 2^q only on the top two
-    nonempty scales; below, offsets above 2 C0 * 2^q duplicate distance
-    bands already covered one scale up and are skipped.  `clip` drops the
-    rare members whose corners leave the closed polygon (the coarse-scale
-    spill-over artifact of a desk-sized C0); the count is recorded.
+    Below the top two nonempty scales only offsets up to 2 C0 2^Q are
+    kept: the larger ones duplicate distance bands already covered one
+    scale up.  `clip` drops the rare members whose corners leave the
+    closed polygon (the coarse-scale spill-over artifact of a desk-sized
+    C0); the count is recorded.
     """
     if C0 < 2:
         raise ValueError("need C0 >= 2 for a nonempty clearance band")
@@ -432,35 +393,31 @@ def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4, q: int = 1,
     s = frame.slope
     ax, ay = frame.anchor
 
-    lo_off = C0 * (1 << q) + 1       # |m - n| strictly above C0 * 2^q
-    hi_full = 4 * C0 * (1 << q)      # 4C0-dilate still meets the diagonal
-    hi_thin = 2 * C0 * (1 << q)
+    lo_off = C0 * (1 << Q) + 1       # n - m strictly above C0 * 2^Q
+    hi_full = 4 * C0 * (1 << Q)      # 4C0-dilate still meets the diagonal
+    hi_thin = 2 * C0 * (1 << Q)
 
     # local offset (w - u) maps to absolute chord distance by this factor
     dist_factor = s / math.hypot(1.0, s)
     target = 0.75 * guard_frac * 4.0 ** (-mu)
 
-    squares: list[DyadicSquare] = []
-    xs0, xs1, ys0, ys1 = [], [], [], []
+    kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
     n_clipped = 0
     j = math.floor(math.log2(max(bb.x1 - bb.x0, bb.y1 - bb.y0)))
     found = 0
     for _ in range(64):
-        step = 2.0 ** (j - q)
+        step = 2.0 ** (j - Q)
         h = 2.0 ** (j - 1)
-        hi_off = hi_full if (not thin or found < 2) else hi_thin
+        hi_off = hi_full if found < 2 else hi_thin
         m_lo = math.floor((bb.x0 - h) / step) - 1
         m_hi = math.ceil((bb.x1 + h) / step) + 1
-        ms = np.arange(m_lo, m_hi + 1)
-        offs = np.arange(lo_off, hi_off + 1)
-        M, O = np.meshgrid(ms, offs, indexing="ij")
-        N = M + O  # shell sits above the diagonal (w > u locally)
+        M, O = np.meshgrid(np.arange(m_lo, m_hi + 1),
+                           np.arange(lo_off, hi_off + 1), indexing="ij")
         uc = M * step
-        wc = N * step
+        wc = (M + O) * step  # shell sits above the diagonal (w > u locally)
         ah = alpha * h
         hit = quad_rect_overlap(quad, uc - ah, uc + ah, wc - ah, wc + ah)
-        keep = np.argwhere(hit)
-        if len(keep) > 0:
+        if hit.any():
             found += 1
             rx0 = ax - (uc[hit] + h)
             rx1 = ax - (uc[hit] - h)
@@ -471,40 +428,34 @@ def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4, q: int = 1,
                 for cx, cy in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
                     good &= clip.contains(np.stack([cx, cy], axis=1), tol=1e-12)
                 n_clipped += int((~good).sum())
-            for t, (i, k) in enumerate(keep):
-                if good[t]:
-                    squares.append(DyadicSquare(j, q, int(M[i, k]), int(N[i, k])))
-            xs0.extend(rx0[good])
-            xs1.extend(rx1[good])
-            ys0.extend(ry0[good])
-            ys1.extend(ry1[good])
-            closest = (C0 + 2.0 ** (-q)) * 2.0 ** j * dist_factor
-            if closest < target or found >= max_scales:
+            kept.append(np.stack([rx0, rx1, ry0, ry1])[:, good])
+            closest = (C0 + 2.0 ** (-Q)) * 2.0 ** j * dist_factor
+            if closest < target or found >= MAX_SCALES:
                 break
         elif found > 0:
             break
         j -= 1
-    fam = RectFamily("ring", 2, mu, r,
-                     np.array(xs0), np.array(xs1), np.array(ys0), np.array(ys1),
-                     squares)
-    fam.n_clipped = n_clipped
-    return fam
+    x0, x1, y0, y1 = np.concatenate(kept, axis=1)
+    return RectFamily("ring", 2, mu, r, x0, x1, y0, y1, n_clipped)
 
 
 # ---------------------------------------------------------------------------
 # staircase, caps, central square
 
 
-def staircase_rect(mu: int, boosted: bool = True, overlap_frac: float = 0.0) -> Rect:
+STAIR_OVERLAP = 0.1   # inner-edge overlap of the cover's staircase members
+SHELLS = 3            # dyadic chord shells per chord in the cover
+
+
+def staircase_rect(mu: int, overlap_frac: float = 0.0) -> Rect:
     """Axis-hugging staircase rectangle under chord mu, second quadrant.
 
     Uses the corrected dilation factors (the ones the original figure
     draws).  The displayed closed form, with outer abscissa
     (1 - 4^-mu) cos(pi 2^-mu / 2), inner abscissa (1 - 4^-(mu-1))
-    cos(pi 2^-mu) and the boosted height, puts its top-outer corner
-    outside the polygon for every mu (radius excess about
-    (3 pi^2/8 - 1) 4^-mu).  `boosted` keeps the taller
-    height (1 - 4^-mu) sin(pi 2^-mu), which together with the corrected
+    cos(pi 2^-mu) and height (1 - 4^-mu) sin(pi 2^-mu), puts its
+    top-outer corner outside the polygon for every mu (radius excess
+    about (3 pi^2/8 - 1) 4^-mu).  The same height with the corrected
     abscissas stays inside with margin ~0.3 * 4^-mu.  `overlap_frac`
     widens the inner edge into the neighbor so that alpha-shrinks of
     consecutive members still overlap at desk alpha.
@@ -514,16 +465,12 @@ def staircase_rect(mu: int, boosted: bool = True, overlap_frac: float = 0.0) -> 
     a = math.pi * 2.0 ** (-mu)
     outer = (1.0 - 4.0 ** (-mu + 1)) * math.cos(a / 2.0)
     inner = (1.0 - 4.0 ** (-mu + 2)) * math.cos(a)
-    if boosted:
-        top = (1.0 - 4.0 ** (-mu)) * math.sin(a)
-    else:
-        top = (1.0 - 4.0 ** (-mu + 1)) * math.sin(a)
+    top = (1.0 - 4.0 ** (-mu)) * math.sin(a)
     inner -= overlap_frac * (outer - inner)
     return Rect(-outer, -inner, 0.0, top)
 
 
 def truncation_fillers(mu_max: int, alpha: float = 0.99,
-                       overlap_frac: float = 0.1,
                        guard_frac: float = DEFAULT_GUARD_FRAC) -> list[Rect]:
     """Axis-anchored mini-staircase between the last chord zone and the
     truncation chord (second quadrant).
@@ -532,10 +479,10 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
     Whitney family; a single rectangle cannot hug it because the chord
     recedes as y drops.  Rectangle k spans heights [0, y_top (1 - k/K)]
     with its left edge tracking the chord at that height, overlapping the
-    previous member.  Uniform height steps keep every chord wedge thinner
-    than the sampling guard: the wedge per step is tan(a/2) y_top / K and
-    tan(a/2) y_top ~ (pi^2/4) 4^-mu_max, so K ~ pi^2/(2 guard_frac) works
-    for every depth.  Margins absorb the (1/alpha)-dilation applied by the
+    previous member by STAIR_OVERLAP of its width.  Uniform height steps
+    keep every chord wedge thinner than the sampling guard: the wedge per
+    step is tan(a/2) y_top / K and tan(a/2) y_top ~ (pi^2/4) 4^-mu_max, so
+    K ~ pi^2/(2 guard_frac) works for every depth.  Margins absorb the (1/alpha)-dilation applied by the
     cover (the dilation pushes the top edge up, which costs tan(a/2) * dy
     of horizontal clearance against the slanted chord).
     """
@@ -566,7 +513,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
         if w_raw <= margin:
             continue
         left = chord_x + margin
-        right = prev_left + overlap_frac * (prev_left - left)
+        right = prev_left + STAIR_OVERLAP * (prev_left - left)
         rects.append(Rect(left, right, 0.0, built_top))
         prev_left = left
     # Apex member: owns the band between the top column and the polygon
@@ -579,7 +526,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
     s_next = chord_slope(mu_max)
     left_a = vx + (top_a * (1.0 + infl) - sin_a) / s_next \
         + 0.15 * guard_frac * scale
-    right_a = right0 + overlap_frac * (right0 - left_a)
+    right_a = right0 + STAIR_OVERLAP * (right0 - left_a)
     if rects and left_a < right_a:
         rects.insert(0, Rect(left_a, right_a, y_top - 2.0 * step, top_a))
     return rects
@@ -611,16 +558,15 @@ def _family_from_rects(kind: str, quadrant: int, rects: list[Rect],
 
 
 def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99, C0: int = 4,
-                  q: int = 1, shells: int = 3,
-                  guard_frac: float = DEFAULT_GUARD_FRAC,
-                  stair_overlap: float = 0.1) -> list[RectFamily]:
+                  guard_frac: float = DEFAULT_GUARD_FRAC) -> list[RectFamily]:
     """Full rectangle cover of the polygon interior.
 
-    Central square + pole caps + (1/alpha)-dilated staircase and
-    truncation fillers (all quadrant images) + Whitney rectangle families
-    for up to `shells` dyadic chord shells per chord (a shell is skipped
-    once its inner dilation factor would drop below 1/2; the staircase and
-    square own the deep interior).
+    Central square + pole caps + (1/alpha)-dilated staircase (members
+    widened by STAIR_OVERLAP) and truncation fillers (all quadrant
+    images) + clipped Whitney rectangle families for up to SHELLS dyadic
+    chord shells per chord (a shell is skipped once its inner dilation
+    factor would drop below 1/2; the staircase and square own the deep
+    interior).
 
     The staircase members are stored dilated so that their alpha-shrinks
     reproduce the undilated staircase, which touches the horizontal axis;
@@ -634,7 +580,7 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99, C0: int = 4,
         _family_from_rects("core", 0, [central_square()]),
         _family_from_rects("cap", 0, pole_caps()),
     ]
-    stair2 = [staircase_rect(mu, overlap_frac=stair_overlap)
+    stair2 = [staircase_rect(mu, overlap_frac=STAIR_OVERLAP)
               for mu in range(2, polygon.mu_max + 1)]
     stair2.extend(truncation_fillers(polygon.mu_max, alpha=alpha))
     dilated = [r.dilate(1.0 / alpha) for r in stair2]
@@ -644,10 +590,10 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99, C0: int = 4,
     fams.append(base.reflected(False, True, 3))
     fams.append(base.reflected(True, True, 4))
     for mu in range(1, polygon.mu_max + 1):
-        for r in range(shells):
+        for r in range(SHELLS):
             if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) > 0.5:
                 break
-            fam = whitney_shell_rects(mu, r, C0=C0, q=q, alpha=alpha,
+            fam = whitney_shell_rects(mu, r, C0=C0, alpha=alpha,
                                       guard_frac=guard_frac, clip=polygon)
             if len(fam) == 0:
                 continue
@@ -673,8 +619,8 @@ class ChordIntervals:
 
     mu: int
     alpha: float
-    components: dict[int, list[tuple[float, float]]]
-    dilated: dict[int, list[tuple[float, float]]]
+    components: dict[int, np.ndarray]   # (count, 2) rows (lo, hi), ascending
+    dilated: dict[int, np.ndarray]
 
     def connected(self, i: int) -> bool:
         return len(self.components[i]) == 1
@@ -684,34 +630,29 @@ class ChordIntervals:
         return comp[0][0], comp[-1][1]
 
 
-def _merge_intervals(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    pairs = sorted(pairs)
-    out = [list(pairs[0])]
-    for a, b in pairs[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
+def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Connected components of the union of closed intervals [lo, hi],
+    as (count, 2) rows in ascending order; touching intervals merge."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    new = np.r_[True, lo[1:] > reach[:-1]]   # interval i opens a component
+    return np.column_stack([lo[new], reach[np.r_[new[1:], True]]])
 
 
-def chord_intervals(mu: int, C0: int = 4, q: int = 1,
+def chord_intervals(mu: int, C0: int = 4,
                     alpha: float = 0.99,
                     guard_frac: float = DEFAULT_GUARD_FRAC) -> ChordIntervals:
-    fam = whitney_shell_rects(mu, 0, C0=C0, q=q, alpha=alpha,
+    fam = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha,
                               guard_frac=guard_frac)
-    j1 = _merge_intervals(list(zip(fam.x0, fam.x1)))
-    j2 = _merge_intervals(list(zip(fam.y0, fam.y1)))
-    j3 = _merge_intervals([(-(b + d), -(a + c))
-                           for a, b, c, d in zip(fam.x0, fam.x1, fam.y0, fam.y1)])
-    comps = {1: j1, 2: j2, 3: j3}
+    comps = {1: _merge_intervals(fam.x0, fam.x1),
+             2: _merge_intervals(fam.y0, fam.y1),
+             3: _merge_intervals(-(fam.x1 + fam.y1), -(fam.x0 + fam.y0))}
     dil = {}
     for i, comp in comps.items():
-        out = []
-        for a, b in comp:
-            c, h = 0.5 * (a + b), 0.5 * (b - a) / alpha
-            out.append((c - h, c + h))
-        dil[i] = _merge_intervals(out)
+        a, b = comp.T
+        c, h = 0.5 * (a + b), 0.5 * (b - a) / alpha
+        dil[i] = _merge_intervals(c - h, c + h)
     return ChordIntervals(mu, alpha, comps, dil)
 
 
@@ -765,6 +706,13 @@ class PartitionReport:
         return self.containment_ok and self.cover_ok
 
 
+def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of every slot when owner k holds counts[k] slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - first[owner]
+
+
 class PolygonPartition:
     """Normalized product-bump partition subordinate to a rectangle cover.
 
@@ -773,10 +721,17 @@ class PolygonPartition:
     chi_R exactly; psi_R = eta_R / sum eta.  The weights sum to 1 wherever
     any member's shrink covers the point, which the hypothesis report
     verifies on guarded interior samples.
+
+    Candidate lookup runs on a BUCKETS x BUCKETS grid over the square
+    [-1.05, 1.05]^2: every member is listed once per bucket it meets, in
+    one array sorted by bucket key (ascending member id within a bucket).
     """
 
+    BUCKETS = 256
+    _LO, _HI = -1.05, 1.05
+
     def __init__(self, polygon: LacunaryPolygon, families: list[RectFamily],
-                 alpha: float = 0.99, bucket_bits: int = 8):
+                 alpha: float = 0.99):
         self.polygon = polygon
         self.families = families
         self.alpha = float(alpha)
@@ -791,40 +746,31 @@ class PolygonPartition:
         self.hx = 0.5 * (self.x1 - self.x0)
         self.hy = 0.5 * (self.y1 - self.y0)
 
-        self._nb = 1 << bucket_bits
-        self._lo, self._hi = -1.05, 1.05
-        self._scale = self._nb / (self._hi - self._lo)
-        ix0 = self._bucket(self.x0)
-        ix1 = self._bucket(self.x1)
-        iy0 = self._bucket(self.y0)
-        iy1 = self._bucket(self.y1)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i in range(len(self.x0)):
-            for bx in range(ix0[i], ix1[i] + 1):
-                for by in range(iy0[i], iy1[i] + 1):
-                    buckets.setdefault((bx, by), []).append(i)
-        self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
+        ix0, iy0 = self._bucket(self.x0), self._bucket(self.y0)
+        ny = self._bucket(self.y1) - iy0 + 1
+        member, rank = _slots((self._bucket(self.x1) - ix0 + 1) * ny)
+        keys = ((ix0[member] + rank // ny[member]) * self.BUCKETS
+                + iy0[member] + rank % ny[member])
+        order = np.argsort(keys, kind="stable")
+        self._members = member[order]
+        self._offsets = np.searchsorted(keys[order],
+                                        np.arange(self.BUCKETS ** 2 + 1))
 
     def __len__(self) -> int:
         return len(self.x0)
 
     def _bucket(self, coords):
-        idx = np.floor((np.asarray(coords) - self._lo) * self._scale).astype(int)
-        return np.clip(idx, 0, self._nb - 1)
+        scale = self.BUCKETS / (self._HI - self._LO)
+        idx = np.floor((np.asarray(coords) - self._LO) * scale).astype(int)
+        return np.clip(idx, 0, self.BUCKETS - 1)
 
     def _candidates(self, pts: np.ndarray):
-        bx = self._bucket(pts[:, 0])
-        by = self._bucket(pts[:, 1])
-        ids, owners = [], []
-        empty = np.array([], dtype=np.int64)
-        for pi, key in enumerate(zip(bx, by)):
-            cand = self._buckets.get(key, empty)
-            if len(cand):
-                ids.append(cand)
-                owners.append(np.full(len(cand), pi, dtype=np.int64))
-        if not ids:
-            return empty, empty
-        return np.concatenate(ids), np.concatenate(owners)
+        """(member ids, point ids) of every member listed in each point's
+        bucket, point by point."""
+        key = self._bucket(pts[:, 0]) * self.BUCKETS + self._bucket(pts[:, 1])
+        start = self._offsets[key]
+        owners, rank = _slots(self._offsets[key + 1] - start)
+        return self._members[start[owners] + rank], owners
 
     def member_weights(self, pts):
         """Raw bump values: (member ids, point ids, eta) triples, sparse."""

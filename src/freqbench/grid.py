@@ -258,7 +258,7 @@ class PositiveBandKernel:
     every use the package makes of it.
     """
 
-    __slots__ = ("size", "length", "width", "half_power", "values")
+    __slots__ = ("size", "length", "values")
 
     def __init__(self, size, length, width, half_power):
         m = int(half_power)
@@ -272,8 +272,6 @@ class PositiveBandKernel:
             )
         self.size = int(size)
         self.length = float(length)
-        self.width = float(width)
-        self.half_power = m
         dx = self.length / self.size
         d = np.arange(self.size)
         disp = np.where(d <= self.size // 2, d, d - self.size) * dx

@@ -451,6 +451,24 @@ class TestCli:
         assert hint in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("body,argv,env,hint", [
+        ("kind = tiles\nseed = -1\n", [], None, "seed must be >= 0"),
+        ("kind = tiles\n", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("kind = tiles\n", [], "abc", "invalid FREQBENCH_GRID_N"),
+    ])
+    def test_bad_seed_or_grid_override_exits_two(self, tmp_path, capsys,
+                                                 monkeypatch, body, argv,
+                                                 env, hint):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(body)
+        if env is not None:
+            monkeypatch.setenv(ex.GRID_ENV, env)
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert hint in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_run_error_exits_three(self, tmp_path, capsys):
         # a valid config whose geometry degenerates inside the driver
         cfg = tmp_path / "t.cfg"

@@ -143,39 +143,32 @@ class TestChordShells:
         assert any(abs(v[0] - g) < 1e-15 for v in diag)
 
 
-class TestDyadicSquares:
-    def test_integer_predicates(self):
-        s = G.DyadicSquare(j=0, q=1, m=0, n=3)
-        assert G.diagonal_gap(s, 1)       # 3 > 1*2
-        assert not G.diagonal_gap(s, 2)   # 3 <= 2*2
-        assert G.diagonal_near(s, 2)
-
-    def test_predicates_match_interval_oracle(self):
-        # float oracle: factor*S meets {u = w} iff the x- and y-ranges of
-        # the dilated square overlap as intervals
-        rng = RNG(5)
-        for _ in range(200):
-            j = int(rng.integers(-6, 3))
-            q = int(rng.integers(0, 3))
-            m = int(rng.integers(-20, 20))
-            n = int(rng.integers(-20, 20))
-            if m == n:
-                continue
-            sq = G.DyadicSquare(j, q, m, n)
-            for factor in (1, 3, 8):
-                rect = sq.rect().dilate(factor)
-                meets = max(rect.x0, rect.y0) <= min(rect.x1, rect.y1)
-                assert G.diagonal_near(sq, factor) == meets
-                assert G.diagonal_gap(sq, factor) == (not meets)
-
-
 class TestWhitneyFamilies:
-    def test_members_satisfy_band_conditions(self):
-        fam = G.whitney_shell_rects(2, 0, C0=4, q=1)
+    @staticmethod
+    def assert_band_conditions(mu, clip, C0=4):
+        # pull every centre back through the shell frame: it must sit on
+        # the 2^(j-Q) lattice at an offset n - m with C0-dilate clear of
+        # the diagonal and 4C0-dilate meeting it
+        fam = G.whitney_shell_rects(mu, 0, C0=C0, clip=clip)
         assert len(fam) > 0
-        for sq in fam.squares[:200]:
-            assert G.diagonal_gap(sq, 4)
-            assert G.diagonal_near(sq, 16)
+        fr = G.shell_frame(mu, 0)
+        ax, ay = fr.anchor
+        side = fam.x1 - fam.x0
+        j = np.round(np.log2(side))
+        assert np.allclose(side, 2.0 ** j, rtol=1e-12, atol=0.0)
+        assert np.allclose(fam.y1 - fam.y0, fr.slope * side, rtol=1e-12, atol=0.0)
+        u = ax - 0.5 * (fam.x0 + fam.x1)
+        w = (ay - 0.5 * (fam.y0 + fam.y1)) / fr.slope
+        offset = (w - u) / 2.0 ** (j - G.Q)
+        k = np.round(offset)
+        assert np.max(np.abs(offset - k)) < 1e-6
+        assert np.all(k > C0 * 2 ** G.Q)
+        assert np.all(k <= 4 * C0 * 2 ** G.Q)
+
+    def test_members_satisfy_band_conditions(self):
+        for mu in (2, 5):
+            for clip in (None, G.LacunaryPolygon(8)):
+                self.assert_band_conditions(mu, clip)
 
     def test_retention_touches_shell(self):
         # alpha-dilate of each member must meet the absolute shell quad
@@ -287,7 +280,31 @@ class TestStaircase:
                 assert fs[0].intersects(G.staircase_rect(mu_max))
 
 
+def tuple_merge(pairs):
+    """Reference merge: sort the pairs, then grow the last component."""
+    pairs = sorted(pairs)
+    out = [list(pairs[0])]
+    for a, b in pairs[1:]:
+        if a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return [(a, b) for a, b in out]
+
+
 class TestIntervalFamilies:
+    def test_merge_matches_tuple_loop(self):
+        rng = RNG(12)
+        for n in (1, 2, 5, 40, 300):
+            # quarter-integer endpoints: exact ties, duplicates, touching
+            # and zero-length intervals all occur
+            lo = rng.integers(0, 60, n) / 4.0
+            hi = lo + rng.integers(0, 8, n) / 4.0
+            lo = np.concatenate([lo, lo[: n // 3]])
+            hi = np.concatenate([hi, hi[: n // 3]])
+            got = G._merge_intervals(lo, hi)
+            assert [tuple(r) for r in got] == tuple_merge(zip(lo, hi))
+
     def test_reflected_sum_construction(self):
         fam = G.chord_intervals(3)
         # every third-index component endpoint comes from -(J1_R + J2_R)
@@ -358,6 +375,20 @@ class TestPartition:
         assert np.all(vals[np.abs(t) <= 0.8] == 1.0)
         assert np.all(vals[np.abs(t) >= 1.0] == 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    def test_member_weights_match_dense_evaluation(self):
+        P = G.LacunaryPolygon(3)
+        part = G.PolygonPartition(P, G.polygon_cover(P), alpha=0.99)
+        pts = RNG(8).uniform(-1.1, 1.1, size=(300, 2))
+        ids, owners, eta = part.member_weights(pts)
+        tx = (pts[:, None, 0] - part.cx[None, :]) / part.hx[None, :]
+        ty = (pts[:, None, 1] - part.cy[None, :]) / part.hy[None, :]
+        dense = G.plateau_profile(tx, 0.99) * G.plateau_profile(ty, 0.99)
+        d_owner, d_id = np.nonzero(dense > 0.0)   # point-major, ids ascending
+        assert len(ids) > len(pts)
+        assert np.array_equal(owners, d_owner)
+        assert np.array_equal(ids, d_id)
+        assert np.array_equal(eta, dense[d_owner, d_id])
 
     def test_full_cover_hypotheses_and_sum(self):
         P = G.LacunaryPolygon(4)
