@@ -311,10 +311,18 @@ def trial_rng(cfg: ExperimentConfig, trial: int) -> np.random.Generator:
 
 def band_noise(n: int, length: float, band: float, rng,
                normalize: str = "l2") -> GridFunction:
-    """Random trigonometric polynomial with modes confined to |xi| <= band."""
+    """Random trigonometric polynomial with modes confined to |xi| <= band.
+
+    Raises ValueError when the band holds no nonzero mode: the input would
+    be a constant (or, normalized, all NaN), and every identity a run
+    checks on it would hold vacuously.
+    """
     coeffs = np.zeros(n, dtype=complex)
     ks = np.arange(-(n // 2), n - (n // 2))
     live = np.abs(ks / length) <= band
+    if not np.any(live & (ks != 0)):
+        raise ValueError(f"band {band:g} holds no nonzero mode on a domain "
+                         f"of length {length:g}; inputs would be constant")
     coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
     f = GridFunction.from_spectrum(coeffs, length)
     if normalize == "l2":
@@ -607,20 +615,33 @@ def run_model_sum(cfg: ExperimentConfig):
     return metrics, failures
 
 
+def _kbits_failures(cfg: ExperimentConfig) -> list[str]:
+    """A band limit with no depth, or one whose ball products wrap, makes
+    the telescoping identity hold vacuously or for the aliased operator."""
+    if cfg.kbits < 1:
+        return [f"kbits = {cfg.kbits} leaves no paraproduct depth; "
+                "need kbits >= 1"]
+    if 2.0 ** (cfg.kbits + 2) > cfg.grid_n / cfg.domain_len:
+        return [f"ball products at kbits = {cfg.kbits} wrap: "
+                f"2**(kbits + 2) > grid_n / domain_len = "
+                f"{cfg.grid_n / cfg.domain_len:g}"]
+    return []
+
+
 def run_paraproduct(cfg: ExperimentConfig):
     tele_max = 0.0
     naive_min = math.inf
     mart = {label: 0.0 for _, label in MARTINGALE_EXPONENTS}
-    kmax = cfg.kbits + 1
+    # kbits < 1 runs on empty band ranges (kmax + 1 coefficients, never a
+    # negative count) and _kbits_failures fails the run
+    kmax = max(cfg.kbits + 1, -1)
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
         f, g, h = (band_noise(cfg.grid_n, cfg.domain_len, cfg.band, rng)
                    for _ in range(3))
         out = para.telescoping_decompose(f, g, h, kbits=cfg.kbits)
         tele_max = max(tele_max, out["residual"] / out["scale"])
-        naive = para.telescoping_decompose(f, g, h, kbits=cfg.kbits,
-                                           offsets=para.NAIVE_OFFSETS)
-        naive_min = min(naive_min, naive["residual"] / naive["scale"])
+        naive_min = min(naive_min, out["naive_residual"] / out["scale"])
         psi = band_noise(cfg.grid_n, cfg.domain_len, cfg.band, rng)
         a = rng.choice([-1.0, 1.0], size=kmax + 1)
         mm = para.max_martingale(a, psi, kmax)
@@ -630,7 +651,7 @@ def run_paraproduct(cfg: ExperimentConfig):
                ("naive_rel_min", naive_min)]
     for _, label in MARTINGALE_EXPONENTS:
         metrics.append((f"martingale_p{label}_max", mart[label]))
-    failures = []
+    failures = _kbits_failures(cfg)
     if tele_max > 1e-10:
         failures.append(f"telescoping residual {tele_max:.3e} > 1e-10")
     return metrics, failures

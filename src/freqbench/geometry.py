@@ -149,12 +149,13 @@ def _shoelace(v: np.ndarray) -> float:
 
 def _convex_contains(verts: np.ndarray, points, tol: float):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    px, py = pts[:, 0], pts[:, 1]
     nxt = np.roll(verts, -1, axis=0)
-    ex, ey = (nxt - verts).T
-    # cross(edge, p - v) >= -tol for every edge of a CCW convex loop
-    cross = (ex[None, :] * (pts[:, 1:2] - verts[None, :, 1])
-             - ey[None, :] * (pts[:, 0:1] - verts[None, :, 0]))
-    inside = np.all(cross >= -tol, axis=1)
+    # cross(edge, p - v) >= -tol for every edge of a CCW convex loop; one
+    # edge at a time keeps the temporaries at one value per point
+    inside = np.ones(len(pts), dtype=bool)
+    for (vx, vy), (ex, ey) in zip(verts, nxt - verts):
+        inside &= ex * (py - vy) - ey * (px - vx) >= -tol
     if np.ndim(points) == 1:
         return bool(inside[0])
     return inside
@@ -242,13 +243,16 @@ class LacunaryPolygon:
     def edge_distances(self, points) -> np.ndarray:
         """Distance from each point to each boundary edge segment."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        a = self._edge_a[None, :, :]
-        d = self._edge_d[None, :, :]
-        w = pts[:, None, :] - a
-        denom = np.sum(d * d, axis=2)
-        t = np.clip(np.sum(w * d, axis=2) / denom, 0.0, 1.0)
-        proj = a + t[:, :, None] * d
-        return np.linalg.norm(pts[:, None, :] - proj, axis=2)
+        px, py = pts[:, 0], pts[:, 1]
+        out = np.empty((len(pts), len(self._edge_a)))
+        for i, ((ax, ay), (dx, dy)) in enumerate(zip(self._edge_a,
+                                                     self._edge_d)):
+            t = np.clip(((px - ax) * dx + (py - ay) * dy)
+                        / (dx * dx + dy * dy), 0.0, 1.0)
+            rx = px - (ax + t * dx)
+            ry = py - (ay + t * dy)
+            out[:, i] = np.sqrt(rx * rx + ry * ry)
+        return out
 
     def interior_samples(self, count: int, rng, guard_frac: float = 0.2) -> np.ndarray:
         """Uniform interior points keeping a per-chord guard off the boundary.

@@ -264,6 +264,8 @@ class PositiveBandKernel:
         m = int(half_power)
         if m < 1:
             raise ValueError("half_power must be >= 1")
+        if not width > 0:
+            raise ValueError(f"kernel width must be positive, got {width:g}")
         radius = m * length / width
         if radius >= size / 2:
             raise ValueError(

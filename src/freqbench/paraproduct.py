@@ -14,11 +14,17 @@ terms and three diagonal terms in which only adjacent annuli of the second
 and third input interact.  The identity is exact on the mode lattice once
 the diagonal depth ranges are started at the right offsets (two, one and
 three below the coupling depth); starting all three one step down, as a
-naive swap of summation order suggests, leaves a macroscopic defect that
-:func:`telescoping_decompose` can also exhibit on request.
+naive swap of summation order suggests, leaves a macroscopic defect, which
+:func:`telescoping_decompose` reports beside the exact residual as
+``naive_residual``, evaluated on the same bands.
 
 A maximal martingale transform closes the toolkit; it acts band-by-band
 on the same annuli.
+
+:func:`pp_apply`, :func:`max_martingale` and :func:`telescoping_decompose`
+take every band of one input from a single batched inverse FFT
+(:func:`_band_bank`); each row equals the matching :func:`qk` or
+:func:`pk` samples bit for bit.
 """
 
 from __future__ import annotations
@@ -39,17 +45,37 @@ def _abs_freqs(f: GridFunction) -> np.ndarray:
     return np.abs(f.freqs() / f.length)
 
 
+def _annuli(f: GridFunction, ks) -> np.ndarray:
+    """(len(ks), size) 0/1 masks of 2**(k-1) < |xi| <= 2**k over ``freqs()``."""
+    a = _abs_freqs(f)
+    k = np.asarray(ks, dtype=float)[:, None]
+    return ((a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)).astype(float)
+
+
+def _balls(f: GridFunction, ks) -> np.ndarray:
+    """(len(ks), size) 0/1 masks of |xi| <= 2**k over ``freqs()``."""
+    k = np.asarray(ks, dtype=float)[:, None]
+    return (_abs_freqs(f) <= 2.0 ** k).astype(float)
+
+
+def _band_bank(u: GridFunction, masks: np.ndarray) -> np.ndarray:
+    """Samples of ``u`` under each centred mask row, one row per mask.
+
+    All rows share one batched inverse FFT; row i equals
+    ``u.multiply_spectrum(masks[i]).values`` bit for bit.
+    """
+    rows = np.fft.ifftshift(u.spectrum() * masks, axes=-1)
+    return np.fft.ifft(rows, axis=-1) * u.size
+
+
 def qk(f: GridFunction, k: int) -> GridFunction:
     """Annulus projection onto 2**(k-1) < |xi| <= 2**k."""
-    a = _abs_freqs(f)
-    band = (a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)
-    return f.multiply_spectrum(band.astype(float))
+    return f.multiply_spectrum(_annuli(f, [k])[0])
 
 
 def pk(f: GridFunction, k: int) -> GridFunction:
     """Ball projection onto |xi| <= 2**k."""
-    band = _abs_freqs(f) <= 2.0 ** k
-    return f.multiply_spectrum(band.astype(float))
+    return f.multiply_spectrum(_balls(f, [k])[0])
 
 
 def default_kbits(f: GridFunction) -> int:
@@ -62,8 +88,8 @@ def default_kbits(f: GridFunction) -> int:
     return k - (k % 2)
 
 
-def _depth_range(kbits: int) -> range:
-    return range(0, (kbits - 1) // 2 + 1)
+def _depth_range(kbits: int) -> np.ndarray:
+    return np.arange(0, (kbits - 1) // 2 + 1)
 
 
 def pp_apply(f: GridFunction, g: GridFunction,
@@ -75,11 +101,13 @@ def pp_apply(f: GridFunction, g: GridFunction,
     """
     if kbits is None:
         kbits = default_kbits(f)
-    out = GridFunction.zeros(f.size, f.length)
-    for d in _depth_range(kbits):
-        piece = qk(f, kbits - 2 * d).values * pk(g, kbits - d).values
-        out = out + GridFunction(piece, f.length)
-    return out
+    depths = _depth_range(kbits)
+    pieces = (_band_bank(f, _annuli(f, kbits - 2 * depths))
+              * _band_bank(g, _balls(g, kbits - depths)))
+    out = np.zeros(f.size, dtype=complex)
+    for piece in pieces:
+        out = out + piece
+    return GridFunction(out, f.length)
 
 
 def max_martingale(a, psi: GridFunction,
@@ -93,10 +121,11 @@ def max_martingale(a, psi: GridFunction,
     coeffs = np.asarray(a, dtype=float)
     if coeffs.size < kmax + 1:
         raise ValueError("coefficient sequence shorter than the band range")
+    bands = _band_bank(psi, _annuli(psi, range(kmax + 1)))
     acc = np.zeros(psi.size, dtype=complex)
     best = np.zeros(psi.size)
     for k in range(kmax, -1, -1):
-        acc = acc + coeffs[k] * qk(psi, k).values
+        acc = acc + coeffs[k] * bands[k]
         np.maximum(best, np.abs(acc), out=best)
     return GridFunction(best.astype(complex), psi.length)
 
@@ -105,10 +134,25 @@ def _pairing(u: GridFunction, h: GridFunction) -> complex:
     return complex(np.sum(u.values * h.values) * u.dx)
 
 
+def _diagonal_terms(dg: np.ndarray, dh: np.ndarray, fat, offsets,
+                    dx: float) -> tuple[complex, complex, complex]:
+    """The three diagonal terms, started ``offsets`` below each depth."""
+    o_same, o_down, o_up = offsets
+    kbits = len(dg) - 1
+    t_same = 0.0j
+    t_down = 0.0j
+    t_up = 0.0j
+    for el in range(kbits + 1):
+        t_same += complex(np.sum(dg[el] * dh[el] * fat(el + o_same)) * dx)
+        if el >= 1:
+            t_down += complex(np.sum(dg[el] * dh[el - 1] * fat(el + o_down)) * dx)
+        if el + 1 <= kbits:
+            t_up += complex(np.sum(dg[el] * dh[el + 1] * fat(el + o_up)) * dx)
+    return t_same, t_down, t_up
+
+
 def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
-                          kbits: int | None = None,
-                          offsets: tuple[int, int, int] = EXACT_OFFSETS,
-                          ) -> dict:
+                          kbits: int | None = None) -> dict:
     """Split the paraproduct pairing into its six telescoping terms.
 
     Inputs are projected onto the ball at the band limit first (flag
@@ -116,10 +160,12 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     three forward terms (full product, shallower-band swap of the second
     input, shallower-band swap of the third), the three diagonal terms
     (third-input annulus at the same, one-coarser and one-finer depth than
-    the second's), the direct pairing, their difference ``residual``, and
-    ``scale`` = product of the three l2 norms.  With the default offsets
-    the residual is pure float roundoff; ``offsets=NAIVE_OFFSETS``
-    reproduces the macroscopic defect of the careless range swap.
+    the second's, started at :data:`EXACT_OFFSETS`), the direct pairing,
+    their difference ``residual``, and ``scale`` = product of the three l2
+    norms.  The residual is pure float roundoff.  ``naive_residual`` is
+    the same difference with the diagonal terms started at
+    :data:`NAIVE_OFFSETS`, on the same bands: the macroscopic defect of
+    the careless range swap.
     """
     if kbits is None:
         kbits = default_kbits(f)
@@ -133,9 +179,10 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     h0, th = clip(h)
 
     depths = _depth_range(kbits)
-    df = [qk(f0, kbits - 2 * d).values for d in depths]
-    dg = [qk(g0, kbits - e).values for e in range(kbits + 1)]
-    dh = [qk(h0, kbits - e).values for e in range(kbits + 1)]
+    steps = kbits - np.arange(kbits + 1)
+    df = _band_bank(f0, _annuli(f0, kbits - 2 * depths))
+    dg = _band_bank(g0, _annuli(g0, steps))
+    dh = _band_bank(h0, _annuli(h0, steps))
     dx = f0.dx
 
     # suffix sums of the doubled-depth annuli of f: fsum[m] = sum_{d >= m}
@@ -150,28 +197,19 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     gv, hv = g0.values, h0.values
     t_full = complex(np.sum(fsum[0] * gv * hv) * dx)
 
-    # prefix sums over depths of g and h
-    gpre = np.cumsum([zero] + dg, axis=0)
-    hpre = np.cumsum([zero] + dh, axis=0)
+    # prefix sums over depths of g and h: gpre[d] = sum_{e < d} dg[e]
+    gpre = np.cumsum(np.vstack([zero, dg]), axis=0)
+    hpre = np.cumsum(np.vstack([zero, dh]), axis=0)
     t_swap_g = 0.0j
     t_swap_h = 0.0j
     for d in depths:
         t_swap_g -= complex(np.sum(df[d] * gpre[d] * hv) * dx)
         t_swap_h -= complex(np.sum(df[d] * hpre[max(d - 1, 0)] * gv) * dx)
 
-    o_same, o_down, o_up = offsets
-    t_same = 0.0j
-    t_down = 0.0j
-    t_up = 0.0j
-    for el in range(kbits + 1):
-        t_same += complex(np.sum(dg[el] * dh[el] * fat(el + o_same)) * dx)
-        if el >= 1:
-            t_down += complex(np.sum(dg[el] * dh[el - 1] * fat(el + o_down)) * dx)
-        if el + 1 <= kbits:
-            t_up += complex(np.sum(dg[el] * dh[el + 1] * fat(el + o_up)) * dx)
-
     pairing = _pairing(pp_apply(f0, g0, kbits), h0)
-    total = t_full + t_swap_g + t_swap_h + t_same + t_down + t_up
+    forward = t_full + t_swap_g + t_swap_h
+    t_same, t_down, t_up = _diagonal_terms(dg, dh, fat, EXACT_OFFSETS, dx)
+    naive = sum(_diagonal_terms(dg, dh, fat, NAIVE_OFFSETS, dx), forward)
     return {
         "forward": t_full,
         "swap_g": t_swap_g,
@@ -180,7 +218,8 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
         "diag_down": t_down,
         "diag_up": t_up,
         "pairing": pairing,
-        "residual": abs(pairing - total),
+        "residual": abs(pairing - (forward + t_same + t_down + t_up)),
+        "naive_residual": abs(pairing - naive),
         "scale": f0.norm() * g0.norm() * h0.norm(),
         "truncated": tf or tg or th,
     }

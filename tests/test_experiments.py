@@ -175,6 +175,13 @@ class TestInputs:
         assert np.abs(coeffs[np.abs(ks) > 8]).max() < 1e-14
         assert f.norm() == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("band", [0.0, 0.5, -5.0])
+    def test_band_noise_refuses_band_without_modes(self, band):
+        # only the zero mode (or none) fits: the input would be a constant
+        # (normalized, all NaN) and every identity would hold vacuously
+        with pytest.raises(ValueError, match="no nonzero mode"):
+            ex.band_noise(64, 1.0, band, np.random.default_rng(0))
+
     def test_trial_rng_reproducible(self):
         cfg = small("tiles", seed=11)
         a = ex.trial_rng(cfg, 3).normal(size=4)
@@ -230,6 +237,19 @@ class TestDrivers:
         # shifting the diagonal couplings by one leaves a visible defect
         assert named["naive_rel_min"] > 1e-4
         assert named["martingale_p2_max"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("kbits,hint", [
+        (0, "no paraproduct depth"),
+        (-3, "no paraproduct depth"),
+        (9, "wrap"),
+        (12, "wrap"),
+    ])
+    def test_paraproduct_fails_on_degenerate_kbits(self, kbits, hint):
+        # an empty depth range, or ball products past grid_n / 4, make the
+        # telescoping identity hold vacuously or for the aliased operator
+        res = ex.run(small("paraproduct", kbits=kbits))
+        assert not res.passed
+        assert any(hint in msg for msg in res.failures)
 
     def test_polygon_scan_overlaps(self):
         res = ex.run(small("polygon-scan", mu_max=4))
@@ -478,6 +498,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: partition run failed: degenerate rectangle\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body,hint", [
+        ("kind = paraproduct\nband = 0\n", "holds no nonzero mode"),
+        ("kind = paraproduct\nband = -5\n", "holds no nonzero mode"),
+        ("kind = hs-oracle\nband = 0\n", "holds no nonzero mode"),
+        ("kind = forest-bessel\nmoll_width = 0\n",
+         "kernel width must be positive"),
+        ("kind = size-decay\nmoll_width = 0\n",
+         "kernel width must be positive"),
+    ])
+    def test_degenerate_inputs_exit_three(self, tmp_path, capsys, body, hint):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(body + "trials = 1\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert hint in err and err.count("\n") == 1
+        assert err.startswith("error: ")
 
     def test_rerun_into_same_out_refused(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"

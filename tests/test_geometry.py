@@ -82,6 +82,40 @@ class TestPolygonContainment:
         assert np.array_equal(base, P.contains(pts * np.array([-1.0, 1.0])))
         assert np.array_equal(base, P.contains(pts * np.array([1.0, -1.0])))
 
+    def test_edge_loops_match_broadcast(self):
+        # the per-edge loops must reproduce the (points x edges) broadcast
+        # bit for bit, also for points within 1e-9 of edges and vertices
+        P = G.LacunaryPolygon(5)
+        rng = RNG(7)
+        v = P.vertices
+        nxt = np.roll(v, -1, axis=0)
+        along = v + rng.uniform(size=(len(v), 1)) * (nxt - v)
+        near = np.concatenate([v, along])
+        near = np.repeat(near, 8, axis=0)
+        near += rng.uniform(-1e-9, 1e-9, size=near.shape)
+        pts = np.concatenate([rng.uniform(-1.1, 1.1, size=(2000, 2)), near])
+
+        def contains(pts, tol):
+            ex, ey = (nxt - v).T
+            cross = (ex[None, :] * (pts[:, 1:2] - v[None, :, 1])
+                     - ey[None, :] * (pts[:, 0:1] - v[None, :, 0]))
+            return np.all(cross >= -tol, axis=1)
+
+        def distances(pts):
+            a = v[None, :, :]
+            d = (nxt - v)[None, :, :]
+            w = pts[:, None, :] - a
+            t = np.clip(np.sum(w * d, axis=2) / np.sum(d * d, axis=2),
+                        0.0, 1.0)
+            return np.linalg.norm(pts[:, None, :] - (a + t[:, :, None] * d),
+                                  axis=2)
+
+        for tol in (0.0, 1e-12, 1e-9):
+            assert np.array_equal(P.contains(pts, tol=tol), contains(pts, tol))
+        # the near points straddle the boundary
+        assert 0 < P.contains(near, tol=0.0).sum() < len(near)
+        assert np.array_equal(P.edge_distances(pts), distances(pts))
+
     def test_interior_samples_respect_guard(self):
         P = G.LacunaryPolygon(3)
         pts = P.interior_samples(300, RNG(1), guard_frac=0.2)

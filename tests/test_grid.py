@@ -170,6 +170,11 @@ class TestPositiveKernel:
         with pytest.raises(ValueError):
             PositiveBandKernel(size=64, length=1.0, width=1 / 16, half_power=8)
 
+    @pytest.mark.parametrize("width", [0.0, -0.5])
+    def test_non_positive_width_refused(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            PositiveBandKernel(size=64, length=1.0, width=width, half_power=2)
+
     def test_envelope_two_sided_on_window(self):
         # on the samples within 12 widths of the peak, the unnormalized
         # kernel (both sinc powers are 1 at t = 0) stays between two

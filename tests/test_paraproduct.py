@@ -5,8 +5,9 @@ import pytest
 
 from freqbench.grid import GridFunction
 from freqbench.paraproduct import (
-    EXACT_OFFSETS,
-    NAIVE_OFFSETS,
+    _annuli,
+    _balls,
+    _band_bank,
     default_kbits,
     max_martingale,
     pk,
@@ -68,6 +69,64 @@ class TestBandProjections:
         assert qk(f, 5).inner(g) == pytest.approx(f.inner(qk(g, 5)), rel=1e-12)
 
 
+def old_qk(f, k):
+    """Annulus projection as a per-band round trip with a scalar mask."""
+    a = np.abs(f.freqs() / f.length)
+    band = (a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)
+    return f.multiply_spectrum(band.astype(float))
+
+
+def old_pk(f, k):
+    band = np.abs(f.freqs() / f.length) <= 2.0 ** k
+    return f.multiply_spectrum(band.astype(float))
+
+
+class TestBandBank:
+    K = 8
+
+    def test_annulus_rows_match_per_band_projections(self):
+        rng = np.random.default_rng(50)
+        f = noise(250.0, rng) + mode(400)
+        ks = list(range(-1, self.K + 3))
+        bank = _band_bank(f, _annuli(f, ks))
+        assert bank.shape == (len(ks), N)
+        for row, k in zip(bank, ks):
+            assert np.array_equal(row, qk(f, k).values)
+            assert np.array_equal(row, old_qk(f, k).values)
+
+    def test_ball_rows_match_per_band_projections(self):
+        rng = np.random.default_rng(51)
+        f = noise(250.0, rng) + mode(400)
+        ks = list(range(-1, self.K + 3))
+        bank = _band_bank(f, _balls(f, ks))
+        for row, k in zip(bank, ks):
+            assert np.array_equal(row, pk(f, k).values)
+            assert np.array_equal(row, old_pk(f, k).values)
+
+    def test_pp_apply_matches_per_band_loop(self):
+        rng = np.random.default_rng(52)
+        f, g = noise(250.0, rng), noise(250.0, rng)
+        want = GridFunction.zeros(N, L)
+        for d in range(0, (self.K - 1) // 2 + 1):
+            piece = (old_qk(f, self.K - 2 * d).values
+                     * old_pk(g, self.K - d).values)
+            want = want + GridFunction(piece, L)
+        assert np.array_equal(pp_apply(f, g, self.K).values, want.values)
+
+    def test_max_martingale_matches_per_band_loop(self):
+        rng = np.random.default_rng(53)
+        psi = noise(400.0, rng)
+        kmax = self.K + 1
+        a = rng.choice([-1.0, 1.0], size=kmax + 1)
+        acc = np.zeros(N, dtype=complex)
+        best = np.zeros(N)
+        for k in range(kmax, -1, -1):
+            acc = acc + a[k] * old_qk(psi, k).values
+            np.maximum(best, np.abs(acc), out=best)
+        got = max_martingale(a, psi, kmax).values
+        assert np.array_equal(got, best.astype(complex))
+
+
 class TestParaproduct:
     def test_constant_second_input(self):
         rng = np.random.default_rng(5)
@@ -124,10 +183,9 @@ class TestTelescoping:
     def test_naive_ranges_leave_macroscopic_defect(self):
         rng = np.random.default_rng(31)
         f, g, h = (noise(250.0, rng) for _ in range(3))
-        good = telescoping_decompose(f, g, h, offsets=EXACT_OFFSETS)
-        bad = telescoping_decompose(f, g, h, offsets=NAIVE_OFFSETS)
-        assert good["residual"] <= 1e-10 * good["scale"]
-        assert bad["residual"] > 1e-4 * bad["scale"]
+        out = telescoping_decompose(f, g, h)
+        assert out["residual"] <= 1e-10 * out["scale"]
+        assert out["naive_residual"] > 1e-4 * out["scale"]
 
     def test_out_of_band_input_is_clipped_and_flagged(self):
         rng = np.random.default_rng(32)
