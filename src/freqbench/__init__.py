@@ -5,7 +5,7 @@ Submodules:
 - ``grid``        periodic sampled functions, exact discrete averaging
 - ``geometry``    lacunary polygon, chopping decompositions, partition of unity
 - ``bilinear``    frequency-pair multipliers, directional transforms, region symbols
-- ``timefreq``    sparse frequency cubes, multi-tiles, trees, forests
+- ``timefreq``    multi-tile families as arrays, halos, trees, forests
 - ``sizes``       tile seminorms, tree size functionals, exceptional sets
 - ``paraproduct`` dyadic band operators, coupled paraproduct, telescoping
 - ``experiments`` reproducible experiment drivers used by the CLI

@@ -40,24 +40,21 @@ from .sizes import (
     single_tree_audit,
 )
 from .timefreq import (
-    FreqCube,
-    MultiTile,
-    TopData,
+    SINK_LEVEL,
+    Family,
     Tree,
     bessel_ratio,
     build_halos,
     cluster_family,
     compact_family,
-    dyadic,
+    footprint_violations,
     forest_decompose,
     greedy_select,
     operator_band_edge,
     selection_convexity_violations,
-    tree_footprint_violations,
 )
 
 GRID_ENV = "FREQBENCH_GRID_N"
-SINK_LEVEL = 60
 HS_SLOPES = (1, 2, 5)
 MARTINGALE_EXPONENTS = ((4.0 / 3.0, "4over3"), (2.0, "2"), (4.0, "4"))
 
@@ -423,6 +420,17 @@ def _wrap_failures(wrapped: float) -> list[str]:
     return []
 
 
+def _fold_failures(edge: float, cfg: ExperimentConfig) -> list[str]:
+    """A multiplier past the grid's fold frequency is silently cut, so the
+    sizes and audits of a run whose operator band reaches the fold
+    describe a different operator."""
+    if 2.0 * edge >= cfg.grid_n / cfg.domain_len:
+        return [f"operator band reaches the fold frequency: 2 * band edge "
+                f"{2.0 * edge:.4g} >= grid_n / domain_len = "
+                f"{cfg.grid_n / cfg.domain_len:g}"]
+    return []
+
+
 def run_polygon_scan(cfg: ExperimentConfig):
     if cfg.exponents is None:
         raise ValueError("polygon-scan needs an exponent triple")
@@ -513,7 +521,7 @@ def run_tiles(cfg: ExperimentConfig):
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         trees_total += len(trees)
         for tree in trees:
-            violations += len(tree_footprint_violations(tree))
+            violations += len(footprint_violations(tiles.take(tree.members)))
         checked, bad = selection_convexity_violations(tiles, trees)
         triples += checked
         violations += bad
@@ -534,17 +542,20 @@ def run_forest_bessel(cfg: ExperimentConfig):
     failures = []
     ratio_max = 0.0
     global_max = 0.0
+    edge = 0.0
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
         tiles = compact_family(cfg.seed + t, scale_bits=cfg.scale_bits,
                                c0=cfg.compact_spread)
+        edge = max(edge, operator_band_edge(tiles, cfg.slope,
+                                            cfg.support_factor))
         spans = random_spans(rng, cfg.domain_len, cfg.set_count, 2.0, 4.0)
         f = restricted_input(cfg.grid_n, cfg.domain_len, spans,
                              cfg.moll_width)
         energy = f.norm() ** 2
         measure = _span_measure(spans)
-        sizer = TreeSizer(f, cfg.slope, cfg.order, cfg.support_factor,
-                          cfg.weight_power)
+        sizer = TreeSizer(f, tiles, cfg.slope, cfg.order,
+                          cfg.support_factor, cfg.weight_power)
         for i in range(3):
             forest = forest_decompose(tiles, sizer.size_callback(i),
                                       cfg.span_bits, cfg.scale_bits)
@@ -566,6 +577,7 @@ def run_forest_bessel(cfg: ExperimentConfig):
         failures.append(f"level ratio {ratio_max:.3g} above recorded bound 1")
     if not math.isfinite(global_max):
         failures.append("set-measure ratio unbounded")
+    failures += _fold_failures(edge, cfg)
     return metrics, failures
 
 
@@ -578,10 +590,13 @@ def run_model_sum(cfg: ExperimentConfig):
     failures = []
     audit_max = 0.0
     form_max = 0.0
+    edge = 0.0
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
         tiles = compact_family(cfg.seed + t, scale_bits=cfg.scale_bits,
                                c0=cfg.compact_spread)
+        edge = max(edge, operator_band_edge(tiles, cfg.slope,
+                                            cfg.support_factor))
         fs = tuple(
             restricted_input(cfg.grid_n, cfg.domain_len,
                              random_spans(rng, cfg.domain_len, cfg.set_count,
@@ -590,7 +605,7 @@ def run_model_sum(cfg: ExperimentConfig):
             for _ in range(3))
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         tree = max(trees, key=lambda tr: len(tr.members))
-        lhs, rhs = single_tree_audit(fs, tree, cfg.slope, thetas,
+        lhs, rhs = single_tree_audit(fs, tiles, tree, cfg.slope, thetas,
                                      cfg.order, cfg.support_factor)
         ratio = lhs / rhs if rhs > 0 else math.inf
         metrics.append((f"audit_ratio_t{t}", ratio))
@@ -612,6 +627,7 @@ def run_model_sum(cfg: ExperimentConfig):
                         "bound 1")
     if exps is not None and not math.isfinite(form_max):
         failures.append("model-sum form ratio unbounded")
+    failures += _fold_failures(edge, cfg)
     return metrics, failures
 
 
@@ -660,10 +676,11 @@ def run_paraproduct(cfg: ExperimentConfig):
 def run_size_decay(cfg: ExperimentConfig):
     n, length = cfg.grid_n, cfg.domain_len
     side = float(n // 8)
-    cube = FreqCube(side, (0.0, 0.5 * side, -0.5 * side))
-    halos = build_halos([cube])[cube]
-    tiles = [MultiTile(dyadic(1.0 / side, j), cube, halos)
-             for j in range(int(side * length))]
+    sides = np.array([side])
+    centers = np.array([[0.0, 0.5 * side, -0.5 * side]])
+    count = int(side * length)
+    tiles = Family.tiled(sides, centers, build_halos(sides, centers),
+                         np.zeros(count, dtype=int), np.arange(count))
     edge = operator_band_edge(tiles, cfg.slope, cfg.support_factor)
 
     density = indicator([(0.5 * length, 0.5 * length + 2.0 / side)], n, length)
@@ -673,7 +690,7 @@ def run_size_decay(cfg: ExperimentConfig):
                             cfg.moll_width)
     f3 = GridFunction(base.values * (~mask).astype(float), length)
 
-    sizer = TreeSizer(f3, cfg.slope, order=cfg.decay_power,
+    sizer = TreeSizer(f3, tiles, cfg.slope, order=cfg.decay_power,
                       support_factor=cfg.support_factor,
                       weight_power=cfg.decay_power)
     layers = layer_split(tiles, mask, probe)
@@ -682,9 +699,9 @@ def run_size_decay(cfg: ExperimentConfig):
                ("flagged_fraction", float(mask.mean()))]
     for level in sorted(layers):
         best = 0.0
-        for p in layers[level]:
-            top = TopData(p.halos[0].center, p.interval)
-            best = max(best, sizer.tree_size(Tree(top, (p,)), 2))
+        for j in layers[level].tolist():
+            tree = Tree(tiles.own_top(j), np.array([j]))
+            best = max(best, sizer.tree_size(tree, 2))
         sizes[level] = best
         metrics.append((f"layer{level}_size", best))
         metrics.append((f"layer{level}_count", float(len(layers[level]))))
@@ -700,8 +717,7 @@ def run_size_decay(cfg: ExperimentConfig):
     metrics.append(("decay_rate", rate))
     if not rate > 0:
         failures.append(f"decay rate {rate} not positive")
-    if 2.0 * edge >= n / length:
-        failures.append("operator band reaches the fold frequency")
+    failures += _fold_failures(edge, cfg)
     return metrics, failures
 
 

@@ -4,8 +4,8 @@ The polygon has vertices on the unit circle at angles pi*2^-mu, reflected
 through both axes and truncated near (+-1, 0).  Everything downstream needs
 the same few ingredients:
 
-- stable closed forms for vertices, chord slopes and chord steps (product
-  forms, no cancellation down to mu ~ 25);
+- stable closed forms for vertices, chord slopes and diagonal spans
+  (product forms, no cancellation down to mu ~ 25);
 - convex containment tests for the polygon, chord-shell quadrilaterals and
   their sheared pullbacks;
 - Whitney rectangle families hugging each chord: dyadic squares selected
@@ -31,7 +31,7 @@ import numpy as np
 from .grid import smooth_ramp
 
 # ---------------------------------------------------------------------------
-# vertices, slopes, chord steps
+# vertices, slopes, diagonal spans
 
 
 def quadrant2_vertex(mu: int) -> np.ndarray:
@@ -46,18 +46,6 @@ def chord_slope(mu: int) -> float:
     Exact form cot(3 pi 2^-(mu+2)); grows like 2^mu * 4/(3 pi).
     """
     return 1.0 / math.tan(3.0 * math.pi * 2.0 ** (-mu - 2))
-
-
-def chord_step(mu: int) -> np.ndarray:
-    """Vertex difference v_{mu+1} - v_mu in the second quadrant, product form.
-
-    Both components are products of sines of small angles, so the value
-    stays fully accurate at depths where direct subtraction would lose
-    every significant digit.
-    """
-    t = math.pi * 2.0 ** (-mu - 2)
-    return np.array([-2.0 * math.sin(3.0 * t) * math.sin(t),
-                     -2.0 * math.cos(3.0 * t) * math.sin(t)])
 
 
 def chord_diag_span(mu: int) -> float:
@@ -112,10 +100,6 @@ class Rect:
         return np.array([[self.x0, self.y0], [self.x1, self.y0],
                          [self.x1, self.y1], [self.x0, self.y1]])
 
-    def intersects(self, other: "Rect", tol: float = 0.0) -> bool:
-        return not (self.x1 < other.x0 - tol or other.x1 < self.x0 - tol
-                    or self.y1 < other.y0 - tol or other.y1 < self.y0 - tol)
-
 
 class ConvexQuad:
     """Convex quadrilateral; vertices are stored counterclockwise."""
@@ -129,9 +113,6 @@ class ConvexQuad:
         if _shoelace(v) < 0:
             v = v[::-1].copy()
         self.vertices = v
-
-    def area(self) -> float:
-        return _shoelace(self.vertices)
 
     def bbox(self) -> Rect:
         lo = self.vertices.min(axis=0)
@@ -235,9 +216,6 @@ class LacunaryPolygon:
         """Closed containment test (boundary counts as inside up to tol)."""
         return _convex_contains(self.vertices, points, tol)
 
-    def quadrant2_vertices(self) -> np.ndarray:
-        return np.array([quadrant2_vertex(mu) for mu in range(1, self.mu_max + 2)])
-
     # -- distances and sampling -------------------------------------------
 
     def edge_distances(self, points) -> np.ndarray:
@@ -294,11 +272,6 @@ def chord_shell(mu: int, r: int = 0) -> ConvexQuad:
     return ConvexQuad([(1 - c0) * va, (1 - c0) * vb, (1 - c1) * vb, (1 - c1) * va])
 
 
-def trapezoid(mu: int) -> ConvexQuad:
-    """Outermost chord shell: between the polygon and its (1-4^-mu)-dilate."""
-    return chord_shell(mu, 0)
-
-
 @dataclass(frozen=True)
 class ChordFrame:
     """Sheared local frame of one chord shell.
@@ -352,9 +325,6 @@ class RectFamily:
 
     def __len__(self) -> int:
         return len(self.x0)
-
-    def rect(self, i: int) -> Rect:
-        return Rect(self.x0[i], self.x1[i], self.y0[i], self.y1[i])
 
     def reflected(self, flip_x: bool, flip_y: bool, quadrant: int) -> "RectFamily":
         x0, x1 = ((-self.x1, -self.x0) if flip_x else (self.x0, self.x1))
@@ -625,9 +595,6 @@ class ChordIntervals:
     alpha: float
     components: dict[int, np.ndarray]   # (count, 2) rows (lo, hi), ascending
     dilated: dict[int, np.ndarray]
-
-    def connected(self, i: int) -> bool:
-        return len(self.components[i]) == 1
 
     def span(self, i: int) -> tuple[float, float]:
         comp = self.components[i]

@@ -28,8 +28,8 @@ import numpy as np
 
 from .grid import GridFunction, PositiveBandKernel, convolve, maximal_average
 from .timefreq import (
+    Family,
     Iv,
-    MultiTile,
     TopData,
     Tree,
     candidate_tops,
@@ -118,32 +118,35 @@ def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
 # seminorms and sizes
 
 class TreeSizer:
-    """Size functionals of one function against one component index.
+    """Size functionals of one function over one tile family.
 
-    Caches tile seminorms across repeated tree evaluations; the same tile
-    reappears in many candidate trees during threshold sweeps, and its
-    seminorm depends only on the marked frequency of the current top.
+    Trees are index arrays into ``tiles``.  Caches tile seminorms by tile
+    index across repeated tree evaluations; the same tile reappears in many
+    candidate trees during threshold sweeps, and its seminorm depends only
+    on the marked frequency of the current top.
     """
 
-    def __init__(self, f: GridFunction, slope: float,
+    def __init__(self, f: GridFunction, tiles: Family, slope: float,
                  order: int = DEFAULT_ORDER,
                  support_factor: float = DEFAULT_SUPPORT,
                  weight_power: int = DEFAULT_WEIGHT_POWER):
         self.f = f
+        self.tiles = tiles
         self.slope = slope
         self.order = order
         self.support_factor = support_factor
         self.weight_power = weight_power
+        self._omega = operator_intervals(tiles.side, tiles.centers, slope)
         self._tile_cache: dict = {}
         self._top_cache: dict = {}
 
-    def tile_seminorm(self, tile: MultiTile, i: int, marked: float) -> float:
-        key = (tile, i, marked)
+    def tile_seminorm(self, j: int, i: int, marked: float) -> float:
+        key = (j, i, marked)
         got = self._tile_cache.get(key)
         if got is not None:
             return got
-        omega = operator_intervals(tile.cube, self.slope)[i]
-        best = self._weighted_max(tile.interval, omega, marked)
+        omega = Iv(*self._omega[self.tiles.cube[j], i].tolist())
+        best = self._weighted_max(self.tiles.interval(j), omega, marked)
         self._tile_cache[key] = best
         return best
 
@@ -177,18 +180,20 @@ class TreeSizer:
     def tree_size(self, tree: Tree, i: int) -> float:
         marked = top_frequency(tree.top, i, self.slope)
         length = min(tree.interval.length, self.f.length)
-        acc = sum(self.tile_seminorm(p, i, marked) ** 2
-                  for p in tree.members)
+        acc = sum(self.tile_seminorm(j, i, marked) ** 2
+                  for j in tree.members.tolist())
         return math.sqrt(acc / length) + self._top_term(tree.top, i)
 
-    def collection_size(self, tiles: list[MultiTile], i: int,
-                        span_bits: int = 6, scale_bits: int = 4) -> float:
-        """Largest tree size over maximal trees from the standard top pool."""
+    def collection_size(self, i: int, span_bits: int = 6,
+                        scale_bits: int = 4) -> float:
+        """Largest tree size over the family's maximal trees from the
+        standard top pool."""
+        pool = candidate_tops(self.tiles, span_bits, scale_bits)
+        member = tree_members(self.tiles, pool)
         best = 0.0
-        for top in candidate_tops(tiles, span_bits, scale_bits):
-            got = tree_members(tiles, top)
-            if got:
-                best = max(best, self.tree_size(Tree(top, tuple(got)), i))
+        for k in np.flatnonzero(member.any(axis=1)):
+            tree = Tree(pool[k], np.flatnonzero(member[k]))
+            best = max(best, self.tree_size(tree, i))
         return best
 
     def size_callback(self, i: int):
@@ -196,7 +201,7 @@ class TreeSizer:
         return lambda tree: self.tree_size(tree, i)
 
 
-def supinf_maximal_bound(f: GridFunction, tiles: list[MultiTile]) -> float:
+def supinf_maximal_bound(f: GridFunction, tiles: Family) -> float:
     """sup over tiles of inf over the tile interval of the maximal function.
 
     Collection sizes of component one are controlled by a fixed multiple
@@ -205,9 +210,9 @@ def supinf_maximal_bound(f: GridFunction, tiles: list[MultiTile]) -> float:
     m = maximal_average(f).values.real
     xs = np.mod(f.x, f.length)
     best = 0.0
-    for p in tiles:
-        lo = math.fmod(p.interval.lo, f.length)
-        span = min(p.interval.length, f.length)
+    for lo, length in zip(tiles.lo.tolist(), tiles.length.tolist()):
+        lo = math.fmod(lo, f.length)
+        span = min(length, f.length)
         off = np.mod(xs - lo, f.length)
         cells = off < span - 0.5 * f.dx
         if cells.any():
@@ -233,10 +238,11 @@ def _interval_cells(lo: float, length: float, f: GridFunction) -> np.ndarray:
     return np.mod(start + np.arange(count), n)
 
 
-def layer_split(tiles: list[MultiTile], omega: np.ndarray,
+def layer_split(tiles: Family, omega: np.ndarray,
                 f: GridFunction, max_layer: int = 12,
-                ) -> dict[int, list[MultiTile]]:
-    """Partition tiles by how deep their interval sits in the flagged set.
+                ) -> dict[int, np.ndarray]:
+    """Partition tile indices by how deep their interval sits in the
+    flagged set.
 
     Layer zero holds tiles whose interval already meets the complement of
     the flagged set; layer l >= 1 holds tiles whose 4**l-fold dilate is the
@@ -246,19 +252,21 @@ def layer_split(tiles: list[MultiTile], omega: np.ndarray,
     """
     if omega.all():
         raise ValueError("flagged set covers the whole circle")
-    out: dict[int, list[MultiTile]] = {}
-    for p in tiles:
+    out: dict[int, list[int]] = {}
+    centers = 0.5 * (tiles.lo + tiles.hi)
+    for j, (center, width) in enumerate(zip(centers.tolist(),
+                                            tiles.length.tolist())):
         for level in range(max_layer + 1):
             scale = 4.0 ** level
-            length = min(p.interval.length * scale, f.length)
-            lo = p.interval.center - 0.5 * length
+            length = min(width * scale, f.length)
+            lo = center - 0.5 * length
             cells = _interval_cells(lo, length, f)
             if not omega[cells].all():
-                out.setdefault(level, []).append(p)
+                out.setdefault(level, []).append(j)
                 break
         else:
             raise RuntimeError("tile never escaped the flagged set")
-    return out
+    return {level: np.array(js) for level, js in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +290,7 @@ def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
 
 
 def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
-              tiles: list[MultiTile], slope: float,
+              tiles: Family, slope: float,
               order: int = DEFAULT_ORDER,
               support_factor: float = 1.2,
               blur: float = 0.25) -> complex:
@@ -294,43 +302,44 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
     it exactly.
     """
     f = fs[0]
+    ops = operator_intervals(tiles.side, tiles.centers, slope)
     per_cube: dict = {}
     total = 0.0 + 0.0j
-    for p in tiles:
-        prod = per_cube.get(p.cube)
+    for j, q in enumerate(tiles.cube.tolist()):
+        prod = per_cube.get(q)
         if prod is None:
             prod = np.ones(f.size, dtype=complex)
             for i in range(3):
-                omega = operator_intervals(p.cube, slope)[i]
+                omega = Iv(*ops[q, i].tolist())
                 sym = multiplier_family(fs[i], omega, None, order,
                                         support_factor)[0]
                 prod = prod * fs[i].multiply_spectrum(sym).values
-            per_cube[p.cube] = prod
-        cut = spatial_cutoff(f, p.interval, blur)
+            per_cube[q] = prod
+        cut = spatial_cutoff(f, tiles.interval(j), blur)
         total += complex(np.sum(cut * prod) * f.dx)
     return total
 
 
 def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
-                      tree: Tree, slope: float,
+                      tiles: Family, tree: Tree, slope: float,
                       thetas: tuple[float, float, float] = (1.0, 0.7, 0.7),
                       order: int = DEFAULT_ORDER,
                       support_factor: float = DEFAULT_SUPPORT,
                       ) -> tuple[float, float]:
-    """Model sum over one tree against its size-product budget.
+    """Model sum over one tree of ``tiles`` against its size-product budget.
 
     Returns (lhs, rhs): the absolute model sum, and the top length times
     the product of per-component collection sizes raised to the exponents.
     The exponent on the first component is one; callers keep the others
     strictly inside (0, 1).
     """
-    members = list(tree.members)
+    members = tiles.take(tree.members)
     lhs = abs(model_sum(fs, members, slope, order=order))
     length = min(tree.interval.length, fs[0].length)
     rhs = length
     for i in range(3):
-        sizer = TreeSizer(fs[i], slope, order=order,
+        sizer = TreeSizer(fs[i], members, slope, order=order,
                           support_factor=support_factor)
-        s = sizer.collection_size(members, i)
+        s = sizer.collection_size(i)
         rhs *= s ** thetas[i]
     return lhs, rhs

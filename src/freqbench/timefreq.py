@@ -1,11 +1,13 @@
 """Combinatorics of frequency cubes clustered near the diagonal.
 
-The objects here live on the frequency side only.  A :class:`FreqCube` is an
-axis-parallel cube in three frequency coordinates whose side is a power of
-``2**scale_bits`` and whose three component intervals sit close to the line
+A family of multi-tiles is a :class:`Family` of plain arrays.  Its cubes are
+axis-parallel cubes in three frequency coordinates, held as sides ``(c,)``,
+centres ``(c, 3)`` and halos ``(c, 3, 2)``.  Each side is a power of
+``2**scale_bits``, and the three component intervals sit close to the line
 ``u = v = w`` without touching it (see :func:`diagonal_clearance_violations`).
-A :class:`MultiTile` pairs such a cube with a dyadic spatial interval of
-reciprocal length.
+Its tiles pair a cube index ``(n,)`` with a dyadic spatial interval of
+reciprocal length, held as ``lo`` and ``length`` ``(n,)``.  A :class:`Tree`
+is a top plus an index array into its family, in family order.
 
 Around each cube component we grow a *halo*: an interval slightly larger than
 the thousandfold dilate of the component.  Halos are what every ordering,
@@ -16,20 +18,18 @@ three stretched halos of the smaller cube land inside that same halo.
 
 Contents:
 
-- interval arithmetic (:class:`Iv`) with exact dyadic endpoints,
-- family health checks: :func:`spacing_violations`,
-  :func:`diagonal_clearance_violations`, :func:`halo_violations`,
-- halo construction with endpoint avoidance (:func:`build_halos`),
-- tile orderings (:func:`le_matrix`, :func:`mt_lessdot`),
-- box footprints and footprint monotonicity (:func:`footprint_violations`,
+- family health checks broadcast over the cube arrays
+  (:func:`spacing_violations`, :func:`diagonal_clearance_violations`,
+  :func:`halo_violations`) and halo construction (:func:`build_halos`),
+- tile orderings as matrices (:func:`le_matrix`, :func:`lessdot_matrix`),
+  footprints and their closure (:func:`footprint_violations`,
   :func:`regularize`),
-- trees with explicit top data, greedy maximal selection
-  (:func:`greedy_select`), and the order-convexity audit of consecutive
-  selections (:func:`selection_convexity_violations`),
-- a threshold sweep that splits a family into forests of trees driven by a
-  user-supplied size callback (:func:`forest_decompose`),
-- a seeded generator of cluster families that pass every check
-  (:func:`cluster_family`).
+- one top x tile membership mask per family (:func:`tree_members`), greedy
+  maximal selection (:func:`greedy_select`), its order-convexity audit
+  (:func:`selection_convexity_violations`) and a threshold sweep into
+  forests driven by a size callback (:func:`forest_decompose`),
+- seeded generators of families that pass every check
+  (:func:`cluster_family`, :func:`compact_family`).
 
 All endpoint arithmetic stays inside the binary rationals representable in a
 double, so equality tests on interval endpoints are exact.
@@ -50,6 +50,9 @@ HALO_SLACK = 10          # max widening per side, in units of the cube side
 HALO_STRETCH = 10        # stretch factor applied when comparing across scales
 TOP_RADIUS = HALO_FACTOR // 2
 ENDPOINT_QUANTUM = 256   # halo endpoints move in steps of side / 256
+
+#: forest level that collects the tiles no size threshold ever selects
+SINK_LEVEL = 60
 
 
 # ---------------------------------------------------------------------------
@@ -98,89 +101,135 @@ def dyadic(length: float, index: int) -> Iv:
     return Iv(index * length, (index + 1) * length)
 
 
+def _rows(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows (c - h, c + h)."""
+    out = np.empty(np.shape(c) + (2,))
+    out[..., 0] = c - h
+    out[..., 1] = c + h
+    return out
+
+
+def _scaled(rows: np.ndarray, factor: float) -> np.ndarray:
+    """Rows (lo, hi) dilated about their centres, as :meth:`Iv.scaled`."""
+    return _rows(0.5 * (rows[..., 0] + rows[..., 1]),
+                 0.5 * factor * (rows[..., 1] - rows[..., 0]))
+
+
+def _components(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Component intervals of each cube, (c, 3, 2)."""
+    return _rows(centers, 0.5 * side[:, None])
+
+
+def _encloses(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    return (outer[..., 0] <= inner[..., 0]) & (inner[..., 1] <= outer[..., 1])
+
+
 # ---------------------------------------------------------------------------
-# cubes and multi-tiles
+# families of multi-tiles
 
-@dataclass(frozen=True)
-class FreqCube:
-    """Axis-parallel cube: three component intervals of a common side."""
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Multi-tiles as arrays: cubes (side, centers, halos) and tiles
+    (lo, length, cube).
 
-    side: float
-    centers: tuple[float, float, float]
-
-    def component(self, i: int) -> Iv:
-        c, h = self.centers[i], 0.5 * self.side
-        return Iv(c - h, c + h)
-
-    @property
-    def components(self) -> tuple[Iv, Iv, Iv]:
-        return tuple(self.component(i) for i in range(3))
-
-
-@dataclass(frozen=True)
-class MultiTile:
-    """A spatial dyadic interval paired with a frequency cube and its halos.
-
-    The spatial length is the reciprocal of the cube side.  ``halos`` are
-    shared across all tiles carrying the same cube.
+    ``halos[q, i]`` is the (lo, hi) halo of component i of cube q.  Tile j
+    is the spatial interval [lo[j], lo[j] + length[j]] paired with cube
+    ``cube[j]``; its length is the reciprocal of that cube's side, and
+    every cube carries at least one tile.
     """
 
-    interval: Iv
-    cube: FreqCube
-    halos: tuple[Iv, Iv, Iv]
+    side: np.ndarray
+    centers: np.ndarray
+    halos: np.ndarray
+    lo: np.ndarray
+    length: np.ndarray
+    cube: np.ndarray
 
-    def __post_init__(self):
-        if self.interval.length * self.cube.side != 1.0:
-            raise ValueError("spatial length must be reciprocal of cube side")
+    @classmethod
+    def tiled(cls, side, centers, halos, cube, index) -> "Family":
+        """Tile j is the index[j]-th dyadic interval of length
+        1 / side[cube[j]]."""
+        side = np.asarray(side, dtype=float)
+        cube = np.asarray(cube, dtype=np.intp)
+        length = 1.0 / side[cube]
+        return cls(side, np.asarray(centers, dtype=float), halos,
+                   np.asarray(index) * length, length, cube)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.lo + self.length
+
+    def interval(self, j: int) -> Iv:
+        return Iv(float(self.lo[j]), float(self.lo[j] + self.length[j]))
+
+    def own_top(self, j: int) -> "TopData":
+        """Tile j's first-halo centre over its own interval."""
+        h = self.halos[self.cube[j], 0]
+        return TopData(float(0.5 * (h[0] + h[1])), self.interval(j))
+
+    def take(self, idx) -> "Family":
+        """The tiles ``idx``, in that order, over the cubes they carry."""
+        idx = np.asarray(idx, dtype=np.intp)
+        carried = np.bincount(self.cube[idx], minlength=len(self.side)) > 0
+        renumber = np.cumsum(carried) - 1
+        return Family(self.side[carried], self.centers[carried],
+                      self.halos[carried], self.lo[idx], self.length[idx],
+                      renumber[self.cube[idx]])
 
 
-def operator_intervals(cube: FreqCube, slope: float) -> tuple[Iv, Iv, Iv]:
-    """Images of the cube components under t -> (t, slope*t, -(1+slope)*t).
+def operator_intervals(side: np.ndarray, centers: np.ndarray,
+                       slope: float) -> np.ndarray:
+    """Images of the cube components under t -> (t, slope*t, -(1+slope)*t),
+    as (c, 3, 2) rows (lo, hi).
 
     Component widths come out in the ratio 1 : slope : 1+slope, matching the
     anisotropy of the directional model operators; the third factor flips
     orientation so the three frequencies sum to zero along the diagonal.
     """
-    u, v, w = cube.components
-    second = Iv(slope * v.lo, slope * v.hi)
-    third = Iv(-(1.0 + slope) * w.hi, -(1.0 + slope) * w.lo)
-    return (u, second, third)
+    out = _components(side, centers)
+    out[:, 1] = slope * out[:, 1]
+    out[:, 2] = -(1.0 + slope) * out[:, 2, ::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
-# family health checks
+# family health checks and halos
 
-def spacing_violations(cubes: list[FreqCube], scale_bits: int) -> list[tuple]:
+def spacing_violations(side: np.ndarray, centers: np.ndarray,
+                       scale_bits: int) -> list[tuple]:
     """Scale-separation audit of a cube family.
 
-    For every pair of cubes and component index the rules are: strictly
-    smaller sides are smaller by at least 2**-scale_bits; equal-side distinct
-    components are at least 2**scale_bits sides apart; an equal component
-    forces equal cubes.  Returns one tuple per violated rule.
+    For every pair of cubes a < b and component index i the rules are:
+    strictly smaller sides are smaller by at least 2**-scale_bits;
+    equal-side distinct components are at least 2**scale_bits sides apart;
+    an equal component forces equal cubes.  Returns one (rule, a, b, i)
+    tuple per violated rule, in (a, b, i) order.
     """
     gap = float(2 ** scale_bits)
-    bad = []
-    for a, qa in enumerate(cubes):
-        for b, qb in enumerate(cubes):
-            if b <= a:
-                continue
-            for i in range(3):
-                wa, wb = qa.component(i), qb.component(i)
-                if wa.length != wb.length:
-                    small, big = sorted((wa.length, wb.length))
-                    if small > big / gap:
-                        bad.append(("scale-gap", a, b, i))
-                    continue
-                if wa == wb:
-                    if qa != qb:
-                        bad.append(("shared-component", a, b, i))
-                    continue
-                if wa.dist(wb) < gap * wa.length:
-                    bad.append(("same-scale-crowding", a, b, i))
-    return bad
+    comp = _components(side, centers)
+    a, b = comp[:, None], comp[None, :]
+    wa = a[..., 1] - a[..., 0]
+    wb = b[..., 1] - b[..., 0]
+    same_len = wa == wb
+    scale_gap = ~same_len & (np.minimum(wa, wb) > np.maximum(wa, wb) / gap)
+    equal = same_len & (a[..., 0] == b[..., 0]) & (a[..., 1] == b[..., 1])
+    same_cube = (side[:, None] == side[None, :]) & \
+        (centers[:, None] == centers[None, :]).all(axis=-1)
+    shared = equal & ~same_cube[..., None]
+    apart = np.maximum(b[..., 0] - a[..., 1], a[..., 0] - b[..., 1])
+    crowded = same_len & ~equal & (np.maximum(apart, 0.0) < gap * wa)
+    # the three rules exclude one another; only pairs a < b count
+    code = scale_gap + 2 * shared + 3 * crowded
+    rules = ("", "scale-gap", "shared-component", "same-scale-crowding")
+    return [(rules[code[p, q, i]], p, q, i)
+            for p, q, i in zip(*(k.tolist() for k in np.nonzero(code)))
+            if p < q]
 
 
-def diagonal_clearance_violations(cubes: list[FreqCube],
+def diagonal_clearance_violations(side: np.ndarray, centers: np.ndarray,
                                   c0: float = 2.0) -> list[tuple]:
     """Check each cube avoids the diagonal at dilation c0 but meets it at 10*c0.
 
@@ -188,65 +237,45 @@ def diagonal_clearance_violations(cubes: list[FreqCube],
     taken about its center, so the dilated cube meets the diagonal exactly
     when the dilated components share a common point.
     """
-    bad = []
-    for idx, q in enumerate(cubes):
-        lo = [q.centers[i] - 0.5 * c0 * q.side for i in range(3)]
-        hi = [q.centers[i] + 0.5 * c0 * q.side for i in range(3)]
-        if max(lo) <= min(hi):
-            bad.append(("touches-diagonal", idx))
-        lo = [q.centers[i] - 5.0 * c0 * q.side for i in range(3)]
-        hi = [q.centers[i] + 5.0 * c0 * q.side for i in range(3)]
-        if max(lo) > min(hi):
-            bad.append(("strays-from-diagonal", idx))
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# halos
+    # dilations c0 and 10 * c0 as rows of one broadcast
+    half = np.array([[0.5 * c0], [5.0 * c0]]) * side
+    meets = (centers.T[:, None] - half).max(axis=0) \
+        <= (centers.T[:, None] + half).min(axis=0)
+    flags = np.column_stack([meets[0], ~meets[1]])
+    return [(("touches-diagonal", "strays-from-diagonal")[k], int(q))
+            for q, k in zip(*np.nonzero(flags))]
 
 class HaloError(ValueError):
     """Raised when no admissible halo assignment exists within the budget."""
 
 
-def _halo_ok(small: tuple[Iv, Iv, Iv], big_halo: Iv) -> bool:
-    # vacuous unless some stretched halo of the smaller cube meets big_halo,
-    # in which case all three must be enclosed
-    stretched = [h.scaled(HALO_STRETCH) for h in small]
-    if not any(s.meets(big_halo) for s in stretched):
-        return True
-    return all(big_halo.encloses(s) for s in stretched)
-
-
-def build_halos(cubes: list[FreqCube]) -> dict[FreqCube, tuple[Iv, Iv, Iv]]:
+def build_halos(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Assign to each cube three halos with the cross-scale nesting property.
 
     Each halo starts one quantum beyond the 1000-fold component dilate and
     may grow by at most HALO_SLACK sides per endpoint, in quantized steps.
     Cubes are processed by increasing side; a halo endpoint of a larger cube
     that would cut through the stretched-halo hull of a smaller cube is
-    pushed outward past it.  Raises :class:`HaloError` when the one-percent
-    budget cannot resolve a cut.
+    pushed outward past it, smaller cubes taken in processing order.
+    Returns the (c, 3, 2) halos; raises :class:`HaloError` when the
+    one-percent budget cannot resolve a cut.
     """
-    halos: dict[FreqCube, tuple[Iv, Iv, Iv]] = {}
-    for q in sorted(set(cubes), key=lambda c: (c.side, c.centers)):
-        quantum = q.side / ENDPOINT_QUANTUM
-        base = HALO_FACTOR / 2 * q.side + quantum
-        comps = []
-        for i in range(3):
-            c = q.centers[i]
+    halos = np.empty(centers.shape + (2,))
+    done = []   # (side, stretched halos, hull lo, hull hi) of processed cubes
+    for q in np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0], side)):
+        s = float(side[q])
+        quantum = s / ENDPOINT_QUANTUM
+        base = HALO_FACTOR / 2 * s + quantum
+        budget = HALO_SLACK * s - quantum
+        smaller = [d[1:] for d in done if d[0] < s]
+        for i, c in enumerate(centers[q].tolist()):
             lo, hi = c - base, c + base
-            budget = HALO_SLACK * q.side - quantum
             # push endpoints off every smaller cube's stretched hull
-            for _ in range(3 * len(halos) + 1):
+            for _ in range(3 * len(done) + 1):
                 moved = False
-                for small, shalos in halos.items():
-                    if small.side >= q.side:
+                for stretched, hull_lo, hull_hi in smaller:
+                    if not any(a <= hi and lo <= b for a, b in stretched):
                         continue
-                    stretched = [h.scaled(HALO_STRETCH) for h in shalos]
-                    if not any(s.meets(Iv(lo, hi)) for s in stretched):
-                        continue
-                    hull_lo = min(s.lo for s in stretched)
-                    hull_hi = max(s.hi for s in stretched)
                     if lo <= hull_hi and hull_lo <= lo:
                         steps = math.ceil((lo - hull_lo) / quantum) + 1
                         lo -= steps * quantum
@@ -258,154 +287,136 @@ def build_halos(cubes: list[FreqCube]) -> dict[FreqCube, tuple[Iv, Iv, Iv]]:
                 if not moved:
                     break
             if (c - lo) - base > budget or (hi - c) - base > budget:
-                raise HaloError(
-                    f"halo budget exhausted for cube side {q.side} "
-                    f"component {i}")
-            comps.append(Iv(lo, hi))
-        halos[q] = tuple(comps)
+                raise HaloError(f"halo budget exhausted for cube side {s} "
+                                f"component {i}")
+            halos[q, i] = lo, hi
+        stretched = _scaled(halos[q], HALO_STRETCH).tolist()
+        done.append((s, stretched, min(a for a, _ in stretched),
+                     max(b for _, b in stretched)))
     # full audit; construction bugs surface here, not downstream
-    bad = halo_violations(halos)
+    bad = halo_violations(side, centers, halos)
     if bad:
         raise HaloError(f"halo nesting failed: {bad[0]}")
     return halos
 
 
-def halo_violations(halos: dict[FreqCube, tuple[Iv, Iv, Iv]]) -> list[tuple]:
+def halo_violations(side: np.ndarray, centers: np.ndarray,
+                    halos: np.ndarray) -> list[tuple]:
     """Exhaustively audit the cross-scale halo nesting property.
 
     For cubes q, q' with side(q) < side(q'): if any stretched halo of q
-    meets any halo of q', then every stretched halo of q must lie inside
-    that same halo of q'.  Also audits containment of the 1000-fold dilate
-    and the one-percent width budget.
+    meets halo j of q', then every stretched halo of q must lie inside
+    that same halo.  Also audits containment of the 1000-fold dilate and
+    the one-percent width budget.  Returns ("too-small", q, i),
+    ("over-budget", q, i) and ("broken-nesting", q, q', j) tuples.
     """
-    bad = []
-    items = list(halos.items())
-    for q, hs in items:
-        for i in range(3):
-            grown = q.component(i).scaled(HALO_FACTOR)
-            if not hs[i].encloses(grown):
-                bad.append(("too-small", q.side, q.centers, i))
-            if hs[i].lo < grown.lo - HALO_SLACK * q.side or \
-               hs[i].hi > grown.hi + HALO_SLACK * q.side:
-                bad.append(("over-budget", q.side, q.centers, i))
-    for q, hs in items:
-        for qq, hhs in items:
-            if not q.side < qq.side:
-                continue
-            for j in range(3):
-                if not _halo_ok(hs, hhs[j]):
-                    bad.append(("broken-nesting", q.centers, qq.centers, j))
-    return bad
+    grown = _scaled(_components(side, centers), HALO_FACTOR)
+    slack = HALO_SLACK * side[:, None]
+    small = ~_encloses(halos, grown)
+    over = (halos[..., 0] < grown[..., 0] - slack) | \
+        (halos[..., 1] > grown[..., 1] + slack)
+    # axes: smaller cube, larger cube, its halo j, stretched halo of q
+    st = _scaled(halos, HALO_STRETCH)[:, None, None]
+    big = halos[None, :, :, None]
+    meets = ((st[..., 0] <= big[..., 1]) & (big[..., 0] <= st[..., 1]))
+    broken = (side[:, None] < side[None, :])[..., None] & \
+        meets.any(axis=-1) & ~_encloses(big, st).all(axis=-1)
+    return ([("too-small", int(q), int(i)) for q, i in zip(*np.nonzero(small))]
+            + [("over-budget", int(q), int(i))
+               for q, i in zip(*np.nonzero(over))]
+            + [("broken-nesting", int(q), int(qq), int(j))
+               for q, qq, j in zip(*np.nonzero(broken))])
 
 
 # ---------------------------------------------------------------------------
-# tile orderings
+# tile orderings and footprints
 
-def tile_le(p: MultiTile, q: MultiTile, i: int) -> bool:
-    """Component order: finer spatial interval and fatter halo."""
-    return q.interval.encloses(p.interval) and p.halos[i].encloses(q.halos[i])
-
-
-def mt_le(p: MultiTile, q: MultiTile) -> bool:
-    """p below q when some component of p sits below that component of q."""
-    return any(tile_le(p, q, i) for i in range(3))
+def lessdot_matrix(halos: np.ndarray) -> np.ndarray:
+    """Frequency-only order between cubes: [a, b] when some halo of a
+    encloses that halo of b."""
+    return _encloses(halos[:, None], halos[None, :]).any(axis=-1)
 
 
-def mt_lessdot(p: MultiTile, q: MultiTile) -> bool:
-    """Frequency-only order: some halo of p encloses that halo of q."""
-    return any(p.halos[i].encloses(q.halos[i]) for i in range(3))
+def le_matrix(tiles: Family) -> np.ndarray:
+    """Tile order: [a, b] when b's interval encloses a's and some halo of
+    a's cube encloses that halo of b's cube."""
+    lo, hi = tiles.lo, tiles.hi
+    inside = (lo[None, :] <= lo[:, None]) & (hi[:, None] <= hi[None, :])
+    return inside & lessdot_matrix(tiles.halos)[np.ix_(tiles.cube, tiles.cube)]
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: [i, k] when a[i, j] and b[j, k] for some j."""
+    return (a[:, :, None] & b[None]).any(axis=1)
 
 
-def le_matrix(tiles: list[MultiTile]) -> np.ndarray:
-    n = len(tiles)
-    out = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = mt_le(tiles[a], tiles[b])
-    return out
+def footprints(tiles: Family) -> tuple[int, np.ndarray]:
+    """Union of spatial intervals per cube, as finest-scale cells.
+
+    Returns the index of the first cell and a (c, cells) mask; cell k has
+    width the shortest tile length and starts at (first + k) * width.
+    """
+    width = tiles.length.min()
+    start = np.rint(tiles.lo / width).astype(np.int64)
+    stop = np.rint(tiles.hi / width).astype(np.int64)
+    first = int(start.min())
+    cells = np.arange(first, stop.max())
+    owner = tiles.cube == np.arange(len(tiles.side))[:, None]
+    cover = (start[:, None] <= cells) & (cells < stop[:, None])
+    return first, _bool_product(owner, cover)
 
 
-# ---------------------------------------------------------------------------
-# footprints
-
-def _cell_width(tiles: list[MultiTile]) -> float:
-    return min(p.interval.length for p in tiles)
-
-
-def _cells(iv: Iv, width: float) -> frozenset[int]:
-    lo = round(iv.lo / width)
-    hi = round(iv.hi / width)
-    return frozenset(range(lo, hi))
-
-
-def box_footprints(tiles: list[MultiTile]) -> dict[FreqCube, frozenset[int]]:
-    """Union of spatial intervals per cube, as sets of finest-scale cells."""
-    width = _cell_width(tiles)
-    out: dict[FreqCube, frozenset[int]] = {}
-    for p in tiles:
-        out[p.cube] = out.get(p.cube, frozenset()) | _cells(p.interval, width)
-    return out
-
-
-def footprint_violations(tiles: list[MultiTile]) -> list[tuple]:
+def footprint_violations(tiles: Family) -> list[tuple]:
     """Monotonicity audit: frequency-below tiles have nested footprints.
 
-    Whenever p lessdot q, the footprint of p's cube must sit inside the
-    footprint of q's cube; the relation depends on the cubes only.
+    Whenever cube a lessdot cube b, the footprint of a must sit inside the
+    footprint of b; the relation depends on the cubes only.  Returns the
+    violating (a, b) cube pairs.
     """
-    if not tiles:
+    if not len(tiles):
         return []
-    feet = box_footprints(tiles)
-    by_cube = {p.cube: p for p in tiles}
-    bad = []
-    for qa, pa in by_cube.items():
-        for qb, pb in by_cube.items():
-            if qa is qb:
-                continue
-            if mt_lessdot(pa, pb) and not feet[qa] <= feet[qb]:
-                bad.append((qa.centers, qb.centers))
-    return bad
+    _, feet = footprints(tiles)
+    ld = lessdot_matrix(tiles.halos)
+    np.fill_diagonal(ld, False)
+    a, b = np.nonzero(ld & _bool_product(feet, ~feet.T))
+    return list(zip(a.tolist(), b.tolist()))
 
 
-def regularize(tiles: list[MultiTile]) -> list[MultiTile]:
+def regularize(tiles: Family) -> Family:
     """Close a family under footprint monotonicity by adding tiles.
 
     For each frequency-below pair with a footprint gap, the larger-interval
     cube receives tiles over the missing cells, aligned to its own spatial
-    length.  Iterates to a fixpoint; the result contains the input.
+    length.  Iterates to a fixpoint; the result contains the input, sorted
+    by decreasing length, then position, then cube centres.
     """
-    width = _cell_width(tiles)
-    halos = {p.cube: p.halos for p in tiles}
-    have: set[MultiTile] = set(tiles)
+    per = np.rint(1.0 / (tiles.side * tiles.length.min())).astype(np.int64)
+    cube = tiles.cube
+    index = np.rint(tiles.lo / tiles.length).astype(np.int64)
+    ld = lessdot_matrix(tiles.halos)
+    np.fill_diagonal(ld, False)
     for _ in range(64):
-        feet: dict[FreqCube, set[int]] = {}
-        for p in have:
-            feet.setdefault(p.cube, set()).update(_cells(p.interval, width))
-        reps = {p.cube: p for p in have}
-        added = False
-        for qa, pa in reps.items():
-            for qb, pb in reps.items():
-                if qa is qb or not mt_lessdot(pa, pb):
-                    continue
-                missing = feet[qa] - feet[qb]
-                if not missing:
-                    continue
-                # cover missing fine cells by qb-scale dyadic intervals
-                per = round(1.0 / (qb.side * width))
-                for idx in sorted({c // per for c in missing}):
-                    have.add(MultiTile(dyadic(1.0 / qb.side, idx), qb,
-                                       halos[qb]))
-                added = True
-        if not added:
+        fam = Family.tiled(tiles.side, tiles.centers, tiles.halos, cube, index)
+        first, feet = footprints(fam)
+        # cells cube b lacks although some other cube lessdot b holds them
+        b, k = np.nonzero(~feet & _bool_product(ld.T, feet))
+        if not len(b):
             break
+        # cover them by b's own dyadic intervals.  None of those is a tile
+        # yet, and duplicates among them are adjacent: k ascends within b
+        new = (first + k) // per[b]
+        keep = np.r_[True, (b[1:] != b[:-1]) | (new[1:] != new[:-1])]
+        cube = np.concatenate([cube, b[keep]])
+        index = np.concatenate([index, new[keep]])
     else:
         raise RuntimeError("footprint closure did not stabilize")
-    return sorted(have, key=lambda p: (-p.interval.length, p.interval.lo,
-                                       p.cube.centers))
+    at = fam.centers[cube]
+    order = np.lexsort((at[:, 2], at[:, 1], at[:, 0], fam.lo, -fam.length))
+    return Family.tiled(tiles.side, tiles.centers, tiles.halos, cube[order],
+                        index[order])
 
 
 # ---------------------------------------------------------------------------
-# trees
+# trees and forests
 
 @dataclass(frozen=True)
 class TopData:
@@ -422,24 +433,33 @@ class TopData:
 
 @dataclass(frozen=True)
 class Tree:
+    """A top and the indices of its member tiles, in family order."""
+
     top: TopData
-    members: tuple[MultiTile, ...] = field(compare=False)
+    members: np.ndarray = field(compare=False)
 
     @property
     def interval(self) -> Iv:
         return self.top.interval
 
 
-def tree_members(tiles: list[MultiTile], top: TopData) -> list[MultiTile]:
-    """All tiles whose spatial interval fits the top and whose some halo
-    encloses the top halo; this is the maximal tree for the given top."""
-    th = top.halo
-    return [p for p in tiles
-            if top.interval.encloses(p.interval)
-            and any(p.halos[i].encloses(th) for i in range(3))]
+def tree_members(tiles: Family, tops: list[TopData]) -> np.ndarray:
+    """Membership mask (len(tops), len(tiles)) of the maximal trees.
+
+    Tile j belongs to top t when its spatial interval fits the top's and
+    some halo of its cube encloses the top halo.
+    """
+    top = np.array([(t.zeta, t.interval.lo, t.interval.hi) for t in tops]
+                   ).reshape(-1, 3)
+    zeta, ivs = top[:, 0], top[:, 1:]
+    r = TOP_RADIUS / (ivs[:, 1] - ivs[:, 0])
+    th = np.column_stack([zeta - r, zeta + r])
+    inside = (ivs[:, :1] <= tiles.lo) & (tiles.hi <= ivs[:, 1:])
+    halo = _encloses(tiles.halos[tiles.cube][None], th[:, None, None])
+    return inside & halo.any(axis=-1)
 
 
-def candidate_tops(tiles: list[MultiTile], span_bits: int,
+def candidate_tops(tiles: Family, span_bits: int,
                    scale_bits: int) -> list[TopData]:
     """Deterministic top pool: first-halo centers crossed with the dyadic
     ancestors of each tile interval up to length 2**span_bits.
@@ -450,19 +470,29 @@ def candidate_tops(tiles: list[MultiTile], span_bits: int,
     """
     tops: set[TopData] = set()
     step = 2 ** scale_bits
-    for p in tiles:
-        zeta = p.halos[0].center
-        length = p.interval.length
-        lo = p.interval.lo
+    zeta = 0.5 * (tiles.halos[:, 0, 0] + tiles.halos[:, 0, 1])
+    for z, lo, length in zip(zeta[tiles.cube].tolist(), tiles.lo.tolist(),
+                             tiles.length.tolist()):
         while length <= float(2 ** span_bits):
             idx = math.floor(lo / length + 1e-12)
-            tops.add(TopData(zeta, dyadic(length, idx)))
+            tops.add(TopData(z, dyadic(length, idx)))
             length *= step
     return sorted(tops, key=lambda t: (-t.interval.length, t.zeta,
                                        t.interval.lo))
 
 
-def greedy_select(tiles: list[MultiTile], span_bits: int = 6,
+def _first_tree(pool, member, remaining, accept=None) -> Tree | None:
+    """The first top in pool order whose maximal tree over the remaining
+    tiles is nonempty and passes ``accept``."""
+    live = member & remaining
+    for k in np.flatnonzero(live.any(axis=1)):
+        tree = Tree(pool[k], np.flatnonzero(live[k]))
+        if accept is None or accept(tree):
+            return tree
+    return None
+
+
+def greedy_select(tiles: Family, span_bits: int = 6,
                   scale_bits: int = 4) -> list[Tree]:
     """Greedy maximal-tree selection until the family is exhausted.
 
@@ -471,22 +501,19 @@ def greedy_select(tiles: list[MultiTile], span_bits: int = 6,
     tree is maximal in the remainder by construction.
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
-    remaining = list(tiles)
+    member = tree_members(tiles, pool)
+    remaining = np.ones(len(tiles), dtype=bool)
     out: list[Tree] = []
-    while remaining:
-        for top in pool:
-            got = tree_members(remaining, top)
-            if got:
-                out.append(Tree(top, tuple(got)))
-                chosen = set(got)
-                remaining = [p for p in remaining if p not in chosen]
-                break
-        else:
+    while remaining.any():
+        tree = _first_tree(pool, member, remaining)
+        if tree is None:
             raise RuntimeError("top pool failed to cover remaining tiles")
+        out.append(tree)
+        remaining[tree.members] = False
     return out
 
 
-def selection_convexity_violations(tiles: list[MultiTile],
+def selection_convexity_violations(tiles: Family,
                                    trees: list[Tree]) -> tuple[int, int]:
     """Audit order-convexity of consecutive greedy selections.
 
@@ -495,84 +522,56 @@ def selection_convexity_violations(tiles: list[MultiTile],
     of consecutively selected trees is closed under order sandwiching.
     Returns (checked_triples, violations).
     """
-    n = len(tiles)
-    idx = {}
+    tree_of = np.full(len(tiles), -1)
     for t, tree in enumerate(trees):
-        for p in tree.members:
-            idx[p] = t
-    tree_of = np.array([idx[p] for p in tiles])
+        tree_of[tree.members] = t
+    if (tree_of < 0).any():
+        raise ValueError("the trees leave a tile of the family out")
     le = le_matrix(tiles)
-    length = np.array([p.interval.length for p in tiles])
-    checked = 0
-    bad = 0
-    for mid in range(n):
-        lowers = np.nonzero(le[:, mid] & (length < length[mid]))[0]
-        uppers = np.nonzero(le[mid, :] & (length[mid] < length))[0]
-        if lowers.size == 0 or uppers.size == 0:
-            continue
+    length = tiles.length
+    checked = bad = 0
+    for mid in range(len(tiles)):
+        lowers = tree_of[le[:, mid] & (length < length[mid])][:, None]
+        uppers = tree_of[le[mid, :] & (length[mid] < length)][None, :]
         checked += lowers.size * uppers.size
         t_mid = tree_of[mid]
-        below_l, below_u = tree_of[lowers] < t_mid, tree_of[uppers] < t_mid
-        above_l, above_u = tree_of[lowers] > t_mid, tree_of[uppers] > t_mid
-        if (below_l.any() and below_u.any()) or \
-           (above_l.any() and above_u.any()):
-            for a in lowers:
-                for b in uppers:
-                    lohi = sorted((tree_of[a], tree_of[b]))
-                    if not lohi[0] <= t_mid <= lohi[1]:
-                        bad += 1
+        bad += int(np.count_nonzero((np.minimum(lowers, uppers) > t_mid)
+                                    | (np.maximum(lowers, uppers) < t_mid)))
     return checked, bad
 
-
-def tree_footprint_violations(tree: Tree) -> list[tuple]:
-    """A selected tree audited as a standalone family."""
-    return footprint_violations(list(tree.members))
-
-
-# ---------------------------------------------------------------------------
-# forests
-
-def forest_decompose(tiles: list[MultiTile], size_fn, span_bits: int = 6,
-                     scale_bits: int = 4, max_level: int = 60,
-                     ) -> dict[int, list[Tree]]:
+def forest_decompose(tiles: Family, size_fn, span_bits: int = 6,
+                     scale_bits: int = 4) -> dict[int, list[Tree]]:
     """Split a family into forests by a dyadic threshold sweep on tree size.
 
     ``size_fn(tree)`` must be a nonnegative functional, monotone under
     adding members.  Level n collects greedily selected maximal trees whose
     size exceeds 2**-(n+1); once no remaining top produces such a tree the
     level closes and the threshold halves.  Tiles invisible to ``size_fn``
-    at every level land in level ``max_level``.
+    at every level land in level ``SINK_LEVEL``.
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
-    remaining = list(tiles)
-    start = None
-    for top in pool:
-        got = tree_members(remaining, top)
-        if got:
-            s = size_fn(Tree(top, tuple(got)))
-            if s > 0 and (start is None or s > start):
-                start = s
+    member = tree_members(tiles, pool)
+    remaining = np.ones(len(tiles), dtype=bool)
+    sizes = [size_fn(Tree(pool[k], np.flatnonzero(member[k])))
+             for k in np.flatnonzero(member.any(axis=1))]
+    start = max((s for s in sizes if s > 0), default=None)
     if start is None:
-        return {max_level: greedy_select(tiles, span_bits, scale_bits)} \
-            if tiles else {}
+        return {SINK_LEVEL: greedy_select(tiles, span_bits, scale_bits)} \
+            if len(tiles) else {}
     n = math.floor(-math.log2(start))
     out: dict[int, list[Tree]] = {}
-    while remaining and n < max_level:
+    while remaining.any() and n < SINK_LEVEL:
         threshold = 2.0 ** (-n - 1)
-        while True:
-            for top in pool:
-                got = tree_members(remaining, top)
-                if got and size_fn(Tree(top, tuple(got))) > threshold:
-                    tree = Tree(top, tuple(got))
-                    out.setdefault(n, []).append(tree)
-                    chosen = set(got)
-                    remaining = [p for p in remaining if p not in chosen]
-                    break
-            else:
-                break
+        while tree := _first_tree(pool, member, remaining,
+                                  lambda t: size_fn(t) > threshold):
+            out.setdefault(n, []).append(tree)
+            remaining[tree.members] = False
         n += 1
-    if remaining:
-        out[max_level] = greedy_select(remaining, span_bits, scale_bits)
+    if remaining.any():
+        rest = np.flatnonzero(remaining)
+        out[SINK_LEVEL] = [
+            Tree(t.top, rest[t.members])
+            for t in greedy_select(tiles.take(rest), span_bits, scale_bits)]
     return out
 
 
@@ -583,11 +582,15 @@ def bessel_ratio(forest: list[Tree], level: int, energy: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# seeded generator
+# seeded generators
 
 #: anchor spacing between clusters; wide enough that stretched halos of the
 #: largest cubes in one cluster miss every halo of the next
 CLUSTER_SPACING = float(2 ** 18)
+N_CLUSTERS = 3
+CLUSTER_SPAN_CELLS = 4   # unit cells of the window a cluster's tiles span
+COMPACT_SPAN_CELLS = 2   # circle of length 16 * COMPACT_SPAN_CELLS
+MAX_TILES = 200          # cluster families beyond this size are redrawn
 
 
 def _whitney_offsets(rng: np.random.Generator, c0: float) -> tuple:
@@ -598,30 +601,50 @@ def _whitney_offsets(rng: np.random.Generator, c0: float) -> tuple:
     return tuple(float(s) for s in signs)
 
 
-def operator_band_edge(tiles: list[MultiTile], slope: float,
+def operator_band_edge(tiles: Family, slope: float,
                        support_factor: float = 1.5) -> float:
     """Largest absolute frequency touched by dilated operator intervals.
 
     Grid experiments must keep this below the Nyquist frequency of the
     sampling grid; the generators below are tuned so that it stays small.
     """
-    edge = 0.0
-    for p in tiles:
-        for iv in operator_intervals(p.cube, slope):
-            big = iv.scaled(support_factor)
-            edge = max(edge, abs(big.lo), abs(big.hi))
-    return edge
+    big = _scaled(operator_intervals(tiles.side, tiles.centers, slope),
+                  support_factor)
+    return float(np.abs(big).max(initial=0.0))
 
 
-def compact_family(seed: int, span_cells: int = 2, scale_bits: int = 4,
-                   c0: float = 0.5) -> list[MultiTile]:
+def _add_cube(plan, side, offset, d, cells) -> None:
+    """Plan a cube of the given side at offset + d * side, carrying the
+    tiles at the given dyadic cells."""
+    sides, centers, cube, index = plan
+    cube.extend([len(sides)] * len(cells))
+    index.extend(cells)
+    sides.append(side)
+    centers.append([offset + di * side for di in d])
+
+
+def _closed_family(side, centers, cube, index, c0) -> Family | None:
+    """The planned tiles closed under footprint monotonicity, or None when
+    the cubes fail the clearance, halo or footprint audit."""
+    if diagonal_clearance_violations(side, centers, c0):
+        return None
+    try:
+        halos = build_halos(side, centers)
+    except HaloError:
+        return None
+    tiles = regularize(Family.tiled(side, centers, halos, cube, index))
+    return None if footprint_violations(tiles) else tiles
+
+
+def compact_family(seed: int, scale_bits: int = 4,
+                   c0: float = 0.5) -> Family:
     """Seeded single-cluster family with frequencies packed near zero.
 
     Cube sides are 1/16 and 1, spatial lengths 16 and 1, so the family
-    lives naturally on a circle of length ``16 * span_cells``.  Every
-    frequency the operators touch stays within a few units of zero, which
-    lets a 512-point grid on that circle resolve all the multipliers.  The
-    same audits as :func:`cluster_family` are enforced.
+    lives naturally on a circle of length ``16 * COMPACT_SPAN_CELLS``.
+    Every frequency the operators touch stays within a few units of zero,
+    which lets a 512-point grid on that circle resolve all the multipliers.
+    The same audits as :func:`cluster_family` are enforced.
     """
     step = 2 ** scale_bits
     small_side = 1.0 / step
@@ -630,104 +653,69 @@ def compact_family(seed: int, span_cells: int = 2, scale_bits: int = 4,
         anchor = 0.25 + 0.25 * int(rng.integers(0, 2))
         sign = 1.0 if rng.integers(0, 2) else -1.0
         d = _whitney_offsets(rng, c0)
-        big = FreqCube(1.0, tuple(anchor + di for di in d))
-        cubes = [big]
-        plans: list[tuple[FreqCube, list[Iv]]] = []
         positions = sorted(rng.choice(step, size=3, replace=False))
-        plans.append((big, [dyadic(1.0, int(k)) for k in positions]))
+        plan = ([], [], [], [])
+        _add_cube(plan, 1.0, anchor, d, [int(k) for k in positions])
         for m in range(2):
             d = _whitney_offsets(rng, c0)
-            off = sign * 1.5 * (m + 1)
-            mini = FreqCube(small_side,
-                            tuple(anchor + off + di * small_side for di in d))
-            cubes.append(mini)
-            cell = 0 if m == 0 else int(rng.integers(0, span_cells))
-            plans.append((mini, [dyadic(float(step), cell)]))
-        if spacing_violations(cubes, scale_bits):
+            cell = 0 if m == 0 else int(rng.integers(0, COMPACT_SPAN_CELLS))
+            _add_cube(plan, small_side, anchor + sign * 1.5 * (m + 1), d,
+                      [cell])
+        side, centers = np.array(plan[0]), np.array(plan[1])
+        if spacing_violations(side, centers, scale_bits):
             continue
-        if diagonal_clearance_violations(cubes, c0):
-            continue
-        try:
-            halos = build_halos(cubes)
-        except HaloError:
-            continue
-        tiles = [MultiTile(iv, q, halos[q]) for q, ivs in plans for iv in ivs]
-        tiles = regularize(tiles)
-        if footprint_violations(tiles):
-            continue
-        return tiles
+        tiles = _closed_family(side, centers, *plan[2:], c0)
+        if tiles is not None:
+            return tiles
     raise RuntimeError(f"no admissible compact family for seed {seed}")
 
 
-def cluster_family(seed: int, n_clusters: int = 3, scale_bits: int = 4,
-                   c0: float = 2.0, span_cells: int = 4,
-                   max_tiles: int = 200) -> list[MultiTile]:
+def cluster_family(seed: int, scale_bits: int = 4,
+                   c0: float = 2.0) -> Family:
     """Seeded family of multi-tiles organized in well-separated clusters.
 
     Each cluster sits at an integer anchor and holds cubes of sides 1,
     2**scale_bits and 4**scale_bits whose components are Whitney-offset from
     the cluster's diagonal position.  Spatial intervals are nested across
-    scales inside a window of ``span_cells`` unit cells, so order sandwiches
-    with three strict scales exist.  The family is closed under footprint
-    monotonicity before being returned, and every health check is enforced.
+    scales inside a window of ``CLUSTER_SPAN_CELLS`` unit cells, so order
+    sandwiches with three strict scales exist.  The family is closed under
+    footprint monotonicity before being returned, and every health check is
+    enforced.
     """
+    span = CLUSTER_SPAN_CELLS
     for attempt in range(8):
         rng = np.random.default_rng((seed, attempt))
         step = 2 ** scale_bits
         mid_side, big_side = float(step), float(step * step)
-        cubes: list[FreqCube] = []
-        plans: list[tuple[FreqCube, list[Iv]]] = []
-        for k in range(n_clusters):
+        plan = ([], [], [], [])
+        for k in range(N_CLUSTERS):
             anchor = (k + 1) * CLUSTER_SPACING
-            unit_cell = int(rng.integers(0, span_cells))
+            unit_cell = int(rng.integers(0, span))
             # one big cube, finest spatial scale, two positions nested in a
             # single mid cell of the chosen unit cell
             d = _whitney_offsets(rng, c0)
-            big = FreqCube(big_side,
-                           tuple(anchor + di * big_side for di in d))
             mid_cell = unit_cell * step + int(rng.integers(0, step))
             fine0 = mid_cell * step + int(rng.integers(0, step - 1))
-            big_ivs = [dyadic(1.0 / big_side, fine0),
-                       dyadic(1.0 / big_side, fine0 + 1)]
-            plans.append((big, big_ivs))
-            cubes.append(big)
+            _add_cube(plan, big_side, anchor, d, [fine0, fine0 + 1])
             # two mid cubes separated within the cluster; one covers the
             # nested chain, the other sits elsewhere in the window
             for m in range(2):
                 d = _whitney_offsets(rng, c0)
                 off = (m + 1) * 2.0 * step * mid_side
-                mid = FreqCube(mid_side,
-                               tuple(anchor + off + di * mid_side for di in d))
-                if m == 0:
-                    ivs = [dyadic(1.0 / mid_side, mid_cell)]
-                else:
-                    other = int(rng.integers(0, span_cells)) * step \
-                        + int(rng.integers(0, step))
-                    ivs = [dyadic(1.0 / mid_side, other)]
-                plans.append((mid, ivs))
-                cubes.append(mid)
+                cell = mid_cell if m == 0 else \
+                    int(rng.integers(0, span)) * step \
+                    + int(rng.integers(0, step))
+                _add_cube(plan, mid_side, anchor + off, d, [cell])
             # unit cubes on two sub-anchors; spatial scale is the unit cell
             for m in range(2):
                 d = _whitney_offsets(rng, c0)
                 off = 2.0 * step * mid_side + (m + 1) * 4.0 * step
-                unit = FreqCube(1.0, tuple(anchor + off + di for di in d))
-                cell = unit_cell if m == 0 else int(
-                    rng.integers(0, span_cells))
-                plans.append((unit, [dyadic(1.0, cell)]))
-                cubes.append(unit)
-        if spacing_violations(cubes, scale_bits):
+                cell = unit_cell if m == 0 else int(rng.integers(0, span))
+                _add_cube(plan, 1.0, anchor + off, d, [cell])
+        side, centers = np.array(plan[0]), np.array(plan[1])
+        if spacing_violations(side, centers, scale_bits):
             continue
-        if diagonal_clearance_violations(cubes, c0):
-            continue
-        try:
-            halos = build_halos(cubes)
-        except HaloError:
-            continue
-        tiles = [MultiTile(iv, q, halos[q]) for q, ivs in plans for iv in ivs]
-        tiles = regularize(tiles)
-        if len(tiles) > max_tiles:
-            continue
-        if footprint_violations(tiles):
-            continue
-        return tiles
+        tiles = _closed_family(side, centers, *plan[2:], c0)
+        if tiles is not None and len(tiles) <= MAX_TILES:
+            return tiles
     raise RuntimeError(f"no admissible family for seed {seed}")

@@ -517,6 +517,20 @@ class TestCli:
         assert hint in err and err.count("\n") == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind", ["forest-bessel", "model-sum"])
+    def test_band_past_fold_fails(self, tmp_path, capsys, monkeypatch, kind):
+        # the compact families' operator band edge is about 7.5, so at
+        # grid_n = 300 twice the edge passes the fold n / L = 9.375 and
+        # every multiplier beyond it would be cut without a word
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"kind = {kind}\ntrials = 2\n")
+        monkeypatch.setenv(ex.GRID_ENV, "300")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 1
+        out = capsys.readouterr().out
+        assert "failure: operator band reaches the fold frequency" in out
+        assert "passed = false" in out
+
     def test_rerun_into_same_out_refused(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("kind = tiles\ntrials = 2\n")

@@ -20,9 +20,8 @@ from freqbench.sizes import (
     top_interval,
 )
 from freqbench.timefreq import (
-    FreqCube,
+    Family,
     Iv,
-    MultiTile,
     TopData,
     Tree,
     build_halos,
@@ -30,7 +29,6 @@ from freqbench.timefreq import (
     dyadic,
     greedy_select,
     operator_intervals,
-    tree_members,
 )
 
 SLOPE = 1.125
@@ -48,11 +46,16 @@ def band_noise(n, length, band, rng, normalize="l2"):
     return f / np.abs(f.values).max()
 
 
-def unit_tile(cell):
-    """Single side-one cube on the diagonal paired with a unit interval."""
-    cube = FreqCube(1.0, (0.0, 0.5, -0.5))
-    halos = build_halos([cube])[cube]
-    return MultiTile(dyadic(1.0, cell), cube, halos)
+def one_cube_family(side, centers, cells):
+    """Tiles at the given dyadic cells, all carrying one cube."""
+    side, centers = np.array([side]), np.array([centers])
+    return Family.tiled(side, centers, build_halos(side, centers),
+                        np.zeros(len(cells), dtype=int), cells)
+
+
+def unit_tiles(*cells):
+    """A side-one cube on the diagonal paired with unit intervals."""
+    return one_cube_family(1.0, (0.0, 0.5, -0.5), list(cells))
 
 
 class TestTailWeight:
@@ -137,8 +140,8 @@ class TestTileSeminorm:
         # For f a pure mode at frequency xi0 every projection is m(xi0) * f,
         # so the seminorm collapses to max |m(xi0)| times the weight norm.
         n, length = 512, 32.0
-        tile = unit_tile(3)
-        omega = operator_intervals(tile.cube, SLOPE)[0]
+        tiles = unit_tiles(3)
+        omega = Iv(*operator_intervals(tiles.side, tiles.centers, SLOPE)[0, 0])
         k0 = int(round(omega.center * length)) + 3  # inside the support
         coeffs = np.zeros(n, dtype=complex)
         coeffs[k0 + n // 2] = 0.7
@@ -146,42 +149,41 @@ class TestTileSeminorm:
         xi0 = (k0) / length
 
         marked = omega.lo - 0.25
-        sizer = TreeSizer(f, SLOPE)
-        got = sizer.tile_seminorm(tile, 0, marked)
+        sizer = TreeSizer(f, tiles, SLOPE)
+        got = sizer.tile_seminorm(0, 0, marked)
 
         xs = f.freqs() / length
         at = np.argmin(np.abs(xs - xi0))
         amp = max(
             abs(sym[at]) for sym in multiplier_family(f, omega, marked)
         )
-        w = tail_weight(f, tile.interval)
+        w = tail_weight(f, tiles.interval(0))
         want = amp * 0.7 * math.sqrt(float(np.sum(w * w)) * f.dx)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_cache_is_consumed(self):
         rng = np.random.default_rng(5)
         f = band_noise(512, 32.0, 6.0, rng)
-        tile = unit_tile(0)
-        sizer = TreeSizer(f, SLOPE)
-        first = sizer.tile_seminorm(tile, 1, 0.125)
-        key = (tile, 1, 0.125)
+        sizer = TreeSizer(f, unit_tiles(0), SLOPE)
+        first = sizer.tile_seminorm(0, 1, 0.125)
+        key = (0, 1, 0.125)
         assert sizer._tile_cache[key] == first
         sizer._tile_cache[key] = 123.0
-        assert sizer.tile_seminorm(tile, 1, 0.125) == 123.0
+        assert sizer.tile_seminorm(0, 1, 0.125) == 123.0
 
 
 class TestTreeSize:
     def test_singleton_matches_two_term_formula(self):
         rng = np.random.default_rng(9)
         f = band_noise(512, 32.0, 6.0, rng)
-        tile = unit_tile(4)
-        top = TopData(tile.halos[0].center, tile.interval)
-        tree = Tree(top, (tile,))
-        sizer = TreeSizer(f, SLOPE)
+        tiles = unit_tiles(4)
+        top = tiles.own_top(0)
+        tree = Tree(top, np.array([0]))
+        sizer = TreeSizer(f, tiles, SLOPE)
         marked = top_frequency(top, 0, SLOPE)
         want = (
-            math.sqrt(sizer.tile_seminorm(tile, 0, marked) ** 2
-                      / tile.interval.length)
+            math.sqrt(sizer.tile_seminorm(0, 0, marked) ** 2
+                      / tiles.length[0])
             + sizer._top_term(top, 0)
         )
         assert sizer.tree_size(tree, 0) == pytest.approx(want, rel=1e-12)
@@ -189,19 +191,19 @@ class TestTreeSize:
     def test_more_members_never_shrink_a_tree(self):
         rng = np.random.default_rng(11)
         f = band_noise(512, 32.0, 6.0, rng)
-        a, b = unit_tile(2), unit_tile(7)
-        top = TopData(a.halos[0].center, Iv(0.0, 8.0))
-        sizer = TreeSizer(f, SLOPE)
-        small = sizer.tree_size(Tree(top, (a,)), 0)
-        big = sizer.tree_size(Tree(top, (a, b)), 0)
+        tiles = unit_tiles(2, 7)
+        top = TopData(tiles.own_top(0).zeta, Iv(0.0, 8.0))
+        sizer = TreeSizer(f, tiles, SLOPE)
+        small = sizer.tree_size(Tree(top, np.array([0])), 0)
+        big = sizer.tree_size(Tree(top, np.array([0, 1])), 0)
         assert big >= small
 
     def test_collection_size_dominates_selected_trees(self):
         tiles = compact_family(3)
         rng = np.random.default_rng(33)
         f = band_noise(512, 32.0, 7.5, rng)
-        sizer = TreeSizer(f, SLOPE)
-        total = sizer.collection_size(tiles, 2)
+        sizer = TreeSizer(f, tiles, SLOPE)
+        total = sizer.collection_size(2)
         for tree in greedy_select(tiles):
             assert sizer.tree_size(tree, 2) <= total + 1e-12
 
@@ -216,7 +218,7 @@ class TestSupinfBound:
             rng = np.random.default_rng(seed + 400)
             locs = rng.uniform(0, 31.0, size=2)
             f = indicator([(a, a + 0.5) for a in locs], 512, 32.0)
-            s1 = TreeSizer(f, SLOPE).collection_size(tiles, 0)
+            s1 = TreeSizer(f, tiles, SLOPE).collection_size(0)
             bound = supinf_maximal_bound(f, tiles)
             assert s1 <= bound
 
@@ -235,9 +237,7 @@ class TestExceptionalMask:
 
 class TestLayerSplit:
     def make_tiles(self, cells):
-        cube = FreqCube(512.0, (0.0, 256.0, -256.0))
-        halos = build_halos([cube])[cube]
-        return [MultiTile(dyadic(1 / 512, j), cube, halos) for j in cells]
+        return one_cube_family(512.0, (0.0, 256.0, -256.0), cells)
 
     def flagged(self, n=512):
         omega = np.zeros(n, dtype=bool)
@@ -247,10 +247,9 @@ class TestLayerSplit:
     def test_hand_layers(self):
         f = GridFunction.zeros(512, 1.0)
         omega = self.flagged()
-        tiles = self.make_tiles([100, 201, 250])
-        layers = layer_split(tiles, omega, f)
-        placed = {j: lv for lv, ts in layers.items()
-                  for j in [round(t.interval.lo * 512) for t in ts]}
+        cells = [100, 201, 250]
+        layers = layer_split(self.make_tiles(cells), omega, f)
+        placed = {cells[j]: lv for lv, js in layers.items() for j in js}
         # cell 100 sits outside; 201 escapes at the 16-fold dilate; 250 is
         # deep enough that only the 256-fold dilate reaches the complement
         assert placed == {100: 0, 201: 2, 250: 4}
@@ -260,9 +259,8 @@ class TestLayerSplit:
         omega = self.flagged()
         tiles = self.make_tiles(list(range(180, 330, 7)))
         layers = layer_split(tiles, omega, f)
-        got = [t for ts in layers.values() for t in ts]
-        assert sorted(t.interval.lo for t in got) == sorted(
-            t.interval.lo for t in tiles)
+        got = np.concatenate(list(layers.values()))
+        assert sorted(got.tolist()) == list(range(len(tiles)))
 
     def test_full_flag_rejected(self):
         f = GridFunction.zeros(512, 1.0)
@@ -304,13 +302,14 @@ class TestModelSum:
         got = model_sum(fs, tiles, SLOPE)
         ref = 0.0 + 0.0j
         f = fs[0]
-        for p in tiles:
+        ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
+        for j in range(len(tiles)):
             prod = np.ones(f.size, dtype=complex)
             for i in range(3):
-                omega = operator_intervals(p.cube, SLOPE)[i]
+                omega = Iv(*ops[tiles.cube[j], i])
                 sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
                 prod = prod * fs[i].multiply_spectrum(sym).values
-            cut = spatial_cutoff(f, p.interval)
+            cut = spatial_cutoff(f, tiles.interval(j))
             ref += complex(np.sum(cut * prod) * f.dx)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -318,14 +317,12 @@ class TestModelSum:
         # inputs confined to |xi| <= 0.4 cannot meet any component support of
         # a cube anchored well away from zero, so every projection vanishes
         fs = self.make_inputs(22, band=0.4)
-        cube = FreqCube(1.0, (6.0, 6.5, 5.5))
-        halos = build_halos([cube])[cube]
-        tile = MultiTile(dyadic(1.0, 5), cube, halos)
-        assert abs(model_sum(fs, [tile], SLOPE)) < 1e-14
+        tiles = one_cube_family(1.0, (6.0, 6.5, 5.5), [5])
+        assert abs(model_sum(fs, tiles, SLOPE)) < 1e-14
 
     def test_empty_collection_is_zero(self):
         fs = self.make_inputs(23)
-        assert model_sum(fs, [], SLOPE) == 0.0
+        assert model_sum(fs, compact_family(0).take([]), SLOPE) == 0.0
 
 
 class TestSingleTreeAudit:
@@ -339,7 +336,7 @@ class TestSingleTreeAudit:
             fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                        for _ in range(3))
             tree = self.largest_tree(tiles)
-            lhs, rhs = single_tree_audit(fs, tree, SLOPE)
+            lhs, rhs = single_tree_audit(fs, tiles, tree, SLOPE)
             assert math.isfinite(lhs) and math.isfinite(rhs)
             assert rhs > 0.0
             assert lhs <= rhs
@@ -352,7 +349,7 @@ class TestSingleTreeAudit:
         fs = list(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                   for _ in range(3))
         tree = self.largest_tree(tiles)
-        lhs, rhs = single_tree_audit(tuple(fs), tree, SLOPE)
+        lhs, rhs = single_tree_audit(tuple(fs), tiles, tree, SLOPE)
         fs[0] = fs[0] * 3.0
-        lhs3, rhs3 = single_tree_audit(tuple(fs), tree, SLOPE)
+        lhs3, rhs3 = single_tree_audit(tuple(fs), tiles, tree, SLOPE)
         assert lhs3 / rhs3 == pytest.approx(lhs / rhs, rel=1e-9)

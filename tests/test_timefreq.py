@@ -7,47 +7,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_timefreq as S
 from freqbench.timefreq import (
     CLUSTER_SPACING,
-    FreqCube,
+    MAX_TILES,
+    SINK_LEVEL,
+    Family,
     HaloError,
     Iv,
-    MultiTile,
     TopData,
     Tree,
     bessel_ratio,
-    box_footprints,
     build_halos,
     candidate_tops,
     cluster_family,
+    compact_family,
     diagonal_clearance_violations,
     dyadic,
     footprint_violations,
+    footprints,
     forest_decompose,
     greedy_select,
     halo_violations,
     le_matrix,
-    mt_le,
-    mt_lessdot,
+    lessdot_matrix,
+    operator_band_edge,
     operator_intervals,
     regularize,
     selection_convexity_violations,
     spacing_violations,
-    tile_le,
-    tree_footprint_violations,
     tree_members,
 )
 
 
 def lessdot(tiles):
     """Matrix of the frequency-only order over all tile pairs."""
-    return np.array([[mt_lessdot(p, q) for q in tiles] for p in tiles])
+    return lessdot_matrix(tiles.halos)[np.ix_(tiles.cube, tiles.cube)]
 
 
 def diag_cube(side, anchor, spread=3.0, perm=(0, 1, 2)):
     offs = [0.0, spread, -spread]
-    centers = tuple(anchor + offs[p] * side for p in perm)
-    return FreqCube(side, centers)
+    return side, tuple(anchor + offs[p] * side for p in perm)
+
+
+def cubes(*qs):
+    """(side, centers) arrays of (side, centres) pairs."""
+    return (np.array([q[0] for q in qs], dtype=float),
+            np.array([q[1] for q in qs], dtype=float))
+
+
+def halo_family(*qs, cells=None):
+    """One tile per cube, at the given dyadic cells (default 0)."""
+    side, centers = cubes(*qs)
+    return Family.tiled(side, centers, build_halos(side, centers),
+                        np.arange(len(side)), cells or [0] * len(side))
+
+
+def kinds(violations):
+    return {v[0] for v in violations}
+
+
+def members_of(tiles, top):
+    """Indices of the maximal tree of one top."""
+    return np.flatnonzero(tree_members(tiles, [top])[0])
+
+
+def weight_size(tiles):
+    # monotone mock size: largest cube side among members, rescaled
+    return lambda tree: tiles.side[tiles.cube[tree.members]].max() / 1024.0
 
 
 class TestIntervals:
@@ -80,82 +107,80 @@ class TestIntervals:
 
 class TestSpacing:
     def test_engineered_pair_passes(self):
-        cubes = [diag_cube(1.0, 0.0), diag_cube(1.0, 100.0),
-                 diag_cube(16.0, 2048.0)]
-        assert spacing_violations(cubes, 4) == []
+        side, centers = cubes(diag_cube(1.0, 0.0), diag_cube(1.0, 100.0),
+                              diag_cube(16.0, 2048.0))
+        assert spacing_violations(side, centers, 4) == []
 
     def test_same_scale_crowding_detected(self):
-        cubes = [diag_cube(1.0, 0.0), diag_cube(1.0, 10.0)]
-        kinds = {v[0] for v in spacing_violations(cubes, 4)}
-        assert "same-scale-crowding" in kinds
+        side, centers = cubes(diag_cube(1.0, 0.0), diag_cube(1.0, 10.0))
+        assert "same-scale-crowding" in \
+            kinds(spacing_violations(side, centers, 4))
 
     def test_scale_gap_detected(self):
         # sides 1 and 8 are closer than the required factor 16
-        cubes = [diag_cube(1.0, 0.0), diag_cube(8.0, 4096.0)]
-        kinds = {v[0] for v in spacing_violations(cubes, 4)}
-        assert "scale-gap" in kinds
+        side, centers = cubes(diag_cube(1.0, 0.0), diag_cube(8.0, 4096.0))
+        assert "scale-gap" in kinds(spacing_violations(side, centers, 4))
 
     def test_shared_component_detected(self):
-        a = FreqCube(1.0, (0.0, 3.0, -3.0))
-        b = FreqCube(1.0, (0.0, 100.0, 94.0))
-        kinds = {v[0] for v in spacing_violations([a, b], 4)}
-        assert "shared-component" in kinds
+        side, centers = cubes((1.0, (0.0, 3.0, -3.0)),
+                              (1.0, (0.0, 100.0, 94.0)))
+        assert spacing_violations(side, centers, 4)[0] == \
+            ("shared-component", 0, 1, 0)
 
 
 class TestDiagonalClearance:
     def test_offset_cube_passes(self):
-        assert diagonal_clearance_violations([diag_cube(4.0, 7.0)]) == []
+        assert diagonal_clearance_violations(
+            *cubes(diag_cube(4.0, 7.0))) == []
 
     def test_straddling_cube_fails(self):
-        bad = FreqCube(4.0, (7.0, 7.0, 7.0))
-        kinds = {v[0] for v in diagonal_clearance_violations([bad])}
-        assert "touches-diagonal" in kinds
+        bad = cubes((4.0, (7.0, 7.0, 7.0)))
+        assert "touches-diagonal" in kinds(diagonal_clearance_violations(*bad))
 
     def test_remote_cube_fails(self):
-        bad = FreqCube(1.0, (0.0, 50.0, -50.0))
-        kinds = {v[0] for v in diagonal_clearance_violations([bad])}
-        assert "strays-from-diagonal" in kinds
+        bad = cubes((1.0, (0.0, 50.0, -50.0)))
+        assert "strays-from-diagonal" in \
+            kinds(diagonal_clearance_violations(*bad))
 
 
 class TestHalos:
     def cubes(self):
-        return [diag_cube(1.0, 576.0), diag_cube(1.0, 640.0, 2.5),
-                diag_cube(16.0, 512.0), diag_cube(256.0, 0.0)]
+        return cubes(diag_cube(1.0, 576.0), diag_cube(1.0, 640.0, 2.5),
+                     diag_cube(16.0, 512.0), diag_cube(256.0, 0.0))
 
     def test_halo_family_verifies(self):
-        halos = build_halos(self.cubes())
-        assert halo_violations(halos) == []
+        side, centers = self.cubes()
+        assert halo_violations(side, centers, build_halos(side, centers)) \
+            == []
 
     def test_halo_contains_thousandfold_dilate(self):
-        halos = build_halos(self.cubes())
-        for q, hs in halos.items():
+        side, centers = self.cubes()
+        halos = build_halos(side, centers)
+        for q in range(len(side)):
             for i in range(3):
-                assert hs[i].encloses(q.component(i).scaled(1000))
+                c, h = centers[q, i], 0.5 * side[q]
+                grown = Iv(c - h, c + h).scaled(1000)
+                assert Iv(*halos[q, i]).encloses(grown)
 
     def test_budget_respected(self):
-        halos = build_halos(self.cubes())
-        for q, hs in halos.items():
-            for h in hs:
-                assert h.length <= 1020.0 * q.side
+        side, centers = self.cubes()
+        width = np.diff(build_halos(side, centers), axis=-1)[..., 0]
+        assert (width <= 1020.0 * side[:, None]).all()
 
     def test_endpoints_quantized(self):
-        halos = build_halos(self.cubes())
-        for q, hs in halos.items():
-            quantum = q.side / 256
-            for h in hs:
-                for e in (h.lo, h.hi):
-                    assert (e / quantum) == round(e / quantum)
+        side, centers = self.cubes()
+        steps = build_halos(side, centers) / (side / 256)[:, None, None]
+        assert (steps == np.round(steps)).all()
 
     def test_nesting_audit_catches_partial_overlap(self):
-        small = diag_cube(1.0, 0.0)
-        big = diag_cube(16.0, 0.0)
-        fake = {
-            small: tuple(small.component(i).scaled(1002) for i in range(3)),
-            # shifted so the stretched small halos straddle its boundary
-            big: tuple(Iv(c - 8000.0 + 6000.0, c + 8000.0 + 6000.0)
-                       for c in big.centers),
-        }
-        assert halo_violations(fake) != []
+        side, centers = cubes(diag_cube(1.0, 0.0), diag_cube(16.0, 0.0))
+        fake = np.empty((2, 3, 2))
+        fake[0, :, 0] = centers[0] - 501.0
+        fake[0, :, 1] = centers[0] + 501.0
+        # shifted so the stretched small halos straddle its boundary
+        fake[1, :, 0] = centers[1] - 8000.0 + 6000.0
+        fake[1, :, 1] = centers[1] + 8000.0 + 6000.0
+        assert "broken-nesting" in kinds(halo_violations(side, centers, fake))
 
 
 class TestOrderings:
@@ -164,24 +189,26 @@ class TestOrderings:
 
     def test_le_requires_both_inclusions(self):
         tiles = self.family()
-        fine = min(tiles, key=lambda p: p.interval.length)
-        coarse = max(tiles, key=lambda p: p.interval.length)
-        assert fine.interval.length < coarse.interval.length
+        le = le_matrix(tiles)
+        fine = int(np.argmin(tiles.length))
+        coarse = int(np.argmax(tiles.length))
+        assert tiles.length[fine] < tiles.length[coarse]
         # reflexive, antisymmetric on distinct scales
-        assert mt_le(fine, fine)
-        assert not mt_le(coarse, fine)
+        assert le.diagonal().all()
+        assert not le[coarse, fine]
 
     def test_le_propagates_componentwise(self):
         tiles = self.family()
-        for a in tiles:
-            for b in tiles:
-                if a is b or not mt_le(a, b):
-                    continue
-                assert all(tile_le(a, b, i) for i in range(3))
+        h = tiles.halos[tiles.cube]
+        every = ((h[:, None, :, 0] <= h[None, :, :, 0])
+                 & (h[None, :, :, 1] <= h[:, None, :, 1])).all(axis=-1)
+        le = le_matrix(tiles)
+        np.fill_diagonal(le, False)
+        assert every[le].all()
 
     def test_le_transitive(self):
         le = le_matrix(self.family())
-        closure = le | (le @ le)
+        closure = le | (le.astype(int) @ le.astype(int) > 0)
         assert (closure == le).all()
 
     def test_lessdot_coarser_than_le(self):
@@ -192,8 +219,7 @@ class TestOrderings:
     def test_no_cross_cluster_relations(self):
         tiles = self.family()
         ld = lessdot(tiles)
-        cluster = np.array([round(p.cube.centers[0] / CLUSTER_SPACING)
-                            for p in tiles])
+        cluster = np.rint(tiles.centers[tiles.cube, 0] / CLUSTER_SPACING)
         off = cluster[:, None] != cluster[None, :]
         assert not (ld & off).any()
 
@@ -203,26 +229,25 @@ class TestFootprints:
         assert footprint_violations(cluster_family(1)) == []
 
     def test_gap_detected_and_closed(self):
-        cubes = [diag_cube(1.0, 576.0), diag_cube(16.0, 512.0)]
-        halos = build_halos(cubes)
-        unit, mid = cubes
-        tiles = [MultiTile(dyadic(1.0, 0), unit, halos[unit]),
-                 MultiTile(dyadic(1.0 / 16, 16 + 3), mid, halos[mid])]
+        tiles = halo_family(diag_cube(1.0, 576.0), diag_cube(16.0, 512.0),
+                            cells=[0, 16 + 3])
         assert footprint_violations(tiles) != []
         closed = regularize(tiles)
         assert footprint_violations(closed) == []
-        assert set(tiles) <= set(closed)
+        have = set(zip(closed.cube.tolist(), closed.lo.tolist()))
+        assert set(zip(tiles.cube.tolist(), tiles.lo.tolist())) <= have
 
     def test_regularize_idempotent(self):
         tiles = cluster_family(2)
-        assert regularize(tiles) == tiles
+        again = regularize(tiles)
+        for name in ("side", "centers", "halos", "lo", "length", "cube"):
+            assert np.array_equal(getattr(again, name), getattr(tiles, name))
 
     def test_footprints_are_cell_sets(self):
         tiles = cluster_family(3)
-        feet = box_footprints(tiles)
-        width = min(p.interval.length for p in tiles)
-        total = sum(p.interval.length for p in tiles)
-        assert sum(len(c) for c in feet.values()) * width <= total + 1e-9
+        _, feet = footprints(tiles)
+        width = tiles.length.min()
+        assert feet.sum() * width <= tiles.length.sum() + 1e-9
 
 
 class TestTrees:
@@ -232,46 +257,40 @@ class TestTrees:
 
     def test_own_top_captures_tile(self):
         tiles = cluster_family(4)
-        for p in tiles:
-            top = TopData(p.halos[0].center, p.interval)
-            assert p in tree_members(tiles, top)
+        tops = [tiles.own_top(j) for j in range(len(tiles))]
+        assert tree_members(tiles, tops).diagonal().all()
 
     def test_members_match_brute_filter(self):
         tiles = cluster_family(5)
-        top = TopData(tiles[0].halos[0].center, dyadic(16.0, 0))
-        got = tree_members(tiles, top)
-        want = [p for p in tiles
-                if top.interval.encloses(p.interval)
-                and any(p.halos[i].encloses(top.halo) for i in range(3))]
-        assert got == want
+        top = TopData(tiles.own_top(0).zeta, dyadic(16.0, 0))
+        want = [j for j in range(len(tiles))
+                if top.interval.encloses(tiles.interval(j))
+                and any(Iv(*tiles.halos[tiles.cube[j], i]).encloses(top.halo)
+                        for i in range(3))]
+        assert members_of(tiles, top).tolist() == want
 
     def test_candidate_pool_sorted_and_covering(self):
         tiles = cluster_family(6)
         pool = candidate_tops(tiles, 6, 4)
         lengths = [t.interval.length for t in pool]
         assert lengths == sorted(lengths, reverse=True)
-        covered = set()
-        for top in pool:
-            covered.update(tree_members(tiles, top))
-        assert covered == set(tiles)
+        assert tree_members(tiles, pool).any(axis=0).all()
 
 
 class TestGreedySelection:
     def test_partitions_family(self):
         tiles = cluster_family(7)
-        trees = greedy_select(tiles)
-        seen = [p for t in trees for p in t.members]
-        assert sorted(seen, key=id) != []
-        assert len(seen) == len(tiles)
-        assert set(seen) == set(tiles)
+        seen = np.concatenate([t.members for t in greedy_select(tiles)])
+        assert sorted(seen.tolist()) == list(range(len(tiles)))
 
     def test_each_tree_maximal_in_remainder(self):
         tiles = cluster_family(8)
-        trees = greedy_select(tiles)
-        remaining = list(tiles)
-        for tree in trees:
-            assert list(tree.members) == tree_members(remaining, tree.top)
-            remaining = [p for p in remaining if p not in set(tree.members)]
+        remaining = np.ones(len(tiles), dtype=bool)
+        for tree in greedy_select(tiles):
+            want = np.flatnonzero(tree_members(tiles, [tree.top])[0]
+                                  & remaining)
+            assert tree.members.tolist() == want.tolist()
+            remaining[tree.members] = False
 
     def test_deterministic(self):
         a = greedy_select(cluster_family(9))
@@ -282,8 +301,14 @@ class TestGreedySelection:
         assert len(greedy_select(cluster_family(10))) >= 2
 
     def test_selected_trees_footprint_monotone(self):
-        for tree in greedy_select(cluster_family(11)):
-            assert tree_footprint_violations(tree) == []
+        tiles = cluster_family(11)
+        for tree in greedy_select(tiles):
+            assert footprint_violations(tiles.take(tree.members)) == []
+
+    def test_convexity_refuses_uncovered_tiles(self):
+        tiles = cluster_family(12)
+        with pytest.raises(ValueError, match="leave a tile"):
+            selection_convexity_violations(tiles, greedy_select(tiles)[:-1])
 
     def test_convexity_nontrivial_and_clean(self):
         tiles = cluster_family(12)
@@ -294,70 +319,61 @@ class TestGreedySelection:
 
 
 class TestForestDecompose:
-    @staticmethod
-    def weight_size(tree):
-        # monotone mock size: largest cube side among members, rescaled
-        return max(p.cube.side for p in tree.members) / 1024.0
-
     def test_levels_partition(self):
         tiles = cluster_family(13)
-        forests = forest_decompose(tiles, self.weight_size)
-        seen = [p for trees in forests.values() for t in trees
-                for p in t.members]
-        assert len(seen) == len(tiles)
-        assert set(seen) == set(tiles)
+        forests = forest_decompose(tiles, weight_size(tiles))
+        seen = [j for trees in forests.values() for t in trees
+                for j in t.members.tolist()]
+        assert sorted(seen) == list(range(len(tiles)))
 
     def test_level_thresholds(self):
         tiles = cluster_family(14)
-        forests = forest_decompose(tiles, self.weight_size)
-        for n, trees in forests.items():
-            if n >= 60:
+        size = weight_size(tiles)
+        for n, trees in forest_decompose(tiles, size).items():
+            if n >= SINK_LEVEL:
                 continue
             for t in trees:
-                assert self.weight_size(t) > 2.0 ** (-n - 1)
+                assert size(t) > 2.0 ** (-n - 1)
 
     def test_bessel_ratio_scaling(self):
-        trees = [Tree(TopData(0.0, dyadic(4.0, 0)), ()),
-                 Tree(TopData(0.0, dyadic(2.0, 1)), ())]
+        none = np.array([], dtype=int)
+        trees = [Tree(TopData(0.0, dyadic(4.0, 0)), none),
+                 Tree(TopData(0.0, dyadic(2.0, 1)), none)]
         assert bessel_ratio(trees, 1, 3.0) == (4.0 + 2.0) / (4.0 * 3.0)
 
     def test_zero_size_falls_through(self):
         tiles = cluster_family(15)
         forests = forest_decompose(tiles, lambda t: 0.0)
-        assert list(forests) == [60]
+        assert list(forests) == [SINK_LEVEL]
 
 
 class TestOperatorIntervals:
     def test_widths_follow_slope(self):
-        cube = diag_cube(2.0, 100.0)
-        u, v, w = operator_intervals(cube, 1.5)
-        assert u.length == 2.0
-        assert v.length == 3.0
-        assert w.length == 5.0
+        ops = operator_intervals(*cubes(diag_cube(2.0, 100.0)), 1.5)
+        assert (ops[0, :, 1] - ops[0, :, 0]).tolist() == [2.0, 3.0, 5.0]
 
     def test_third_component_flipped(self):
-        cube = diag_cube(2.0, 100.0)
-        _, _, w = operator_intervals(cube, 1.0)
+        side, centers = cubes(diag_cube(2.0, 100.0))
+        w = Iv(*operator_intervals(side, centers, 1.0)[0, 2])
         assert w.hi <= 0.0
-        assert w.center == -2.0 * cube.centers[2]
+        assert w.center == -2.0 * centers[0, 2]
 
 
 class TestClusterFamily:
     def test_passes_all_audits(self):
         tiles = cluster_family(16)
-        cubes = sorted({p.cube for p in tiles},
-                       key=lambda c: (c.side, c.centers))
-        assert spacing_violations(cubes, 4) == []
-        assert diagonal_clearance_violations(cubes) == []
-        assert halo_violations({p.cube: p.halos for p in tiles}) == []
+        side, centers = tiles.side, tiles.centers
+        assert spacing_violations(side, centers, 4) == []
+        assert diagonal_clearance_violations(side, centers) == []
+        assert halo_violations(side, centers, tiles.halos) == []
         assert footprint_violations(tiles) == []
 
     def test_three_spatial_scales(self):
-        lengths = {p.interval.length for p in cluster_family(17)}
+        lengths = set(cluster_family(17).length.tolist())
         assert lengths == {1.0 / 256, 1.0 / 16, 1.0}
 
     def test_size_cap(self):
-        assert len(cluster_family(18)) <= 200
+        assert len(cluster_family(18)) <= MAX_TILES
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -366,7 +382,202 @@ class TestClusterFamily:
         assert footprint_violations(tiles) == []
         trees = greedy_select(tiles)
         for tree in trees:
-            assert tree_footprint_violations(tree) == []
+            assert footprint_violations(tiles.take(tree.members)) == []
         checked, bad = selection_convexity_violations(tiles, trees)
         assert checked > 0
         assert bad == 0
+
+
+# ---------------------------------------------------------------------------
+# the array code against the scalar object code it replaced
+
+def scalar_cubes(side, centers):
+    return [S.FreqCube(float(s), tuple(c)) for s, c in
+            zip(side.tolist(), centers.tolist())]
+
+
+def scalar_tiles(tiles):
+    """The family as the scalar code's MultiTile list, in family order."""
+    qs = scalar_cubes(tiles.side, tiles.centers)
+    halos = [tuple(S.Iv(lo, hi) for lo, hi in h) for h in tiles.halos.tolist()]
+    return [S.MultiTile(S.Iv(lo, lo + length), qs[q], halos[q])
+            for lo, length, q in zip(tiles.lo.tolist(), tiles.length.tolist(),
+                                     tiles.cube.tolist())]
+
+
+def tile_rows(objs):
+    """Exact (interval, cube, halos) rows of scalar tiles."""
+    return [(p.interval.lo, p.interval.hi, p.cube.side, p.cube.centers,
+             tuple((h.lo, h.hi) for h in p.halos)) for p in objs]
+
+
+def top_row(top):
+    return top.zeta, top.interval.lo, top.interval.hi
+
+
+# both generators at several seeds, plus hand-built cube sets: one whose
+# larger cube needs halo pushes at both ends of its components
+FAMILIES = ([("cluster", s) for s in (0, 3, 8, 21, 40)]
+            + [("compact", s) for s in (0, 1, 5, 6, 9, 13)])
+PUSHED = [diag_cube(1.0, -3047.0), diag_cube(16.0, 0.0),
+          diag_cube(1.0, 3050.0, perm=(1, 0, 2)), diag_cube(256.0, 40000.0)]
+CUBE_SETS = {"pushed": PUSHED,
+             "hand": [diag_cube(1.0, 576.0), diag_cube(1.0, 640.0, 2.5),
+                      diag_cube(16.0, 512.0), diag_cube(256.0, 0.0)]}
+
+
+def generated(name, seed):
+    return (cluster_family if name == "cluster" else compact_family)(seed)
+
+
+def subsets(tiles, seed, count=3):
+    """Random subfamilies keeping one tile of every cube; most have
+    footprint gaps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        keep = rng.random(len(tiles)) < 0.3
+        keep[[np.flatnonzero(tiles.cube == q)[0]
+              for q in range(len(tiles.side))]] = True
+        yield tiles.take(np.flatnonzero(keep))
+
+
+def check_orders_and_footprints(tiles):
+    objs = scalar_tiles(tiles)
+    qs = scalar_cubes(tiles.side, tiles.centers)
+    assert np.array_equal(le_matrix(tiles), S.le_matrix(objs))
+    assert np.array_equal(lessdot(tiles), np.array(
+        [[S.mt_lessdot(p, q) for q in objs] for p in objs]))
+    first, feet = footprints(tiles)
+    old_feet = S.box_footprints(objs)
+    for q, row in zip(qs, feet):
+        assert set((first + np.flatnonzero(row)).tolist()) == old_feet[q]
+    got = [(qs[a].centers, qs[b].centers)
+           for a, b in footprint_violations(tiles)]
+    assert sorted(got) == sorted(S.footprint_violations(objs))
+
+
+def forest_rows(forests, position=None):
+    return {level: [(top_row(t.top),
+                     [position[p] for p in t.members] if position
+                     else t.members.tolist()) for t in trees]
+            for level, trees in forests.items()}
+
+
+class TestScalarEquivalence:
+    @pytest.mark.parametrize("name,seed", FAMILIES)
+    def test_generators_match(self, name, seed):
+        old = (S.cluster_family if name == "cluster" else S.compact_family)
+        assert tile_rows(scalar_tiles(generated(name, seed))) == \
+            tile_rows(old(seed))
+
+    @pytest.mark.parametrize("name", ["pushed", "hand", "cluster"])
+    def test_halo_endpoints_bitwise(self, name):
+        if name == "cluster":
+            fam = generated("cluster", 5)
+            side, centers = fam.side, fam.centers
+        else:
+            side, centers = cubes(*CUBE_SETS[name])
+        new = build_halos(side, centers)
+        qs = scalar_cubes(side, centers)
+        old = S.build_halos(qs)
+        assert [tuple(map(tuple, h)) for h in new.tolist()] == \
+            [tuple((h.lo, h.hi) for h in old[q]) for q in qs]
+        if name == "pushed":
+            base = (500 * side + side / 256)[:, None]
+            assert (new[..., 0] != centers - base).any()
+            assert (new[..., 1] != centers + base).any()
+
+    def test_halo_budget_failure_matches(self):
+        qs = PUSHED[:2] + [diag_cube(1.0, 9000.0), diag_cube(256.0, 100.0)]
+        side, centers = cubes(*qs)
+        with pytest.raises(HaloError):
+            build_halos(side, centers)
+        with pytest.raises(S.HaloError):
+            S.build_halos(scalar_cubes(side, centers))
+
+    @pytest.mark.parametrize("name,seed", FAMILIES)
+    def test_orders_and_footprints(self, name, seed):
+        tiles = generated(name, seed)
+        check_orders_and_footprints(tiles)
+        for part in subsets(tiles, seed):
+            check_orders_and_footprints(part)
+        objs = scalar_tiles(tiles)
+        qs = scalar_cubes(tiles.side, tiles.centers)
+        assert operator_band_edge(tiles, 1.125) == \
+            S.operator_band_edge(objs, 1.125)
+        ops = operator_intervals(tiles.side, tiles.centers, 1.125)
+        assert ops.tolist() == [[[iv.lo, iv.hi] for iv in
+                                 S.operator_intervals(q, 1.125)] for q in qs]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cube_audits_match(self, seed):
+        # random cube sets near the generators' geometry, crowded enough
+        # that every spacing, clearance and halo rule fires somewhere
+        rng = np.random.default_rng(seed)
+        n = 8
+        side = 16.0 ** rng.integers(0, 3, n) / 2.0 ** rng.integers(0, 2, n)
+        centers = np.round(rng.uniform(-40, 40, (n, 1))
+                           + rng.integers(-3, 4, (n, 3)) * side[:, None])
+        side[1], centers[1, 0] = side[0], centers[0, 0]
+        qs = scalar_cubes(side, centers)
+        assert len(set(qs)) == n
+        for bits in (1, 4):
+            assert spacing_violations(side, centers, bits) == \
+                S.spacing_violations(qs, bits)
+        for c0 in (0.5, 2.0):
+            assert diagonal_clearance_violations(side, centers, c0) == \
+                S.diagonal_clearance_violations(qs, c0)
+        halos = np.stack([centers - 510.0 * side[:, None],
+                          centers + 510.0 * side[:, None]], axis=-1)
+        halos += rng.integers(-8000, 8000, halos.shape) / 16.0
+        halos.sort(axis=-1)
+        # the second set moves every component-1 halo far off, so only
+        # some stretched halos of a smaller cube meet a larger cube's halo
+        far = halos.copy()
+        far[:, 1] += 1e6
+        for hals in (halos, far):
+            old = S.halo_violations({q: tuple(S.Iv(*h) for h in hs)
+                                     for q, hs in zip(qs, hals.tolist())})
+            got = [(v[0], *[qs[k].centers for k in v[1:-1]], v[-1])
+                   for v in halo_violations(side, centers, hals)]
+            assert kinds(got) == {"too-small", "over-budget",
+                                  "broken-nesting"}
+            assert sorted(got) == sorted(
+                v if v[0] == "broken-nesting" else (v[0], v[2], v[3])
+                for v in old)
+
+    @pytest.mark.parametrize("name,seed", FAMILIES)
+    def test_regularize_matches(self, name, seed):
+        for part in subsets(generated(name, seed), seed):
+            assert tile_rows(scalar_tiles(regularize(part))) == \
+                tile_rows(S.regularize(scalar_tiles(part)))
+
+    @pytest.mark.parametrize("name,seed", FAMILIES)
+    def test_selection_matches(self, name, seed):
+        tiles = generated(name, seed)
+        objs = scalar_tiles(tiles)
+        position = {p: j for j, p in enumerate(objs)}
+        pool = candidate_tops(tiles, 6, 4)
+        old_pool = S.candidate_tops(objs, 6, 4)
+        assert [top_row(t) for t in pool] == [top_row(t) for t in old_pool]
+        assert [np.flatnonzero(m).tolist()
+                for m in tree_members(tiles, pool)] == \
+            [[position[p] for p in S.tree_members(objs, t)] for t in old_pool]
+        trees = greedy_select(tiles)
+        old_trees = S.greedy_select(objs)
+        assert forest_rows({0: trees}) == forest_rows({0: old_trees}, position)
+        assert selection_convexity_violations(tiles, trees) == \
+            S.selection_convexity_violations(objs, old_trees)
+        # plain sizes, sizes blind to unit cubes (their tiles sink), none
+        for floor in (0.0, 1.0, math.inf):
+            def size(tree):
+                top = tiles.side[tiles.cube[tree.members]].max()
+                return top / 1024.0 if top > floor else 0.0
+
+            def old_size(tree):
+                top = max(p.cube.side for p in tree.members)
+                return top / 1024.0 if top > floor else 0.0
+            new = forest_decompose(tiles, size)
+            old = S.forest_decompose(objs, old_size)
+            assert forest_rows(new) == forest_rows(old, position)
+            assert list(new) == list(old)
