@@ -203,6 +203,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("slope must be positive")
     if min(cfg.order, cfg.weight_power, cfg.decay_power) < 1:
         bad("order, weight_power and decay_power must be >= 1")
+    if cfg.support_factor <= 0:
+        bad(f"support_factor must be positive, got {cfg.support_factor}")
+    if cfg.set_count < 1:
+        bad(f"set_count must be >= 1, got {cfg.set_count}")
     if not 0 < cfg.theta2 <= 1 or not 0 < cfg.theta3 <= 1:
         bad("theta exponents must lie in (0, 1]")
     if not 0 < cfg.gamma2 < 0.5 or not 0 < cfg.gamma3 < 0.5:
@@ -706,9 +710,16 @@ def run_size_decay(cfg: ExperimentConfig):
         metrics.append((f"layer{level}_size", best))
         metrics.append((f"layer{level}_count", float(len(layers[level]))))
     deep = [lv for lv in sorted(sizes) if lv >= 1]
+    degenerate = [lv for lv in deep
+                  if not (math.isfinite(sizes[lv]) and sizes[lv] > 0)]
     failures = []
     if len(deep) < 2:
         failures.append("fewer than two decaying layers were populated")
+        rate = math.nan
+    elif degenerate:
+        lv = degenerate[0]
+        failures.append(f"layer {lv} size {sizes[lv]} is not positive and "
+                        "finite, so no decay rate exists")
         rate = math.nan
     else:
         steps = [math.log2(sizes[a] / sizes[b])

@@ -22,6 +22,7 @@ assumed to keep its dilated support inside the grid's frequency band (see
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,10 +121,14 @@ def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
 class TreeSizer:
     """Size functionals of one function over one tile family.
 
-    Trees are index arrays into ``tiles``.  Caches tile seminorms by tile
-    index across repeated tree evaluations; the same tile reappears in many
-    candidate trees during threshold sweeps, and its seminorm depends only
-    on the marked frequency of the current top.
+    Trees are index arrays into ``tiles``.  Two caches serve the threshold
+    sweeps, where the same tile reappears in many candidate trees:
+
+    - tile seminorms, by (tile index, component, marked frequency);
+    - filtered powers |f * m|^2 for the three symbols of
+      :func:`multiplier_family`, by (frequency window, marked frequency).
+      The filtered function does not depend on the tile, so every tile and
+      top sharing a window shares one spectral round trip per symbol.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -139,6 +144,7 @@ class TreeSizer:
         self._omega = operator_intervals(tiles.side, tiles.centers, slope)
         self._tile_cache: dict = {}
         self._top_cache: dict = {}
+        self._power_cache: dict = {}
 
     def tile_seminorm(self, j: int, i: int, marked: float) -> float:
         key = (j, i, marked)
@@ -152,16 +158,21 @@ class TreeSizer:
 
     def _weighted_max(self, interval, omega, marked) -> float:
         """Largest tail-weighted L2 norm of f under the multiplier family
-        of omega, one symbol at a time (a batched (3, n) transform was
-        slower at N = 4096)."""
+        of omega.  The filtered powers come from the per-window cache; only
+        the tail weight of ``interval`` is computed per call."""
+        key = (omega, marked)
+        powers = self._power_cache.get(key)
+        if powers is None:
+            powers = [np.abs(self.f.multiply_spectrum(sym).values) ** 2
+                      for sym in multiplier_family(self.f, omega, marked,
+                                                   self.order,
+                                                   self.support_factor)]
+            self._power_cache[key] = powers
         w = tail_weight(self.f, interval, self.weight_power)
+        ww = w * w
         best = 0.0
-        for sym in multiplier_family(self.f, omega, marked, self.order,
-                                     self.support_factor):
-            g = self.f.multiply_spectrum(sym)
-            val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2)
-                                * self.f.dx))
-            best = max(best, val)
+        for power in powers:
+            best = max(best, float(np.sqrt(np.sum(ww * power) * self.f.dx)))
         return best
 
     def _top_term(self, top: TopData, i: int) -> float:
@@ -184,21 +195,29 @@ class TreeSizer:
                   for j in tree.members.tolist())
         return math.sqrt(acc / length) + self._top_term(tree.top, i)
 
-    def collection_size(self, i: int, span_bits: int = 6,
-                        scale_bits: int = 4) -> float:
-        """Largest tree size over the family's maximal trees from the
-        standard top pool."""
-        pool = candidate_tops(self.tiles, span_bits, scale_bits)
-        member = tree_members(self.tiles, pool)
+    def collection_size(self, i: int,
+                        trees: list[Tree] | None = None) -> float:
+        """Largest tree size over ``trees``, by default the family's
+        maximal trees from the standard top pool."""
+        if trees is None:
+            trees = maximal_trees(self.tiles)
         best = 0.0
-        for k in np.flatnonzero(member.any(axis=1)):
-            tree = Tree(pool[k], np.flatnonzero(member[k]))
+        for tree in trees:
             best = max(best, self.tree_size(tree, i))
         return best
 
     def size_callback(self, i: int):
         """Adapter for :func:`freqbench.timefreq.forest_decompose`."""
         return lambda tree: self.tree_size(tree, i)
+
+
+def maximal_trees(tiles: Family) -> list[Tree]:
+    """The nonempty maximal trees of ``tiles`` over the standard top
+    pool, in pool order."""
+    pool = candidate_tops(tiles, span_bits=6, scale_bits=4)
+    member = tree_members(tiles, pool)
+    return [Tree(pool[k], np.flatnonzero(member[k]))
+            for k in np.flatnonzero(member.any(axis=1))]
 
 
 def supinf_maximal_bound(f: GridFunction, tiles: Family) -> float:
@@ -272,6 +291,16 @@ def layer_split(tiles: Family, omega: np.ndarray,
 # ---------------------------------------------------------------------------
 # model sum
 
+@functools.lru_cache(maxsize=64)
+def _cutoff_kernel(size: int, length: float,
+                   width: float) -> PositiveBandKernel:
+    """The mollifier of :func:`spatial_cutoff`, shared by every cutoff at
+    one width; its values are read-only."""
+    kern = PositiveBandKernel(size, length, width, half_power=1)
+    kern.values.flags.writeable = False
+    return kern
+
+
 def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
                    min_width_cells: float = 4.0) -> np.ndarray:
     """Mollified indicator of the interval over the samples.
@@ -282,7 +311,7 @@ def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
     constant one because the kernel has unit mass.
     """
     width = max(blur * interval.length, min_width_cells * f.dx)
-    kern = PositiveBandKernel(f.size, f.length, width, half_power=1)
+    kern = _cutoff_kernel(f.size, f.length, width)
     box = GridFunction.zeros(f.size, f.length)
     cells = _interval_cells(interval.lo, min(interval.length, f.length), f)
     box.values[cells] = 1.0
@@ -337,9 +366,10 @@ def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
     lhs = abs(model_sum(fs, members, slope, order=order))
     length = min(tree.interval.length, fs[0].length)
     rhs = length
+    trees = maximal_trees(members)
     for i in range(3):
         sizer = TreeSizer(fs[i], members, slope, order=order,
                           support_factor=support_factor)
-        s = sizer.collection_size(i)
+        s = sizer.collection_size(i, trees)
         rhs *= s ** thetas[i]
     return lhs, rhs

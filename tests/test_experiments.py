@@ -44,10 +44,11 @@ def valid_configs(draw):
         scale_bits=st.integers(1, 16), span_bits=st.integers(0, 16),
         clearance=finite(), compact_spread=finite(),
         slope=finite(0.0, 1e6, exclude_min=True),
-        order=st.integers(1, 64), support_factor=finite(),
+        order=st.integers(1, 64),
+        support_factor=finite(0.0, None, exclude_min=True),
         weight_power=st.integers(1, 64), blur=finite(),
         exceptional_factor=finite(), decay_power=st.integers(1, 64),
-        band=finite(), moll_width=finite(), set_count=st.integers(0, 64),
+        band=finite(), moll_width=finite(), set_count=st.integers(1, 64),
         kbits=st.integers(0, 64),
         exponents=st.none() | (loose if allow else conjugate),
         theta2=finite(0.0, 1.0, exclude_min=True),
@@ -281,6 +282,21 @@ class TestDrivers:
         assert named["decay_rate"] > 0
         assert named["layer2_size"] < named["layer1_size"] < named["layer0_size"]
 
+    def test_size_decay_zero_layer_size_fails_cleanly(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(ex.TreeSizer, "tree_size",
+                            lambda self, tree, i: 0.0)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("kind = size-decay\n")
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "failure: layer 1 size 0.0 is not positive and finite" in text
+        named = {r.metric: r.value
+                 for r in ex.read_records(str(out / "records.csv"))}
+        assert np.isnan(named["decay_rate"])
+
 
 class TestRecords:
     def test_round_trip_values_exact(self, tmp_path):
@@ -456,6 +472,31 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 2
         assert "scaling identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,hint", [
+        # a zero support factor divides by zero in the decay rate
+        ("kind = size-decay\nsupport_factor = 0\n",
+         "support_factor must be positive"),
+        # the bump envelope is even in its argument, so a negative factor
+        # would pass as its absolute value
+        ("kind = size-decay\nsupport_factor = -1.5\n",
+         "support_factor must be positive"),
+        # every symbol vanishes, so every size is zero
+        ("kind = forest-bessel\nsupport_factor = 0\n",
+         "support_factor must be positive"),
+        # no spans make a zero input
+        ("kind = forest-bessel\nset_count = 0\n",
+         "set_count must be >= 1"),
+    ])
+    def test_degenerate_config_exits_two(self, tmp_path, capsys, body, hint):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(body + "trials = 1\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and hint in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("body,hint", [
         ("kind = tiles\ntrials = 2.5\n", "trials must be an integer"),

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import freqbench.experiments as ex
+from freqbench import sizes
 from freqbench.grid import GridFunction, indicator
 from freqbench.sizes import (
     TreeSizer,
     exceptional_mask,
     layer_split,
+    maximal_trees,
     model_sum,
     multiplier_family,
     single_tree_audit,
@@ -170,6 +173,72 @@ class TestTileSeminorm:
         assert sizer._tile_cache[key] == first
         sizer._tile_cache[key] = 123.0
         assert sizer.tile_seminorm(0, 1, 0.125) == 123.0
+
+
+def per_symbol_weighted_max(sizer, interval, omega, marked):
+    """The uncached seminorm: one spectral round trip per symbol."""
+    f = sizer.f
+    w = tail_weight(f, interval, sizer.weight_power)
+    best = 0.0
+    for sym in multiplier_family(f, omega, marked, sizer.order,
+                                 sizer.support_factor):
+        g = f.multiply_spectrum(sym)
+        val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2) * f.dx))
+        best = max(best, val)
+    return best
+
+
+class TestFilterCache:
+    def test_matches_per_symbol_loop_bitwise(self):
+        for seed, order, support, power in ((0, 5, 1.5, 10), (3, 4, 1.2, 4)):
+            rng = np.random.default_rng(seed + 70)
+            tiles = compact_family(seed)
+            f = band_noise(512, 32.0, 7.5, rng)
+            sizer = TreeSizer(f, tiles, SLOPE, order, support, power)
+            ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
+            for tree in maximal_trees(tiles):
+                for i in range(3):
+                    marks = (top_frequency(tree.top, i, SLOPE),
+                             float(rng.uniform(-8.0, 8.0)))
+                    for marked in marks:
+                        for j in tree.members.tolist():
+                            omega = Iv(*ops[tiles.cube[j], i].tolist())
+                            want = per_symbol_weighted_max(
+                                sizer, tiles.interval(j), omega, marked)
+                            assert sizer.tile_seminorm(j, i, marked) == want
+                    omega = top_interval(tree.top, i, SLOPE, f.length)
+                    length = min(tree.interval.length, f.length)
+                    want = per_symbol_weighted_max(
+                        sizer, tree.top.interval, omega, None)
+                    assert sizer._top_term(tree.top, i) == (
+                        want / math.sqrt(length))
+            # a repeated key recomputed from cached filtered powers
+            j, i, marked = next(iter(sizer._tile_cache))
+            first = sizer._tile_cache.pop((j, i, marked))
+            assert sizer.tile_seminorm(j, i, marked) == first
+            assert len(sizer._power_cache) < len(sizer._tile_cache)
+
+    def test_default_size_decay_filters_six_times(self, monkeypatch):
+        # 512 tiles share one frequency window and one top window, so the
+        # run filters once per symbol of each: 2 windows x 3 symbols
+        calls = []
+        original = GridFunction.multiply_spectrum
+
+        def counted(self, window):
+            calls.append(1)
+            return original(self, window)
+
+        monkeypatch.setattr(GridFunction, "multiply_spectrum", counted)
+        assert ex.run(ex.default_config("size-decay")).passed
+        assert len(calls) == 6
+
+    def test_cutoff_kernel_is_shared_and_read_only(self):
+        f = GridFunction.zeros(512, 32.0)
+        spatial_cutoff(f, Iv(4.0, 5.0))
+        kern = sizes._cutoff_kernel(512, 32.0, 0.25)
+        assert sizes._cutoff_kernel(512, 32.0, 0.25) is kern
+        with pytest.raises(ValueError):
+            kern.values[0] = 1.0
 
 
 class TestTreeSize:
