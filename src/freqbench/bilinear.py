@@ -50,15 +50,13 @@ class AliasReport:
         return self.wrapped_mass == 0.0
 
 
-def bilinear_apply(f: GridFunction, g: GridFunction, symbol,
-                   mode_floor: float = 0.0):
+def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     """Apply the bilinear multiplier ``symbol`` to the pair (f, g).
 
     ``symbol`` is a callable taking two integer arrays (broadcast mesh of
-    input frequencies) and returning the symbol values.  Modes with
-    coefficient modulus <= ``mode_floor`` are skipped, which makes
-    band-limited inputs cheap without changing dense ones (the default
-    floor drops exact zeros only).
+    input frequencies) and returning the symbol values.  Modes whose
+    coefficient is exactly zero are skipped, which makes exactly
+    band-limited inputs cheap without changing any other.
 
     Returns ``(out, report)`` where ``out`` is a GridFunction on the same
     grid and ``report`` an :class:`AliasReport`.  Output frequencies
@@ -70,8 +68,8 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol,
     n = f.size
     ks = f.freqs()
     cf, cg = f.spectrum(), g.spectrum()
-    ia = np.nonzero(np.abs(cf) > mode_floor)[0]
-    ja = np.nonzero(np.abs(cg) > mode_floor)[0]
+    ia = np.nonzero(np.abs(cf) > 0.0)[0]
+    ja = np.nonzero(np.abs(cg) > 0.0)[0]
     out = np.zeros(n, dtype=complex)
     if ia.size == 0 or ja.size == 0:
         return (GridFunction.from_spectrum(out, f.length),

@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
         return 2
     try:
         result = ex.run(cfg)
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"error: {cfg.kind} run failed: {err}", file=sys.stderr)
         return 3
     os.makedirs(args.out, exist_ok=True)

@@ -57,6 +57,7 @@ from .timefreq import (
 GRID_ENV = "FREQBENCH_GRID_N"
 HS_SLOPES = (1, 2, 5)
 MARTINGALE_EXPONENTS = ((4.0 / 3.0, "4over3"), (2.0, "2"), (4.0, "4"))
+MOLLIFIER_HALF_POWER = 2  # of the restricted inputs' PositiveBandKernel
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +311,9 @@ def trial_rng(cfg: ExperimentConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
 
 
-def band_noise(n: int, length: float, band: float, rng,
-               normalize: str = "l2") -> GridFunction:
-    """Random trigonometric polynomial with modes confined to |xi| <= band.
+def band_noise(n: int, length: float, band: float, rng) -> GridFunction:
+    """Random trigonometric polynomial with modes confined to |xi| <= band,
+    normalized to unit L2 norm.
 
     Raises ValueError when the band holds no nonzero mode: the input would
     be a constant (or, normalized, all NaN), and every identity a run
@@ -326,11 +327,7 @@ def band_noise(n: int, length: float, band: float, rng,
                          f"of length {length:g}; inputs would be constant")
     coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
     f = GridFunction.from_spectrum(coeffs, length)
-    if normalize == "l2":
-        return f / f.norm()
-    if normalize == "sup":
-        return f / np.abs(f.values).max()
-    return f
+    return f / f.norm()
 
 
 def random_spans(rng, length: float, count: int,
@@ -345,8 +342,8 @@ def random_spans(rng, length: float, count: int,
     return spans
 
 
-def restricted_input(n: int, length: float, spans, width: float,
-                     half_power: int = 2) -> GridFunction:
+def restricted_input(n: int, length: float, spans,
+                     width: float) -> GridFunction:
     """Mollified indicator of a union of intervals, via exact coefficients.
 
     The indicator's continuum Fourier coefficients are closed-form; the
@@ -354,8 +351,8 @@ def restricted_input(n: int, length: float, spans, width: float,
     satisfies 0 <= f <= 1 pointwise and is the identical function on any
     grid fine enough to carry the kernel's spectrum.
     """
-    kern = PositiveBandKernel(n, length, width, half_power)
-    kc = np.fft.fftshift(np.fft.fft(kern.values)) / n
+    kern = PositiveBandKernel(n, length, width, MOLLIFIER_HALF_POWER)
+    kc = np.fft.fftshift(kern.transform) / n
     ks = np.arange(-(n // 2), n - (n // 2))
     chi = np.zeros(n, dtype=complex)
     for a, b in spans:
@@ -610,7 +607,8 @@ def run_model_sum(cfg: ExperimentConfig):
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         tree = max(trees, key=lambda tr: len(tr.members))
         lhs, rhs = single_tree_audit(fs, tiles, tree, cfg.slope, thetas,
-                                     cfg.order, cfg.support_factor)
+                                     cfg.order, cfg.support_factor,
+                                     cfg.weight_power, cfg.blur)
         ratio = lhs / rhs if rhs > 0 else math.inf
         metrics.append((f"audit_ratio_t{t}", ratio))
         audit_max = max(audit_max, ratio)
@@ -618,8 +616,7 @@ def run_model_sum(cfg: ExperimentConfig):
             denom = 1.0
             for i in range(3):
                 denom *= fs[i].norm(exps[i])
-            val = abs(model_sum(fs, tiles, cfg.slope, cfg.order,
-                                blur=cfg.blur))
+            val = abs(model_sum(fs, tiles, cfg.slope, cfg.order, cfg.blur))
             form = val / denom if denom > 0 else math.inf
             metrics.append((f"form_ratio_t{t}", form))
             form_max = max(form_max, form)
@@ -689,7 +686,6 @@ def run_size_decay(cfg: ExperimentConfig):
 
     density = indicator([(0.5 * length, 0.5 * length + 2.0 / side)], n, length)
     mask = exceptional_mask(density, cfg.exceptional_factor)
-    probe = GridFunction.zeros(n, length)
     base = restricted_input(n, length, [(0.25 * length, 0.85 * length)],
                             cfg.moll_width)
     f3 = GridFunction(base.values * (~mask).astype(float), length)
@@ -697,7 +693,7 @@ def run_size_decay(cfg: ExperimentConfig):
     sizer = TreeSizer(f3, tiles, cfg.slope, order=cfg.decay_power,
                       support_factor=cfg.support_factor,
                       weight_power=cfg.decay_power)
-    layers = layer_split(tiles, mask, probe)
+    layers = layer_split(tiles, mask, length)
     sizes = {}
     metrics = [("band_edge", edge),
                ("flagged_fraction", float(mask.mean()))]

@@ -30,6 +30,9 @@ import numpy as np
 
 from .grid import smooth_ramp
 
+GUARD_FRAC = 0.2        # sampling guard off chord mu, in units of 4^-mu
+CONTAINMENT_TOL = 1e-9  # slack of the hypothesis report's containment check
+
 # ---------------------------------------------------------------------------
 # vertices, slopes, diagonal spans
 
@@ -142,7 +145,7 @@ def _convex_contains(verts: np.ndarray, points, tol: float):
     return inside
 
 
-def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1, tol: float = 0.0):
+def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1):
     """Vectorized separating-axis test: which rectangles meet the quad.
 
     Rectangle coordinates may be arrays of equal shape.
@@ -154,8 +157,8 @@ def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1, tol: float = 0.0):
     v = quad.vertices
     ok = np.ones(x0.shape, dtype=bool)
     # axis-aligned separation
-    ok &= (x0 <= v[:, 0].max() + tol) & (x1 >= v[:, 0].min() - tol)
-    ok &= (y0 <= v[:, 1].max() + tol) & (y1 >= v[:, 1].min() - tol)
+    ok &= (x0 <= v[:, 0].max()) & (x1 >= v[:, 0].min())
+    ok &= (y0 <= v[:, 1].max()) & (y1 >= v[:, 1].min())
     # quad edge normals
     nxt = np.roll(v, -1, axis=0)
     for (ax, ay), (bx, by) in zip(v, nxt):
@@ -163,7 +166,7 @@ def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1, tol: float = 0.0):
         qproj = v @ np.array([nx, ny])
         rect_lo = nx * np.where(nx >= 0, x0, x1) + ny * np.where(ny >= 0, y0, y1)
         rect_hi = nx * np.where(nx >= 0, x1, x0) + ny * np.where(ny >= 0, y1, y0)
-        ok &= (rect_lo <= qproj.max() + tol) & (rect_hi >= qproj.min() - tol)
+        ok &= (rect_lo <= qproj.max()) & (rect_hi >= qproj.min())
     return ok
 
 
@@ -232,16 +235,16 @@ class LacunaryPolygon:
             out[:, i] = np.sqrt(rx * rx + ry * ry)
         return out
 
-    def interior_samples(self, count: int, rng, guard_frac: float = 0.2) -> np.ndarray:
+    def interior_samples(self, count: int, rng) -> np.ndarray:
         """Uniform interior points keeping a per-chord guard off the boundary.
 
         A point is accepted when its distance to every edge of chord index
-        mu exceeds guard_frac * 4^-mu.  Finite Whitney families cannot
+        mu exceeds GUARD_FRAC * 4^-mu.  Finite Whitney families cannot
         reach all the way to a chord, so the cover check needs this guard.
         The truncation edges use the last chord's guard scale.
         """
         eff_mu = np.minimum(self.edge_mu, self.mu_max).astype(float)
-        guards = guard_frac * 4.0 ** (-eff_mu)
+        guards = GUARD_FRAC * 4.0 ** (-eff_mu)
         out = []
         need = count
         while need > 0:
@@ -333,14 +336,12 @@ class RectFamily:
                           x0, x1, y0, y1)
 
 
-DEFAULT_GUARD_FRAC = 0.2
 Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
 MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
 def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4,
                         alpha: float = 0.99,
-                        guard_frac: float = DEFAULT_GUARD_FRAC,
                         clip: LacunaryPolygon | None = None) -> RectFamily:
     """Whitney rectangles for one chord shell (second quadrant).
 
@@ -350,7 +351,7 @@ def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4,
     It is kept when its alpha-dilate meets the shell, then pushed forward
     through the chord shear.  Scales run from the coarsest that clears the
     band down to the one whose closest squares sit inside the sampling
-    guard (guard_frac * 4^-mu off the chord), at most MAX_SCALES of them,
+    guard (GUARD_FRAC * 4^-mu off the chord), at most MAX_SCALES of them,
     so the family covers every guarded point of its shell.
 
     Below the top two nonempty scales only offsets up to 2 C0 2^Q are
@@ -373,7 +374,7 @@ def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4,
 
     # local offset (w - u) maps to absolute chord distance by this factor
     dist_factor = s / math.hypot(1.0, s)
-    target = 0.75 * guard_frac * 4.0 ** (-mu)
+    target = 0.75 * GUARD_FRAC * 4.0 ** (-mu)
 
     kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
     n_clipped = 0
@@ -444,8 +445,7 @@ def staircase_rect(mu: int, overlap_frac: float = 0.0) -> Rect:
     return Rect(-outer, -inner, 0.0, top)
 
 
-def truncation_fillers(mu_max: int, alpha: float = 0.99,
-                       guard_frac: float = DEFAULT_GUARD_FRAC) -> list[Rect]:
+def truncation_fillers(mu_max: int, alpha: float = 0.99) -> list[Rect]:
     """Axis-anchored mini-staircase between the last chord zone and the
     truncation chord (second quadrant).
 
@@ -456,7 +456,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
     previous member by STAIR_OVERLAP of its width.  Uniform height steps
     keep every chord wedge thinner than the sampling guard: the wedge per
     step is tan(a/2) y_top / K and tan(a/2) y_top ~ (pi^2/4) 4^-mu_max, so
-    K ~ pi^2/(2 guard_frac) works for every depth.  Margins absorb the (1/alpha)-dilation applied by the
+    K ~ pi^2/(2 GUARD_FRAC) works for every depth.  Margins absorb the (1/alpha)-dilation applied by the
     cover (the dilation pushes the top edge up, which costs tan(a/2) * dy
     of horizontal clearance against the slanted chord).
     """
@@ -464,7 +464,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
     tan_half = math.tan(0.5 * a)
     sin_a = math.sin(a)
     scale = 4.0 ** (-mu_max)
-    margin = 0.3 * guard_frac * scale
+    margin = 0.3 * GUARD_FRAC * scale
     infl = 1.0 / alpha - 1.0
     if mu_max >= 2:
         right0 = staircase_rect(mu_max).x0
@@ -472,7 +472,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
         # Reach into the central square: exact abutment would leave a gap
         # between the two alpha-shrinks.
         right0 = -(2.0 * alpha - 1.0) * math.sqrt(0.5)
-    levels = math.ceil(math.pi ** 2 / (2.0 * guard_frac)) + 1
+    levels = math.ceil(math.pi ** 2 / (2.0 * GUARD_FRAC)) + 1
     y_top = (1.0 - 0.5 / levels) * sin_a
     step = y_top / levels
     rects = []
@@ -499,7 +499,7 @@ def truncation_fillers(mu_max: int, alpha: float = 0.99,
     vx, vy = quadrant2_vertex(mu_max + 1)
     s_next = chord_slope(mu_max)
     left_a = vx + (top_a * (1.0 + infl) - sin_a) / s_next \
-        + 0.15 * guard_frac * scale
+        + 0.15 * GUARD_FRAC * scale
     right_a = right0 + STAIR_OVERLAP * (right0 - left_a)
     if rects and left_a < right_a:
         rects.insert(0, Rect(left_a, right_a, y_top - 2.0 * step, top_a))
@@ -531,8 +531,8 @@ def _family_from_rects(kind: str, quadrant: int, rects: list[Rect],
                       np.array([r.y1 for r in rects]))
 
 
-def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99, C0: int = 4,
-                  guard_frac: float = DEFAULT_GUARD_FRAC) -> list[RectFamily]:
+def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99,
+                  C0: int = 4) -> list[RectFamily]:
     """Full rectangle cover of the polygon interior.
 
     Central square + pole caps + (1/alpha)-dilated staircase (members
@@ -567,8 +567,7 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99, C0: int = 4,
         for r in range(SHELLS):
             if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) > 0.5:
                 break
-            fam = whitney_shell_rects(mu, r, C0=C0, alpha=alpha,
-                                      guard_frac=guard_frac, clip=polygon)
+            fam = whitney_shell_rects(mu, r, C0=C0, alpha=alpha, clip=polygon)
             if len(fam) == 0:
                 continue
             fams.append(fam)
@@ -612,10 +611,8 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def chord_intervals(mu: int, C0: int = 4,
-                    alpha: float = 0.99,
-                    guard_frac: float = DEFAULT_GUARD_FRAC) -> ChordIntervals:
-    fam = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha,
-                              guard_frac=guard_frac)
+                    alpha: float = 0.99) -> ChordIntervals:
+    fam = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha)
     comps = {1: _merge_intervals(fam.x0, fam.x1),
              2: _merge_intervals(fam.y0, fam.y1),
              3: _merge_intervals(-(fam.x1 + fam.y1), -(fam.x0 + fam.y0))}
@@ -670,7 +667,6 @@ class PartitionReport:
     m1: int
     m2: float
     alpha: float
-    guard_frac: float
 
     @property
     def ok(self) -> bool:
@@ -779,9 +775,7 @@ class PolygonPartition:
         return out
 
     def hypothesis_report(self, rng, cover_samples: int = 4000,
-                          overlap_samples: int = 4000,
-                          guard_frac: float = DEFAULT_GUARD_FRAC,
-                          containment_tol: float = 1e-9) -> PartitionReport:
+                          overlap_samples: int = 4000) -> PartitionReport:
         # (1) every member inside the closed region
         offenders = []
         worst = 0.0
@@ -792,7 +786,7 @@ class PolygonPartition:
             np.stack([self.x0, self.y1], axis=1),
         ])
         for cset in corners:
-            inside = self.polygon.contains(cset, tol=containment_tol)
+            inside = self.polygon.contains(cset, tol=CONTAINMENT_TOL)
             bad = np.nonzero(~inside)[0]
             for i in bad[:64]:
                 fam = self.families[self.family_of[i]]
@@ -803,7 +797,7 @@ class PolygonPartition:
                 worst = max(worst, float(dists.max()))
 
         # (2) alpha-shrinks cover guarded interior samples
-        pts = self.polygon.interior_samples(cover_samples, rng, guard_frac)
+        pts = self.polygon.interior_samples(cover_samples, rng)
         ids, owners, _ = self.member_weights(pts)
         tx = np.abs(pts[owners, 0] - self.cx[ids]) / self.hx[ids]
         ty = np.abs(pts[owners, 1] - self.cy[ids]) / self.hy[ids]
@@ -813,7 +807,7 @@ class PolygonPartition:
         misses = int((~covered).sum())
 
         # (3) bounded overlap, (4) comparability of co-covering members
-        pts2 = self.polygon.interior_samples(overlap_samples, rng, guard_frac)
+        pts2 = self.polygon.interior_samples(overlap_samples, rng)
         ids2, owners2, _ = self.member_weights(pts2)
         inside_rect = ((np.abs(pts2[owners2, 0] - self.cx[ids2]) <= self.hx[ids2])
                        & (np.abs(pts2[owners2, 1] - self.cy[ids2]) <= self.hy[ids2]))
@@ -842,5 +836,4 @@ class PolygonPartition:
             m1=m1,
             m2=m2,
             alpha=self.alpha,
-            guard_frac=guard_frac,
         )

@@ -194,11 +194,11 @@ def indicator(intervals, size, length=1.0):
     return g
 
 
-def maximal_average(f, p=1.0):
-    """Exact running maximum of |f|^p averages, to the power 1/p.
+def maximal_average(f):
+    """Exact running maximum of |f| averages.
 
     At each sample point x the value is the supremum of
-    (1/|I|) * integral_I |f|^p over all closed intervals I = [x_a, x_b]
+    (1/|I|) * integral_I |f| over all closed intervals I = [x_a, x_b]
     with endpoints on the sample lattice, x_a <= x <= x_b, within the
     domain (no wraparound).  Exact over that family in O(size^2):
     for each left endpoint the averages to all right endpoints are a
@@ -207,7 +207,7 @@ def maximal_average(f, p=1.0):
     """
     n = f.size
     dx = f.dx
-    a = np.abs(f.values) ** p
+    a = np.abs(f.values)
     prefix = np.concatenate([[0.0], np.cumsum(a)]) * dx
     out = np.zeros(n)
     for i0 in range(n):
@@ -218,8 +218,6 @@ def maximal_average(f, p=1.0):
             out[i0] = run[0]
         if i0 + 1 < n:
             np.maximum(out[i0 + 1 :], run[: n - 1 - i0], out=out[i0 + 1 :])
-    if p != 1.0:
-        out **= 1.0 / p
     return GridFunction(out.astype(complex), f.length)
 
 
@@ -256,9 +254,12 @@ class PositiveBandKernel:
     (1+|t|/w)^(-2m) holds two-sidedly on a bounded window only; near far
     sinc zeros the lower constant genuinely degrades, which is fine for
     every use the package makes of it.
+
+    ``transform`` is the unshifted FFT of ``values``, taken once here so
+    that every :func:`convolve` against the kernel reuses it.
     """
 
-    __slots__ = ("size", "length", "values")
+    __slots__ = ("size", "length", "values", "transform")
 
     def __init__(self, size, length, width, half_power):
         m = int(half_power)
@@ -282,11 +283,12 @@ class PositiveBandKernel:
         )
         mass = vals.sum() * dx
         self.values = vals / mass
+        self.transform = np.fft.fft(self.values)
 
     @property
     def spectrum_radius(self):
         """Largest integer frequency carrying mass above 4e-16 of the peak."""
-        c = np.abs(np.fft.fftshift(np.fft.fft(self.values))) / self.size
+        c = np.abs(np.fft.fftshift(self.transform)) / self.size
         ks = np.arange(-(self.size // 2), self.size // 2)
         live = ks[c > 4e-16 * c.max()]
         return int(np.abs(live).max()) if live.size else 0
@@ -296,5 +298,5 @@ def convolve(f, kernel):
     """Circular convolution of a grid function with a PositiveBandKernel."""
     if f.size != kernel.size or f.length != kernel.length:
         raise ValueError("kernel built for a different grid")
-    out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kernel.values)) * f.dx
+    out = np.fft.ifft(np.fft.fft(f.values) * kernel.transform) * f.dx
     return GridFunction(out, f.length)

@@ -29,8 +29,6 @@ take every band of one input from a single batched inverse FFT
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grid import GridFunction
@@ -78,29 +76,16 @@ def pk(f: GridFunction, k: int) -> GridFunction:
     return f.multiply_spectrum(_balls(f, [k])[0])
 
 
-def default_kbits(f: GridFunction) -> int:
-    """Largest even band exponent whose doubled ball stays below Nyquist.
-
-    Products of two functions from the ball then alias only at the very
-    fold frequency, which no band-limited pairing can see.
-    """
-    k = int(math.floor(math.log2(f.size / (4.0 * f.length))))
-    return k - (k % 2)
-
-
 def _depth_range(kbits: int) -> np.ndarray:
     return np.arange(0, (kbits - 1) // 2 + 1)
 
 
-def pp_apply(f: GridFunction, g: GridFunction,
-             kbits: int | None = None) -> GridFunction:
+def pp_apply(f: GridFunction, g: GridFunction, kbits: int) -> GridFunction:
     """Quadratically coupled paraproduct of two functions.
 
     Sums annulus[depth 2d](f) * ball[depth d](g) over all depths d >= 0
     for which the doubled depth still names a band inside the limit.
     """
-    if kbits is None:
-        kbits = default_kbits(f)
     depths = _depth_range(kbits)
     pieces = (_band_bank(f, _annuli(f, kbits - 2 * depths))
               * _band_bank(g, _balls(g, kbits - depths)))
@@ -110,14 +95,11 @@ def pp_apply(f: GridFunction, g: GridFunction,
     return GridFunction(out, f.length)
 
 
-def max_martingale(a, psi: GridFunction,
-                   kmax: int | None = None) -> GridFunction:
+def max_martingale(a, psi: GridFunction, kmax: int) -> GridFunction:
     """sup over l of |sum_{k > l} a_k * annulus_k(psi)|, pointwise.
 
     ``a`` is indexed by the band exponent k and must cover 0..kmax.
     """
-    if kmax is None:
-        kmax = int(math.ceil(math.log2(psi.size / (2.0 * psi.length))))
     coeffs = np.asarray(a, dtype=float)
     if coeffs.size < kmax + 1:
         raise ValueError("coefficient sequence shorter than the band range")
@@ -152,7 +134,7 @@ def _diagonal_terms(dg: np.ndarray, dh: np.ndarray, fat, offsets,
 
 
 def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
-                          kbits: int | None = None) -> dict:
+                          kbits: int) -> dict:
     """Split the paraproduct pairing into its six telescoping terms.
 
     Inputs are projected onto the ball at the band limit first (flag
@@ -167,8 +149,6 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     :data:`NAIVE_OFFSETS`, on the same bands: the macroscopic defect of
     the careless range swap.
     """
-    if kbits is None:
-        kbits = default_kbits(f)
 
     def clip(u: GridFunction) -> tuple[GridFunction, bool]:
         v = pk(u, kbits)

@@ -38,9 +38,10 @@ from .timefreq import (
     tree_members,
 )
 
-DEFAULT_WEIGHT_POWER = 10
-DEFAULT_ORDER = 5
-DEFAULT_SUPPORT = 1.5
+LEVEL = 0.95            # sup of every multiplier of :func:`multiplier_family`
+MIN_WIDTH_CELLS = 4.0   # floor of the cutoff mollifier's width, in cells
+MAX_LAYER = 12          # deepest 4**l-fold dilate :func:`layer_split` tries
+MODEL_SUPPORT = 1.2     # support factor of the model sum's projections
 
 
 def _shear_factor(i: int, slope: float) -> float:
@@ -71,8 +72,7 @@ def top_interval(top: TopData, i: int, slope: float,
 # ---------------------------------------------------------------------------
 # weights and multiplier families
 
-def tail_weight(f: GridFunction, interval: Iv,
-                power: int = DEFAULT_WEIGHT_POWER) -> np.ndarray:
+def tail_weight(f: GridFunction, interval: Iv, power: int) -> np.ndarray:
     """Periodized polynomial tail weight pinned to the interval.
 
     Uses the smooth form (1 + (dist/length)^2)^(-power/2), equivalent to
@@ -92,31 +92,42 @@ def _bump(u: np.ndarray, order: int) -> np.ndarray:
 
 
 def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
-                      order: int = DEFAULT_ORDER,
-                      support_factor: float = DEFAULT_SUPPORT,
-                      level: float = 0.95) -> list[np.ndarray]:
+                      order: int, support_factor: float) -> list[np.ndarray]:
     """Concrete symbols over the grid modes, supported on the dilated omega.
 
     With a marked frequency the symbols carry a saturating odd factor, so
-    |m(xi)| <= level * min(1, |xi - marked| / |omega|) pointwise; without
-    one they are plain bump envelopes bounded by ``level``.
+    |m(xi)| <= LEVEL * min(1, |xi - marked| / |omega|) pointwise; without
+    one they are plain bump envelopes bounded by :data:`LEVEL`.
     """
     xs = f.freqs() / f.length
     half = 0.5 * support_factor * omega.length
     u = (xs - omega.center) / half
     env = _bump(u, order)
     if marked is None:
-        return [level * env,
-                level * _bump(u, order + 2),
-                level * env * (1.0 - 0.5 * _bump(u, 2 * order))]
+        return [LEVEL * env,
+                LEVEL * _bump(u, order + 2),
+                LEVEL * env * (1.0 - 0.5 * _bump(u, 2 * order))]
     t = (xs - marked) / omega.length
-    return [level * env * np.tanh(t),
-            level * env * (t / np.sqrt(1.0 + t * t)),
-            level * _bump(u, order + 2) * np.tanh(0.5 * t)]
+    return [LEVEL * env * np.tanh(t),
+            LEVEL * env * (t / np.sqrt(1.0 + t * t)),
+            LEVEL * _bump(u, order + 2) * np.tanh(0.5 * t)]
 
 
 # ---------------------------------------------------------------------------
 # seminorms and sizes
+
+def _max_or_nan(values) -> float:
+    """Largest of the nonnegative ``values``, 0.0 when there are none and
+    NaN when one is NaN; the builtin ``max`` would drop a NaN, and a NaN
+    input would read as size zero."""
+    best = 0.0
+    for val in values:
+        if val != val:
+            return val
+        if val > best:
+            best = val
+    return best
+
 
 class TreeSizer:
     """Size functionals of one function over one tile family.
@@ -132,9 +143,7 @@ class TreeSizer:
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
-                 order: int = DEFAULT_ORDER,
-                 support_factor: float = DEFAULT_SUPPORT,
-                 weight_power: int = DEFAULT_WEIGHT_POWER):
+                 order: int, support_factor: float, weight_power: int):
         self.f = f
         self.tiles = tiles
         self.slope = slope
@@ -170,10 +179,8 @@ class TreeSizer:
             self._power_cache[key] = powers
         w = tail_weight(self.f, interval, self.weight_power)
         ww = w * w
-        best = 0.0
-        for power in powers:
-            best = max(best, float(np.sqrt(np.sum(ww * power) * self.f.dx)))
-        return best
+        return _max_or_nan([float(np.sqrt(np.sum(ww * power) * self.f.dx))
+                            for power in powers])
 
     def _top_term(self, top: TopData, i: int) -> float:
         key = (top, i)
@@ -201,10 +208,7 @@ class TreeSizer:
         maximal trees from the standard top pool."""
         if trees is None:
             trees = maximal_trees(self.tiles)
-        best = 0.0
-        for tree in trees:
-            best = max(best, self.tree_size(tree, i))
-        return best
+        return _max_or_nan(self.tree_size(tree, i) for tree in trees)
 
     def size_callback(self, i: int):
         """Adapter for :func:`freqbench.timefreq.forest_decompose`."""
@@ -242,44 +246,46 @@ def supinf_maximal_bound(f: GridFunction, tiles: Family) -> float:
 # ---------------------------------------------------------------------------
 # exceptional sets and layers
 
-def exceptional_mask(density: GridFunction, factor: float = 100.0,
-                     ) -> np.ndarray:
+def exceptional_mask(density: GridFunction, factor: float) -> np.ndarray:
     """Samples where the maximal average of the density beats factor times
     its total mass."""
     m = maximal_average(density).values.real
     return m > factor * float(density.integral().real)
 
 
-def _interval_cells(lo: float, length: float, f: GridFunction) -> np.ndarray:
-    n = f.size
-    start = int(round(lo / f.dx))
-    count = min(int(round(length / f.dx)), n)
+def _interval_cells(lo: float, length: float, n: int,
+                    dx: float) -> np.ndarray:
+    start = int(round(lo / dx))
+    count = min(int(round(length / dx)), n)
     return np.mod(start + np.arange(count), n)
 
 
 def layer_split(tiles: Family, omega: np.ndarray,
-                f: GridFunction, max_layer: int = 12,
-                ) -> dict[int, np.ndarray]:
+                circle: float) -> dict[int, np.ndarray]:
     """Partition tile indices by how deep their interval sits in the
-    flagged set.
+    flagged set ``omega``, a mask over the samples of a circle of length
+    ``circle``.
 
     Layer zero holds tiles whose interval already meets the complement of
     the flagged set; layer l >= 1 holds tiles whose 4**l-fold dilate is the
     first to reach the complement.  Dilates are centered, wrap around the
     circle, and saturate at the full circle, so every tile lands in exactly
-    one layer as long as the flagged set is not everything.
+    one layer as long as the flagged set is not everything and no tile
+    needs a dilate deeper than :data:`MAX_LAYER`.
     """
     if omega.all():
         raise ValueError("flagged set covers the whole circle")
+    n = omega.size
+    dx = circle / n
     out: dict[int, list[int]] = {}
     centers = 0.5 * (tiles.lo + tiles.hi)
     for j, (center, width) in enumerate(zip(centers.tolist(),
                                             tiles.length.tolist())):
-        for level in range(max_layer + 1):
+        for level in range(MAX_LAYER + 1):
             scale = 4.0 ** level
-            length = min(width * scale, f.length)
+            length = min(width * scale, circle)
             lo = center - 0.5 * length
-            cells = _interval_cells(lo, length, f)
+            cells = _interval_cells(lo, length, n, dx)
             if not omega[cells].all():
                 out.setdefault(level, []).append(j)
                 break
@@ -295,14 +301,14 @@ def layer_split(tiles: Family, omega: np.ndarray,
 def _cutoff_kernel(size: int, length: float,
                    width: float) -> PositiveBandKernel:
     """The mollifier of :func:`spatial_cutoff`, shared by every cutoff at
-    one width; its values are read-only."""
+    one width; its values and transform are read-only."""
     kern = PositiveBandKernel(size, length, width, half_power=1)
     kern.values.flags.writeable = False
+    kern.transform.flags.writeable = False
     return kern
 
 
-def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
-                   min_width_cells: float = 4.0) -> np.ndarray:
+def spatial_cutoff(f: GridFunction, interval: Iv, blur: float) -> np.ndarray:
     """Mollified indicator of the interval over the samples.
 
     The mollifier is a positive band-limited kernel of width a fixed
@@ -310,23 +316,23 @@ def spatial_cutoff(f: GridFunction, interval: Iv, blur: float = 0.25,
     never aliases.  Summing over a full partition at one scale returns the
     constant one because the kernel has unit mass.
     """
-    width = max(blur * interval.length, min_width_cells * f.dx)
+    width = max(blur * interval.length, MIN_WIDTH_CELLS * f.dx)
     kern = _cutoff_kernel(f.size, f.length, width)
     box = GridFunction.zeros(f.size, f.length)
-    cells = _interval_cells(interval.lo, min(interval.length, f.length), f)
+    cells = _interval_cells(interval.lo, min(interval.length, f.length),
+                            f.size, f.dx)
     box.values[cells] = 1.0
     return convolve(box, kern).values.real
 
 
 def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
-              tiles: Family, slope: float,
-              order: int = DEFAULT_ORDER,
-              support_factor: float = 1.2,
-              blur: float = 0.25) -> complex:
+              tiles: Family, slope: float, order: int,
+              blur: float) -> complex:
     """Sum over tiles of the cutoff-localized triple product.
 
     Each tile contributes the integral of its smoothed spatial indicator
-    against the product of the three frequency-projected functions; the
+    against the product of the three frequency-projected functions, each
+    projected by a bump at support factor :data:`MODEL_SUPPORT`; the
     projection product is cached per cube since tiles sharing a cube share
     it exactly.
     """
@@ -341,7 +347,7 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
             for i in range(3):
                 omega = Iv(*ops[q, i].tolist())
                 sym = multiplier_family(fs[i], omega, None, order,
-                                        support_factor)[0]
+                                        MODEL_SUPPORT)[0]
                 prod = prod * fs[i].multiply_spectrum(sym).values
             per_cube[q] = prod
         cut = spatial_cutoff(f, tiles.interval(j), blur)
@@ -351,10 +357,9 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
 
 def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
                       tiles: Family, tree: Tree, slope: float,
-                      thetas: tuple[float, float, float] = (1.0, 0.7, 0.7),
-                      order: int = DEFAULT_ORDER,
-                      support_factor: float = DEFAULT_SUPPORT,
-                      ) -> tuple[float, float]:
+                      thetas: tuple[float, float, float], order: int,
+                      support_factor: float, weight_power: int,
+                      blur: float) -> tuple[float, float]:
     """Model sum over one tree of ``tiles`` against its size-product budget.
 
     Returns (lhs, rhs): the absolute model sum, and the top length times
@@ -363,13 +368,13 @@ def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
     strictly inside (0, 1).
     """
     members = tiles.take(tree.members)
-    lhs = abs(model_sum(fs, members, slope, order=order))
+    lhs = abs(model_sum(fs, members, slope, order, blur))
     length = min(tree.interval.length, fs[0].length)
     rhs = length
     trees = maximal_trees(members)
     for i in range(3):
-        sizer = TreeSizer(fs[i], members, slope, order=order,
-                          support_factor=support_factor)
+        sizer = TreeSizer(fs[i], members, slope, order, support_factor,
+                          weight_power)
         s = sizer.collection_size(i, trees)
         rhs *= s ** thetas[i]
     return lhs, rhs

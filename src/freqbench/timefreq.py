@@ -547,13 +547,17 @@ def forest_decompose(tiles: Family, size_fn, span_bits: int = 6,
     adding members.  Level n collects greedily selected maximal trees whose
     size exceeds 2**-(n+1); once no remaining top produces such a tree the
     level closes and the threshold halves.  Tiles invisible to ``size_fn``
-    at every level land in level ``SINK_LEVEL``.
+    at every level land in level ``SINK_LEVEL``.  A non-finite size of a
+    maximal tree raises ValueError: NaN compares false against every
+    threshold and would land its tiles in the sink unseen.
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
     member = tree_members(tiles, pool)
     remaining = np.ones(len(tiles), dtype=bool)
     sizes = [size_fn(Tree(pool[k], np.flatnonzero(member[k])))
              for k in np.flatnonzero(member.any(axis=1))]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError("non-finite tree size of a maximal tree")
     start = max((s for s in sizes if s > 0), default=None)
     if start is None:
         return {SINK_LEVEL: greedy_select(tiles, span_bits, scale_bits)} \

@@ -275,6 +275,20 @@ class TestDrivers:
         assert 0 <= named["audit_ratio_max"] <= 1.0
         assert np.isfinite(named["form_ratio_max"])
 
+    @pytest.mark.parametrize("knob,value", [("weight_power", 4),
+                                            ("blur", 0.5)])
+    def test_model_sum_audit_follows_size_knobs(self, knob, value):
+        # the audit's sizers and model sums run at the config's weight
+        # power and blur, so changing either moves every audit ratio
+        def audits(cfg):
+            return {r.metric: r.value for r in ex.run(cfg).records
+                    if r.metric.startswith("audit_ratio_t")}
+
+        base = audits(small("model-sum"))
+        moved = audits(small("model-sum", **{knob: value}))
+        assert len(base) == 2
+        assert all(moved[name] != base[name] for name in base)
+
     def test_size_decay_rate_positive(self):
         res = ex.run(ex.default_config("size-decay"))
         named = {r.metric: r.value for r in res.records}
@@ -557,6 +571,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert hint in err and err.count("\n") == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind,body", [
+        ("polygon-scan", "k0 = 2000"),          # OverflowError
+        ("polygon-scan", "k0 = -2000"),         # ZeroDivisionError
+        ("forest-bessel", "scale_bits = 70"),   # OverflowError
+        ("paraproduct", "kbits = 2000"),        # OverflowError
+    ])
+    def test_arithmetic_error_exits_three(self, tmp_path, capsys, kind,
+                                          body):
+        # a valid config whose arithmetic overflows inside the driver could
+        # not be run; exit 1 would read as a threshold breach
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"kind = {kind}\n{body}\ntrials = 1\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} run failed: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("kind", ["forest-bessel", "model-sum"])
     def test_band_past_fold_fails(self, tmp_path, capsys, monkeypatch, kind):

@@ -131,7 +131,7 @@ class TestPolygonContainment:
 
     def test_interior_samples_respect_guard(self):
         P = G.LacunaryPolygon(3)
-        pts = P.interior_samples(300, RNG(1), guard_frac=0.2)
+        pts = P.interior_samples(300, RNG(1))
         assert np.all(P.contains(pts))
         eff = np.minimum(P.edge_mu, P.mu_max).astype(float)
         guards = 0.2 * 4.0 ** (-eff)
@@ -224,7 +224,7 @@ class TestWhitneyFamilies:
         idx = RNG(2).choice(len(fam), size=min(300, len(fam)), replace=False)
         for i in idx:
             r = G.Rect(fam.x0[i], fam.x1[i], fam.y0[i], fam.y1[i]).dilate(0.99)
-            assert G.quad_rect_overlap(T, r.x0, r.x1, r.y0, r.y1, tol=1e-12)
+            assert G.quad_rect_overlap(T, r.x0, r.x1, r.y0, r.y1)
 
     def test_corners_inside_polygon(self):
         P = G.LacunaryPolygon(8)
@@ -237,7 +237,7 @@ class TestWhitneyFamilies:
 
     def test_shrinks_cover_guarded_shell_points(self):
         mu = 2
-        fam = G.whitney_shell_rects(mu, 0, guard_frac=0.2)
+        fam = G.whitney_shell_rects(mu, 0)
         P = G.LacunaryPolygon(8)
         T = G.chord_shell(mu, 0)
         bb = T.bbox()
@@ -260,8 +260,9 @@ class TestWhitneyFamilies:
                         & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
         assert covered.all()
 
-    def test_empty_scale_range_not_fatal(self):
-        fam = G.whitney_shell_rects(1, 0, guard_frac=1e9)
+    def test_empty_scale_range_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(G, "GUARD_FRAC", 1e9)
+        fam = G.whitney_shell_rects(1, 0)
         assert len(fam) >= 0  # early stop, still a family object
 
 

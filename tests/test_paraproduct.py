@@ -8,7 +8,6 @@ from freqbench.paraproduct import (
     _annuli,
     _balls,
     _band_bank,
-    default_kbits,
     max_martingale,
     pk,
     pp_apply,
@@ -168,14 +167,14 @@ class TestTelescoping:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             f, g, h = (noise(250.0, rng) for _ in range(3))
-            out = telescoping_decompose(f, g, h)
+            out = telescoping_decompose(f, g, h, kbits=8)
             assert not out["truncated"]
             assert out["residual"] <= 1e-10 * out["scale"]
 
     def test_zero_first_input(self):
         rng = np.random.default_rng(30)
         g, h = noise(250.0, rng), noise(250.0, rng)
-        out = telescoping_decompose(GridFunction.zeros(N, L), g, h)
+        out = telescoping_decompose(GridFunction.zeros(N, L), g, h, kbits=8)
         for key in ("forward", "swap_g", "swap_h", "diag_same", "diag_down",
                     "diag_up", "pairing"):
             assert out[key] == 0.0
@@ -183,7 +182,7 @@ class TestTelescoping:
     def test_naive_ranges_leave_macroscopic_defect(self):
         rng = np.random.default_rng(31)
         f, g, h = (noise(250.0, rng) for _ in range(3))
-        out = telescoping_decompose(f, g, h)
+        out = telescoping_decompose(f, g, h, kbits=8)
         assert out["residual"] <= 1e-10 * out["scale"]
         assert out["naive_residual"] > 1e-4 * out["scale"]
 
@@ -252,11 +251,3 @@ class TestSquareAndMartingale:
         with pytest.raises(ValueError):
             max_martingale(np.ones(3), psi, kmax=8)
 
-
-class TestDefaults:
-    def test_default_kbits_even_and_alias_safe(self):
-        f = GridFunction.zeros(1024, 1.0)
-        k = default_kbits(f)
-        assert k == 8
-        assert k % 2 == 0
-        assert 2.0 ** (k + 1) <= f.size / 2

@@ -30,11 +30,17 @@ from freqbench.timefreq import (
     build_halos,
     compact_family,
     dyadic,
+    forest_decompose,
     greedy_select,
     operator_intervals,
 )
 
 SLOPE = 1.125
+# the config defaults of order, support factor and weight power, of the
+# cutoff blur and of the audit exponents
+SIZE = (5, 1.5, 10)
+BLUR = 0.25
+THETAS = (1.0, 0.7, 0.7)
 
 
 def band_noise(n, length, band, rng, normalize="l2"):
@@ -97,13 +103,13 @@ class TestMultiplierFamily:
         omega = Iv(2.0, 3.0)
         outside = np.abs(xs - omega.center) >= 0.75  # 1.5 * |omega| / 2
         for marked in (None, 2.0):
-            for sym in multiplier_family(f, omega, marked):
+            for sym in multiplier_family(f, omega, marked, *SIZE[:2]):
                 assert np.all(sym[outside] == 0.0)
 
     def test_unmarked_family_bounded_and_distinct(self):
         f, xs = self.freqs()
         omega = Iv(-1.0, 1.0)
-        fam = multiplier_family(f, omega, None)
+        fam = multiplier_family(f, omega, None, *SIZE[:2])
         for sym in fam:
             assert np.abs(sym).max() <= 0.95 + 1e-12
         center = np.argmin(np.abs(xs - omega.center))
@@ -118,7 +124,7 @@ class TestMultiplierFamily:
         omega = Iv(1.5, 3.5)
         marked = 2.0  # on the mode lattice for length 32
         cap = 0.95 * np.minimum(1.0, np.abs(xs - marked) / omega.length)
-        for sym in multiplier_family(f, omega, marked):
+        for sym in multiplier_family(f, omega, marked, *SIZE[:2]):
             assert np.all(np.abs(sym) <= cap + 1e-15)
             assert sym[np.argmin(np.abs(xs - marked))] == 0.0
 
@@ -152,22 +158,23 @@ class TestTileSeminorm:
         xi0 = (k0) / length
 
         marked = omega.lo - 0.25
-        sizer = TreeSizer(f, tiles, SLOPE)
+        sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         got = sizer.tile_seminorm(0, 0, marked)
 
         xs = f.freqs() / length
         at = np.argmin(np.abs(xs - xi0))
         amp = max(
-            abs(sym[at]) for sym in multiplier_family(f, omega, marked)
+            abs(sym[at])
+            for sym in multiplier_family(f, omega, marked, *SIZE[:2])
         )
-        w = tail_weight(f, tiles.interval(0))
+        w = tail_weight(f, tiles.interval(0), SIZE[2])
         want = amp * 0.7 * math.sqrt(float(np.sum(w * w)) * f.dx)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_cache_is_consumed(self):
         rng = np.random.default_rng(5)
         f = band_noise(512, 32.0, 6.0, rng)
-        sizer = TreeSizer(f, unit_tiles(0), SLOPE)
+        sizer = TreeSizer(f, unit_tiles(0), SLOPE, *SIZE)
         first = sizer.tile_seminorm(0, 1, 0.125)
         key = (0, 1, 0.125)
         assert sizer._tile_cache[key] == first
@@ -234,11 +241,13 @@ class TestFilterCache:
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
         f = GridFunction.zeros(512, 32.0)
-        spatial_cutoff(f, Iv(4.0, 5.0))
+        spatial_cutoff(f, Iv(4.0, 5.0), BLUR)
         kern = sizes._cutoff_kernel(512, 32.0, 0.25)
         assert sizes._cutoff_kernel(512, 32.0, 0.25) is kern
         with pytest.raises(ValueError):
             kern.values[0] = 1.0
+        with pytest.raises(ValueError):
+            kern.transform[0] = 1.0
 
 
 class TestTreeSize:
@@ -248,7 +257,7 @@ class TestTreeSize:
         tiles = unit_tiles(4)
         top = tiles.own_top(0)
         tree = Tree(top, np.array([0]))
-        sizer = TreeSizer(f, tiles, SLOPE)
+        sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         marked = top_frequency(top, 0, SLOPE)
         want = (
             math.sqrt(sizer.tile_seminorm(0, 0, marked) ** 2
@@ -262,7 +271,7 @@ class TestTreeSize:
         f = band_noise(512, 32.0, 6.0, rng)
         tiles = unit_tiles(2, 7)
         top = TopData(tiles.own_top(0).zeta, Iv(0.0, 8.0))
-        sizer = TreeSizer(f, tiles, SLOPE)
+        sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         small = sizer.tree_size(Tree(top, np.array([0])), 0)
         big = sizer.tree_size(Tree(top, np.array([0, 1])), 0)
         assert big >= small
@@ -271,10 +280,28 @@ class TestTreeSize:
         tiles = compact_family(3)
         rng = np.random.default_rng(33)
         f = band_noise(512, 32.0, 7.5, rng)
-        sizer = TreeSizer(f, tiles, SLOPE)
+        sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         total = sizer.collection_size(2)
         for tree in greedy_select(tiles):
             assert sizer.tree_size(tree, 2) <= total + 1e-12
+
+    def nan_sizer(self):
+        f = GridFunction(np.full(512, np.nan), 32.0)
+        return TreeSizer(f, compact_family(0), SLOPE, *SIZE)
+
+    def test_nan_input_gives_nan_sizes(self):
+        # a fold from 0.0 with the builtin max drops NaN, so a broken input
+        # would read as size zero
+        sizer = self.nan_sizer()
+        assert math.isnan(sizer.tile_seminorm(0, 0, 0.5))
+        assert math.isnan(sizer.collection_size(0))
+
+    def test_nan_size_stops_forest_sweep(self):
+        # NaN compares false against every threshold, so the sweep would
+        # put every tile in the sink level unseen
+        sizer = self.nan_sizer()
+        with pytest.raises(ValueError, match="non-finite tree size"):
+            forest_decompose(sizer.tiles, sizer.size_callback(0))
 
 
 class TestSupinfBound:
@@ -287,7 +314,7 @@ class TestSupinfBound:
             rng = np.random.default_rng(seed + 400)
             locs = rng.uniform(0, 31.0, size=2)
             f = indicator([(a, a + 0.5) for a in locs], 512, 32.0)
-            s1 = TreeSizer(f, tiles, SLOPE).collection_size(0)
+            s1 = TreeSizer(f, tiles, SLOPE, *SIZE).collection_size(0)
             bound = supinf_maximal_bound(f, tiles)
             assert s1 <= bound
 
@@ -314,33 +341,30 @@ class TestLayerSplit:
         return omega
 
     def test_hand_layers(self):
-        f = GridFunction.zeros(512, 1.0)
         omega = self.flagged()
         cells = [100, 201, 250]
-        layers = layer_split(self.make_tiles(cells), omega, f)
+        layers = layer_split(self.make_tiles(cells), omega, 1.0)
         placed = {cells[j]: lv for lv, js in layers.items() for j in js}
         # cell 100 sits outside; 201 escapes at the 16-fold dilate; 250 is
         # deep enough that only the 256-fold dilate reaches the complement
         assert placed == {100: 0, 201: 2, 250: 4}
 
     def test_partition(self):
-        f = GridFunction.zeros(512, 1.0)
         omega = self.flagged()
         tiles = self.make_tiles(list(range(180, 330, 7)))
-        layers = layer_split(tiles, omega, f)
+        layers = layer_split(tiles, omega, 1.0)
         got = np.concatenate(list(layers.values()))
         assert sorted(got.tolist()) == list(range(len(tiles)))
 
     def test_full_flag_rejected(self):
-        f = GridFunction.zeros(512, 1.0)
         with pytest.raises(ValueError):
-            layer_split(self.make_tiles([0]), np.ones(512, dtype=bool), f)
+            layer_split(self.make_tiles([0]), np.ones(512, dtype=bool), 1.0)
 
-    def test_no_escape_within_budget_raises(self):
-        f = GridFunction.zeros(512, 1.0)
+    def test_no_escape_within_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(sizes, "MAX_LAYER", 1)
         omega = self.flagged()
         with pytest.raises(RuntimeError):
-            layer_split(self.make_tiles([250]), omega, f, max_layer=1)
+            layer_split(self.make_tiles([250]), omega, 1.0)
 
 
 class TestSpatialCutoff:
@@ -348,12 +372,12 @@ class TestSpatialCutoff:
         f = GridFunction.zeros(512, 32.0)
         total = np.zeros(512)
         for j in range(32):
-            total += spatial_cutoff(f, dyadic(1.0, j))
+            total += spatial_cutoff(f, dyadic(1.0, j), BLUR)
         assert np.abs(total - 1.0).max() < 1e-12
 
     def test_positive_localized_unit_mass(self):
         f = GridFunction.zeros(512, 32.0)
-        cut = spatial_cutoff(f, Iv(4.0, 5.0))
+        cut = spatial_cutoff(f, Iv(4.0, 5.0), BLUR)
         assert cut.min() > 0.0
         assert cut[np.argmin(np.abs(f.x - 4.5))] > 0.9
         assert cut[np.argmin(np.abs(f.x - 8.0))] < 0.01
@@ -368,7 +392,7 @@ class TestModelSum:
     def test_matches_uncached_reference(self):
         fs = self.make_inputs(21)
         tiles = compact_family(4)
-        got = model_sum(fs, tiles, SLOPE)
+        got = model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)
         ref = 0.0 + 0.0j
         f = fs[0]
         ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
@@ -378,7 +402,7 @@ class TestModelSum:
                 omega = Iv(*ops[tiles.cube[j], i])
                 sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
                 prod = prod * fs[i].multiply_spectrum(sym).values
-            cut = spatial_cutoff(f, tiles.interval(j))
+            cut = spatial_cutoff(f, tiles.interval(j), BLUR)
             ref += complex(np.sum(cut * prod) * f.dx)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -387,11 +411,12 @@ class TestModelSum:
         # a cube anchored well away from zero, so every projection vanishes
         fs = self.make_inputs(22, band=0.4)
         tiles = one_cube_family(1.0, (6.0, 6.5, 5.5), [5])
-        assert abs(model_sum(fs, tiles, SLOPE)) < 1e-14
+        assert abs(model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)) < 1e-14
 
     def test_empty_collection_is_zero(self):
         fs = self.make_inputs(23)
-        assert model_sum(fs, compact_family(0).take([]), SLOPE) == 0.0
+        empty = compact_family(0).take([])
+        assert model_sum(fs, empty, SLOPE, SIZE[0], BLUR) == 0.0
 
 
 class TestSingleTreeAudit:
@@ -405,7 +430,8 @@ class TestSingleTreeAudit:
             fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                        for _ in range(3))
             tree = self.largest_tree(tiles)
-            lhs, rhs = single_tree_audit(fs, tiles, tree, SLOPE)
+            lhs, rhs = single_tree_audit(fs, tiles, tree, SLOPE, THETAS,
+                                         *SIZE, BLUR)
             assert math.isfinite(lhs) and math.isfinite(rhs)
             assert rhs > 0.0
             assert lhs <= rhs
@@ -418,7 +444,9 @@ class TestSingleTreeAudit:
         fs = list(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                   for _ in range(3))
         tree = self.largest_tree(tiles)
-        lhs, rhs = single_tree_audit(tuple(fs), tiles, tree, SLOPE)
+        lhs, rhs = single_tree_audit(tuple(fs), tiles, tree, SLOPE, THETAS,
+                                     *SIZE, BLUR)
         fs[0] = fs[0] * 3.0
-        lhs3, rhs3 = single_tree_audit(tuple(fs), tiles, tree, SLOPE)
+        lhs3, rhs3 = single_tree_audit(tuple(fs), tiles, tree, SLOPE, THETAS,
+                                       *SIZE, BLUR)
         assert lhs3 / rhs3 == pytest.approx(lhs / rhs, rel=1e-9)
