@@ -198,6 +198,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.mu_max < 1:
         bad("mu_max must be >= 1")
+    if cfg.c0 < 2:  # the Whitney clearance band is empty below 2
+        bad(f"c0 must be >= 2, got {cfg.c0}")
     if cfg.scale_bits < 1:
         bad("scale_bits must be >= 1")
     if cfg.slope <= 0:

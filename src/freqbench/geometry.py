@@ -32,6 +32,7 @@ from .grid import smooth_ramp
 
 GUARD_FRAC = 0.2        # sampling guard off chord mu, in units of 4^-mu
 CONTAINMENT_TOL = 1e-9  # slack of the hypothesis report's containment check
+CONTAIN_CHUNK = 4096    # points per bounding-box edge cull in containment
 
 # ---------------------------------------------------------------------------
 # vertices, slopes, diagonal spans
@@ -133,13 +134,27 @@ def _shoelace(v: np.ndarray) -> float:
 
 def _convex_contains(verts: np.ndarray, points, tol: float):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    px, py = pts[:, 0], pts[:, 1]
-    nxt = np.roll(verts, -1, axis=0)
-    # cross(edge, p - v) >= -tol for every edge of a CCW convex loop; one
-    # edge at a time keeps the temporaries at one value per point
+    vx, vy = verts.T
+    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    # cross(edge, p - v) >= -tol for every edge of a CCW convex loop, one
+    # edge at a time.  Per chunk of CONTAIN_CHUNK points an edge is skipped
+    # when all four corners of the chunk's bounding box pass it: the cross
+    # product is affine in p and rounding is monotone, so also its computed
+    # value at any point of the box is >= the least computed corner value,
+    # and no rounding margin is needed.  A NaN anywhere (in the box, or
+    # from 0 * inf or inf - inf at a point) shows at a corner, and
+    # ~(corner_min >= -tol) keeps the edge.
     inside = np.ones(len(pts), dtype=bool)
-    for (vx, vy), (ex, ey) in zip(verts, nxt - verts):
-        inside &= ex * (py - vy) - ey * (px - vx) >= -tol
+    for lo in range(0, len(pts), CONTAIN_CHUNK):
+        px = pts[lo:lo + CONTAIN_CHUNK, 0]
+        py = pts[lo:lo + CONTAIN_CHUNK, 1]
+        cx = np.array([px.min(), px.max()])[[0, 1, 1, 0]]
+        cy = np.array([py.min(), py.max()])[[0, 0, 1, 1]]
+        corner_min = (ex[:, None] * (cy - vy[:, None])
+                      - ey[:, None] * (cx - vx[:, None])).min(axis=1)
+        chunk = inside[lo:lo + CONTAIN_CHUNK]  # a view: &= writes inside
+        for k in np.flatnonzero(~(corner_min >= -tol)):
+            chunk &= ex[k] * (py - vy[k]) - ey[k] * (px - vx[k]) >= -tol
     if np.ndim(points) == 1:
         return bool(inside[0])
     return inside
@@ -340,8 +355,7 @@ Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
 MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
-def whitney_shell_rects(mu: int, r: int = 0, C0: int = 4,
-                        alpha: float = 0.99,
+def whitney_shell_rects(mu: int, r: int = 0, *, C0: int, alpha: float,
                         clip: LacunaryPolygon | None = None) -> RectFamily:
     """Whitney rectangles for one chord shell (second quadrant).
 
@@ -445,7 +459,7 @@ def staircase_rect(mu: int, overlap_frac: float = 0.0) -> Rect:
     return Rect(-outer, -inner, 0.0, top)
 
 
-def truncation_fillers(mu_max: int, alpha: float = 0.99) -> list[Rect]:
+def truncation_fillers(mu_max: int, alpha: float) -> list[Rect]:
     """Axis-anchored mini-staircase between the last chord zone and the
     truncation chord (second quadrant).
 
@@ -531,8 +545,8 @@ def _family_from_rects(kind: str, quadrant: int, rects: list[Rect],
                       np.array([r.y1 for r in rects]))
 
 
-def polygon_cover(polygon: LacunaryPolygon, alpha: float = 0.99,
-                  C0: int = 4) -> list[RectFamily]:
+def polygon_cover(polygon: LacunaryPolygon, alpha: float,
+                  C0: int) -> list[RectFamily]:
     """Full rectangle cover of the polygon interior.
 
     Central square + pole caps + (1/alpha)-dilated staircase (members
@@ -610,8 +624,7 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.column_stack([lo[new], reach[np.r_[new[1:], True]]])
 
 
-def chord_intervals(mu: int, C0: int = 4,
-                    alpha: float = 0.99) -> ChordIntervals:
+def chord_intervals(mu: int, C0: int, alpha: float) -> ChordIntervals:
     fam = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha)
     comps = {1: _merge_intervals(fam.x0, fam.x1),
              2: _merge_intervals(fam.y0, fam.y1),
@@ -698,7 +711,7 @@ class PolygonPartition:
     _LO, _HI = -1.05, 1.05
 
     def __init__(self, polygon: LacunaryPolygon, families: list[RectFamily],
-                 alpha: float = 0.99):
+                 alpha: float):
         self.polygon = polygon
         self.families = families
         self.alpha = float(alpha)
@@ -774,6 +787,22 @@ class PolygonPartition:
             out[ids] = eta / denom
         return out
 
+    def _comparability(self, ids, owners) -> float:
+        """Largest side ratio, widths and heights apart, among members that
+        share a point: `ids[i]` covers point `owners[i]`.  1 when no point
+        has two members."""
+        order = np.argsort(owners, kind="stable")
+        ids, owners = ids[order], owners[order]
+        first = np.flatnonzero(np.diff(owners, prepend=-1))  # group starts
+        shared = np.diff(np.append(first, len(owners))) >= 2
+        m2 = 1.0
+        if shared.any():
+            for dims in (2 * self.hx[ids], 2 * self.hy[ids]):
+                hi = np.maximum.reduceat(dims, first)[shared]
+                lo = np.minimum.reduceat(dims, first)[shared]
+                m2 = max(m2, float((hi / lo).max()))
+        return m2
+
     def hypothesis_report(self, rng, cover_samples: int = 4000,
                           overlap_samples: int = 4000) -> PartitionReport:
         # (1) every member inside the closed region
@@ -814,17 +843,7 @@ class PolygonPartition:
         ids2, owners2 = ids2[inside_rect], owners2[inside_rect]
         counts = np.bincount(owners2, minlength=len(pts2))
         m1 = int(counts.max()) if len(counts) else 0
-        m2 = 1.0
-        order = np.argsort(owners2, kind="stable")
-        ids_sorted, owners_sorted = ids2[order], owners2[order]
-        bounds = np.searchsorted(owners_sorted, np.arange(len(pts2) + 1))
-        for pi in range(len(pts2)):
-            group = ids_sorted[bounds[pi]:bounds[pi + 1]]
-            if len(group) < 2:
-                continue
-            for dims in (2 * self.hx[group], 2 * self.hy[group]):
-                ratio = float(dims.max() / dims.min())
-                m2 = max(m2, ratio)
+        m2 = self._comparability(ids2, owners2)
 
         return PartitionReport(
             containment_ok=(len(offenders) == 0),

@@ -40,7 +40,7 @@ def valid_configs(draw):
         domain_len=finite(0.0, 1e6, exclude_min=True),
         seed=st.integers(0, 2 ** 63), trials=st.integers(1, 10 ** 6),
         mu_max=st.integers(1, 64), alpha=finite(0.0, 1.0, **open_unit),
-        c0=st.integers(0, 64), k0=finite(),
+        c0=st.integers(2, 64), k0=finite(),
         scale_bits=st.integers(1, 16), span_bits=st.integers(0, 16),
         clearance=finite(), compact_spread=finite(),
         slope=finite(0.0, 1e6, exclude_min=True),
@@ -501,6 +501,9 @@ class TestCli:
         # no spans make a zero input
         ("kind = forest-bessel\nset_count = 0\n",
          "set_count must be >= 1"),
+        # the Whitney clearance band C0 2^Q < n - m is empty below 2
+        ("kind = partition\nc0 = 1\n", "c0 must be >= 2"),
+        ("kind = polygon-scan\nc0 = -2\n", "c0 must be >= 2"),
     ])
     def test_degenerate_config_exits_two(self, tmp_path, capsys, body, hint):
         cfg = tmp_path / "t.cfg"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from freqbench import geometry as G
 
 RNG = lambda seed=0: np.random.default_rng(seed)
+ALPHA, C0 = 0.99, 4   # the default config's cover parameters
 
 
 def chord_step(mu):
@@ -95,39 +96,75 @@ class TestPolygonContainment:
         assert np.array_equal(base, P.contains(pts * np.array([-1.0, 1.0])))
         assert np.array_equal(base, P.contains(pts * np.array([1.0, -1.0])))
 
-    def test_edge_loops_match_broadcast(self):
-        # the per-edge loops must reproduce the (points x edges) broadcast
-        # bit for bit, also for points within 1e-9 of edges and vertices
-        P = G.LacunaryPolygon(5)
-        rng = RNG(7)
-        v = P.vertices
-        nxt = np.roll(v, -1, axis=0)
-        along = v + rng.uniform(size=(len(v), 1)) * (nxt - v)
-        near = np.concatenate([v, along])
-        near = np.repeat(near, 8, axis=0)
+    @staticmethod
+    def near_boundary(verts, rng):
+        """(near, all): `near` holds eight points within 1e-9 of every
+        vertex and of one point on every edge; `all` adds those sites
+        themselves (on the boundary up to rounding) and 500 points around
+        the loop."""
+        nxt = np.roll(verts, -1, axis=0)
+        along = verts + rng.uniform(size=(len(verts), 1)) * (nxt - verts)
+        sites = np.concatenate([verts, along])
+        near = np.repeat(sites, 8, axis=0)
         near += rng.uniform(-1e-9, 1e-9, size=near.shape)
-        pts = np.concatenate([rng.uniform(-1.1, 1.1, size=(2000, 2)), near])
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        pad = 0.1 * (hi - lo)
+        return near, np.concatenate([
+            rng.uniform(lo - pad, hi + pad, size=(500, 2)), near, sites])
 
-        def contains(pts, tol):
-            ex, ey = (nxt - v).T
-            cross = (ex[None, :] * (pts[:, 1:2] - v[None, :, 1])
-                     - ey[None, :] * (pts[:, 0:1] - v[None, :, 0]))
-            return np.all(cross >= -tol, axis=1)
+    @staticmethod
+    def broadcast_contains(verts, pts, tol):
+        v, nxt = verts, np.roll(verts, -1, axis=0)
+        ex, ey = (nxt - v).T
+        cross = (ex[None, :] * (pts[:, 1:2] - v[None, :, 1])
+                 - ey[None, :] * (pts[:, 0:1] - v[None, :, 0]))
+        return np.all(cross >= -tol, axis=1)
 
-        def distances(pts):
-            a = v[None, :, :]
-            d = (nxt - v)[None, :, :]
-            w = pts[:, None, :] - a
-            t = np.clip(np.sum(w * d, axis=2) / np.sum(d * d, axis=2),
-                        0.0, 1.0)
-            return np.linalg.norm(pts[:, None, :] - (a + t[:, :, None] * d),
-                                  axis=2)
+    def test_edge_loops_match_broadcast(self, monkeypatch):
+        # the per-edge loops, with the edge cull per chunk of points, must
+        # reproduce the (points x edges) broadcast bit for bit, also for
+        # points within 1e-9 of edges and vertices; sorted by angle about
+        # the region's centre, small chunks hug the boundary and straddle
+        # its edges, and one-point chunks hold the cull to the point's own
+        # cross products
+        rng = RNG(7)
+        bad = np.array([[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0],
+                        [-np.inf, 0.1], [0.2, np.inf], [0.0, -np.inf],
+                        [np.inf, np.inf], [-np.inf, np.inf]])
 
-        for tol in (0.0, 1e-12, 1e-9):
-            assert np.array_equal(P.contains(pts, tol=tol), contains(pts, tol))
-        # the near points straddle the boundary
-        assert 0 < P.contains(near, tol=0.0).sum() < len(near)
-        assert np.array_equal(P.edge_distances(pts), distances(pts))
+        def check(verts, contains, pts):
+            rel = pts - verts.mean(axis=0)
+            pts = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
+                                 kind="stable")]
+            # one non-finite point every 37 rows, amid finite ones
+            at = np.arange(len(bad)) * 37 + 5
+            pts = np.insert(pts, at, bad, axis=0)
+            for tol in (0.0, 1e-12, 1e-9):
+                with np.errstate(invalid="ignore"):
+                    got = contains(pts, tol=tol)
+                    ref = self.broadcast_contains(verts, pts, tol)
+                assert np.array_equal(got, ref)
+                assert not got[at + np.arange(len(bad))].any()
+
+        shell = G.chord_shell(3, 0)
+        for chunk in (G.CONTAIN_CHUNK, 16, 1):
+            monkeypatch.setattr(G, "CONTAIN_CHUNK", chunk)
+            for region in [G.LacunaryPolygon(mu_max)
+                           for mu_max in (1, 5, 8, 12)] + [shell]:
+                near, pts = self.near_boundary(region.vertices, rng)
+                check(region.vertices, region.contains, pts)
+                # the near points straddle the boundary
+                assert 0 < region.contains(near, tol=0.0).sum() < len(near)
+
+        P = G.LacunaryPolygon(5)
+        v, nxt = P.vertices, np.roll(P.vertices, -1, axis=0)
+        _, pts = self.near_boundary(v, rng)
+        a = v[None, :, :]
+        d = (nxt - v)[None, :, :]
+        t = np.clip(np.sum((pts[:, None, :] - a) * d, axis=2)
+                    / np.sum(d * d, axis=2), 0.0, 1.0)
+        ref = np.linalg.norm(pts[:, None, :] - (a + t[:, :, None] * d), axis=2)
+        assert np.array_equal(P.edge_distances(pts), ref)
 
     def test_interior_samples_respect_guard(self):
         P = G.LacunaryPolygon(3)
@@ -192,11 +229,11 @@ class TestChordShells:
 
 class TestWhitneyFamilies:
     @staticmethod
-    def assert_band_conditions(mu, clip, C0=4):
+    def assert_band_conditions(mu, clip):
         # pull every centre back through the shell frame: it must sit on
         # the 2^(j-Q) lattice at an offset n - m with C0-dilate clear of
         # the diagonal and 4C0-dilate meeting it
-        fam = G.whitney_shell_rects(mu, 0, C0=C0, clip=clip)
+        fam = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA, clip=clip)
         assert len(fam) > 0
         fr = G.shell_frame(mu, 0)
         ax, ay = fr.anchor
@@ -219,7 +256,7 @@ class TestWhitneyFamilies:
 
     def test_retention_touches_shell(self):
         # alpha-dilate of each member must meet the absolute shell quad
-        fam = G.whitney_shell_rects(3, 0, alpha=0.99)
+        fam = G.whitney_shell_rects(3, 0, C0=C0, alpha=ALPHA)
         T = G.chord_shell(3, 0)
         idx = RNG(2).choice(len(fam), size=min(300, len(fam)), replace=False)
         for i in idx:
@@ -228,7 +265,7 @@ class TestWhitneyFamilies:
 
     def test_corners_inside_polygon(self):
         P = G.LacunaryPolygon(8)
-        fam = G.whitney_shell_rects(2, 0, C0=4)
+        fam = G.whitney_shell_rects(2, 0, C0=C0, alpha=ALPHA)
         corners = np.concatenate([
             np.stack([fam.x0, fam.y0], 1), np.stack([fam.x1, fam.y0], 1),
             np.stack([fam.x1, fam.y1], 1), np.stack([fam.x0, fam.y1], 1)])
@@ -237,7 +274,7 @@ class TestWhitneyFamilies:
 
     def test_shrinks_cover_guarded_shell_points(self):
         mu = 2
-        fam = G.whitney_shell_rects(mu, 0)
+        fam = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
         P = G.LacunaryPolygon(8)
         T = G.chord_shell(mu, 0)
         bb = T.bbox()
@@ -262,7 +299,7 @@ class TestWhitneyFamilies:
 
     def test_empty_scale_range_not_fatal(self, monkeypatch):
         monkeypatch.setattr(G, "GUARD_FRAC", 1e9)
-        fam = G.whitney_shell_rects(1, 0)
+        fam = G.whitney_shell_rects(1, 0, C0=C0, alpha=ALPHA)
         assert len(fam) >= 0  # early stop, still a family object
 
 
@@ -317,7 +354,7 @@ class TestStaircase:
     def test_truncation_fillers_inside_and_overlapping(self):
         for mu_max in (1, 4, 8):
             P = G.LacunaryPolygon(mu_max)
-            fs = G.truncation_fillers(mu_max)
+            fs = G.truncation_fillers(mu_max, ALPHA)
             assert len(fs) >= 2
             for f in fs:
                 for c in f.dilate(1.0 / 0.99).corners():
@@ -354,9 +391,9 @@ class TestIntervalFamilies:
             assert [tuple(r) for r in got] == tuple_merge(zip(lo, hi))
 
     def test_reflected_sum_construction(self):
-        fam = G.chord_intervals(3)
+        fam = G.chord_intervals(3, C0, ALPHA)
         # every third-index component endpoint comes from -(J1_R + J2_R)
-        w = G.whitney_shell_rects(3, 0)
+        w = G.whitney_shell_rects(3, 0, C0=C0, alpha=ALPHA)
         lo = np.min(-(w.x1 + w.y1))
         hi = np.max(-(w.x0 + w.y0))
         a, b = fam.span(3)
@@ -365,20 +402,20 @@ class TestIntervalFamilies:
 
     def test_unions_connected(self):
         for mu in (1, 4, 9):
-            fam = G.chord_intervals(mu)
+            fam = G.chord_intervals(mu, C0, ALPHA)
             for i in (1, 2, 3):
                 assert len(fam.components[i]) == 1
 
     def test_dilate_factor(self):
-        fam = G.chord_intervals(2, alpha=0.99)
+        fam = G.chord_intervals(2, C0, ALPHA)
         for i in (1, 2, 3):
             (a, b), (da, db) = fam.components[i][0], fam.dilated[i][0]
             assert (db - da) == pytest.approx((b - a) / 0.99, rel=1e-12)
             assert da < a and db > b
 
     def test_overlap_count_stable_in_depth(self):
-        fams10 = [G.chord_intervals(mu) for mu in range(1, 11)]
-        fams20 = fams10 + [G.chord_intervals(mu) for mu in range(11, 21)]
+        fams10 = [G.chord_intervals(mu, C0, ALPHA) for mu in range(1, 11)]
+        fams20 = fams10 + [G.chord_intervals(mu, C0, ALPHA) for mu in range(11, 21)]
         for i in (1, 2, 3):
             c10 = G.interval_overlap_count(fams10, i)
             c20 = G.interval_overlap_count(fams20, i)
@@ -387,10 +424,34 @@ class TestIntervalFamilies:
     def test_vertical_extent_shrinks_geometrically(self):
         widths = []
         for mu in (4, 5, 6):
-            a, b = G.chord_intervals(mu).span(2)
+            a, b = G.chord_intervals(mu, C0, ALPHA).span(2)
             widths.append(b - a)
         assert 1.7 < widths[0] / widths[1] < 2.3
         assert 1.7 < widths[1] / widths[2] < 2.3
+
+
+def point_loop_m2(part, ids, owners, n_points):
+    """Reference comparability: the per-point loop over each point's
+    covering members, widths and heights apart."""
+    m2 = 1.0
+    order = np.argsort(owners, kind="stable")
+    ids_sorted, owners_sorted = ids[order], owners[order]
+    bounds = np.searchsorted(owners_sorted, np.arange(n_points + 1))
+    for pi in range(n_points):
+        group = ids_sorted[bounds[pi]:bounds[pi + 1]]
+        if len(group) < 2:
+            continue
+        for dims in (2 * part.hx[group], 2 * part.hy[group]):
+            m2 = max(m2, float(dims.max() / dims.min()))
+    return m2
+
+
+def covering(part, pts):
+    """(member ids, point ids) of every closed member containing a point."""
+    ids, owners, _ = part.member_weights(pts)
+    inside = ((np.abs(pts[owners, 0] - part.cx[ids]) <= part.hx[ids])
+              & (np.abs(pts[owners, 1] - part.cy[ids]) <= part.hy[ids]))
+    return ids[inside], owners[inside]
 
 
 class TestPartition:
@@ -426,7 +487,7 @@ class TestPartition:
 
     def test_member_weights_match_dense_evaluation(self):
         P = G.LacunaryPolygon(3)
-        part = G.PolygonPartition(P, G.polygon_cover(P), alpha=0.99)
+        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
         pts = RNG(8).uniform(-1.1, 1.1, size=(300, 2))
         ids, owners, eta = part.member_weights(pts)
         tx = (pts[:, None, 0] - part.cx[None, :]) / part.hx[None, :]
@@ -440,7 +501,7 @@ class TestPartition:
 
     def test_full_cover_hypotheses_and_sum(self):
         P = G.LacunaryPolygon(4)
-        part = G.PolygonPartition(P, G.polygon_cover(P), alpha=0.99)
+        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
         rng = RNG(9)
         rep = part.hypothesis_report(rng, cover_samples=1500, overlap_samples=1000)
         assert rep.containment_ok
@@ -450,12 +511,38 @@ class TestPartition:
         s = part.partition_sum(pts)
         assert np.max(np.abs(s - 1.0)) <= 1e-9
 
+    def test_comparability_matches_point_loop(self):
+        P = G.LacunaryPolygon(4)
+        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
+        rng = RNG(10)
+        wide = rng.uniform(-1.2, 1.2, size=(3000, 2))
+        ids, owners = covering(part, wide)
+        count = np.bincount(owners, minlength=len(wide))
+        single = wide[count == 1]   # exactly one member covers each
+        assert len(single) > 0 and (count == 0).any()
+        sets = [P.interior_samples(1000, rng), wide, single,
+                wide[count == 0], np.array([[3.0, 0.0], [0.0, -3.0]]),
+                np.empty((0, 2))]
+        # small subsets too, so that the maximum is not always one pair
+        sets += [pts[rng.choice(len(pts), size=12, replace=False)]
+                 for pts in sets[:2] for _ in range(40)]
+        ratios = []
+        for pts in sets:
+            ids, owners = covering(part, pts)
+            # pairs in any order: the report sorts them by point
+            perm = rng.permutation(len(ids))
+            got = part._comparability(ids[perm], owners[perm])
+            assert got == point_loop_m2(part, ids, owners, len(pts))
+            ratios.append(got)
+        assert ratios[0] > 1.0 and ratios[2:6] == [1.0] * 4
+        assert len(set(ratios[6:])) > 10
+
     def test_bad_containment_is_reported_with_witnesses(self):
         P = G.LacunaryPolygon(2)
         bad = G._family_from_rects("stair", 2, [G.Rect(0.5, 1.2, -0.1, 0.1)])
         part = G.PolygonPartition(P, [G._family_from_rects("core", 0,
                                                            [G.central_square()]),
-                                      bad], alpha=0.99)
+                                      bad], alpha=ALPHA)
         rep = part.hypothesis_report(RNG(1), cover_samples=200, overlap_samples=100)
         assert not rep.containment_ok
         kinds = {off[0] for off in rep.containment_offenders}
@@ -465,7 +552,7 @@ class TestPartition:
     def test_cover_hole_is_reported(self):
         P = G.LacunaryPolygon(2)
         only_core = [G._family_from_rects("core", 0, [G.central_square()])]
-        part = G.PolygonPartition(P, only_core, alpha=0.99)
+        part = G.PolygonPartition(P, only_core, alpha=ALPHA)
         rep = part.hypothesis_report(RNG(1), cover_samples=400, overlap_samples=100)
         assert not rep.cover_ok
         assert rep.cover_misses > 0
@@ -474,7 +561,7 @@ class TestPartition:
 class TestCoverCollection:
     def test_quadrant_images_mirror(self):
         P = G.LacunaryPolygon(3)
-        fams = G.polygon_cover(P)
+        fams = G.polygon_cover(P, ALPHA, C0)
         by_key = {}
         for f in fams:
             if f.kind == "ring":
@@ -487,7 +574,7 @@ class TestCoverCollection:
     def test_small_polygon_covers(self):
         for mu_max in (1, 2):
             P = G.LacunaryPolygon(mu_max)
-            part = G.PolygonPartition(P, G.polygon_cover(P), alpha=0.99)
+            part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
             rep = part.hypothesis_report(RNG(6), cover_samples=800,
                                          overlap_samples=300)
             assert rep.containment_ok and rep.cover_ok
