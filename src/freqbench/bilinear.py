@@ -45,10 +45,6 @@ class AliasReport:
     wrapped_mass: float
     pairs: int
 
-    @property
-    def clean(self) -> bool:
-        return self.wrapped_mass == 0.0
-
 
 def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     """Apply the bilinear multiplier ``symbol`` to the pair (f, g).
@@ -112,7 +108,7 @@ def directional_hilbert(f, g, slope):
     return bilinear_apply(f, g, halfplane_sign_symbol(slope))
 
 
-def pv_cotangent_symbol(slope, nodes: int = 200_000):
+def pv_cotangent_symbol(slope, nodes: int):
     """Quadrature twin of :func:`halfplane_sign_symbol`.
 
     Time-domain form of the same operator: a principal-value integral of
@@ -166,12 +162,12 @@ def pv_cotangent_symbol(slope, nodes: int = 200_000):
     return m
 
 
-def region_symbol(contains, size, scale: float = 4.0):
+def region_symbol(contains, size, scale: float):
     """Indicator symbol of a planar region.
 
     ``contains`` maps an (n, 2) point array to booleans.  Integer mode
-    pairs land at (scale*ki/size, scale*kj/size), so the open unit disk
-    around the origin corresponds to the middle half-band of the grid.
+    pairs land at (scale*ki/size, scale*kj/size); at scale 4 the open unit
+    disk around the origin corresponds to the middle half-band of the grid.
     The first call tests every mode pair of a ``size``-point grid in one
     batch; every call after that is a table lookup, so ``ki`` and ``kj``
     must be modes of that grid.

@@ -3,8 +3,9 @@
 Exit codes carry the verdict so the tool can sit in a shell pipeline:
 0 means pass (or a comparison within budget), 1 means a threshold or
 drift breach, 2 means the request itself was bad (invalid config,
-unreadable run directory, an output directory that already holds
-records, mismatched experiments), 3 means a valid config could not be
+unreadable run directory, an output path that is not a usable directory
+or already holds records, a drift budget that is not a finite number
+>= 0, mismatched experiments), 3 means a valid config could not be
 run (the experiment raised, e.g. a degenerate geometry or no admissible
 tile family).  Errors print one ``error:`` line to stderr.
 """
@@ -29,12 +30,19 @@ def _cmd_run(args) -> int:
         print(f"error: {records} already exists; choose a fresh --out "
               "directory", file=sys.stderr)
         return 2
+    fresh = not os.path.isdir(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        print(f"error: --out must be a directory: {err}", file=sys.stderr)
+        return 2
     try:
         result = ex.run(cfg)
     except (ValueError, RuntimeError, ArithmeticError) as err:
+        if fresh:
+            os.rmdir(args.out)  # a failed run leaves no empty directory
         print(f"error: {cfg.kind} run failed: {err}", file=sys.stderr)
         return 3
-    os.makedirs(args.out, exist_ok=True)
     ex.write_records(records, result.records)
     ex.write_summary(os.path.join(args.out, "summary.txt"), result)
     print(f"kind = {cfg.kind}")

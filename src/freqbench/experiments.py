@@ -96,12 +96,10 @@ class ExperimentConfig:
     set_count: int = 2
     # dyadic band arithmetic
     kbits: int = 8
-    # exponent triple and report-only diagnostics
+    # exponent triple and the tree audit's size exponents
     exponents: tuple[float, float, float] | None = None
     theta2: float = 0.7
     theta3: float = 0.7
-    gamma2: float = 0.25
-    gamma3: float = 0.25
     allow_non_conjugate: bool = False
 
 
@@ -212,8 +210,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad(f"set_count must be >= 1, got {cfg.set_count}")
     if not 0 < cfg.theta2 <= 1 or not 0 < cfg.theta3 <= 1:
         bad("theta exponents must lie in (0, 1]")
-    if not 0 < cfg.gamma2 < 0.5 or not 0 < cfg.gamma3 < 0.5:
-        bad("gamma diagnostics must lie in (0, 1/2)")
     if cfg.exponents is not None:
         ps = tuple(float(p) for p in cfg.exponents)
         if len(ps) != 3 or any(p <= 1 for p in ps):
@@ -878,8 +874,13 @@ def compare_runs(base_dir: str, cur_dir: str,
 
     Matching config hashes gate the comparison; a difference only in the
     seed field asks for a new baseline instead of reporting an error.  A
-    NaN or infinite value on either side is a breach of any budget.
+    NaN or infinite value on either side is a breach of any budget.  The
+    budget must be a finite number >= 0: no drift exceeds a NaN or an
+    infinite budget, and every drift exceeds a negative one.
     """
+    if not 0.0 <= budget < math.inf:
+        raise ValueError(f"drift budget must be a finite number >= 0, "
+                         f"got {budget!r}")
     base_cfg = read_summary_config(os.path.join(base_dir, "summary.txt"))
     cur_cfg = read_summary_config(os.path.join(cur_dir, "summary.txt"))
     diff = {k for k in set(base_cfg) | set(cur_cfg)

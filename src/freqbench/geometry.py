@@ -6,8 +6,8 @@ the same few ingredients:
 
 - stable closed forms for vertices, chord slopes and diagonal spans
   (product forms, no cancellation down to mu ~ 25);
-- convex containment tests for the polygon, chord-shell quadrilaterals and
-  their sheared pullbacks;
+- a convex containment test for the polygon, and the sheared local frame
+  of each chord shell;
 - Whitney rectangle families hugging each chord: dyadic squares selected
   against the diagonal by integer offsets, pushed through the chord shear
   and kept as coordinate arrays;
@@ -100,10 +100,6 @@ class Rect:
         hy = 0.5 * self.height * factor
         return Rect(cx - hx, cx + hx, cy - hy, cy + hy)
 
-    def corners(self) -> np.ndarray:
-        return np.array([[self.x0, self.y0], [self.x1, self.y0],
-                         [self.x1, self.y1], [self.x0, self.y1]])
-
 
 class ConvexQuad:
     """Convex quadrilateral; vertices are stored counterclockwise."""
@@ -122,9 +118,6 @@ class ConvexQuad:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return Rect(lo[0], hi[0], lo[1], hi[1])
-
-    def contains(self, points, tol: float = 1e-12):
-        return _convex_contains(self.vertices, points, tol)
 
 
 def _shoelace(v: np.ndarray) -> float:
@@ -277,17 +270,7 @@ class LacunaryPolygon:
 
 
 # ---------------------------------------------------------------------------
-# chord shells and their sheared pullbacks
-
-
-def chord_shell(mu: int, r: int = 0) -> ConvexQuad:
-    """Quadrilateral between the (1-(2^r - 1) 4^-mu)- and
-    (1-(2^(r+1) - 1) 4^-mu)-dilates of the polygon, under chord mu
-    (second quadrant).  r = 0 is the outermost ring touching the chord."""
-    c0 = (2.0 ** r - 1.0) * 4.0 ** (-mu)
-    c1 = (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu)
-    va, vb = quadrant2_vertex(mu), quadrant2_vertex(mu + 1)
-    return ConvexQuad([(1 - c0) * va, (1 - c0) * vb, (1 - c1) * vb, (1 - c1) * va])
+# sheared local frames of the chord shells
 
 
 @dataclass(frozen=True)
@@ -299,14 +282,12 @@ class ChordFrame:
     a segment of the diagonal u = w starting at the origin.
     """
 
-    mu: int
-    shell: int
     anchor: tuple[float, float]
     slope: float
     local_quad: ConvexQuad
 
 
-def shell_frame(mu: int, r: int = 0) -> ChordFrame:
+def shell_frame(mu: int, r: int) -> ChordFrame:
     c0 = (2.0 ** r - 1.0) * 4.0 ** (-mu)
     c1 = (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu)
     s = chord_slope(mu)
@@ -320,7 +301,7 @@ def shell_frame(mu: int, r: int = 0) -> ChordFrame:
     corners = [(0.0, 0.0), (gg, gg),
                (gg - dc * pb[0], gg - dc * pb[1]),
                (-dc * pa[0], -dc * pa[1])]
-    return ChordFrame(mu, r, (anchor[0], anchor[1]), s, ConvexQuad(corners))
+    return ChordFrame((anchor[0], anchor[1]), s, ConvexQuad(corners))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +336,7 @@ Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
 MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
-def whitney_shell_rects(mu: int, r: int = 0, *, C0: int, alpha: float,
+def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
                         clip: LacunaryPolygon | None = None) -> RectFamily:
     """Whitney rectangles for one chord shell (second quadrant).
 
@@ -609,10 +590,6 @@ class ChordIntervals:
     components: dict[int, np.ndarray]   # (count, 2) rows (lo, hi), ascending
     dilated: dict[int, np.ndarray]
 
-    def span(self, i: int) -> tuple[float, float]:
-        comp = self.components[i]
-        return comp[0][0], comp[-1][1]
-
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Connected components of the union of closed intervals [lo, hi],
@@ -770,22 +747,9 @@ class PolygonPartition:
         ids, owners, eta = self.member_weights(pts)
         denom = np.zeros(len(pts))
         np.add.at(denom, owners, eta)
-        total = np.zeros(len(pts))
-        ok = denom > 0.0
         psum = np.zeros(len(pts))
-        np.add.at(psum, owners, eta / np.where(denom[owners] > 0, denom[owners], 1.0))
-        total[ok] = psum[ok]
-        return total
-
-    def weights_at_point(self, x: float, y: float):
-        """Normalized weight of every member at one point (dense, for tests)."""
-        pts = np.array([[x, y]])
-        ids, owners, eta = self.member_weights(pts)
-        denom = eta.sum()
-        out = np.zeros(len(self))
-        if denom > 0:
-            out[ids] = eta / denom
-        return out
+        np.add.at(psum, owners, eta / denom[owners])
+        return psum
 
     def _comparability(self, ids, owners) -> float:
         """Largest side ratio, widths and heights apart, among members that
@@ -803,8 +767,8 @@ class PolygonPartition:
                 m2 = max(m2, float((hi / lo).max()))
         return m2
 
-    def hypothesis_report(self, rng, cover_samples: int = 4000,
-                          overlap_samples: int = 4000) -> PartitionReport:
+    def hypothesis_report(self, rng, cover_samples: int,
+                          overlap_samples: int) -> PartitionReport:
         # (1) every member inside the closed region
         offenders = []
         worst = 0.0

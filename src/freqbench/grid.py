@@ -4,10 +4,9 @@ Everything downstream runs on a uniformly sampled periodic interval
 [0, length): complex samples, a centered integer spectrum one shifted FFT
 away, and a small set of discrete operators whose exactness the rest of
 the package leans on.  The design rule here is that any statement a test
-wants to make "exactly" (mass of an indicator, a shifted spectrum, a
-partition of unity summing to one) must be exact in floating point, not
-merely accurate, so endpoints and widths are kept on binary-friendly
-lattices by the callers.
+wants to make "exactly" (mass of an indicator, a partition of unity
+summing to one) must be exact in floating point, not merely accurate, so
+endpoints and widths are kept on binary-friendly lattices by the callers.
 """
 
 from __future__ import annotations
@@ -89,32 +88,6 @@ class GridFunction:
             self._spec = np.fft.fftshift(np.fft.fft(self.values)) / self.size
         return self._spec
 
-    def modulate(self, shift):
-        """Multiply by exp(2*pi*i*shift*x/length); spectrum moves up by ``shift``.
-
-        Raises if any coefficient with modulus above ``1e-14 * max`` would
-        leave the frequency band: modulation never wraps silently.
-        """
-        shift = int(shift)
-        c = self.spectrum()
-        n = self.size
-        out = np.zeros(n, dtype=complex)
-        if shift >= 0:
-            kept = c[: n - shift] if shift else c
-            dropped = c[n - shift:] if shift else c[:0]
-            out[shift:] = kept
-        else:
-            kept = c[-shift:]
-            dropped = c[:-shift]
-            out[: n + shift] = kept
-        floor = 1e-14 * max(np.abs(c).max(), 1e-300)
-        if dropped.size and np.abs(dropped).max() > floor:
-            raise ValueError(
-                "modulation by %d pushes %.3e of coefficient mass out of band"
-                % (shift, float(np.abs(dropped).max()))
-            )
-        return GridFunction.from_spectrum(out, self.length)
-
     def multiply_spectrum(self, window):
         """Pointwise spectral multiplier; ``window`` is an array over
         ``freqs()``."""
@@ -127,12 +100,6 @@ class GridFunction:
 
     def integral(self):
         return self.values.sum() * self.dx
-
-    def inner(self, other):
-        """L2 pairing, conjugate-linear in ``other``."""
-        if not self.same_grid(other):
-            raise ValueError("grid mismatch")
-        return (self.values * np.conj(other.values)).sum() * self.dx
 
     def norm(self, p=2):
         a = np.abs(self.values)
@@ -284,14 +251,6 @@ class PositiveBandKernel:
         mass = vals.sum() * dx
         self.values = vals / mass
         self.transform = np.fft.fft(self.values)
-
-    @property
-    def spectrum_radius(self):
-        """Largest integer frequency carrying mass above 4e-16 of the peak."""
-        c = np.abs(np.fft.fftshift(self.transform)) / self.size
-        ks = np.arange(-(self.size // 2), self.size // 2)
-        live = ks[c > 4e-16 * c.max()]
-        return int(np.abs(live).max()) if live.size else 0
 
 
 def convolve(f, kernel):

@@ -53,17 +53,14 @@ def top_frequency(top: TopData, i: int, slope: float) -> float:
     return _shear_factor(i, slope) * top.zeta
 
 
-def top_interval(top: TopData, i: int, slope: float,
-                 circle: float | None = None) -> Iv:
+def top_interval(top: TopData, i: int, slope: float, circle: float) -> Iv:
     """Component interval attached to a tree top.
 
     Width is (1, slope, 1+slope)[i] over the top length, centered at the
     marked frequency; tops longer than the circle saturate at the circle
     length.
     """
-    length = top.interval.length
-    if circle is not None:
-        length = min(length, circle)
+    length = min(top.interval.length, circle)
     w = abs(_shear_factor(i, slope)) / length
     c = top_frequency(top, i, slope)
     return Iv(c - 0.5 * w, c + 0.5 * w)
@@ -202,12 +199,8 @@ class TreeSizer:
                   for j in tree.members.tolist())
         return math.sqrt(acc / length) + self._top_term(tree.top, i)
 
-    def collection_size(self, i: int,
-                        trees: list[Tree] | None = None) -> float:
-        """Largest tree size over ``trees``, by default the family's
-        maximal trees from the standard top pool."""
-        if trees is None:
-            trees = maximal_trees(self.tiles)
+    def collection_size(self, i: int, trees: list[Tree]) -> float:
+        """Largest tree size over ``trees``."""
         return _max_or_nan(self.tree_size(tree, i) for tree in trees)
 
     def size_callback(self, i: int):
@@ -222,25 +215,6 @@ def maximal_trees(tiles: Family) -> list[Tree]:
     member = tree_members(tiles, pool)
     return [Tree(pool[k], np.flatnonzero(member[k]))
             for k in np.flatnonzero(member.any(axis=1))]
-
-
-def supinf_maximal_bound(f: GridFunction, tiles: Family) -> float:
-    """sup over tiles of inf over the tile interval of the maximal function.
-
-    Collection sizes of component one are controlled by a fixed multiple
-    of this quantity; tests pin the measured ratio.
-    """
-    m = maximal_average(f).values.real
-    xs = np.mod(f.x, f.length)
-    best = 0.0
-    for lo, length in zip(tiles.lo.tolist(), tiles.length.tolist()):
-        lo = math.fmod(lo, f.length)
-        span = min(length, f.length)
-        off = np.mod(xs - lo, f.length)
-        cells = off < span - 0.5 * f.dx
-        if cells.any():
-            best = max(best, float(m[cells].min()))
-    return best
 
 
 # ---------------------------------------------------------------------------

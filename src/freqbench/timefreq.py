@@ -77,24 +77,6 @@ class Iv:
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def encloses(self, other: "Iv") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def meets(self, other: "Iv") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def dist(self, other: "Iv") -> float:
-        if self.meets(other):
-            return 0.0
-        return max(other.lo - self.hi, self.lo - other.hi)
-
-    def scaled(self, factor: float) -> "Iv":
-        c, h = self.center, 0.5 * factor * self.length
-        return Iv(c - h, c + h)
-
 
 def dyadic(length: float, index: int) -> Iv:
     """The index-th interval of the given length in the standard grid."""
@@ -110,7 +92,7 @@ def _rows(c: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _scaled(rows: np.ndarray, factor: float) -> np.ndarray:
-    """Rows (lo, hi) dilated about their centres, as :meth:`Iv.scaled`."""
+    """Rows (lo, hi) dilated by ``factor`` about their centres."""
     return _rows(0.5 * (rows[..., 0] + rows[..., 1]),
                  0.5 * factor * (rows[..., 1] - rows[..., 0]))
 
@@ -230,7 +212,7 @@ def spacing_violations(side: np.ndarray, centers: np.ndarray,
 
 
 def diagonal_clearance_violations(side: np.ndarray, centers: np.ndarray,
-                                  c0: float = 2.0) -> list[tuple]:
+                                  c0: float) -> list[tuple]:
     """Check each cube avoids the diagonal at dilation c0 but meets it at 10*c0.
 
     The diagonal is the line u = v = w; the dilate of a cube by a factor is
@@ -425,11 +407,6 @@ class TopData:
     zeta: float
     interval: Iv
 
-    @property
-    def halo(self) -> Iv:
-        r = TOP_RADIUS / self.interval.length
-        return Iv(self.zeta - r, self.zeta + r)
-
 
 @dataclass(frozen=True)
 class Tree:
@@ -492,8 +469,8 @@ def _first_tree(pool, member, remaining, accept=None) -> Tree | None:
     return None
 
 
-def greedy_select(tiles: Family, span_bits: int = 6,
-                  scale_bits: int = 4) -> list[Tree]:
+def greedy_select(tiles: Family, span_bits: int,
+                  scale_bits: int) -> list[Tree]:
     """Greedy maximal-tree selection until the family is exhausted.
 
     Each round scans the fixed top pool in order and selects the first top
@@ -539,8 +516,8 @@ def selection_convexity_violations(tiles: Family,
                                     | (np.maximum(lowers, uppers) < t_mid)))
     return checked, bad
 
-def forest_decompose(tiles: Family, size_fn, span_bits: int = 6,
-                     scale_bits: int = 4) -> dict[int, list[Tree]]:
+def forest_decompose(tiles: Family, size_fn, span_bits: int,
+                     scale_bits: int) -> dict[int, list[Tree]]:
     """Split a family into forests by a dyadic threshold sweep on tree size.
 
     ``size_fn(tree)`` must be a nonnegative functional, monotone under
@@ -606,7 +583,7 @@ def _whitney_offsets(rng: np.random.Generator, c0: float) -> tuple:
 
 
 def operator_band_edge(tiles: Family, slope: float,
-                       support_factor: float = 1.5) -> float:
+                       support_factor: float) -> float:
     """Largest absolute frequency touched by dilated operator intervals.
 
     Grid experiments must keep this below the Nyquist frequency of the
@@ -640,8 +617,7 @@ def _closed_family(side, centers, cube, index, c0) -> Family | None:
     return None if footprint_violations(tiles) else tiles
 
 
-def compact_family(seed: int, scale_bits: int = 4,
-                   c0: float = 0.5) -> Family:
+def compact_family(seed: int, scale_bits: int, c0: float) -> Family:
     """Seeded single-cluster family with frequencies packed near zero.
 
     Cube sides are 1/16 and 1, spatial lengths 16 and 1, so the family
@@ -674,8 +650,7 @@ def compact_family(seed: int, scale_bits: int = 4,
     raise RuntimeError(f"no admissible compact family for seed {seed}")
 
 
-def cluster_family(seed: int, scale_bits: int = 4,
-                   c0: float = 2.0) -> Family:
+def cluster_family(seed: int, scale_bits: int, c0: float) -> Family:
     """Seeded family of multi-tiles organized in well-separated clusters.
 
     Each cluster sits at an integer anchor and holds cubes of sides 1,

@@ -11,6 +11,7 @@ import freqbench.geometry as G
 from freqbench.grid import GridFunction
 
 RNG = np.random.default_rng
+SCALE = 4.0   # polygon coordinate 1 at mode n/4
 
 
 def bandlimited(n, band, rng, real=False):
@@ -25,6 +26,14 @@ def bandlimited(n, band, rng, real=False):
             c[ks == -k] = np.conj(c[ks == k])
         c[ks == 0] = c[ks == 0].real
     return GridFunction.from_spectrum(c)
+
+
+def modulate(f, shift):
+    """f times exp(2 pi i shift x / length): the spectrum moved up by
+    ``shift``, none of it across the band edge."""
+    c = np.roll(f.spectrum(), shift)
+    assert not c[:shift].any() if shift >= 0 else not c[shift:].any()
+    return GridFunction.from_spectrum(c, f.length)
 
 
 def exponential(n, k):
@@ -45,7 +54,7 @@ class TestProductSymbol:
         g = bandlimited(128, 10, RNG(1))
         out, rep = B.bilinear_apply(f, g, B.unit_symbol)
         assert np.abs(out.values - (f * g).values).max() < 1e-12
-        assert rep.clean
+        assert rep.wrapped_mass == 0.0
 
     def test_reproduces_product_despite_wrap(self):
         # dense spectra force wrapping, yet the wrapped sum is exactly
@@ -75,7 +84,7 @@ class TestSignSymbol:
         out, rep = B.directional_hilbert(exponential(n, a), exponential(n, b), s)
         expect = 1j * np.pi * np.sign(s * a - b) * exponential(n, a + b).values
         assert np.abs(out.values - expect).max() < 1e-12
-        assert rep.clean
+        assert rep.wrapped_mass == 0.0
 
     def test_real_inputs_real_output(self):
         f = bandlimited(128, 8, RNG(4), real=True)
@@ -97,7 +106,8 @@ class TestSignSymbol:
         sym = B.halfplane_sign_symbol(s)
         base = trilinear(f, g, h, sym)
         shifted = trilinear(
-            f.modulate(c), g.modulate(s * c), h.modulate(-(1 + s) * c), sym)
+            modulate(f, c), modulate(g, s * c), modulate(h, -(1 + s) * c),
+            sym)
         assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -206,7 +216,7 @@ class TestRegionSymbol:
     def test_low_modes_pass_high_modes_blocked(self):
         n = 128
         P = G.LacunaryPolygon(3)
-        sym = B.region_symbol(P.contains, n)
+        sym = B.region_symbol(P.contains, n, SCALE)
         f = exponential(n, 2)   # maps to (0.0625, ...) well inside
         g = exponential(n, -3)
         out, _ = B.bilinear_apply(f, g, sym)
@@ -220,7 +230,8 @@ class TestRegionSymbol:
     def test_region_scale_map(self):
         # mode n/4 maps exactly to coordinate 1.0 on the boundary circle
         n = 64
-        sym = B.region_symbol(lambda p: (np.abs(p) <= 1.0).all(axis=1), n)
+        sym = B.region_symbol(lambda p: (np.abs(p) <= 1.0).all(axis=1), n,
+                               SCALE)
         inside = sym(np.array([[n // 4]]), np.array([[0]]))
         past = sym(np.array([[n // 4 + 1]]), np.array([[0]]))
         assert inside[0, 0] == 1.0 and past[0, 0] == 0.0
@@ -249,7 +260,7 @@ class TestRegionSymbol:
 
     def test_modes_off_the_grid_refused(self):
         # a symbol built for one grid must not index another grid's modes
-        sym = B.region_symbol(lambda p: np.ones(len(p), bool), 64)
+        sym = B.region_symbol(lambda p: np.ones(len(p), bool), 64, SCALE)
         for ki in (-33, 32):
             with pytest.raises(ValueError, match="64-point grid"):
                 sym(np.array([[ki]]), np.array([[0]]))
@@ -265,4 +276,4 @@ class TestTrilinearForm:
         out, rep = B.bilinear_apply(f, g, B.unit_symbol)
         direct = (f * g * h).integral()
         assert (out * h).integral() == pytest.approx(direct, abs=1e-12)
-        assert rep.clean
+        assert rep.wrapped_mass == 0.0

@@ -53,8 +53,6 @@ def valid_configs(draw):
         exponents=st.none() | (loose if allow else conjugate),
         theta2=finite(0.0, 1.0, exclude_min=True),
         theta3=finite(0.0, 1.0, exclude_min=True),
-        gamma2=finite(0.0, 0.5, **open_unit),
-        gamma3=finite(0.0, 0.5, **open_unit),
         allow_non_conjugate=st.just(allow))
     for name, strategy in fields.items():
         setattr(cfg, name, draw(strategy))
@@ -518,6 +516,8 @@ class TestCli:
     @pytest.mark.parametrize("body,hint", [
         ("kind = tiles\ntrials = 2.5\n", "trials must be an integer"),
         ("kind = tiles\nseed = abc\n", "seed must be an integer"),
+        # not a config field
+        ("kind = tiles\ngamma2 = 0.25\n", "unknown config key 'gamma2'"),
     ])
     def test_run_mistyped_config_exits_two(self, tmp_path, capsys, body,
                                            hint):
@@ -619,6 +619,21 @@ class TestCli:
         assert "already exists" in capsys.readouterr().err
         assert (out / "records.csv").read_text() == before
 
+    def test_out_naming_a_file_refused_before_the_run(self, tmp_path,
+                                                       capsys, monkeypatch):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("kind = tiles\ntrials = 1\n")
+        out = tmp_path / "notes.txt"
+        out.write_text("keep me\n")
+        ran = []
+        monkeypatch.setattr(ex, "run", lambda c: ran.append(c))
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out must be a directory")
+        assert err.count("\n") == 1
+        assert ran == [] and out.read_text() == "keep me\n"
+
     def test_compare_flow(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("kind = tiles\ntrials = 2\n")
@@ -627,6 +642,22 @@ class TestCli:
                              "--out", str(tmp_path / name)]) == 0
         assert cli_main(["compare", str(tmp_path / "a"),
                          str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("budget", ["nan", "-0.1", "inf"])
+    def test_compare_budget_must_be_finite_and_non_negative(
+            self, tmp_path, capsys, budget):
+        # no drift exceeds nan or inf, and every drift exceeds -0.1
+        res = ex.run(small("tiles", trials=2))
+        write_run(res, tmp_path / "a")
+        drifted = [ex.ResultRecord(r.config, r.seed, r.metric,
+                                   r.value + 1.0, r.grid_n, r.wall_time)
+                   for r in res.records]
+        write_run(ex.RunResult(res.config, drifted, [], 0.0), tmp_path / "b")
+        assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                         "--budget", budget]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: drift budget must be a finite number")
+        assert err.count("\n") == 1
 
     def test_compare_missing_dir_exits_two(self, tmp_path, capsys):
         assert cli_main(["compare", str(tmp_path / "no"),

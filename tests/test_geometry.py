@@ -1,5 +1,6 @@
 """Geometry of the polygon, chord shells, Whitney families, partition."""
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,29 @@ def chord_step(mu):
 def intersects(a, b):
     """Closed rectangles a and b share a point."""
     return not (a.x1 < b.x0 or b.x1 < a.x0 or a.y1 < b.y0 or b.y1 < a.y0)
+
+
+def corners(r):
+    """The four corners of rectangle r, counterclockwise."""
+    return np.array([[r.x0, r.y0], [r.x1, r.y0], [r.x1, r.y1], [r.x0, r.y1]])
+
+
+def chord_shell(mu, r):
+    """Quadrilateral between the (1-(2^r - 1) 4^-mu)- and
+    (1-(2^(r+1) - 1) 4^-mu)-dilates of the polygon, under chord mu
+    (second quadrant).  r = 0 is the outermost ring touching the chord."""
+    c0 = (2.0 ** r - 1.0) * 4.0 ** (-mu)
+    c1 = (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu)
+    va, vb = G.quadrant2_vertex(mu), G.quadrant2_vertex(mu + 1)
+    return G.ConvexQuad([(1 - c0) * va, (1 - c0) * vb,
+                         (1 - c1) * vb, (1 - c1) * va])
+
+
+def span(fam, i):
+    """(lowest, highest) endpoint of the i-th projections of a chord
+    family."""
+    comp = fam.components[i]
+    return comp[0][0], comp[-1][1]
 
 
 class TestVerticesAndSlopes:
@@ -146,15 +170,17 @@ class TestPolygonContainment:
                 assert np.array_equal(got, ref)
                 assert not got[at + np.arange(len(bad))].any()
 
-        shell = G.chord_shell(3, 0)
+        regions = [(P.vertices, P.contains) for P in
+                   map(G.LacunaryPolygon, (1, 5, 8, 12))]
+        shell = chord_shell(3, 0).vertices
+        regions.append((shell, functools.partial(G._convex_contains, shell)))
         for chunk in (G.CONTAIN_CHUNK, 16, 1):
             monkeypatch.setattr(G, "CONTAIN_CHUNK", chunk)
-            for region in [G.LacunaryPolygon(mu_max)
-                           for mu_max in (1, 5, 8, 12)] + [shell]:
-                near, pts = self.near_boundary(region.vertices, rng)
-                check(region.vertices, region.contains, pts)
+            for verts, contains in regions:
+                near, pts = self.near_boundary(verts, rng)
+                check(verts, contains, pts)
                 # the near points straddle the boundary
-                assert 0 < region.contains(near, tol=0.0).sum() < len(near)
+                assert 0 < contains(near, tol=0.0).sum() < len(near)
 
         P = G.LacunaryPolygon(5)
         v, nxt = P.vertices, np.roll(P.vertices, -1, axis=0)
@@ -178,21 +204,21 @@ class TestPolygonContainment:
 class TestChordShells:
     def test_outer_shell_vertices(self):
         mu = 3
-        T = G.chord_shell(mu, 0)
+        T = chord_shell(mu, 0)
         inner = (1.0 - 2.0 ** (-2 * mu)) * G.quadrant2_vertex(mu)
         assert any(np.allclose(v, inner, atol=1e-15) for v in T.vertices)
 
     def test_chord_midpoint_on_shell_boundary(self):
         mu = 2
-        T = G.chord_shell(mu, 0)
+        T = chord_shell(mu, 0)
         mid = 0.5 * (G.quadrant2_vertex(mu) + G.quadrant2_vertex(mu + 1))
-        assert T.contains(mid, tol=1e-12)
-        assert not T.contains(mid * (1.0 + 1e-6), tol=1e-12)
+        assert G._convex_contains(T.vertices, mid, 1e-12)
+        assert not G._convex_contains(T.vertices, mid * (1.0 + 1e-6), 1e-12)
 
     def test_area_against_sectional_quadrature(self):
         # slice the quad horizontally; width(y) is piecewise linear, so the
         # trapezoid rule over the vertex breakpoints is exact
-        T = G.chord_shell(2, 0)
+        T = chord_shell(2, 0)
         area = G._shoelace(T.vertices)  # the signed area, positive
         v = T.vertices
         ys = np.unique(v[:, 1])
@@ -212,8 +238,8 @@ class TestChordShells:
 
     def test_shells_nest_inward(self):
         for r in range(3):
-            sh = G.chord_shell(3, r)
-            nxt = G.chord_shell(3, r + 1)
+            sh = chord_shell(3, r)
+            nxt = chord_shell(3, r + 1)
             assert np.max(np.linalg.norm(nxt.vertices, axis=1)) <= \
                 np.max(np.linalg.norm(sh.vertices, axis=1)) + 1e-15
 
@@ -257,7 +283,7 @@ class TestWhitneyFamilies:
     def test_retention_touches_shell(self):
         # alpha-dilate of each member must meet the absolute shell quad
         fam = G.whitney_shell_rects(3, 0, C0=C0, alpha=ALPHA)
-        T = G.chord_shell(3, 0)
+        T = chord_shell(3, 0)
         idx = RNG(2).choice(len(fam), size=min(300, len(fam)), replace=False)
         for i in idx:
             r = G.Rect(fam.x0[i], fam.x1[i], fam.y0[i], fam.y1[i]).dilate(0.99)
@@ -276,12 +302,12 @@ class TestWhitneyFamilies:
         mu = 2
         fam = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
         P = G.LacunaryPolygon(8)
-        T = G.chord_shell(mu, 0)
+        T = chord_shell(mu, 0)
         bb = T.bbox()
         rng = RNG(11)
         pts = np.column_stack([rng.uniform(bb.x0, bb.x1, 4000),
                                rng.uniform(bb.y0, bb.y1, 4000)])
-        pts = pts[T.contains(pts)]
+        pts = pts[G._convex_contains(T.vertices, pts, 1e-12)]
         eff = np.minimum(P.edge_mu, P.mu_max).astype(float)
         guards = 0.2 * 4.0 ** (-eff)
         pts = pts[np.all(P.edge_distances(pts) > guards[None, :], axis=1)]
@@ -332,7 +358,7 @@ class TestStaircase:
         P = G.LacunaryPolygon(10)
         for mu in range(2, 10):
             r = G.staircase_rect(mu)
-            for c in r.corners():
+            for c in corners(r):
                 assert P.contains(c, tol=1e-12)
 
     def test_members_abut_exactly(self):
@@ -348,7 +374,7 @@ class TestStaircase:
         P = G.LacunaryPolygon(10)
         for mu in range(2, 10):
             d = G.staircase_rect(mu).dilate(1.0 / 0.99)
-            for c in d.corners():
+            for c in corners(d):
                 assert P.contains(c, tol=1e-12)
 
     def test_truncation_fillers_inside_and_overlapping(self):
@@ -357,7 +383,7 @@ class TestStaircase:
             fs = G.truncation_fillers(mu_max, ALPHA)
             assert len(fs) >= 2
             for f in fs:
-                for c in f.dilate(1.0 / 0.99).corners():
+                for c in corners(f.dilate(1.0 / 0.99)):
                     assert P.contains(c, tol=1e-12)
             for prev, nxt in zip(fs, fs[1:]):
                 assert intersects(nxt, prev)  # consecutive levels overlap
@@ -396,7 +422,7 @@ class TestIntervalFamilies:
         w = G.whitney_shell_rects(3, 0, C0=C0, alpha=ALPHA)
         lo = np.min(-(w.x1 + w.y1))
         hi = np.max(-(w.x0 + w.y0))
-        a, b = fam.span(3)
+        a, b = span(fam, 3)
         assert a == pytest.approx(lo, abs=1e-15)
         assert b == pytest.approx(hi, abs=1e-15)
 
@@ -424,7 +450,7 @@ class TestIntervalFamilies:
     def test_vertical_extent_shrinks_geometrically(self):
         widths = []
         for mu in (4, 5, 6):
-            a, b = G.chord_intervals(mu, C0, ALPHA).span(2)
+            a, b = span(G.chord_intervals(mu, C0, ALPHA), 2)
             widths.append(b - a)
         assert 1.7 < widths[0] / widths[1] < 2.3
         assert 1.7 < widths[1] / widths[2] < 2.3
@@ -474,9 +500,14 @@ class TestPartition:
         P = G.LacunaryPolygon(2)
         part = G.PolygonPartition(
             P, [G._family_from_rects("core", 0, [r1, r2])], alpha=alpha)
-        w = part.weights_at_point(px, py)
+        ids, _, eta = part.member_weights([[px, py]])
+        assert ids.tolist() == [0, 1]
+        assert eta == pytest.approx([0.5, 0.25], abs=1e-12)
+        w = eta / eta.sum()
         assert w[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert w[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert part.partition_sum([[px, py]])[0] == pytest.approx(1.0,
+                                                                  abs=1e-15)
 
     def test_profile_sandwich(self):
         t = np.linspace(-1.3, 1.3, 2001)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from freqbench.grid import (
     GridFunction,
@@ -42,23 +41,6 @@ class TestSpectrum:
         rhs = f.length * np.sum(np.abs(f.spectrum()) ** 2)
         assert abs(lhs - rhs) < 1e-10 * max(lhs, 1.0)
 
-    def test_modulate_shifts_spectrum(self):
-        rng = np.random.default_rng(3)
-        base = np.zeros(64, dtype=complex)
-        base[20:40] = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        f = GridFunction.from_spectrum(base, length=2.0)
-        g = f.modulate(5)
-        expect = f.values * np.exp(2j * np.pi * 5 * f.x / f.length)
-        assert np.abs(g.values - expect).max() < 1e-12
-        assert np.abs(g.spectrum()[25:45] - base[20:40]).max() < 1e-12
-
-    def test_modulate_overflow_raises(self):
-        c = np.zeros(32, dtype=complex)
-        c[-1] = 1.0  # top of band
-        f = GridFunction.from_spectrum(c)
-        with pytest.raises(ValueError):
-            f.modulate(1)
-
     def test_refine_preserves_band_limited(self):
         # zero-padding the spectrum gives the same function on a grid
         # twice as fine
@@ -73,15 +55,6 @@ class TestSpectrum:
         # samples of g at even indices are samples of f
         assert np.abs(g.values[::2] - f.values).max() < 1e-11
 
-    @given(st.integers(min_value=-10, max_value=10))
-    @settings(max_examples=20, deadline=None)
-    def test_modulate_unimodular_invariance(self, k):
-        rng = np.random.default_rng(17)
-        c = np.zeros(64, dtype=complex)
-        c[22:42] = rng.standard_normal(20)
-        f = GridFunction.from_spectrum(c)
-        assert abs(f.modulate(k).norm(2) - f.norm(2)) < 1e-12
-
 
 class TestNorms:
     def test_indicator_mass_exact(self):
@@ -95,11 +68,6 @@ class TestNorms:
         f = random_gridfunction(rng, size=128)
         # ||f||_2 <= ||f||_1^(1/2) ||f||_inf^(1/2) on a probability space
         assert f.norm(2) <= np.sqrt(f.norm(1) * f.norm(np.inf)) + 1e-12
-
-    def test_inner_matches_norm(self):
-        rng = np.random.default_rng(29)
-        f = random_gridfunction(rng)
-        assert abs(f.inner(f).real - f.norm(2) ** 2) < 1e-12
 
 
 class TestMaximalAverage:
@@ -146,7 +114,11 @@ class TestPositiveKernel:
     def test_positive_and_band_limited(self):
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 16, half_power=8)
         assert k.values.min() > 0.0
-        assert k.spectrum_radius <= 8 * 16
+        # every frequency carrying mass above 4e-16 of the peak lies within
+        # the spectrum radius m * length / w
+        c = np.abs(np.fft.fftshift(k.transform)) / k.size
+        ks = np.arange(-256, 256)
+        assert np.abs(ks[c > 4e-16 * c.max()]).max() <= 8 * 16
 
     def test_mass_one(self):
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 16, half_power=8)

@@ -7,7 +7,7 @@ import pytest
 
 import freqbench.experiments as ex
 from freqbench import sizes
-from freqbench.grid import GridFunction, indicator
+from freqbench.grid import GridFunction, indicator, maximal_average
 from freqbench.sizes import (
     TreeSizer,
     exceptional_mask,
@@ -17,7 +17,6 @@ from freqbench.sizes import (
     multiplier_family,
     single_tree_audit,
     spatial_cutoff,
-    supinf_maximal_bound,
     tail_weight,
     top_frequency,
     top_interval,
@@ -41,6 +40,10 @@ SLOPE = 1.125
 SIZE = (5, 1.5, 10)
 BLUR = 0.25
 THETAS = (1.0, 0.7, 0.7)
+# the config defaults of scale_bits and compact_spread (the compact
+# families' c0), and of span_bits and scale_bits (the tree top pool)
+FAMILY = (4, 0.5)
+BITS = (6, 4)
 
 
 def band_noise(n, length, band, rng, normalize="l2"):
@@ -135,7 +138,7 @@ class TestTopGeometry:
         marks = [top_frequency(top, i, SLOPE) for i in range(3)]
         assert marks == [3.0, 3.375, -6.375]
         assert sum(marks) == 0.0
-        widths = [top_interval(top, i, SLOPE).length for i in range(3)]
+        widths = [top_interval(top, i, SLOPE, 32.0).length for i in range(3)]
         assert widths == pytest.approx([1 / 16, 1.125 / 16, 2.125 / 16])
 
     def test_circle_caps_top_length(self):
@@ -199,7 +202,7 @@ class TestFilterCache:
     def test_matches_per_symbol_loop_bitwise(self):
         for seed, order, support, power in ((0, 5, 1.5, 10), (3, 4, 1.2, 4)):
             rng = np.random.default_rng(seed + 70)
-            tiles = compact_family(seed)
+            tiles = compact_family(seed, *FAMILY)
             f = band_noise(512, 32.0, 7.5, rng)
             sizer = TreeSizer(f, tiles, SLOPE, order, support, power)
             ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
@@ -277,31 +280,48 @@ class TestTreeSize:
         assert big >= small
 
     def test_collection_size_dominates_selected_trees(self):
-        tiles = compact_family(3)
+        tiles = compact_family(3, *FAMILY)
         rng = np.random.default_rng(33)
         f = band_noise(512, 32.0, 7.5, rng)
         sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
-        total = sizer.collection_size(2)
-        for tree in greedy_select(tiles):
+        total = sizer.collection_size(2, maximal_trees(tiles))
+        for tree in greedy_select(tiles, *BITS):
             assert sizer.tree_size(tree, 2) <= total + 1e-12
 
     def nan_sizer(self):
         f = GridFunction(np.full(512, np.nan), 32.0)
-        return TreeSizer(f, compact_family(0), SLOPE, *SIZE)
+        return TreeSizer(f, compact_family(0, *FAMILY), SLOPE, *SIZE)
 
     def test_nan_input_gives_nan_sizes(self):
         # a fold from 0.0 with the builtin max drops NaN, so a broken input
         # would read as size zero
         sizer = self.nan_sizer()
         assert math.isnan(sizer.tile_seminorm(0, 0, 0.5))
-        assert math.isnan(sizer.collection_size(0))
+        assert math.isnan(sizer.collection_size(
+            0, maximal_trees(sizer.tiles)))
 
     def test_nan_size_stops_forest_sweep(self):
         # NaN compares false against every threshold, so the sweep would
         # put every tile in the sink level unseen
         sizer = self.nan_sizer()
         with pytest.raises(ValueError, match="non-finite tree size"):
-            forest_decompose(sizer.tiles, sizer.size_callback(0))
+            forest_decompose(sizer.tiles, sizer.size_callback(0), *BITS)
+
+
+def supinf_maximal_bound(f, tiles):
+    """sup over tiles of inf over the tile interval of the maximal
+    function."""
+    m = maximal_average(f).values.real
+    xs = np.mod(f.x, f.length)
+    best = 0.0
+    for lo, length in zip(tiles.lo.tolist(), tiles.length.tolist()):
+        lo = math.fmod(lo, f.length)
+        span = min(length, f.length)
+        off = np.mod(xs - lo, f.length)
+        cells = off < span - 0.5 * f.dx
+        if cells.any():
+            best = max(best, float(m[cells].min()))
+    return best
 
 
 class TestSupinfBound:
@@ -310,11 +330,12 @@ class TestSupinfBound:
         # an indicator never beats the sup-inf of its maximal function
         # (measured ratios stay under 0.4; constant one is the assertion).
         for seed in range(6):
-            tiles = compact_family(seed)
+            tiles = compact_family(seed, *FAMILY)
             rng = np.random.default_rng(seed + 400)
             locs = rng.uniform(0, 31.0, size=2)
             f = indicator([(a, a + 0.5) for a in locs], 512, 32.0)
-            s1 = TreeSizer(f, tiles, SLOPE, *SIZE).collection_size(0)
+            s1 = TreeSizer(f, tiles, SLOPE, *SIZE).collection_size(
+                0, maximal_trees(tiles))
             bound = supinf_maximal_bound(f, tiles)
             assert s1 <= bound
 
@@ -391,7 +412,7 @@ class TestModelSum:
 
     def test_matches_uncached_reference(self):
         fs = self.make_inputs(21)
-        tiles = compact_family(4)
+        tiles = compact_family(4, *FAMILY)
         got = model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)
         ref = 0.0 + 0.0j
         f = fs[0]
@@ -415,17 +436,17 @@ class TestModelSum:
 
     def test_empty_collection_is_zero(self):
         fs = self.make_inputs(23)
-        empty = compact_family(0).take([])
+        empty = compact_family(0, *FAMILY).take([])
         assert model_sum(fs, empty, SLOPE, SIZE[0], BLUR) == 0.0
 
 
 class TestSingleTreeAudit:
     def largest_tree(self, tiles):
-        return max(greedy_select(tiles), key=lambda t: len(t.members))
+        return max(greedy_select(tiles, *BITS), key=lambda t: len(t.members))
 
     def test_budget_holds_on_frozen_seeds(self):
         for seed in (0, 2, 6):
-            tiles = compact_family(seed)
+            tiles = compact_family(seed, *FAMILY)
             rng = np.random.default_rng(seed + 900)
             fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                        for _ in range(3))
@@ -439,7 +460,7 @@ class TestSingleTreeAudit:
     def test_ratio_invariant_under_first_component_scaling(self):
         # exponent one on the first component: scaling it rescales both
         # sides identically, so the ratio is exactly stable
-        tiles = compact_family(1)
+        tiles = compact_family(1, *FAMILY)
         rng = np.random.default_rng(901)
         fs = list(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                   for _ in range(3))

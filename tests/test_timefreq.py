@@ -37,7 +37,17 @@ from freqbench.timefreq import (
     selection_convexity_violations,
     spacing_violations,
     tree_members,
+    _scaled,
 )
+
+# the default config's values: span_bits and scale_bits of the tree top
+# pool; scale_bits and c0 (clearance, compact_spread) of the generators;
+# the operators' support_factor
+BITS = (6, 4)
+CLEARANCE = 2.0
+CLUSTER = (4, CLEARANCE)
+COMPACT = (4, 0.5)
+SUPPORT = 1.5
 
 
 def lessdot(tiles):
@@ -82,20 +92,9 @@ class TestIntervals:
         iv = Iv(-1.0, 3.0)
         assert iv.length == 4.0
         assert iv.center == 1.0
-        assert iv.contains(3.0) and not iv.contains(3.5)
-
-    def test_enclose_meet_dist(self):
-        a, b = Iv(0.0, 2.0), Iv(0.5, 1.5)
-        assert a.encloses(b) and not b.encloses(a)
-        assert a.meets(b)
-        c = Iv(5.0, 6.0)
-        assert not a.meets(c)
-        assert a.dist(c) == 3.0
-        assert a.dist(b) == 0.0
 
     def test_scaled_is_centered(self):
-        iv = Iv(2.0, 4.0).scaled(10.0)
-        assert iv == Iv(-7.0, 13.0)
+        assert _scaled(np.array([2.0, 4.0]), 10.0).tolist() == [-7.0, 13.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -131,16 +130,17 @@ class TestSpacing:
 class TestDiagonalClearance:
     def test_offset_cube_passes(self):
         assert diagonal_clearance_violations(
-            *cubes(diag_cube(4.0, 7.0))) == []
+            *cubes(diag_cube(4.0, 7.0)), CLEARANCE) == []
 
     def test_straddling_cube_fails(self):
         bad = cubes((4.0, (7.0, 7.0, 7.0)))
-        assert "touches-diagonal" in kinds(diagonal_clearance_violations(*bad))
+        assert "touches-diagonal" in \
+            kinds(diagonal_clearance_violations(*bad, CLEARANCE))
 
     def test_remote_cube_fails(self):
         bad = cubes((1.0, (0.0, 50.0, -50.0)))
         assert "strays-from-diagonal" in \
-            kinds(diagonal_clearance_violations(*bad))
+            kinds(diagonal_clearance_violations(*bad, CLEARANCE))
 
 
 class TestHalos:
@@ -159,8 +159,8 @@ class TestHalos:
         for q in range(len(side)):
             for i in range(3):
                 c, h = centers[q, i], 0.5 * side[q]
-                grown = Iv(c - h, c + h).scaled(1000)
-                assert Iv(*halos[q, i]).encloses(grown)
+                grown = S.Iv(c - h, c + h).scaled(1000)
+                assert S.Iv(*halos[q, i]).encloses(grown)
 
     def test_budget_respected(self):
         side, centers = self.cubes()
@@ -185,7 +185,7 @@ class TestHalos:
 
 class TestOrderings:
     def family(self, seed=0):
-        return cluster_family(seed)
+        return cluster_family(seed, *CLUSTER)
 
     def test_le_requires_both_inclusions(self):
         tiles = self.family()
@@ -226,7 +226,7 @@ class TestOrderings:
 
 class TestFootprints:
     def test_generated_family_monotone(self):
-        assert footprint_violations(cluster_family(1)) == []
+        assert footprint_violations(cluster_family(1, *CLUSTER)) == []
 
     def test_gap_detected_and_closed(self):
         tiles = halo_family(diag_cube(1.0, 576.0), diag_cube(16.0, 512.0),
@@ -238,13 +238,13 @@ class TestFootprints:
         assert set(zip(tiles.cube.tolist(), tiles.lo.tolist())) <= have
 
     def test_regularize_idempotent(self):
-        tiles = cluster_family(2)
+        tiles = cluster_family(2, *CLUSTER)
         again = regularize(tiles)
         for name in ("side", "centers", "halos", "lo", "length", "cube"):
             assert np.array_equal(getattr(again, name), getattr(tiles, name))
 
     def test_footprints_are_cell_sets(self):
-        tiles = cluster_family(3)
+        tiles = cluster_family(3, *CLUSTER)
         _, feet = footprints(tiles)
         width = tiles.length.min()
         assert feet.sum() * width <= tiles.length.sum() + 1e-9
@@ -252,25 +252,35 @@ class TestFootprints:
 
 class TestTrees:
     def test_top_halo_radius(self):
+        # the top halo is [zeta - r, zeta + r] with r = TOP_RADIUS / 16: a
+        # cube halo holding exactly that interval admits the tile, one a
+        # quantum short at either end does not
         top = TopData(100.0, dyadic(16.0, 0))
-        assert top.halo == Iv(100.0 - 31.25, 100.0 + 31.25)
+        side, centers = cubes(diag_cube(1.0 / 16.0, 100.0))
+        ends = [(68.75, 131.25), (68.75 + 2.0 ** -20, 131.25),
+                (68.75, 131.25 - 2.0 ** -20)]
+        halos = np.array([[end] * 3 for end in ends])
+        tiles = Family(side.repeat(3), centers.repeat(3, axis=0), halos,
+                       np.zeros(3), np.full(3, 16.0), np.arange(3))
+        assert members_of(tiles, top).tolist() == [0]
 
     def test_own_top_captures_tile(self):
-        tiles = cluster_family(4)
+        tiles = cluster_family(4, *CLUSTER)
         tops = [tiles.own_top(j) for j in range(len(tiles))]
         assert tree_members(tiles, tops).diagonal().all()
 
     def test_members_match_brute_filter(self):
-        tiles = cluster_family(5)
+        tiles = cluster_family(5, *CLUSTER)
         top = TopData(tiles.own_top(0).zeta, dyadic(16.0, 0))
+        old = S.TopData(top.zeta, S.dyadic(16.0, 0))
         want = [j for j in range(len(tiles))
-                if top.interval.encloses(tiles.interval(j))
-                and any(Iv(*tiles.halos[tiles.cube[j], i]).encloses(top.halo)
+                if old.interval.encloses(S.Iv(tiles.lo[j], tiles.hi[j]))
+                and any(S.Iv(*tiles.halos[tiles.cube[j], i]).encloses(old.halo)
                         for i in range(3))]
         assert members_of(tiles, top).tolist() == want
 
     def test_candidate_pool_sorted_and_covering(self):
-        tiles = cluster_family(6)
+        tiles = cluster_family(6, *CLUSTER)
         pool = candidate_tops(tiles, 6, 4)
         lengths = [t.interval.length for t in pool]
         assert lengths == sorted(lengths, reverse=True)
@@ -279,40 +289,41 @@ class TestTrees:
 
 class TestGreedySelection:
     def test_partitions_family(self):
-        tiles = cluster_family(7)
-        seen = np.concatenate([t.members for t in greedy_select(tiles)])
+        tiles = cluster_family(7, *CLUSTER)
+        seen = np.concatenate([t.members for t in greedy_select(tiles, *BITS)])
         assert sorted(seen.tolist()) == list(range(len(tiles)))
 
     def test_each_tree_maximal_in_remainder(self):
-        tiles = cluster_family(8)
+        tiles = cluster_family(8, *CLUSTER)
         remaining = np.ones(len(tiles), dtype=bool)
-        for tree in greedy_select(tiles):
+        for tree in greedy_select(tiles, *BITS):
             want = np.flatnonzero(tree_members(tiles, [tree.top])[0]
                                   & remaining)
             assert tree.members.tolist() == want.tolist()
             remaining[tree.members] = False
 
     def test_deterministic(self):
-        a = greedy_select(cluster_family(9))
-        b = greedy_select(cluster_family(9))
+        a = greedy_select(cluster_family(9, *CLUSTER), *BITS)
+        b = greedy_select(cluster_family(9, *CLUSTER), *BITS)
         assert [t.top for t in a] == [t.top for t in b]
 
     def test_multiple_trees(self):
-        assert len(greedy_select(cluster_family(10))) >= 2
+        assert len(greedy_select(cluster_family(10, *CLUSTER), *BITS)) >= 2
 
     def test_selected_trees_footprint_monotone(self):
-        tiles = cluster_family(11)
-        for tree in greedy_select(tiles):
+        tiles = cluster_family(11, *CLUSTER)
+        for tree in greedy_select(tiles, *BITS):
             assert footprint_violations(tiles.take(tree.members)) == []
 
     def test_convexity_refuses_uncovered_tiles(self):
-        tiles = cluster_family(12)
+        tiles = cluster_family(12, *CLUSTER)
         with pytest.raises(ValueError, match="leave a tile"):
-            selection_convexity_violations(tiles, greedy_select(tiles)[:-1])
+            selection_convexity_violations(
+                tiles, greedy_select(tiles, *BITS)[:-1])
 
     def test_convexity_nontrivial_and_clean(self):
-        tiles = cluster_family(12)
-        trees = greedy_select(tiles)
+        tiles = cluster_family(12, *CLUSTER)
+        trees = greedy_select(tiles, *BITS)
         checked, bad = selection_convexity_violations(tiles, trees)
         assert checked > 0
         assert bad == 0
@@ -320,16 +331,16 @@ class TestGreedySelection:
 
 class TestForestDecompose:
     def test_levels_partition(self):
-        tiles = cluster_family(13)
-        forests = forest_decompose(tiles, weight_size(tiles))
+        tiles = cluster_family(13, *CLUSTER)
+        forests = forest_decompose(tiles, weight_size(tiles), *BITS)
         seen = [j for trees in forests.values() for t in trees
                 for j in t.members.tolist()]
         assert sorted(seen) == list(range(len(tiles)))
 
     def test_level_thresholds(self):
-        tiles = cluster_family(14)
+        tiles = cluster_family(14, *CLUSTER)
         size = weight_size(tiles)
-        for n, trees in forest_decompose(tiles, size).items():
+        for n, trees in forest_decompose(tiles, size, *BITS).items():
             if n >= SINK_LEVEL:
                 continue
             for t in trees:
@@ -342,8 +353,8 @@ class TestForestDecompose:
         assert bessel_ratio(trees, 1, 3.0) == (4.0 + 2.0) / (4.0 * 3.0)
 
     def test_zero_size_falls_through(self):
-        tiles = cluster_family(15)
-        forests = forest_decompose(tiles, lambda t: 0.0)
+        tiles = cluster_family(15, *CLUSTER)
+        forests = forest_decompose(tiles, lambda t: 0.0, *BITS)
         assert list(forests) == [SINK_LEVEL]
 
 
@@ -361,26 +372,26 @@ class TestOperatorIntervals:
 
 class TestClusterFamily:
     def test_passes_all_audits(self):
-        tiles = cluster_family(16)
+        tiles = cluster_family(16, *CLUSTER)
         side, centers = tiles.side, tiles.centers
         assert spacing_violations(side, centers, 4) == []
-        assert diagonal_clearance_violations(side, centers) == []
+        assert diagonal_clearance_violations(side, centers, CLEARANCE) == []
         assert halo_violations(side, centers, tiles.halos) == []
         assert footprint_violations(tiles) == []
 
     def test_three_spatial_scales(self):
-        lengths = set(cluster_family(17).length.tolist())
+        lengths = set(cluster_family(17, *CLUSTER).length.tolist())
         assert lengths == {1.0 / 256, 1.0 / 16, 1.0}
 
     def test_size_cap(self):
-        assert len(cluster_family(18)) <= MAX_TILES
+        assert len(cluster_family(18, *CLUSTER)) <= MAX_TILES
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_pipeline_invariants_random_seeds(self, seed):
-        tiles = cluster_family(seed)
+        tiles = cluster_family(seed, *CLUSTER)
         assert footprint_violations(tiles) == []
-        trees = greedy_select(tiles)
+        trees = greedy_select(tiles, *BITS)
         for tree in trees:
             assert footprint_violations(tiles.take(tree.members)) == []
         checked, bad = selection_convexity_violations(tiles, trees)
@@ -427,7 +438,9 @@ CUBE_SETS = {"pushed": PUSHED,
 
 
 def generated(name, seed):
-    return (cluster_family if name == "cluster" else compact_family)(seed)
+    if name == "cluster":
+        return cluster_family(seed, *CLUSTER)
+    return compact_family(seed, *COMPACT)
 
 
 def subsets(tiles, seed, count=3):
@@ -503,7 +516,7 @@ class TestScalarEquivalence:
             check_orders_and_footprints(part)
         objs = scalar_tiles(tiles)
         qs = scalar_cubes(tiles.side, tiles.centers)
-        assert operator_band_edge(tiles, 1.125) == \
+        assert operator_band_edge(tiles, 1.125, SUPPORT) == \
             S.operator_band_edge(objs, 1.125)
         ops = operator_intervals(tiles.side, tiles.centers, 1.125)
         assert ops.tolist() == [[[iv.lo, iv.hi] for iv in
@@ -563,7 +576,7 @@ class TestScalarEquivalence:
         assert [np.flatnonzero(m).tolist()
                 for m in tree_members(tiles, pool)] == \
             [[position[p] for p in S.tree_members(objs, t)] for t in old_pool]
-        trees = greedy_select(tiles)
+        trees = greedy_select(tiles, *BITS)
         old_trees = S.greedy_select(objs)
         assert forest_rows({0: trees}) == forest_rows({0: old_trees}, position)
         assert selection_convexity_violations(tiles, trees) == \
@@ -577,7 +590,7 @@ class TestScalarEquivalence:
             def old_size(tree):
                 top = max(p.cube.side for p in tree.members)
                 return top / 1024.0 if top > floor else 0.0
-            new = forest_decompose(tiles, size)
+            new = forest_decompose(tiles, size, *BITS)
             old = S.forest_decompose(objs, old_size)
             assert forest_rows(new) == forest_rows(old, position)
             assert list(new) == list(old)
