@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="floored relative drift between two run directories")
     p_cmp.add_argument("baseline")
     p_cmp.add_argument("current")
-    p_cmp.add_argument("--budget", type=float, default=0.2,
+    p_cmp.add_argument("--budget", type=float, default=ex.DRIFT_BUDGET,
                        help="maximum allowed per-metric drift")
     p_cmp.set_defaults(func=_cmd_compare)
 

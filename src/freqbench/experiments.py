@@ -31,7 +31,7 @@ import numpy as np
 from . import bilinear as bil
 from . import geometry as geo
 from . import paraproduct as para
-from .grid import GridFunction, PositiveBandKernel, indicator
+from .grid import GridFunction, indicator, shared_kernel
 from .sizes import (
     TreeSizer,
     exceptional_mask,
@@ -58,6 +58,7 @@ GRID_ENV = "FREQBENCH_GRID_N"
 HS_SLOPES = (1, 2, 5)
 MARTINGALE_EXPONENTS = ((4.0 / 3.0, "4over3"), (2.0, "2"), (4.0, "4"))
 MOLLIFIER_HALF_POWER = 2  # of the restricted inputs' PositiveBandKernel
+DRIFT_BUDGET = 0.2        # default largest relative drift of a comparison
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def restricted_input(n: int, length: float, spans,
     satisfies 0 <= f <= 1 pointwise and is the identical function on any
     grid fine enough to carry the kernel's spectrum.
     """
-    kern = PositiveBandKernel(n, length, width, MOLLIFIER_HALF_POWER)
+    kern = shared_kernel(n, length, width, MOLLIFIER_HALF_POWER)
     kc = np.fft.fftshift(kern.transform) / n
     ks = np.arange(-(n // 2), n - (n // 2))
     chi = np.zeros(n, dtype=complex)
@@ -556,7 +557,7 @@ def run_forest_bessel(cfg: ExperimentConfig):
         sizer = TreeSizer(f, tiles, cfg.slope, cfg.order,
                           cfg.support_factor, cfg.weight_power)
         for i in range(3):
-            forest = forest_decompose(tiles, sizer.size_callback(i),
+            forest = forest_decompose(tiles, lambda tr: sizer.tree_size(tr, i),
                                       cfg.span_bits, cfg.scale_bits)
             levels = [lv for lv in sorted(forest) if lv != SINK_LEVEL]
             r_best = g_best = 0.0
@@ -777,6 +778,10 @@ def run(cfg: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
     metrics, failures = runner(cfg)
     elapsed = time.perf_counter() - start
+    # a NaN slips through max() and every threshold check of a driver
+    for name, value in metrics:
+        if not math.isfinite(value):
+            failures.append(f"metric {name} is not finite ({value!r})")
     digest = config_hash(cfg)
     records = [ResultRecord(digest, cfg.seed, name, float(value),
                             cfg.grid_n, elapsed)
@@ -869,7 +874,7 @@ class CompareReport:
 
 
 def compare_runs(base_dir: str, cur_dir: str,
-                 budget: float = 0.2) -> CompareReport:
+                 budget: float = DRIFT_BUDGET) -> CompareReport:
     """Per-metric floored relative drift between two run directories.
 
     Matching config hashes gate the comparison; a difference only in the

@@ -320,7 +320,6 @@ class RectFamily:
     x1: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
-    n_clipped: int = 0
 
     def __len__(self) -> int:
         return len(self.x0)
@@ -372,7 +371,6 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
     target = 0.75 * GUARD_FRAC * 4.0 ** (-mu)
 
     kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
-    n_clipped = 0
     j = math.floor(math.log2(max(bb.x1 - bb.x0, bb.y1 - bb.y0)))
     found = 0
     for _ in range(64):
@@ -397,7 +395,6 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
             if clip is not None:
                 for cx, cy in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
                     good &= clip.contains(np.stack([cx, cy], axis=1), tol=1e-12)
-                n_clipped += int((~good).sum())
             kept.append(np.stack([rx0, rx1, ry0, ry1])[:, good])
             closest = (C0 + 2.0 ** (-Q)) * 2.0 ** j * dist_factor
             if closest < target or found >= MAX_SCALES:
@@ -406,7 +403,7 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
             break
         j -= 1
     x0, x1, y0, y1 = np.concatenate(kept, axis=1)
-    return RectFamily("ring", 2, mu, r, x0, x1, y0, y1, n_clipped)
+    return RectFamily("ring", 2, mu, r, x0, x1, y0, y1)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +582,6 @@ class ChordIntervals:
     (1/alpha)-dilates about each component's center.
     """
 
-    mu: int
-    alpha: float
     components: dict[int, np.ndarray]   # (count, 2) rows (lo, hi), ascending
     dilated: dict[int, np.ndarray]
 
@@ -611,7 +606,7 @@ def chord_intervals(mu: int, C0: int, alpha: float) -> ChordIntervals:
         a, b = comp.T
         c, h = 0.5 * (a + b), 0.5 * (b - a) / alpha
         dil[i] = _merge_intervals(c - h, c + h)
-    return ChordIntervals(mu, alpha, comps, dil)
+    return ChordIntervals(comps, dil)
 
 
 def interval_overlap_count(families: list[ChordIntervals], i: int) -> int:

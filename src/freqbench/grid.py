@@ -11,6 +11,8 @@ endpoints and widths are kept on binary-friendly lattices by the callers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "maximal_average",
     "smooth_ramp",
     "PositiveBandKernel",
+    "shared_kernel",
     "convolve",
 ]
 
@@ -88,9 +91,18 @@ class GridFunction:
             self._spec = np.fft.fftshift(np.fft.fft(self.values)) / self.size
         return self._spec
 
+    def bank(self, windows):
+        """Samples under each row of the (rows, size) stack ``windows`` over
+        ``freqs()``, from one batched inverse FFT; row r equals
+        ``multiply_spectrum(windows[r]).values`` bit for bit."""
+        rows = np.fft.ifftshift(self.spectrum() * windows, axes=-1)
+        out = np.fft.ifft(rows, axis=-1)
+        out *= self.size
+        return out
+
     def multiply_spectrum(self, window):
-        """Pointwise spectral multiplier; ``window`` is an array over
-        ``freqs()``."""
+        """Pointwise spectral multiplier, the one-row case of :meth:`bank`;
+        ``window`` is an array over ``freqs()``."""
         w = np.asarray(window)
         if w.shape != (self.size,):
             raise ValueError("window shape mismatch")
@@ -253,9 +265,22 @@ class PositiveBandKernel:
         self.transform = np.fft.fft(self.values)
 
 
-def convolve(f, kernel):
-    """Circular convolution of a grid function with a PositiveBandKernel."""
-    if f.size != kernel.size or f.length != kernel.length:
+@functools.lru_cache(maxsize=64)
+def shared_kernel(size: int, length: float, width: float,
+                  half_power: int) -> PositiveBandKernel:
+    """One read-only kernel per parameter set, shared by every caller."""
+    kern = PositiveBandKernel(size, length, width, half_power)
+    kern.values.flags.writeable = False
+    kern.transform.flags.writeable = False
+    return kern
+
+
+def convolve(rows, kernel):
+    """Circular convolution of a row of samples, or of each row of a
+    stack in one batched FFT pair, with a PositiveBandKernel."""
+    rows = np.asarray(rows)
+    if rows.shape[-1] != kernel.size:
         raise ValueError("kernel built for a different grid")
-    out = np.fft.ifft(np.fft.fft(f.values) * kernel.transform) * f.dx
-    return GridFunction(out, f.length)
+    out = np.fft.ifft(np.fft.fft(rows, axis=-1) * kernel.transform, axis=-1)
+    out *= kernel.length / kernel.size
+    return out

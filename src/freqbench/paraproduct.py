@@ -22,9 +22,9 @@ A maximal martingale transform closes the toolkit; it acts band-by-band
 on the same annuli.
 
 :func:`pp_apply`, :func:`max_martingale` and :func:`telescoping_decompose`
-take every band of one input from a single batched inverse FFT
-(:func:`_band_bank`); each row equals the matching :func:`qk` or
-:func:`pk` samples bit for bit.
+take every band of one input from one
+:meth:`freqbench.grid.GridFunction.bank`, a single batched inverse FFT over
+the stack of band masks.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ def _balls(f: GridFunction, ks) -> np.ndarray:
     return (_abs_freqs(f) <= 2.0 ** k).astype(float)
 
 
-def _band_bank(u: GridFunction, masks: np.ndarray) -> np.ndarray:
-    """Samples of ``u`` under each centred mask row, one row per mask.
-
-    All rows share one batched inverse FFT; row i equals
-    ``u.multiply_spectrum(masks[i]).values`` bit for bit.
-    """
-    rows = np.fft.ifftshift(u.spectrum() * masks, axes=-1)
-    return np.fft.ifft(rows, axis=-1) * u.size
-
-
 def qk(f: GridFunction, k: int) -> GridFunction:
     """Annulus projection onto 2**(k-1) < |xi| <= 2**k."""
     return f.multiply_spectrum(_annuli(f, [k])[0])
@@ -87,8 +77,8 @@ def pp_apply(f: GridFunction, g: GridFunction, kbits: int) -> GridFunction:
     for which the doubled depth still names a band inside the limit.
     """
     depths = _depth_range(kbits)
-    pieces = (_band_bank(f, _annuli(f, kbits - 2 * depths))
-              * _band_bank(g, _balls(g, kbits - depths)))
+    pieces = (f.bank(_annuli(f, kbits - 2 * depths))
+              * g.bank(_balls(g, kbits - depths)))
     out = np.zeros(f.size, dtype=complex)
     for piece in pieces:
         out = out + piece
@@ -103,17 +93,13 @@ def max_martingale(a, psi: GridFunction, kmax: int) -> GridFunction:
     coeffs = np.asarray(a, dtype=float)
     if coeffs.size < kmax + 1:
         raise ValueError("coefficient sequence shorter than the band range")
-    bands = _band_bank(psi, _annuli(psi, range(kmax + 1)))
+    bands = psi.bank(_annuli(psi, range(kmax + 1)))
     acc = np.zeros(psi.size, dtype=complex)
     best = np.zeros(psi.size)
     for k in range(kmax, -1, -1):
         acc = acc + coeffs[k] * bands[k]
         np.maximum(best, np.abs(acc), out=best)
     return GridFunction(best.astype(complex), psi.length)
-
-
-def _pairing(u: GridFunction, h: GridFunction) -> complex:
-    return complex(np.sum(u.values * h.values) * u.dx)
 
 
 def _diagonal_terms(dg: np.ndarray, dh: np.ndarray, fat, offsets,
@@ -160,9 +146,9 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
 
     depths = _depth_range(kbits)
     steps = kbits - np.arange(kbits + 1)
-    df = _band_bank(f0, _annuli(f0, kbits - 2 * depths))
-    dg = _band_bank(g0, _annuli(g0, steps))
-    dh = _band_bank(h0, _annuli(h0, steps))
+    df = f0.bank(_annuli(f0, kbits - 2 * depths))
+    dg = g0.bank(_annuli(g0, steps))
+    dh = h0.bank(_annuli(h0, steps))
     dx = f0.dx
 
     # suffix sums of the doubled-depth annuli of f: fsum[m] = sum_{d >= m}
@@ -186,7 +172,7 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
         t_swap_g -= complex(np.sum(df[d] * gpre[d] * hv) * dx)
         t_swap_h -= complex(np.sum(df[d] * hpre[max(d - 1, 0)] * gv) * dx)
 
-    pairing = _pairing(pp_apply(f0, g0, kbits), h0)
+    pairing = complex(np.sum(pp_apply(f0, g0, kbits).values * hv) * dx)
     forward = t_full + t_swap_g + t_swap_h
     t_same, t_down, t_up = _diagonal_terms(dg, dh, fat, EXACT_OFFSETS, dx)
     naive = sum(_diagonal_terms(dg, dh, fat, NAIVE_OFFSETS, dx), forward)

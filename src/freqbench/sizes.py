@@ -22,12 +22,11 @@ assumed to keep its dilated support inside the grid's frequency band (see
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .grid import GridFunction, PositiveBandKernel, convolve, maximal_average
+from .grid import GridFunction, convolve, maximal_average, shared_kernel
 from .timefreq import (
     Family,
     Iv,
@@ -69,8 +68,9 @@ def top_interval(top: TopData, i: int, slope: float, circle: float) -> Iv:
 # ---------------------------------------------------------------------------
 # weights and multiplier families
 
-def tail_weight(f: GridFunction, interval: Iv, power: int) -> np.ndarray:
-    """Periodized polynomial tail weight pinned to the interval.
+def tail_weight(f: GridFunction, lo, hi, power: int) -> np.ndarray:
+    """Periodized polynomial tail weight pinned to [lo, hi]; array ends
+    give one weight row per interval.
 
     Uses the smooth form (1 + (dist/length)^2)^(-power/2), equivalent to
     the kinked (1 + dist/length)^(-power) within a factor 2^(power/2) but
@@ -78,53 +78,50 @@ def tail_weight(f: GridFunction, interval: Iv, power: int) -> np.ndarray:
     of weighted norms converges fast and refining the grid moves measured
     sizes by far less than any dyadic threshold margin.
     """
-    length = f.length
-    off = np.mod(f.x - interval.center + 0.5 * length, length) - 0.5 * length
-    u = off / interval.length
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    off = np.mod(f.x - 0.5 * (lo + hi) + 0.5 * f.length, f.length)
+    u = (off - 0.5 * f.length) / (hi - lo)
     return (1.0 + u * u) ** (-0.5 * float(power))
 
 
 def _bump(u: np.ndarray, order: int) -> np.ndarray:
-    return np.clip(1.0 - u * u, 0.0, None) ** order
+    """(1 - u^2)^order on |u| < 1, zero elsewhere: powers the support only."""
+    out = np.zeros(np.shape(u))
+    inside = np.abs(u) < 1.0
+    out[inside] = (1.0 - u[inside] * u[inside]) ** order
+    return out
+
+
+def _window_offsets(f: GridFunction, lo, hi,
+                    support_factor: float) -> np.ndarray:
+    """Modes relative to [lo, hi], in its dilated half-widths."""
+    half = 0.5 * support_factor * (hi - lo)
+    return (f.freqs() / f.length - 0.5 * (lo + hi)) / half
 
 
 def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
-                      order: int, support_factor: float) -> list[np.ndarray]:
-    """Concrete symbols over the grid modes, supported on the dilated omega.
+                      order: int, support_factor: float) -> np.ndarray:
+    """Concrete symbols over the grid modes, supported on the dilated
+    omega, as a (3, size) bank of windows.
 
     With a marked frequency the symbols carry a saturating odd factor, so
     |m(xi)| <= LEVEL * min(1, |xi - marked| / |omega|) pointwise; without
     one they are plain bump envelopes bounded by :data:`LEVEL`.
     """
-    xs = f.freqs() / f.length
-    half = 0.5 * support_factor * omega.length
-    u = (xs - omega.center) / half
+    u = _window_offsets(f, omega.lo, omega.hi, support_factor)
     env = _bump(u, order)
     if marked is None:
-        return [LEVEL * env,
-                LEVEL * _bump(u, order + 2),
-                LEVEL * env * (1.0 - 0.5 * _bump(u, 2 * order))]
-    t = (xs - marked) / omega.length
-    return [LEVEL * env * np.tanh(t),
-            LEVEL * env * (t / np.sqrt(1.0 + t * t)),
-            LEVEL * _bump(u, order + 2) * np.tanh(0.5 * t)]
+        return np.array([LEVEL * env,
+                         LEVEL * _bump(u, order + 2),
+                         LEVEL * env * (1.0 - 0.5 * _bump(u, 2 * order))])
+    t = (f.freqs() / f.length - marked) / omega.length
+    return np.array([LEVEL * env * np.tanh(t),
+                     LEVEL * env * (t / np.sqrt(1.0 + t * t)),
+                     LEVEL * _bump(u, order + 2) * np.tanh(0.5 * t)])
 
 
 # ---------------------------------------------------------------------------
 # seminorms and sizes
-
-def _max_or_nan(values) -> float:
-    """Largest of the nonnegative ``values``, 0.0 when there are none and
-    NaN when one is NaN; the builtin ``max`` would drop a NaN, and a NaN
-    input would read as size zero."""
-    best = 0.0
-    for val in values:
-        if val != val:
-            return val
-        if val > best:
-            best = val
-    return best
-
 
 class TreeSizer:
     """Size functionals of one function over one tile family.
@@ -136,7 +133,8 @@ class TreeSizer:
     - filtered powers |f * m|^2 for the three symbols of
       :func:`multiplier_family`, by (frequency window, marked frequency).
       The filtered function does not depend on the tile, so every tile and
-      top sharing a window shares one spectral round trip per symbol.
+      top sharing a window shares one (3, size) :meth:`GridFunction.bank`.
+      :meth:`tree_size` weighs a tree's uncached members as one array.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -154,30 +152,34 @@ class TreeSizer:
 
     def tile_seminorm(self, j: int, i: int, marked: float) -> float:
         key = (j, i, marked)
-        got = self._tile_cache.get(key)
-        if got is not None:
-            return got
-        omega = Iv(*self._omega[self.tiles.cube[j], i].tolist())
-        best = self._weighted_max(self.tiles.interval(j), omega, marked)
-        self._tile_cache[key] = best
-        return best
+        if key not in self._tile_cache:
+            self._fill_seminorms([j], i, marked)
+        return self._tile_cache[key]
 
-    def _weighted_max(self, interval, omega, marked) -> float:
-        """Largest tail-weighted L2 norm of f under the multiplier family
-        of omega.  The filtered powers come from the per-window cache; only
-        the tail weight of ``interval`` is computed per call."""
+    def _fill_seminorms(self, js: list[int], i: int, marked: float) -> None:
+        """Cache the seminorms of the tiles ``js`` that are not cached."""
+        cache = self._tile_cache
+        missing = [j for j in js if (j, i, marked) not in cache]
+        if not missing:
+            return
+        lo = self.tiles.lo[missing]
+        weights = tail_weight(self.f, lo, lo + self.tiles.length[missing],
+                              self.weight_power)
+        for j, w in zip(missing, weights):
+            omega = Iv(*self._omega[self.tiles.cube[j], i].tolist())
+            cache[(j, i, marked)] = self._weighted_max(w, omega, marked)
+
+    def _weighted_max(self, w: np.ndarray, omega: Iv, marked) -> float:
+        """Largest ``w``-weighted L2 norm of f under omega's multiplier
+        family; the filtered powers are cached per window."""
         key = (omega, marked)
         powers = self._power_cache.get(key)
         if powers is None:
-            powers = [np.abs(self.f.multiply_spectrum(sym).values) ** 2
-                      for sym in multiplier_family(self.f, omega, marked,
-                                                   self.order,
-                                                   self.support_factor)]
+            powers = np.abs(self.f.bank(multiplier_family(
+                self.f, omega, marked, self.order, self.support_factor))) ** 2
             self._power_cache[key] = powers
-        w = tail_weight(self.f, interval, self.weight_power)
-        ww = w * w
-        return _max_or_nan([float(np.sqrt(np.sum(ww * power) * self.f.dx))
-                            for power in powers])
+        sums = np.sum(w * w * powers, axis=-1)
+        return float(np.sqrt(sums * self.f.dx).max())
 
     def _top_term(self, top: TopData, i: int) -> float:
         key = (top, i)
@@ -186,7 +188,9 @@ class TreeSizer:
             return got
         circle = self.f.length
         omega = top_interval(top, i, self.slope, circle)
-        best = self._weighted_max(top.interval, omega, None)
+        w = tail_weight(self.f, top.interval.lo, top.interval.hi,
+                        self.weight_power)
+        best = self._weighted_max(w, omega, None)
         length = min(top.interval.length, circle)
         out = best / math.sqrt(length)
         self._top_cache[key] = out
@@ -195,17 +199,15 @@ class TreeSizer:
     def tree_size(self, tree: Tree, i: int) -> float:
         marked = top_frequency(tree.top, i, self.slope)
         length = min(tree.interval.length, self.f.length)
-        acc = sum(self.tile_seminorm(j, i, marked) ** 2
-                  for j in tree.members.tolist())
+        members = tree.members.tolist()
+        self._fill_seminorms(members, i, marked)
+        acc = sum(self.tile_seminorm(j, i, marked) ** 2 for j in members)
         return math.sqrt(acc / length) + self._top_term(tree.top, i)
 
     def collection_size(self, i: int, trees: list[Tree]) -> float:
         """Largest tree size over ``trees``."""
-        return _max_or_nan(self.tree_size(tree, i) for tree in trees)
-
-    def size_callback(self, i: int):
-        """Adapter for :func:`freqbench.timefreq.forest_decompose`."""
-        return lambda tree: self.tree_size(tree, i)
+        return float(np.max([self.tree_size(tree, i) for tree in trees],
+                            initial=0.0))
 
 
 def maximal_trees(tiles: Family) -> list[Tree]:
@@ -225,13 +227,6 @@ def exceptional_mask(density: GridFunction, factor: float) -> np.ndarray:
     its total mass."""
     m = maximal_average(density).values.real
     return m > factor * float(density.integral().real)
-
-
-def _interval_cells(lo: float, length: float, n: int,
-                    dx: float) -> np.ndarray:
-    start = int(round(lo / dx))
-    count = min(int(round(length / dx)), n)
-    return np.mod(start + np.arange(count), n)
 
 
 def layer_split(tiles: Family, omega: np.ndarray,
@@ -259,8 +254,9 @@ def layer_split(tiles: Family, omega: np.ndarray,
             scale = 4.0 ** level
             length = min(width * scale, circle)
             lo = center - 0.5 * length
-            cells = _interval_cells(lo, length, n, dx)
-            if not omega[cells].all():
+            start = int(round(lo / dx))
+            count = min(int(round(length / dx)), n)
+            if not omega[np.mod(start + np.arange(count), n)].all():
                 out.setdefault(level, []).append(j)
                 break
         else:
@@ -271,32 +267,28 @@ def layer_split(tiles: Family, omega: np.ndarray,
 # ---------------------------------------------------------------------------
 # model sum
 
-@functools.lru_cache(maxsize=64)
-def _cutoff_kernel(size: int, length: float,
-                   width: float) -> PositiveBandKernel:
-    """The mollifier of :func:`spatial_cutoff`, shared by every cutoff at
-    one width; its values and transform are read-only."""
-    kern = PositiveBandKernel(size, length, width, half_power=1)
-    kern.values.flags.writeable = False
-    kern.transform.flags.writeable = False
-    return kern
-
-
-def spatial_cutoff(f: GridFunction, interval: Iv, blur: float) -> np.ndarray:
-    """Mollified indicator of the interval over the samples.
+def spatial_cutoff(f: GridFunction, lo, hi, blur: float) -> np.ndarray:
+    """Mollified indicator of [lo, hi] over the samples; array ends give
+    one cutoff row per interval.
 
     The mollifier is a positive band-limited kernel of width a fixed
     fraction of the interval, floored at a few grid cells so the kernel
-    never aliases.  Summing over a full partition at one scale returns the
-    constant one because the kernel has unit mass.
+    never aliases; rows of one width share one FFT pair.  Summing over a
+    full partition at one scale returns the constant one because the
+    kernel has unit mass.
     """
-    width = max(blur * interval.length, MIN_WIDTH_CELLS * f.dx)
-    kern = _cutoff_kernel(f.size, f.length, width)
-    box = GridFunction.zeros(f.size, f.length)
-    cells = _interval_cells(interval.lo, min(interval.length, f.length),
-                            f.size, f.dx)
-    box.values[cells] = 1.0
-    return convolve(box, kern).values.real
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    n, dx = f.size, f.dx
+    start = np.round(lo / dx)
+    count = np.minimum(np.round(np.minimum(hi - lo, f.length) / dx), n)
+    boxes = (np.mod(np.arange(n) - start, n) < count).astype(complex)
+    widths = np.maximum(blur * (hi - lo), MIN_WIDTH_CELLS * dx)[..., 0]
+    out = np.empty(boxes.shape)
+    for width in dict.fromkeys(widths.ravel().tolist()):
+        rows = widths == width
+        kern = shared_kernel(n, f.length, width, half_power=1)
+        out[rows] = convolve(boxes[rows], kern).real
+    return out
 
 
 def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
@@ -306,26 +298,21 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
 
     Each tile contributes the integral of its smoothed spatial indicator
     against the product of the three frequency-projected functions, each
-    projected by a bump at support factor :data:`MODEL_SUPPORT`; the
-    projection product is cached per cube since tiles sharing a cube share
-    it exactly.
+    projected by a bump at support factor :data:`MODEL_SUPPORT`.  Each
+    component's projections of all cubes come from one
+    :meth:`GridFunction.bank`; the terms are added in tile order.
     """
     f = fs[0]
     ops = operator_intervals(tiles.side, tiles.centers, slope)
-    per_cube: dict = {}
+    prod = np.ones((len(ops), f.size), dtype=complex)
+    for i in range(3):
+        u = _window_offsets(fs[i], ops[:, i, :1], ops[:, i, 1:],
+                            MODEL_SUPPORT)
+        prod = prod * fs[i].bank(LEVEL * _bump(u, order))
+    cuts = spatial_cutoff(f, tiles.lo, tiles.hi, blur)
     total = 0.0 + 0.0j
-    for j, q in enumerate(tiles.cube.tolist()):
-        prod = per_cube.get(q)
-        if prod is None:
-            prod = np.ones(f.size, dtype=complex)
-            for i in range(3):
-                omega = Iv(*ops[q, i].tolist())
-                sym = multiplier_family(fs[i], omega, None, order,
-                                        MODEL_SUPPORT)[0]
-                prod = prod * fs[i].multiply_spectrum(sym).values
-            per_cube[q] = prod
-        cut = spatial_cutoff(f, tiles.interval(j), blur)
-        total += complex(np.sum(cut * prod) * f.dx)
+    for cut, q in zip(cuts, tiles.cube.tolist()):
+        total += complex(np.sum(cut * prod[q]) * f.dx)
     return total
 
 

@@ -166,6 +166,21 @@ class TestInputs:
         fine = ex.restricted_input(1024, 32.0, [(4.0, 7.0)], 0.5)
         assert np.abs(fine.values[::2] - coarse.values).max() < 1e-8
 
+    def test_restricted_input_shares_its_kernel(self, monkeypatch):
+        # a model-sum run builds 150 inputs on one grid at one width
+        import freqbench.grid as grid
+        built = []
+
+        class Counted(grid.PositiveBandKernel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(grid, "PositiveBandKernel", Counted)
+        for a in (4.0, 9.0, 4.0):
+            ex.restricted_input(512, 32.0, [(a, a + 3.0)], 0.4375)
+        assert built == [(512, 32.0, 0.4375, ex.MOLLIFIER_HALF_POWER)]
+
     def test_band_noise_confined_and_unit(self):
         rng = np.random.default_rng(5)
         f = ex.band_noise(256, 1.0, 8.0, rng)
@@ -286,6 +301,19 @@ class TestDrivers:
         moved = audits(small("model-sum", **{knob: value}))
         assert len(base) == 2
         assert all(moved[name] != base[name] for name in base)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_metric_fails_the_run(self, monkeypatch, value):
+        # max(0.0, nan) is 0.0 and nan > bound is False, so a driver's own
+        # checks can miss a NaN; run() fails every non-finite metric
+        def runner(cfg):
+            return [("fine", 1.0), ("broken", value)], []
+
+        monkeypatch.setitem(ex._RUNNERS, "tiles", (runner, "stub"))
+        res = ex.run(small("tiles"))
+        assert not res.passed
+        assert res.failures == [f"metric broken is not finite ({value!r})"]
 
     def test_size_decay_rate_positive(self):
         res = ex.run(ex.default_config("size-decay"))
@@ -658,6 +686,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: drift budget must be a finite number")
         assert err.count("\n") == 1
+
+    def test_compare_budget_default_is_one_constant(self, tmp_path,
+                                                    monkeypatch):
+        seen = []
+        monkeypatch.setattr(ex, "compare_runs",
+                            lambda a, b, budget: seen.append(budget)
+                            or ex.CompareReport("ok", 0.0, []))
+        assert cli_main(["compare", str(tmp_path / "a"),
+                         str(tmp_path / "b")]) == 0
+        assert seen == [ex.DRIFT_BUDGET]
+        # the function default is the same constant
+        res = ex.run(small("tiles", trials=2))
+        write_run(res, tmp_path / "a")
+        drifted = [ex.ResultRecord(r.config, r.seed, r.metric,
+                                   r.value * (1.0 + 0.9 * ex.DRIFT_BUDGET),
+                                   r.grid_n, r.wall_time)
+                   for r in res.records]
+        write_run(ex.RunResult(res.config, drifted, [], 0.0), tmp_path / "b")
+        monkeypatch.undo()
+        assert ex.compare_runs(str(tmp_path / "a"),
+                               str(tmp_path / "b")).status == "ok"
+        assert ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"),
+                               budget=0.5 * ex.DRIFT_BUDGET).status == "drift"
 
     def test_compare_missing_dir_exits_two(self, tmp_path, capsys):
         assert cli_main(["compare", str(tmp_path / "no"),

@@ -296,7 +296,6 @@ class TestWhitneyFamilies:
             np.stack([fam.x0, fam.y0], 1), np.stack([fam.x1, fam.y0], 1),
             np.stack([fam.x1, fam.y1], 1), np.stack([fam.x0, fam.y1], 1)])
         assert np.all(P.contains(corners, tol=1e-9))
-        assert fam.n_clipped == 0
 
     def test_shrinks_cover_guarded_shell_points(self):
         mu = 2

@@ -11,6 +11,7 @@ from freqbench.grid import (
     maximal_average,
     smooth_ramp,
 )
+from freqbench.paraproduct import _annuli, _balls, pk, qk
 
 
 def random_gridfunction(rng, size=128, length=1.0):
@@ -150,20 +151,20 @@ class TestPositiveKernel:
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=2)
         cuts = np.linspace(0.0, 1.0, 9)
         parts = [
-            convolve(indicator((a, b), 512, 1.0), k)
+            convolve(indicator((a, b), 512, 1.0).values, k)
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
         total = parts[0]
         for p in parts[1:]:
             total = total + p
-        assert np.abs(total.values - 1.0).max() < 1e-9
+        assert np.abs(total - 1.0).max() < 1e-9
         for p in parts:
-            assert p.values.real.min() > 0.0
+            assert p.real.min() > 0.0
 
     def test_convolution_preserves_mass(self):
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=6)
         f = indicator((0.25, 0.5), 512, 1.0)
-        g = convolve(f, k)
+        g = GridFunction(convolve(f.values, k), f.length)
         assert abs(g.integral().real - 0.25) < 1e-12
 
     def test_convolve_reuses_kernel_transform(self, monkeypatch):
@@ -179,6 +180,75 @@ class TestPositiveKernel:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        got = convolve(f, k)
+        got = convolve(f.values, k)
         assert len(seen) == 1 and seen[0] is f.values
-        assert np.array_equal(got.values, want)
+        assert np.array_equal(got, want)
+
+    def test_stacked_rows_match_single_rows(self):
+        # a stack of rows shares one FFT pair, and each row of the result
+        # equals that row convolved alone, bit for bit
+        k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=6)
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((5, 512)) + 1j * rng.standard_normal((5, 512))
+        got = convolve(rows, k)
+        assert got.shape == (5, 512)
+        for row, want in zip(got, rows):
+            assert np.array_equal(row, convolve(want, k))
+
+
+def band_noise(rng, size, band, length=1.0):
+    coeffs = np.zeros(size, dtype=complex)
+    ks = np.arange(-(size // 2), size // 2)
+    live = np.abs(ks / length) <= band
+    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
+    return GridFunction.from_spectrum(coeffs, length)
+
+
+def mode(k, size, amp=1.0):
+    coeffs = np.zeros(size, dtype=complex)
+    coeffs[k + size // 2] = amp
+    return GridFunction.from_spectrum(coeffs)
+
+
+class TestBank:
+    K = 8
+
+    def old_qk(self, f, k):
+        """Annulus projection as a per-band round trip with a scalar mask."""
+        a = np.abs(f.freqs() / f.length)
+        band = (a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)
+        return f.multiply_spectrum(band.astype(float))
+
+    def old_pk(self, f, k):
+        band = np.abs(f.freqs() / f.length) <= 2.0 ** k
+        return f.multiply_spectrum(band.astype(float))
+
+    def test_annulus_rows_match_per_band_projections(self):
+        rng = np.random.default_rng(50)
+        f = band_noise(rng, 1024, 250.0) + mode(400, 1024)
+        ks = list(range(-1, self.K + 3))
+        bank = f.bank(_annuli(f, ks))
+        assert bank.shape == (len(ks), 1024)
+        for row, k in zip(bank, ks):
+            assert np.array_equal(row, qk(f, k).values)
+            assert np.array_equal(row, self.old_qk(f, k).values)
+
+    def test_ball_rows_match_per_band_projections(self):
+        rng = np.random.default_rng(51)
+        f = band_noise(rng, 1024, 250.0) + mode(400, 1024)
+        ks = list(range(-1, self.K + 3))
+        bank = f.bank(_balls(f, ks))
+        for row, k in zip(bank, ks):
+            assert np.array_equal(row, pk(f, k).values)
+            assert np.array_equal(row, self.old_pk(f, k).values)
+
+    @pytest.mark.parametrize("size", [512, 1024, 4096])
+    def test_smooth_window_rows_match_one_row_round_trips(self, size):
+        rng = np.random.default_rng(size)
+        f = band_noise(rng, size, size / 5, length=32.0)
+        for rows in (1, 2, 3, 17):
+            windows = rng.uniform(-1.0, 1.0, (rows, size))
+            bank = f.bank(windows)
+            assert bank.shape == (rows, size)
+            for row, window in zip(bank, windows):
+                assert np.array_equal(row, f.multiply_spectrum(window).values)

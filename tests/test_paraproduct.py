@@ -5,9 +5,6 @@ import pytest
 
 from freqbench.grid import GridFunction
 from freqbench.paraproduct import (
-    _annuli,
-    _balls,
-    _band_bank,
     max_martingale,
     pk,
     pp_apply,
@@ -88,25 +85,6 @@ def old_pk(f, k):
 
 class TestBandBank:
     K = 8
-
-    def test_annulus_rows_match_per_band_projections(self):
-        rng = np.random.default_rng(50)
-        f = noise(250.0, rng) + mode(400)
-        ks = list(range(-1, self.K + 3))
-        bank = _band_bank(f, _annuli(f, ks))
-        assert bank.shape == (len(ks), N)
-        for row, k in zip(bank, ks):
-            assert np.array_equal(row, qk(f, k).values)
-            assert np.array_equal(row, old_qk(f, k).values)
-
-    def test_ball_rows_match_per_band_projections(self):
-        rng = np.random.default_rng(51)
-        f = noise(250.0, rng) + mode(400)
-        ks = list(range(-1, self.K + 3))
-        bank = _band_bank(f, _balls(f, ks))
-        for row, k in zip(bank, ks):
-            assert np.array_equal(row, pk(f, k).values)
-            assert np.array_equal(row, old_pk(f, k).values)
 
     def test_pp_apply_matches_per_band_loop(self):
         rng = np.random.default_rng(52)

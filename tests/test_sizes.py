@@ -7,7 +7,12 @@ import pytest
 
 import freqbench.experiments as ex
 from freqbench import sizes
-from freqbench.grid import GridFunction, indicator, maximal_average
+from freqbench.grid import (
+    GridFunction,
+    indicator,
+    maximal_average,
+    shared_kernel,
+)
 from freqbench.sizes import (
     TreeSizer,
     exceptional_mask,
@@ -58,6 +63,10 @@ def band_noise(n, length, band, rng, normalize="l2"):
     return f / np.abs(f.values).max()
 
 
+def ends(iv):
+    return iv.lo, iv.hi
+
+
 def one_cube_family(side, centers, cells):
     """Tiles at the given dyadic cells, all carrying one cube."""
     side, centers = np.array([side]), np.array([centers])
@@ -74,7 +83,7 @@ class TestTailWeight:
     def test_peak_and_reference_values(self):
         f = GridFunction.zeros(256, 1.0)
         iv = Iv(0.25, 0.5)  # center 0.375 lands on the sample lattice
-        w = tail_weight(f, iv, power=10)
+        w = tail_weight(f, *ends(iv), power=10)
         assert w[np.argmin(np.abs(f.x - 0.375))] == 1.0
         at = np.argmin(np.abs(f.x - 0.625))  # one interval-length away, u = 1
         assert w[at] == pytest.approx(2.0 ** -5, rel=1e-12)
@@ -82,7 +91,7 @@ class TestTailWeight:
     def test_matches_wrapped_distance_formula(self):
         f = GridFunction.zeros(128, 1.0)
         iv = Iv(-0.05, 0.05)
-        w = tail_weight(f, iv, power=6)
+        w = tail_weight(f, *ends(iv), power=6)
         d = np.abs(f.x - iv.center)
         d = np.minimum(d, f.length - d)
         ref = (1.0 + (d / iv.length) ** 2) ** -3.0
@@ -91,7 +100,8 @@ class TestTailWeight:
     def test_higher_power_decays_faster(self):
         f = GridFunction.zeros(64, 1.0)
         iv = Iv(0.0, 0.125)
-        lo, hi = tail_weight(f, iv, power=12), tail_weight(f, iv, power=4)
+        lo, hi = (tail_weight(f, *ends(iv), power=12),
+                  tail_weight(f, *ends(iv), power=4))
         off_center = np.abs(f.x - iv.center) > 1e-9
         assert np.all(lo[off_center] < hi[off_center])
 
@@ -170,7 +180,7 @@ class TestTileSeminorm:
             abs(sym[at])
             for sym in multiplier_family(f, omega, marked, *SIZE[:2])
         )
-        w = tail_weight(f, tiles.interval(0), SIZE[2])
+        w = tail_weight(f, *ends(tiles.interval(0)), SIZE[2])
         want = amp * 0.7 * math.sqrt(float(np.sum(w * w)) * f.dx)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -188,7 +198,7 @@ class TestTileSeminorm:
 def per_symbol_weighted_max(sizer, interval, omega, marked):
     """The uncached seminorm: one spectral round trip per symbol."""
     f = sizer.f
-    w = tail_weight(f, interval, sizer.weight_power)
+    w = tail_weight(f, *ends(interval), sizer.weight_power)
     best = 0.0
     for sym in multiplier_family(f, omega, marked, sizer.order,
                                  sizer.support_factor):
@@ -230,23 +240,24 @@ class TestFilterCache:
 
     def test_default_size_decay_filters_six_times(self, monkeypatch):
         # 512 tiles share one frequency window and one top window, so the
-        # run filters once per symbol of each: 2 windows x 3 symbols
-        calls = []
-        original = GridFunction.multiply_spectrum
+        # run filters one bank of the three symbols per window: 2 windows
+        # x 3 symbols
+        rows = []
+        original = GridFunction.bank
 
-        def counted(self, window):
-            calls.append(1)
-            return original(self, window)
+        def counted(self, windows):
+            rows.append(len(windows))
+            return original(self, windows)
 
-        monkeypatch.setattr(GridFunction, "multiply_spectrum", counted)
+        monkeypatch.setattr(GridFunction, "bank", counted)
         assert ex.run(ex.default_config("size-decay")).passed
-        assert len(calls) == 6
+        assert rows == [3, 3]
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
         f = GridFunction.zeros(512, 32.0)
-        spatial_cutoff(f, Iv(4.0, 5.0), BLUR)
-        kern = sizes._cutoff_kernel(512, 32.0, 0.25)
-        assert sizes._cutoff_kernel(512, 32.0, 0.25) is kern
+        spatial_cutoff(f, *ends(Iv(4.0, 5.0)), BLUR)
+        kern = shared_kernel(512, 32.0, 0.25, 1)
+        assert shared_kernel(512, 32.0, 0.25, 1) is kern
         with pytest.raises(ValueError):
             kern.values[0] = 1.0
         with pytest.raises(ValueError):
@@ -305,7 +316,8 @@ class TestTreeSize:
         # put every tile in the sink level unseen
         sizer = self.nan_sizer()
         with pytest.raises(ValueError, match="non-finite tree size"):
-            forest_decompose(sizer.tiles, sizer.size_callback(0), *BITS)
+            forest_decompose(sizer.tiles, lambda tr: sizer.tree_size(tr, 0),
+                             *BITS)
 
 
 def supinf_maximal_bound(f, tiles):
@@ -393,17 +405,79 @@ class TestSpatialCutoff:
         f = GridFunction.zeros(512, 32.0)
         total = np.zeros(512)
         for j in range(32):
-            total += spatial_cutoff(f, dyadic(1.0, j), BLUR)
+            total += spatial_cutoff(f, *ends(dyadic(1.0, j)), BLUR)
         assert np.abs(total - 1.0).max() < 1e-12
 
     def test_positive_localized_unit_mass(self):
         f = GridFunction.zeros(512, 32.0)
-        cut = spatial_cutoff(f, Iv(4.0, 5.0), BLUR)
+        cut = spatial_cutoff(f, *ends(Iv(4.0, 5.0)), BLUR)
         assert cut.min() > 0.0
         assert cut[np.argmin(np.abs(f.x - 4.5))] > 0.9
         assert cut[np.argmin(np.abs(f.x - 8.0))] < 0.01
         assert np.sum(cut) * f.dx == pytest.approx(1.0, abs=1e-12)
 
+
+def one_tail_weight(f, iv, power):
+    """The tail weight of one interval, in scalar arithmetic."""
+    off = np.mod(f.x - iv.center + 0.5 * f.length, f.length) - 0.5 * f.length
+    u = off / iv.length
+    return (1.0 + u * u) ** (-0.5 * float(power))
+
+
+def one_cutoff(f, iv, blur):
+    """The cutoff of one interval: one box, one convolve."""
+    width = max(blur * iv.length, sizes.MIN_WIDTH_CELLS * f.dx)
+    start = int(round(iv.lo / f.dx))
+    count = min(int(round(min(iv.length, f.length) / f.dx)), f.size)
+    box = np.zeros(f.size, dtype=complex)
+    box[np.mod(start + np.arange(count), f.size)] = 1.0
+    kern = shared_kernel(f.size, f.length, width, 1)
+    return (np.fft.ifft(np.fft.fft(box) * kern.transform) * f.dx).real
+
+
+class TestBatchedRows:
+    # rows of several widths, two wrapping the circle's end, two whose
+    # mollifier sits at the MIN_WIDTH_CELLS floor (4 cells = 0.25 at
+    # 512 samples on 32), one cut to the circle, and a repeat
+    ROWS = np.array([[4.0, 5.0], [31.5, 32.5], [30.0, 34.0], [0.0, 0.5],
+                     [17.25, 17.5], [2.0, 66.0], [7.0, 9.0], [4.0, 5.0],
+                     [-0.75, 0.25]])
+
+    def test_tail_weight_rows_match_single_intervals(self):
+        f = GridFunction.zeros(512, 32.0)
+        for power in (4, 10):
+            got = tail_weight(f, *self.ROWS.T, power)
+            assert got.shape == (len(self.ROWS), 512)
+            for row, (lo, hi) in zip(got, self.ROWS.tolist()):
+                iv = Iv(lo, hi)
+                assert np.array_equal(row, tail_weight(f, *ends(iv), power))
+                assert np.array_equal(row, one_tail_weight(f, iv, power))
+
+    def test_cutoff_rows_match_single_intervals(self):
+        f = GridFunction.zeros(512, 32.0)
+        floor = sizes.MIN_WIDTH_CELLS * f.dx
+        lengths = self.ROWS[:, 1] - self.ROWS[:, 0]
+        assert (BLUR * lengths < floor).sum() == 2
+        got = spatial_cutoff(f, *self.ROWS.T, BLUR)
+        assert got.shape == (len(self.ROWS), 512)
+        for row, (lo, hi) in zip(got, self.ROWS.tolist()):
+            iv = Iv(lo, hi)
+            assert np.array_equal(row, spatial_cutoff(f, *ends(iv), BLUR))
+            assert np.array_equal(row, one_cutoff(f, iv, BLUR))
+
+    def test_uncached_members_batched_like_single_tiles(self):
+        # tree_size fills its uncached members from one weight array; a
+        # fresh sizer asked tile by tile gives the same seminorms
+        tiles = compact_family(5, *FAMILY)
+        f = band_noise(512, 32.0, 7.5, np.random.default_rng(44))
+        batched = TreeSizer(f, tiles, SLOPE, *SIZE)
+        single = TreeSizer(f, tiles, SLOPE, *SIZE)
+        for tree in maximal_trees(tiles):
+            for i in range(3):
+                batched.tree_size(tree, i)
+        assert batched._tile_cache
+        for (j, i, marked), got in batched._tile_cache.items():
+            assert single.tile_seminorm(j, i, marked) == got
 
 class TestModelSum:
     def make_inputs(self, seed, band=7.5):
@@ -411,21 +485,26 @@ class TestModelSum:
         return tuple(band_noise(512, 32.0, band, rng) for _ in range(3))
 
     def test_matches_uncached_reference(self):
+        # one round trip per cube component and one convolve per tile,
+        # summed in tile order, gives the batched sum bit for bit
         fs = self.make_inputs(21)
-        tiles = compact_family(4, *FAMILY)
-        got = model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)
-        ref = 0.0 + 0.0j
         f = fs[0]
-        ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
-        for j in range(len(tiles)):
-            prod = np.ones(f.size, dtype=complex)
-            for i in range(3):
-                omega = Iv(*ops[tiles.cube[j], i])
-                sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
-                prod = prod * fs[i].multiply_spectrum(sym).values
-            cut = spatial_cutoff(f, tiles.interval(j), BLUR)
-            ref += complex(np.sum(cut * prod) * f.dx)
-        assert got == pytest.approx(ref, rel=1e-12)
+        widths = set()
+        for seed in range(8):
+            tiles = compact_family(seed, *FAMILY)
+            widths.update(tiles.length.tolist())
+            ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
+            ref = 0.0 + 0.0j
+            for j in range(len(tiles)):
+                prod = np.ones(f.size, dtype=complex)
+                for i in range(3):
+                    omega = Iv(*ops[tiles.cube[j], i])
+                    sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
+                    prod = prod * fs[i].multiply_spectrum(sym).values
+                cut = one_cutoff(f, tiles.interval(j), BLUR)
+                ref += complex(np.sum(cut * prod) * f.dx)
+            assert model_sum(fs, tiles, SLOPE, SIZE[0], BLUR) == ref
+        assert len(widths) == 2
 
     def test_band_miss_gives_zero(self):
         # inputs confined to |xi| <= 0.4 cannot meet any component support of
