@@ -6,8 +6,8 @@ drift breach, 2 means the request itself was bad (invalid config,
 unreadable run directory, an output path that is not a usable directory
 or already holds records, a drift budget that is not a finite number
 >= 0, mismatched experiments), 3 means a valid config could not be
-run (the experiment raised, e.g. a degenerate geometry or no admissible
-tile family).  Errors print one ``error:`` line to stderr.
+run (the experiment raised, e.g. on a degenerate geometry, no admissible
+tile family or no memory).  Errors print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ def _cmd_run(args) -> int:
         return 2
     try:
         result = ex.run(cfg)
-    except (ValueError, RuntimeError, ArithmeticError) as err:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as err:
         if fresh:
             os.rmdir(args.out)  # a failed run leaves no empty directory
-        print(f"error: {cfg.kind} run failed: {err}", file=sys.stderr)
+        reason = str(err) or type(err).__name__  # a bare MemoryError is ""
+        print(f"error: {cfg.kind} run failed: {reason}", file=sys.stderr)
         return 3
     ex.write_records(records, result.records)
     ex.write_summary(os.path.join(args.out, "summary.txt"), result)

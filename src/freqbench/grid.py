@@ -179,24 +179,21 @@ def maximal_average(f):
     At each sample point x the value is the supremum of
     (1/|I|) * integral_I |f| over all closed intervals I = [x_a, x_b]
     with endpoints on the sample lattice, x_a <= x <= x_b, within the
-    domain (no wraparound).  Exact over that family in O(size^2):
-    for each left endpoint the averages to all right endpoints are a
-    single vector, and a reversed running maximum distributes each
-    suffix-sup to the points the intervals cover.
+    domain (no wraparound).  Exact over that family in O(size^2), as a
+    sweep of the right end q down from the last sample: ``best[p]`` holds
+    the largest average over [x_p, x_q'] for any q' >= q, and the value at
+    x_q is the largest of ``best[:q + 1]``.
     """
     n = f.size
-    dx = f.dx
-    a = np.abs(f.values)
-    prefix = np.concatenate([[0.0], np.cumsum(a)]) * dx
-    out = np.zeros(n)
-    for i0 in range(n):
-        widths = (np.arange(i0 + 1, n + 1) - i0) * dx
-        avgs = (prefix[i0 + 1 :] - prefix[i0]) / widths
-        run = np.maximum.accumulate(avgs[::-1])[::-1]
-        if run[0] > out[i0]:
-            out[i0] = run[0]
-        if i0 + 1 < n:
-            np.maximum(out[i0 + 1 :], run[: n - 1 - i0], out=out[i0 + 1 :])
+    prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * f.dx
+    widths = np.arange(n, 0, -1) * f.dx
+    best = (prefix[n] - prefix[:n]) / widths
+    avgs, out = np.empty(n), np.empty(n)
+    for q in range(n - 1, -1, -1):
+        np.subtract(prefix[q], prefix[:q], out=avgs[:q])
+        np.divide(avgs[:q], widths[n - q :], out=avgs[:q])
+        np.maximum(best[:q], avgs[:q], out=best[:q])
+        out[q] = best[: q + 1].max()
     return GridFunction(out.astype(complex), f.length)
 
 

@@ -134,7 +134,8 @@ class TreeSizer:
       :func:`multiplier_family`, by (frequency window, marked frequency).
       The filtered function does not depend on the tile, so every tile and
       top sharing a window shares one (3, size) :meth:`GridFunction.bank`.
-      :meth:`tree_size` weighs a tree's uncached members as one array.
+      :meth:`tree_size` weighs the distinct intervals of a tree's uncached
+      members and top in one call; the rows do not outlive the call.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -146,6 +147,7 @@ class TreeSizer:
         self.support_factor = support_factor
         self.weight_power = weight_power
         self._omega = operator_intervals(tiles.side, tiles.centers, slope)
+        self._ends = list(zip(tiles.lo.tolist(), tiles.hi.tolist()))
         self._tile_cache: dict = {}
         self._top_cache: dict = {}
         self._power_cache: dict = {}
@@ -153,19 +155,21 @@ class TreeSizer:
     def tile_seminorm(self, j: int, i: int, marked: float) -> float:
         key = (j, i, marked)
         if key not in self._tile_cache:
-            self._fill_seminorms([j], i, marked)
+            self._fill_seminorms([j], i, marked,
+                                 self._weights([self._ends[j]]).values())
         return self._tile_cache[key]
 
-    def _fill_seminorms(self, js: list[int], i: int, marked: float) -> None:
-        """Cache the seminorms of the tiles ``js`` that are not cached."""
+    def _weights(self, ends: list[tuple[float, float]]) -> dict:
+        """Tail weight rows of the distinct (lo, hi) ``ends``, in one call."""
+        distinct = list(dict.fromkeys(ends))
+        rows = tail_weight(self.f, *zip(*distinct), self.weight_power)
+        return dict(zip(distinct, rows))
+
+    def _fill_seminorms(self, js: list[int], i: int, marked: float,
+                        ws) -> None:
+        """Cache the seminorms of tiles ``js``, weighed by rows ``ws``."""
         cache = self._tile_cache
-        missing = [j for j in js if (j, i, marked) not in cache]
-        if not missing:
-            return
-        lo = self.tiles.lo[missing]
-        weights = tail_weight(self.f, lo, lo + self.tiles.length[missing],
-                              self.weight_power)
-        for j, w in zip(missing, weights):
+        for j, w in zip(js, ws):
             omega = Iv(*self._omega[self.tiles.cube[j], i].tolist())
             cache[(j, i, marked)] = self._weighted_max(w, omega, marked)
 
@@ -181,15 +185,13 @@ class TreeSizer:
         sums = np.sum(w * w * powers, axis=-1)
         return float(np.sqrt(sums * self.f.dx).max())
 
-    def _top_term(self, top: TopData, i: int) -> float:
+    def _top_term(self, top: TopData, i: int, w: np.ndarray) -> float:
         key = (top, i)
         got = self._top_cache.get(key)
         if got is not None:
             return got
         circle = self.f.length
         omega = top_interval(top, i, self.slope, circle)
-        w = tail_weight(self.f, top.interval.lo, top.interval.hi,
-                        self.weight_power)
         best = self._weighted_max(w, omega, None)
         length = min(top.interval.length, circle)
         out = best / math.sqrt(length)
@@ -200,9 +202,17 @@ class TreeSizer:
         marked = top_frequency(tree.top, i, self.slope)
         length = min(tree.interval.length, self.f.length)
         members = tree.members.tolist()
-        self._fill_seminorms(members, i, marked)
+        missing = [j for j in members
+                   if (j, i, marked) not in self._tile_cache]
+        ends = [self._ends[j] for j in missing]
+        top = (tree.top.interval.lo, tree.top.interval.hi)
+        if (tree.top, i) not in self._top_cache:
+            ends.append(top)
+        rows = self._weights(ends) if ends else {}
+        self._fill_seminorms(missing, i, marked, map(rows.get, ends))
         acc = sum(self.tile_seminorm(j, i, marked) ** 2 for j in members)
-        return math.sqrt(acc / length) + self._top_term(tree.top, i)
+        return math.sqrt(acc / length) + self._top_term(tree.top, i,
+                                                         rows.get(top))
 
     def collection_size(self, i: int, trees: list[Tree]) -> float:
         """Largest tree size over ``trees``."""
@@ -224,8 +234,10 @@ def maximal_trees(tiles: Family) -> list[Tree]:
 
 def exceptional_mask(density: GridFunction, factor: float) -> np.ndarray:
     """Samples where the maximal average of the density beats factor times
-    its total mass."""
+    its total mass; a non-finite sample raises ValueError."""
     m = maximal_average(density).values.real
+    if not np.isfinite(m).all():
+        raise ValueError("density has a non-finite maximal average")
     return m > factor * float(density.integral().real)
 
 

@@ -622,6 +622,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("error,reason", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 8.00 GiB"),
+         "Unable to allocate 8.00 GiB"),
+    ])
+    def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch,
+                                      error, reason):
+        # a valid config too large for the host, such as a huge partition
+        # c0, could not be run: one error line, no traceback
+        def runner(cfg):
+            raise error
+
+        monkeypatch.setitem(ex._RUNNERS, "partition", (runner, "stub"))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("kind = partition\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: partition run failed: {reason}\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("kind", ["forest-bessel", "model-sum"])
     def test_band_past_fold_fails(self, tmp_path, capsys, monkeypatch, kind):
         # the compact families' operator band edge is about 7.5, so at

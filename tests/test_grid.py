@@ -1,5 +1,7 @@
 """Grid substrate: spectra, norms, exact maximal averages, kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,60 @@ class TestNorms:
         assert f.norm(2) <= np.sqrt(f.norm(1) * f.norm(np.inf)) + 1e-12
 
 
+def row_loop_maximal_average(f):
+    """The maximal average one left endpoint at a time: a row of averages
+    to every right endpoint and its reversed running maximum."""
+    n = f.size
+    dx = f.dx
+    a = np.abs(f.values)
+    prefix = np.concatenate([[0.0], np.cumsum(a)]) * dx
+    out = np.zeros(n)
+    for i0 in range(n):
+        widths = (np.arange(i0 + 1, n + 1) - i0) * dx
+        avgs = (prefix[i0 + 1 :] - prefix[i0]) / widths
+        run = np.maximum.accumulate(avgs[::-1])[::-1]
+        if run[0] > out[i0]:
+            out[i0] = run[0]
+        if i0 + 1 < n:
+            np.maximum(out[i0 + 1 :], run[: n - 1 - i0], out=out[i0 + 1 :])
+    return GridFunction(out.astype(complex), f.length)
+
+
+def maximal_average_inputs():
+    rng = np.random.default_rng(57)
+    sparse = np.where(rng.random(4096) < 0.01, rng.random(4096), 0.0)
+    yield indicator((0.5, 0.5 + 2.0 / 512), 4096)  # size-decay's density
+    yield GridFunction(sparse)
+    yield random_gridfunction(rng, size=4096)
+    yield random_gridfunction(rng, size=1000, length=3.0)
+    yield GridFunction(np.abs(rng.standard_normal(1000)), length=3.0)
+    yield indicator([(1.0, 1.25), (2.0, 2.5)], 1000, length=3.0)
+    yield GridFunction.zeros(16)
+    yield random_gridfunction(rng, size=16, length=0.375)
+    yield random_gridfunction(rng, size=2)
+    yield GridFunction.zeros(2, length=5.0)
+
+
 class TestMaximalAverage:
+    def test_matches_row_loop_bitwise(self):
+        for f in maximal_average_inputs():
+            got = maximal_average(f).values
+            want = row_loop_maximal_average(f).values
+            assert got.tobytes() == want.tobytes(), f
+
+    def test_peak_memory_not_above_row_loop(self):
+        f = indicator((0.5, 0.5 + 2.0 / 512), 4096)
+        peaks = []
+        for fn in (maximal_average, row_loop_maximal_average):
+            fn(GridFunction.zeros(16))  # first-call allocations are not peaks
+            tracemalloc.start()
+            try:
+                fn(f)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
     def test_indicator_value_two_units_right(self):
         # mass-1 indicator on [4,5); at x=6 the best closed interval is
         # [4,6]: average exactly 1/2

@@ -230,7 +230,8 @@ class TestFilterCache:
                     length = min(tree.interval.length, f.length)
                     want = per_symbol_weighted_max(
                         sizer, tree.top.interval, omega, None)
-                    assert sizer._top_term(tree.top, i) == (
+                    w = tail_weight(f, *ends(tree.top.interval), power)
+                    assert sizer._top_term(tree.top, i, w) == (
                         want / math.sqrt(length))
             # a repeated key recomputed from cached filtered powers
             j, i, marked = next(iter(sizer._tile_cache))
@@ -252,6 +253,37 @@ class TestFilterCache:
         monkeypatch.setattr(GridFunction, "bank", counted)
         assert ex.run(ex.default_config("size-decay")).passed
         assert rows == [3, 3]
+
+    def test_default_size_decay_weighs_each_tile_once(self, monkeypatch):
+        # each of the 512 trees is one tile under its own top, whose
+        # interval is the tile's, so one row serves the member and the top
+        rows = []
+
+        def counted(f, lo, hi, power):
+            out = tail_weight(f, lo, hi, power)
+            rows.append(1 if out.ndim == 1 else len(out))
+            return out
+
+        monkeypatch.setattr(sizes, "tail_weight", counted)
+        assert ex.run(ex.default_config("size-decay")).passed
+        assert len(rows) == 512 and sum(rows) == 512
+
+    def test_batched_top_terms_match_one_row_top_terms(self):
+        # the top term a tree size computes next to its members' rows
+        # equals the one from a weight row of the top alone, bit for bit
+        for seed in range(4):
+            tiles = compact_family(seed, *FAMILY)
+            f = band_noise(512, 32.0, 7.5, np.random.default_rng(seed + 90))
+            sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
+            for tree in maximal_trees(tiles):
+                for i in range(3):
+                    sizer.tree_size(tree, i)
+                    w = tail_weight(f, *ends(tree.top.interval), SIZE[2])
+                    omega = top_interval(tree.top, i, SLOPE, f.length)
+                    length = min(tree.interval.length, f.length)
+                    want = sizer._weighted_max(w, omega, None)
+                    assert sizer._top_cache[(tree.top, i)] == (
+                        want / math.sqrt(length))
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
         f = GridFunction.zeros(512, 32.0)
@@ -276,7 +308,8 @@ class TestTreeSize:
         want = (
             math.sqrt(sizer.tile_seminorm(0, 0, marked) ** 2
                       / tiles.length[0])
-            + sizer._top_term(top, 0)
+            + sizer._top_term(top, 0, tail_weight(f, *ends(top.interval),
+                                                  SIZE[2]))
         )
         assert sizer.tree_size(tree, 0) == pytest.approx(want, rel=1e-12)
 
@@ -362,6 +395,14 @@ class TestExceptionalMask:
         assert mask.mean() < 0.05
         far = np.argmin(np.abs(density.x - 0.1))
         assert not mask[far]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_raises(self, bad):
+        # NaN compares false, so unchecked one bad sample flags nothing
+        density = indicator([(0.5, 0.5 + 1 / 256)], 2048, 1.0)
+        density.values[100] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            exceptional_mask(density, factor=100.0)
 
 
 class TestLayerSplit:
