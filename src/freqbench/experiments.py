@@ -107,18 +107,14 @@ class ExperimentConfig:
 _KIND_DEFAULTS: dict[str, dict] = {
     "partition": dict(trials=1, grid_n=256),
     "polygon-scan": dict(grid_n=128, trials=50, moll_width=0.0625,
-                         set_count=2,
                          exponents=(5.0 / 3.0, 4.0, 20.0 / 3.0)),
-    "hs-oracle": dict(grid_n=128, trials=20, band=8.0),
+    "hs-oracle": dict(grid_n=128, trials=20),
     "tiles": dict(trials=100, grid_n=256),
-    "forest-bessel": dict(grid_n=512, trials=12, domain_len=32.0,
-                          moll_width=0.5),
+    "forest-bessel": dict(grid_n=512, trials=12, domain_len=32.0),
     "model-sum": dict(grid_n=1024, trials=50, domain_len=32.0,
-                      moll_width=0.5,
                       exponents=(5.0 / 3.0, 4.0, 20.0 / 3.0)),
-    "paraproduct": dict(grid_n=1024, trials=100, band=250.0, kbits=8),
-    "size-decay": dict(grid_n=4096, trials=1, moll_width=0.02,
-                       decay_power=4),
+    "paraproduct": dict(grid_n=1024, trials=100, band=250.0),
+    "size-decay": dict(grid_n=4096, trials=1, moll_width=0.02),
 }
 
 
@@ -176,45 +172,62 @@ def default_config(kind: str) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, **_KIND_DEFAULTS[kind])
 
 
+# field -> (domain, test) of the values a run can evaluate; a field with
+# no row takes any value of its type.  Upper bounds stop short of a value
+# shown to fail.
+_DOMAINS = {
+    "kind": (f"one of {sorted(_KIND_DEFAULTS)}", _KIND_DEFAULTS.__contains__),
+    "grid_n": ("even and >= 16", lambda v: v >= 16 and v % 2 == 0),
+    "domain_len": ("positive", lambda v: v > 0),
+    "seed": (">= 0", lambda v: v >= 0),
+    "trials": (">= 1", lambda v: v >= 1),
+    "mu_max": (">= 1", lambda v: v >= 1),
+    "alpha": ("in (0, 1)", lambda v: 0 < v < 1),
+    # the Whitney band is empty below 2; at mu_max 8 a partition holds
+    # 4.7 M members in under 1 GiB at 16 and runs out of memory at 64
+    "c0": (">= 2 and <= 16", lambda v: 2 <= v <= 16),
+    # 2**k0 scales the polygon: at +-2000 it overflows or divides by zero
+    "k0": (">= -60 and <= 60", lambda v: -60 <= v <= 60),
+    # families draw 3 of 2**scale_bits positions: 2 are too few, 2**30
+    # take 16 GiB and 2**70 is no C long
+    "scale_bits": (">= 2 and <= 16", lambda v: 2 <= v <= 16),
+    "span_bits": (">= 0", lambda v: v >= 0),  # shorter tops miss unit tiles
+    "slope": ("positive", lambda v: v > 0),
+    "order": (">= 1", lambda v: v >= 1),
+    # every symbol vanishes at 0, and the even bump takes -s for s
+    "support_factor": ("positive", lambda v: v > 0),
+    "weight_power": (">= 1", lambda v: v >= 1),
+    "decay_power": (">= 1", lambda v: v >= 1),
+    "set_count": (">= 1", lambda v: v >= 1),  # no spans make a zero input
+    "moll_width": ("positive", lambda v: v > 0),  # the mollifier's width
+    # below 1 the paraproduct has no depth; 2**2000 overflows
+    "kbits": (">= 1 and <= 60", lambda v: 1 <= v <= 60),
+    "theta2": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "theta3": ("in (0, 1]", lambda v: 0 < v <= 1),
+}
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ValueError naming the first violated constraint."""
+    """Raise ValueError naming the first field outside its type, its
+    :data:`_DOMAINS` row or a cross-field rule."""
     def bad(msg: str):
         raise ValueError(f"invalid config: {msg}")
 
-    for field in dataclasses.fields(ExperimentConfig):
-        _coerce(field.name, getattr(cfg, field.name))
-    if cfg.kind not in _KIND_DEFAULTS:
-        bad(f"unknown kind {cfg.kind!r}")
-    if cfg.grid_n < 16 or cfg.grid_n % 2:
-        bad(f"grid_n must be even and >= 16, got {cfg.grid_n}")
-    if cfg.domain_len <= 0:
-        bad("domain_len must be positive")
-    if cfg.seed < 0:
-        bad(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.trials < 1:
-        bad("trials must be >= 1")
-    if not 0 < cfg.alpha < 1:
-        bad(f"alpha must lie in (0, 1), got {cfg.alpha}")
-    if cfg.mu_max < 1:
-        bad("mu_max must be >= 1")
-    if cfg.c0 < 2:  # the Whitney clearance band is empty below 2
-        bad(f"c0 must be >= 2, got {cfg.c0}")
-    if cfg.scale_bits < 1:
-        bad("scale_bits must be >= 1")
-    if cfg.slope <= 0:
-        bad("slope must be positive")
-    if min(cfg.order, cfg.weight_power, cfg.decay_power) < 1:
-        bad("order, weight_power and decay_power must be >= 1")
-    if cfg.support_factor <= 0:
-        bad(f"support_factor must be positive, got {cfg.support_factor}")
-    if cfg.set_count < 1:
-        bad(f"set_count must be >= 1, got {cfg.set_count}")
-    if not 0 < cfg.theta2 <= 1 or not 0 < cfg.theta3 <= 1:
-        bad("theta exponents must lie in (0, 1]")
+    for name in _FIELD_TYPES:
+        value = _coerce(name, getattr(cfg, name))
+        if name in _DOMAINS and not _DOMAINS[name][1](value):
+            bad(f"{name} must be {_DOMAINS[name][0]}, got {value!r}")
+    # compact families hold tiles 2**scale_bits long; tops reach 2**span_bits
+    if (cfg.kind in ("forest-bessel", "model-sum")
+            and cfg.scale_bits > cfg.span_bits):
+        bad(f"scale_bits must be <= span_bits = {cfg.span_bits} for "
+            f"{cfg.kind}, got {cfg.scale_bits}")
+    if cfg.kind == "polygon-scan" and cfg.exponents is None:
+        bad("exponents must be a triple for polygon-scan, got None")
     if cfg.exponents is not None:
         ps = tuple(float(p) for p in cfg.exponents)
         if len(ps) != 3 or any(p <= 1 for p in ps):
-            bad(f"exponent triple must be three values > 1, got {ps}")
+            bad(f"exponents must be three values > 1, got {ps}")
         gap = abs(sum(1.0 / p for p in ps) - 1.0)
         if gap > 1e-9 and not cfg.allow_non_conjugate:
             bad(f"exponent triple {ps} violates the scaling identity "
@@ -364,10 +377,6 @@ def restricted_input(n: int, length: float, spans,
     return GridFunction.from_spectrum(length * chi * kc, length)
 
 
-def _span_measure(spans) -> float:
-    return float(sum(b - a for a, b in spans))
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -432,8 +441,6 @@ def _fold_failures(edge: float, cfg: ExperimentConfig) -> list[str]:
 
 
 def run_polygon_scan(cfg: ExperimentConfig):
-    if cfg.exponents is None:
-        raise ValueError("polygon-scan needs an exponent triple")
     p1, p2, p3 = (float(p) for p in cfg.exponents)
     q = p3 / (p3 - 1.0)
     polygon = geo.LacunaryPolygon(cfg.mu_max)
@@ -443,14 +450,11 @@ def run_polygon_scan(cfg: ExperimentConfig):
     wrapped = 0.0
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
-        f = restricted_input(cfg.grid_n, cfg.domain_len,
-                             random_spans(rng, cfg.domain_len, cfg.set_count,
-                                          0.05, 0.2),
-                             cfg.moll_width)
-        g = restricted_input(cfg.grid_n, cfg.domain_len,
-                             random_spans(rng, cfg.domain_len, cfg.set_count,
-                                          0.05, 0.2),
-                             cfg.moll_width)
+        f, g = (restricted_input(cfg.grid_n, cfg.domain_len,
+                                 random_spans(rng, cfg.domain_len,
+                                              cfg.set_count, 0.05, 0.2),
+                                 cfg.moll_width)
+                for _ in range(2))
         out, report = bil.bilinear_apply(f, g, symbol)
         denom = f.norm(p1) * g.norm(p2)
         ratios.append(out.norm(q) / denom if denom > 0 else math.inf)
@@ -553,7 +557,7 @@ def run_forest_bessel(cfg: ExperimentConfig):
         f = restricted_input(cfg.grid_n, cfg.domain_len, spans,
                              cfg.moll_width)
         energy = f.norm() ** 2
-        measure = _span_measure(spans)
+        measure = float(sum(b - a for a, b in spans))
         sizer = TreeSizer(f, tiles, cfg.slope, cfg.order,
                           cfg.support_factor, cfg.weight_power)
         for i in range(3):
@@ -583,9 +587,7 @@ def run_forest_bessel(cfg: ExperimentConfig):
 
 def run_model_sum(cfg: ExperimentConfig):
     thetas = (1.0, cfg.theta2, cfg.theta3)
-    exps = None
-    if cfg.exponents is not None:
-        exps = tuple(float(p) for p in cfg.exponents)
+    exps = cfg.exponents
     metrics = []
     failures = []
     audit_max = 0.0
@@ -607,7 +609,8 @@ def run_model_sum(cfg: ExperimentConfig):
         tree = max(trees, key=lambda tr: len(tr.members))
         lhs, rhs = single_tree_audit(fs, tiles, tree, cfg.slope, thetas,
                                      cfg.order, cfg.support_factor,
-                                     cfg.weight_power, cfg.blur)
+                                     cfg.weight_power, cfg.blur,
+                                     cfg.span_bits, cfg.scale_bits)
         ratio = lhs / rhs if rhs > 0 else math.inf
         metrics.append((f"audit_ratio_t{t}", ratio))
         audit_max = max(audit_max, ratio)
@@ -632,11 +635,7 @@ def run_model_sum(cfg: ExperimentConfig):
 
 
 def _kbits_failures(cfg: ExperimentConfig) -> list[str]:
-    """A band limit with no depth, or one whose ball products wrap, makes
-    the telescoping identity hold vacuously or for the aliased operator."""
-    if cfg.kbits < 1:
-        return [f"kbits = {cfg.kbits} leaves no paraproduct depth; "
-                "need kbits >= 1"]
+    """Ball products that wrap check the aliased operator's identity."""
     if 2.0 ** (cfg.kbits + 2) > cfg.grid_n / cfg.domain_len:
         return [f"ball products at kbits = {cfg.kbits} wrap: "
                 f"2**(kbits + 2) > grid_n / domain_len = "
@@ -648,9 +647,7 @@ def run_paraproduct(cfg: ExperimentConfig):
     tele_max = 0.0
     naive_min = math.inf
     mart = {label: 0.0 for _, label in MARTINGALE_EXPONENTS}
-    # kbits < 1 runs on empty band ranges (kmax + 1 coefficients, never a
-    # negative count) and _kbits_failures fails the run
-    kmax = max(cfg.kbits + 1, -1)
+    kmax = cfg.kbits + 1
     for t in range(cfg.trials):
         rng = trial_rng(cfg, t)
         f, g, h = (band_noise(cfg.grid_n, cfg.domain_len, cfg.band, rng)

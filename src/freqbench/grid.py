@@ -111,7 +111,8 @@ class GridFunction:
     # -- integrals and norms ----------------------------------------------
 
     def integral(self):
-        return self.values.sum() * self.dx
+        total = self.values.sum()  # parts apart: inf * 0j would be NaN
+        return np.complex128(total.real * self.dx, total.imag * self.dx)
 
     def norm(self, p=2):
         a = np.abs(self.values)

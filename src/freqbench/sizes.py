@@ -220,10 +220,11 @@ class TreeSizer:
                             initial=0.0))
 
 
-def maximal_trees(tiles: Family) -> list[Tree]:
-    """The nonempty maximal trees of ``tiles`` over the standard top
-    pool, in pool order."""
-    pool = candidate_tops(tiles, span_bits=6, scale_bits=4)
+def maximal_trees(tiles: Family, span_bits: int,
+                  scale_bits: int) -> list[Tree]:
+    """The nonempty maximal trees of ``tiles`` over the top pool of
+    :func:`freqbench.timefreq.candidate_tops`, in pool order."""
+    pool = candidate_tops(tiles, span_bits, scale_bits)
     member = tree_members(tiles, pool)
     return [Tree(pool[k], np.flatnonzero(member[k]))
             for k in np.flatnonzero(member.any(axis=1))]
@@ -332,7 +333,8 @@ def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
                       tiles: Family, tree: Tree, slope: float,
                       thetas: tuple[float, float, float], order: int,
                       support_factor: float, weight_power: int,
-                      blur: float) -> tuple[float, float]:
+                      blur: float, span_bits: int,
+                      scale_bits: int) -> tuple[float, float]:
     """Model sum over one tree of ``tiles`` against its size-product budget.
 
     Returns (lhs, rhs): the absolute model sum, and the top length times
@@ -344,7 +346,7 @@ def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
     lhs = abs(model_sum(fs, members, slope, order, blur))
     length = min(tree.interval.length, fs[0].length)
     rhs = length
-    trees = maximal_trees(members)
+    trees = maximal_trees(members, span_bits, scale_bits)
     for i in range(3):
         sizer = TreeSizer(fs[i], members, slope, order, support_factor,
                           weight_power)

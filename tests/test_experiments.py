@@ -33,24 +33,29 @@ def valid_configs(draw):
     conjugate = st.tuples(pair, pair).map(
         lambda ps: ps + (1.0 / (1.0 - 1.0 / ps[0] - 1.0 / ps[1]),))
     loose = st.tuples(*[finite(1.0, 1e6, exclude_min=True)] * 3)
-    cfg = ex.default_config(draw(st.sampled_from(
-        [kind for kind, _ in ex.experiment_kinds()])))
+    triple = loose if allow else conjugate
+    kind = draw(st.sampled_from([kind for kind, _ in ex.experiment_kinds()]))
+    cfg = ex.default_config(kind)
+    scale_bits = draw(st.integers(2, 16))
+    # the compact families' tiles need tops as long as 2**scale_bits
+    pooled = kind in ("forest-bessel", "model-sum")
     fields = dict(
         grid_n=st.integers(8, 1 << 14).map(lambda n: 2 * n),
         domain_len=finite(0.0, 1e6, exclude_min=True),
         seed=st.integers(0, 2 ** 63), trials=st.integers(1, 10 ** 6),
         mu_max=st.integers(1, 64), alpha=finite(0.0, 1.0, **open_unit),
-        c0=st.integers(2, 64), k0=finite(),
-        scale_bits=st.integers(1, 16), span_bits=st.integers(0, 16),
+        c0=st.integers(2, 16), k0=finite(-60.0, 60.0),
+        scale_bits=st.just(scale_bits),
+        span_bits=st.integers(scale_bits if pooled else 0, 16),
         clearance=finite(), compact_spread=finite(),
         slope=finite(0.0, 1e6, exclude_min=True),
         order=st.integers(1, 64),
         support_factor=finite(0.0, None, exclude_min=True),
         weight_power=st.integers(1, 64), blur=finite(),
         exceptional_factor=finite(), decay_power=st.integers(1, 64),
-        band=finite(), moll_width=finite(), set_count=st.integers(1, 64),
-        kbits=st.integers(0, 64),
-        exponents=st.none() | (loose if allow else conjugate),
+        band=finite(), moll_width=finite(0.0, None, exclude_min=True),
+        set_count=st.integers(1, 64), kbits=st.integers(1, 60),
+        exponents=triple if kind == "polygon-scan" else st.none() | triple,
         theta2=finite(0.0, 1.0, exclude_min=True),
         theta3=finite(0.0, 1.0, exclude_min=True),
         allow_non_conjugate=st.just(allow))
@@ -100,7 +105,8 @@ class TestConfig:
         ex.validate_config(cfg)
 
     def test_bad_scalars_rejected(self):
-        for field, value, hint in (((("grid_n", 129, "grid_n"))),
+        for field, value, hint in (("kind", "nope", "kind must be one of"),
+                                   ("grid_n", 129, "grid_n"),
                                    ("alpha", 1.5, "alpha"),
                                    ("theta2", 0.0, "theta"),
                                    ("trials", 0, "trials")):
@@ -253,14 +259,13 @@ class TestDrivers:
         assert named["martingale_p2_max"] >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("kbits,hint", [
-        (0, "no paraproduct depth"),
-        (-3, "no paraproduct depth"),
         (9, "wrap"),
         (12, "wrap"),
     ])
     def test_paraproduct_fails_on_degenerate_kbits(self, kbits, hint):
-        # an empty depth range, or ball products past grid_n / 4, make the
-        # telescoping identity hold vacuously or for the aliased operator
+        # ball products past grid_n / 4 make the telescoping identity hold
+        # for the aliased operator; the verdict depends on grid_n, which a
+        # refinement run overrides, so it is a run failure
         res = ex.run(small("paraproduct", kbits=kbits))
         assert not res.passed
         assert any(hint in msg for msg in res.failures)
@@ -489,6 +494,38 @@ class TestCompare:
         assert rep.worst_drift < 1e-6
 
 
+# (kind, config lines) just outside a row of the domain table or a
+# cross-field rule; the first key names the refused field
+OUT_OF_DOMAIN = [
+    ("tiles", "grid_n = 14"), ("tiles", "domain_len = 0"),
+    ("tiles", "seed = -1"), ("tiles", "trials = 0"),
+    ("partition", "mu_max = 0"), ("partition", "alpha = 1"),
+    ("partition", "c0 = 17"),
+    ("partition", "c0 = 64"),              # past the host's memory
+    ("polygon-scan", "k0 = 61"), ("polygon-scan", "k0 = -61"),
+    ("polygon-scan", "k0 = 2000"),         # 2**k0 overflows
+    ("polygon-scan", "k0 = -2000"),        # 2**k0 is 0, a divisor
+    ("tiles", "scale_bits = 17"),
+    ("tiles", "scale_bits = 1"),           # 2 positions, 3 to draw
+    ("forest-bessel", "scale_bits = 70"),  # 2**70 is no C long
+    ("tiles", "span_bits = -1"),           # the pool misses unit tiles
+    # compact families hold tiles longer than the pool's tops
+    ("forest-bessel", "scale_bits = 7"),
+    ("model-sum", "scale_bits = 5\nspan_bits = 4"),
+    ("tiles", "slope = 0"), ("forest-bessel", "order = 0"),
+    ("forest-bessel", "support_factor = 0"),
+    ("forest-bessel", "weight_power = 0"),
+    ("size-decay", "decay_power = 0"), ("forest-bessel", "set_count = 0"),
+    # the mollifier kernel needs a width
+    ("forest-bessel", "moll_width = 0"), ("size-decay", "moll_width = 0"),
+    # no paraproduct depth, or 2**kbits overflows
+    ("paraproduct", "kbits = 0"), ("paraproduct", "kbits = -3"),
+    ("paraproduct", "kbits = 61"), ("paraproduct", "kbits = 2000"),
+    ("model-sum", "theta2 = 0"), ("model-sum", "theta3 = 1.5"),
+    ("polygon-scan", "exponents = none"),  # its norms need a triple
+]
+
+
 class TestCli:
     def test_list_exits_zero(self, capsys):
         assert cli_main(["list-experiments"]) == 0
@@ -541,6 +578,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("kind,body", OUT_OF_DOMAIN)
+    def test_out_of_domain_config_exits_two(self, tmp_path, capsys,
+                                            monkeypatch, kind, body):
+        # refused before the experiment runs: no warning, no output
+        # directory; some of these values would take gigabytes to run
+        monkeypatch.setattr(ex, "run", lambda cfg: pytest.fail("it ran"))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"kind = {kind}\n{body}\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+        field = body.split("=")[0].strip()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {field} must be ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_every_domain_row_has_an_out_of_domain_case(self):
+        # kind is refused by name before a config reaches the table
+        fields = {body.split("=")[0].strip() for _, body in OUT_OF_DOMAIN}
+        assert set(ex._DOMAINS) - {"kind"} <= fields
+
     @pytest.mark.parametrize("body,hint", [
         ("kind = tiles\ntrials = 2.5\n", "trials must be an integer"),
         ("kind = tiles\nseed = abc\n", "seed must be an integer"),
@@ -589,10 +647,6 @@ class TestCli:
         ("kind = paraproduct\nband = 0\n", "holds no nonzero mode"),
         ("kind = paraproduct\nband = -5\n", "holds no nonzero mode"),
         ("kind = hs-oracle\nband = 0\n", "holds no nonzero mode"),
-        ("kind = forest-bessel\nmoll_width = 0\n",
-         "kernel width must be positive"),
-        ("kind = size-decay\nmoll_width = 0\n",
-         "kernel width must be positive"),
     ])
     def test_degenerate_inputs_exit_three(self, tmp_path, capsys, body, hint):
         cfg = tmp_path / "t.cfg"
@@ -603,23 +657,21 @@ class TestCli:
         assert hint in err and err.count("\n") == 1
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("kind,body", [
-        ("polygon-scan", "k0 = 2000"),          # OverflowError
-        ("polygon-scan", "k0 = -2000"),         # ZeroDivisionError
-        ("forest-bessel", "scale_bits = 70"),   # OverflowError
-        ("paraproduct", "kbits = 2000"),        # OverflowError
-    ])
-    def test_arithmetic_error_exits_three(self, tmp_path, capsys, kind,
-                                          body):
+    def test_arithmetic_error_exits_three(self, tmp_path, capsys,
+                                          monkeypatch):
         # a valid config whose arithmetic overflows inside the driver could
         # not be run; exit 1 would read as a threshold breach
+        def runner(cfg):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setitem(ex._RUNNERS, "paraproduct", (runner, "stub"))
         cfg = tmp_path / "t.cfg"
-        cfg.write_text(f"kind = {kind}\n{body}\ntrials = 1\n")
+        cfg.write_text("kind = paraproduct\n")
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {kind} run failed: ")
-        assert err.count("\n") == 1
+        assert err == ("error: paraproduct run failed: "
+                       "(34, 'Numerical result out of range')\n")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("error,reason", [

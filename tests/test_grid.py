@@ -66,6 +66,17 @@ class TestNorms:
         assert f.integral() == 1.0
         assert f.norm(1) == 1.0
 
+    def test_integral_scales_real_and_imaginary_parts_apart(self):
+        rng = np.random.default_rng(24)
+        f = random_gridfunction(rng, size=128)
+        assert f.integral() == f.values.sum() * f.dx
+        # a complex product with dx would make the imaginary part inf * 0
+        f.values[5] = np.inf
+        total = f.integral()
+        assert total.real == np.inf
+        assert total.imag == pytest.approx(f.values.imag.sum() * f.dx,
+                                           rel=1e-12)
+
     def test_lp_interpolation_bound(self):
         rng = np.random.default_rng(23)
         f = random_gridfunction(rng, size=128)
