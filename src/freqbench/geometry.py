@@ -8,13 +8,17 @@ the same few ingredients:
   (product forms, no cancellation down to mu ~ 25);
 - a convex containment test for the polygon, and the sheared local frame
   of each chord shell;
-- Whitney rectangle families hugging each chord: dyadic squares selected
-  against the diagonal by integer offsets, pushed through the chord shear
-  and kept as coordinate arrays;
+- Whitney rectangles hugging each chord: dyadic squares selected against
+  the diagonal by integer offsets and pushed through the chord shear;
 - the axis-hugging staircase, pole caps and central square;
 - interval projections of the chord families and a bounded-overlap counter;
 - a normalized product-bump partition of unity over the whole cover, with a
   machine-checked hypothesis report.
+
+A set of closed rectangles [x0, x1] x [y0, y1] is one float array of
+shape (4, m) with rows x0, x1, y0, y1; a single rectangle is the tuple
+(x0, x1, y0, y1).  The cover is such an array, and a member's id is its
+column.
 
 Angles, not symbols: `mu` always indexes the chord whose outer vertex sits
 at angle pi*2^-mu from the vertical axis mirror (second quadrant is the
@@ -66,63 +70,26 @@ def shear_pullback(mu: int, xy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rectangles and convex quads
+# boxes and convex quads
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Closed axis-parallel rectangle [x0, x1] x [y0, y1]."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError("degenerate rectangle")
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
-
-    def dilate(self, factor: float) -> "Rect":
-        cx, cy = self.center
-        hx = 0.5 * self.width * factor
-        hy = 0.5 * self.height * factor
-        return Rect(cx - hx, cx + hx, cy - hy, cy + hy)
+def _dilate(boxes: np.ndarray, factor: float) -> np.ndarray:
+    """Each box scaled by `factor` about its centre."""
+    x0, x1, y0, y1 = boxes
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    hx, hy = 0.5 * (x1 - x0) * factor, 0.5 * (y1 - y0) * factor
+    return np.stack([cx - hx, cx + hx, cy - hy, cy + hy])
 
 
-class ConvexQuad:
-    """Convex quadrilateral; vertices are stored counterclockwise."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.shape != (4, 2):
-            raise ValueError("need four plane vertices")
-        if _shoelace(v) < 0:
-            v = v[::-1].copy()
-        self.vertices = v
-
-    def bbox(self) -> Rect:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return Rect(lo[0], hi[0], lo[1], hi[1])
-
-
-def _shoelace(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _mirrored(boxes: np.ndarray) -> np.ndarray:
+    """Second-quadrant boxes followed by their quadrant 1, 3 and 4 images;
+    a box of non-positive (or NaN) width or height is refused."""
+    x0, x1, y0, y1 = boxes
+    if not np.all((x0 < x1) & (y0 < y1)):
+        raise ValueError("degenerate rectangle")
+    flip = -boxes[[1, 0, 3, 2]]   # both axes mirrored
+    return np.concatenate([boxes, np.vstack([flip[:2], boxes[2:]]),
+                           np.vstack([boxes[:2], flip[2:]]), flip], axis=1)
 
 
 def _convex_contains(verts: np.ndarray, points, tol: float):
@@ -153,8 +120,9 @@ def _convex_contains(verts: np.ndarray, points, tol: float):
     return inside
 
 
-def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1):
-    """Vectorized separating-axis test: which rectangles meet the quad.
+def quad_rect_overlap(quad: np.ndarray, x0, x1, y0, y1):
+    """Vectorized separating-axis test: which rectangles meet the convex
+    quad with (4, 2) counterclockwise vertices `quad`.
 
     Rectangle coordinates may be arrays of equal shape.
     """
@@ -162,16 +130,15 @@ def quad_rect_overlap(quad: ConvexQuad, x0, x1, y0, y1):
     x1 = np.asarray(x1, float)
     y0 = np.asarray(y0, float)
     y1 = np.asarray(y1, float)
-    v = quad.vertices
     ok = np.ones(x0.shape, dtype=bool)
     # axis-aligned separation
-    ok &= (x0 <= v[:, 0].max()) & (x1 >= v[:, 0].min())
-    ok &= (y0 <= v[:, 1].max()) & (y1 >= v[:, 1].min())
+    ok &= (x0 <= quad[:, 0].max()) & (x1 >= quad[:, 0].min())
+    ok &= (y0 <= quad[:, 1].max()) & (y1 >= quad[:, 1].min())
     # quad edge normals
-    nxt = np.roll(v, -1, axis=0)
-    for (ax, ay), (bx, by) in zip(v, nxt):
+    nxt = np.roll(quad, -1, axis=0)
+    for (ax, ay), (bx, by) in zip(quad, nxt):
         nx, ny = ay - by, bx - ax  # inward normal of a CCW edge
-        qproj = v @ np.array([nx, ny])
+        qproj = quad @ np.array([nx, ny])
         rect_lo = nx * np.where(nx >= 0, x0, x1) + ny * np.where(ny >= 0, y0, y1)
         rect_hi = nx * np.where(nx >= 0, x1, x0) + ny * np.where(ny >= 0, y1, y0)
         ok &= (rect_lo <= qproj.max()) & (rect_hi >= qproj.min())
@@ -191,7 +158,7 @@ class LacunaryPolygon:
     poles.  4*mu_max + 4 vertices in all, counterclockwise.
     """
 
-    __slots__ = ("mu_max", "vertices", "edge_mu", "_edge_a", "_edge_d")
+    __slots__ = ("mu_max", "vertices", "edge_mu")
 
     def __init__(self, mu_max: int):
         if mu_max < 1:
@@ -208,18 +175,8 @@ class LacunaryPolygon:
         # chord index per edge: edge k joins vertex k to k+1 (wrapping);
         # the edge between angles pi*2^-(mu+1) and pi*2^-mu belongs to mu,
         # truncation edges get mu_max + 1.
-        mus = [mu_max + 1]
-        for mu in range(mu_max, 0, -1):
-            mus.append(mu)
-        for mu in range(1, mu_max + 1):
-            mus.append(mu)
-        mus.append(mu_max + 1)
-        self.edge_mu = np.array(mus + mus[::-1])
-        if len(self.edge_mu) != len(self.vertices):
-            raise AssertionError("edge bookkeeping is off")
-
-        self._edge_a = self.vertices
-        self._edge_d = np.roll(self.vertices, -1, axis=0) - self.vertices
+        half = np.r_[mu_max + 1, mu_max:0:-1, 1:mu_max + 1, mu_max + 1]
+        self.edge_mu = np.r_[half, half[::-1]]
 
     # -- containment -------------------------------------------------------
 
@@ -233,9 +190,9 @@ class LacunaryPolygon:
         """Distance from each point to each boundary edge segment."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         px, py = pts[:, 0], pts[:, 1]
-        out = np.empty((len(pts), len(self._edge_a)))
-        for i, ((ax, ay), (dx, dy)) in enumerate(zip(self._edge_a,
-                                                     self._edge_d)):
+        out = np.empty((len(pts), len(self.vertices)))
+        steps = np.roll(self.vertices, -1, axis=0) - self.vertices
+        for i, ((ax, ay), (dx, dy)) in enumerate(zip(self.vertices, steps)):
             t = np.clip(((px - ax) * dx + (py - ay) * dy)
                         / (dx * dx + dy * dy), 0.0, 1.0)
             rx = px - (ax + t * dx)
@@ -273,21 +230,14 @@ class LacunaryPolygon:
 # sheared local frames of the chord shells
 
 
-@dataclass(frozen=True)
-class ChordFrame:
-    """Sheared local frame of one chord shell.
+def shell_frame(mu: int, r: int):
+    """(anchor, slope, quad): the sheared local frame of chord shell r.
 
     Absolute points map to local (u, w) via the pullback
     (x, y) -> (-(x - ax), -(y - ay)/slope); the chord itself pulls back to
-    a segment of the diagonal u = w starting at the origin.
+    a segment of the diagonal u = w starting at the origin.  `quad` holds
+    the shell's local vertices, (4, 2) and counterclockwise.
     """
-
-    anchor: tuple[float, float]
-    slope: float
-    local_quad: ConvexQuad
-
-
-def shell_frame(mu: int, r: int) -> ChordFrame:
     c0 = (2.0 ** r - 1.0) * 4.0 ** (-mu)
     c1 = (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu)
     s = chord_slope(mu)
@@ -298,37 +248,17 @@ def shell_frame(mu: int, r: int) -> ChordFrame:
     pa = shear_pullback(mu, va)
     pb = shear_pullback(mu, vb)
     gg = (1.0 - c0) * g
-    corners = [(0.0, 0.0), (gg, gg),
-               (gg - dc * pb[0], gg - dc * pb[1]),
-               (-dc * pa[0], -dc * pa[1])]
-    return ChordFrame((anchor[0], anchor[1]), s, ConvexQuad(corners))
+    quad = np.array([(0.0, 0.0), (gg, gg),
+                     (gg - dc * pb[0], gg - dc * pb[1]),
+                     (-dc * pa[0], -dc * pa[1])])
+    x, y = quad.T
+    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0:  # clockwise
+        quad = quad[::-1]
+    return anchor, s, quad
 
 
 # ---------------------------------------------------------------------------
-# Whitney rectangle families (stored as coordinate arrays)
-
-
-@dataclass
-class RectFamily:
-    """One batch of closed rectangles with shared provenance."""
-
-    kind: str                 # "core", "cap", "stair", "ring"
-    quadrant: int             # 1..4
-    mu: int | None
-    shell: int | None
-    x0: np.ndarray
-    x1: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x0)
-
-    def reflected(self, flip_x: bool, flip_y: bool, quadrant: int) -> "RectFamily":
-        x0, x1 = ((-self.x1, -self.x0) if flip_x else (self.x0, self.x1))
-        y0, y1 = ((-self.y1, -self.y0) if flip_y else (self.y0, self.y1))
-        return RectFamily(self.kind, quadrant, self.mu, self.shell,
-                          x0, x1, y0, y1)
+# Whitney rectangles
 
 
 Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
@@ -336,8 +266,8 @@ MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
 def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
-                        clip: LacunaryPolygon | None = None) -> RectFamily:
-    """Whitney rectangles for one chord shell (second quadrant).
+                        clip: LacunaryPolygon | None = None) -> np.ndarray:
+    """Whitney rectangles for one chord shell (second quadrant), (4, k).
 
     A dyadic square of side 2^j centred at (m, n) 2^(j-Q) in the sheared
     local frame is a candidate when its C0-dilate clears the diagonal and
@@ -352,15 +282,12 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
     kept: the larger ones duplicate distance bands already covered one
     scale up.  `clip` drops the rare members whose corners leave the
     closed polygon (the coarse-scale spill-over artifact of a desk-sized
-    C0); the count is recorded.
+    C0).
     """
     if C0 < 2:
         raise ValueError("need C0 >= 2 for a nonempty clearance band")
-    frame = shell_frame(mu, r)
-    quad = frame.local_quad
-    bb = quad.bbox()
-    s = frame.slope
-    ax, ay = frame.anchor
+    (ax, ay), s, quad = shell_frame(mu, r)
+    (bx0, by0), (bx1, by1) = quad.min(axis=0), quad.max(axis=0)
 
     lo_off = C0 * (1 << Q) + 1       # n - m strictly above C0 * 2^Q
     hi_full = 4 * C0 * (1 << Q)      # 4C0-dilate still meets the diagonal
@@ -371,14 +298,14 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
     target = 0.75 * GUARD_FRAC * 4.0 ** (-mu)
 
     kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
-    j = math.floor(math.log2(max(bb.x1 - bb.x0, bb.y1 - bb.y0)))
+    j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
     found = 0
     for _ in range(64):
         step = 2.0 ** (j - Q)
         h = 2.0 ** (j - 1)
         hi_off = hi_full if found < 2 else hi_thin
-        m_lo = math.floor((bb.x0 - h) / step) - 1
-        m_hi = math.ceil((bb.x1 + h) / step) + 1
+        m_lo = math.floor((bx0 - h) / step) - 1
+        m_hi = math.ceil((bx1 + h) / step) + 1
         M, O = np.meshgrid(np.arange(m_lo, m_hi + 1),
                            np.arange(lo_off, hi_off + 1), indexing="ij")
         uc = M * step
@@ -402,8 +329,7 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
         elif found > 0:
             break
         j -= 1
-    x0, x1, y0, y1 = np.concatenate(kept, axis=1)
-    return RectFamily("ring", 2, mu, r, x0, x1, y0, y1)
+    return np.concatenate(kept, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +340,7 @@ STAIR_OVERLAP = 0.1   # inner-edge overlap of the cover's staircase members
 SHELLS = 3            # dyadic chord shells per chord in the cover
 
 
-def staircase_rect(mu: int, overlap_frac: float = 0.0) -> Rect:
+def staircase_rect(mu: int, overlap_frac: float = 0.0) -> tuple:
     """Axis-hugging staircase rectangle under chord mu, second quadrant.
 
     Uses the corrected dilation factors (the ones the original figure
@@ -434,10 +360,10 @@ def staircase_rect(mu: int, overlap_frac: float = 0.0) -> Rect:
     inner = (1.0 - 4.0 ** (-mu + 2)) * math.cos(a)
     top = (1.0 - 4.0 ** (-mu)) * math.sin(a)
     inner -= overlap_frac * (outer - inner)
-    return Rect(-outer, -inner, 0.0, top)
+    return (-outer, -inner, 0.0, top)
 
 
-def truncation_fillers(mu_max: int, alpha: float) -> list[Rect]:
+def truncation_fillers(mu_max: int, alpha: float) -> list[tuple]:
     """Axis-anchored mini-staircase between the last chord zone and the
     truncation chord (second quadrant).
 
@@ -459,7 +385,7 @@ def truncation_fillers(mu_max: int, alpha: float) -> list[Rect]:
     margin = 0.3 * GUARD_FRAC * scale
     infl = 1.0 / alpha - 1.0
     if mu_max >= 2:
-        right0 = staircase_rect(mu_max).x0
+        right0 = staircase_rect(mu_max)[0]
     else:
         # Reach into the central square: exact abutment would leave a gap
         # between the two alpha-shrinks.
@@ -480,7 +406,7 @@ def truncation_fillers(mu_max: int, alpha: float) -> list[Rect]:
             continue
         left = chord_x + margin
         right = prev_left + STAIR_OVERLAP * (prev_left - left)
-        rects.append(Rect(left, right, 0.0, built_top))
+        rects.append((left, right, 0.0, built_top))
         prev_left = left
     # Apex member: owns the band between the top column and the polygon
     # vertex, reaching slightly past the vertex height.  Its left edge
@@ -494,16 +420,16 @@ def truncation_fillers(mu_max: int, alpha: float) -> list[Rect]:
         + 0.15 * GUARD_FRAC * scale
     right_a = right0 + STAIR_OVERLAP * (right0 - left_a)
     if rects and left_a < right_a:
-        rects.insert(0, Rect(left_a, right_a, y_top - 2.0 * step, top_a))
+        rects.insert(0, (left_a, right_a, y_top - 2.0 * step, top_a))
     return rects
 
 
-def central_square() -> Rect:
+def central_square() -> tuple:
     h = math.sqrt(0.5)
-    return Rect(-h, h, -h, h)
+    return (-h, h, -h, h)
 
 
-def pole_caps() -> list[Rect]:
+def pole_caps() -> list[tuple]:
     """Two rectangles plugging the lens under each vertical pole vertex.
 
     The staircase tops at mu = 2 leave the set {|x| < 0.104,
@@ -511,21 +437,12 @@ def pole_caps() -> list[Rect]:
     contains it, stays under chord 1 (1 - (sqrt 2 - 1) * 0.54 = 0.776 >
     0.76), and its 0.99-shrink still swallows the lens.
     """
-    return [Rect(-0.54, 0.54, 0.0, 0.76), Rect(-0.54, 0.54, -0.76, 0.0)]
-
-
-def _family_from_rects(kind: str, quadrant: int, rects: list[Rect],
-                       mu=None, shell=None) -> RectFamily:
-    return RectFamily(kind, quadrant, mu, shell,
-                      np.array([r.x0 for r in rects]),
-                      np.array([r.x1 for r in rects]),
-                      np.array([r.y0 for r in rects]),
-                      np.array([r.y1 for r in rects]))
+    return [(-0.54, 0.54, 0.0, 0.76), (-0.54, 0.54, -0.76, 0.0)]
 
 
 def polygon_cover(polygon: LacunaryPolygon, alpha: float,
-                  C0: int) -> list[RectFamily]:
-    """Full rectangle cover of the polygon interior.
+                  C0: int) -> np.ndarray:
+    """Full rectangle cover of the polygon interior, (4, m).
 
     Central square + pole caps + (1/alpha)-dilated staircase (members
     widened by STAIR_OVERLAP) and truncation fillers (all quadrant
@@ -541,32 +458,23 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float,
     for alpha >= 0.96 (margin ~0.2 * 4^-mu, machine-checked by the
     hypothesis report).  Every member is contained in the closed polygon
     and the alpha-shrinks cover the guarded interior.
+
+    Members come in this order: the square, the caps, the staircase and
+    fillers with their mirror images, then each (mu, shell) ring with its
+    mirror images.  A degenerate staircase, filler or ring member raises.
     """
-    fams: list[RectFamily] = [
-        _family_from_rects("core", 0, [central_square()]),
-        _family_from_rects("cap", 0, pole_caps()),
-    ]
     stair2 = [staircase_rect(mu, overlap_frac=STAIR_OVERLAP)
               for mu in range(2, polygon.mu_max + 1)]
     stair2.extend(truncation_fillers(polygon.mu_max, alpha=alpha))
-    dilated = [r.dilate(1.0 / alpha) for r in stair2]
-    base = _family_from_rects("stair", 2, dilated)
-    fams.append(base)
-    fams.append(base.reflected(True, False, 1))
-    fams.append(base.reflected(False, True, 3))
-    fams.append(base.reflected(True, True, 4))
+    parts = [np.transpose([central_square(), *pole_caps()]),
+             _mirrored(_dilate(np.transpose(stair2), 1.0 / alpha))]
     for mu in range(1, polygon.mu_max + 1):
         for r in range(SHELLS):
             if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) > 0.5:
                 break
-            fam = whitney_shell_rects(mu, r, C0=C0, alpha=alpha, clip=polygon)
-            if len(fam) == 0:
-                continue
-            fams.append(fam)
-            fams.append(fam.reflected(True, False, 1))
-            fams.append(fam.reflected(False, True, 3))
-            fams.append(fam.reflected(True, True, 4))
-    return fams
+            parts.append(_mirrored(whitney_shell_rects(
+                mu, r, C0=C0, alpha=alpha, clip=polygon)))
+    return np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +505,10 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def chord_intervals(mu: int, C0: int, alpha: float) -> ChordIntervals:
-    fam = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha)
-    comps = {1: _merge_intervals(fam.x0, fam.x1),
-             2: _merge_intervals(fam.y0, fam.y1),
-             3: _merge_intervals(-(fam.x1 + fam.y1), -(fam.x0 + fam.y0))}
+    x0, x1, y0, y1 = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha)
+    comps = {1: _merge_intervals(x0, x1),
+             2: _merge_intervals(y0, y1),
+             3: _merge_intervals(-(x1 + y1), -(x0 + y0))}
     dil = {}
     for i, comp in comps.items():
         a, b = comp.T
@@ -641,17 +549,21 @@ def plateau_profile(t, alpha: float):
 
 @dataclass
 class PartitionReport:
-    """Machine-checked hypotheses for a rectangle cover of an open region."""
+    """Machine-checked hypotheses for a rectangle cover of an open region:
+    `outside` holds the ids of members with a corner outside it."""
 
-    containment_ok: bool
-    containment_offenders: list
-    max_containment_violation: float
-    cover_ok: bool
-    cover_checked: int
+    outside: np.ndarray
     cover_misses: int
     m1: int
     m2: float
-    alpha: float
+
+    @property
+    def containment_ok(self) -> bool:
+        return len(self.outside) == 0
+
+    @property
+    def cover_ok(self) -> bool:
+        return self.cover_misses == 0
 
     @property
     def ok(self) -> bool:
@@ -666,7 +578,8 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PolygonPartition:
-    """Normalized product-bump partition subordinate to a rectangle cover.
+    """Normalized product-bump partition subordinate to a rectangle cover,
+    given as a (4, m) box array whose rows are kept as views.
 
     Each member R carries eta_R(x, y) = prof((x-cx)/hx) * prof((y-cy)/hy)
     with the canonical plateau profile, so chi_{alpha R} <= eta_R <=
@@ -682,17 +595,11 @@ class PolygonPartition:
     BUCKETS = 256
     _LO, _HI = -1.05, 1.05
 
-    def __init__(self, polygon: LacunaryPolygon, families: list[RectFamily],
+    def __init__(self, polygon: LacunaryPolygon, boxes: np.ndarray,
                  alpha: float):
         self.polygon = polygon
-        self.families = families
         self.alpha = float(alpha)
-        self.x0 = np.concatenate([f.x0 for f in families])
-        self.x1 = np.concatenate([f.x1 for f in families])
-        self.y0 = np.concatenate([f.y0 for f in families])
-        self.y1 = np.concatenate([f.y1 for f in families])
-        self.family_of = np.concatenate(
-            [np.full(len(f), k, dtype=np.int32) for k, f in enumerate(families)])
+        self.x0, self.x1, self.y0, self.y1 = boxes
         self.cx = 0.5 * (self.x0 + self.x1)
         self.cy = 0.5 * (self.y0 + self.y1)
         self.hx = 0.5 * (self.x1 - self.x0)
@@ -765,24 +672,11 @@ class PolygonPartition:
     def hypothesis_report(self, rng, cover_samples: int,
                           overlap_samples: int) -> PartitionReport:
         # (1) every member inside the closed region
-        offenders = []
-        worst = 0.0
-        corners = np.stack([
-            np.stack([self.x0, self.y0], axis=1),
-            np.stack([self.x1, self.y0], axis=1),
-            np.stack([self.x1, self.y1], axis=1),
-            np.stack([self.x0, self.y1], axis=1),
-        ])
-        for cset in corners:
-            inside = self.polygon.contains(cset, tol=CONTAINMENT_TOL)
-            bad = np.nonzero(~inside)[0]
-            for i in bad[:64]:
-                fam = self.families[self.family_of[i]]
-                offenders.append((fam.kind, fam.quadrant, fam.mu, fam.shell,
-                                  tuple(cset[i])))
-            if len(bad):
-                dists = self.polygon.edge_distances(cset[bad]).min(axis=1)
-                worst = max(worst, float(dists.max()))
+        inside = np.ones(len(self), dtype=bool)
+        for cx, cy in ((self.x0, self.y0), (self.x1, self.y0),
+                       (self.x1, self.y1), (self.x0, self.y1)):
+            inside &= self.polygon.contains(np.stack([cx, cy], axis=1),
+                                            tol=CONTAINMENT_TOL)
 
         # (2) alpha-shrinks cover guarded interior samples
         pts = self.polygon.interior_samples(cover_samples, rng)
@@ -804,14 +698,5 @@ class PolygonPartition:
         m1 = int(counts.max()) if len(counts) else 0
         m2 = self._comparability(ids2, owners2)
 
-        return PartitionReport(
-            containment_ok=(len(offenders) == 0),
-            containment_offenders=offenders,
-            max_containment_violation=worst,
-            cover_ok=(misses == 0),
-            cover_checked=len(pts),
-            cover_misses=misses,
-            m1=m1,
-            m2=m2,
-            alpha=self.alpha,
-        )
+        return PartitionReport(outside=np.flatnonzero(~inside),
+                               cover_misses=misses, m1=m1, m2=m2)

@@ -132,26 +132,14 @@ class GridFunction:
     def __add__(self, other):
         return self._binop(other, np.add)
 
-    def __radd__(self, other):
-        return self._binop(other, np.add)
-
     def __sub__(self, other):
         return self._binop(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
 
     def __mul__(self, other):
         return self._binop(other, np.multiply)
 
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply)
-
     def __truediv__(self, other):
         return self._binop(other, np.divide)
-
-    def __neg__(self):
-        return GridFunction(-self.values, self.length)
 
     def __repr__(self):
         return "GridFunction(size=%d, length=%g)" % (self.size, self.length)

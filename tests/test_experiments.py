@@ -320,6 +320,15 @@ class TestDrivers:
         assert not res.passed
         assert res.failures == [f"metric broken is not finite ({value!r})"]
 
+    @pytest.mark.xfail(raises=AssertionError,
+                       reason="the alpha-shrinks leave 13 of 10,000 guarded "
+                       "points uncovered in the r = 1 shell of chord 2")
+    def test_partition_passes_at_c0_ten(self):
+        # c0 is admitted up to 16, yet at mu_max 2 and c0 10 the cover
+        # check fails and the partition residual is 1.0
+        res = ex.run(small("partition", mu_max=2, c0=10))
+        assert res.passed
+
     def test_size_decay_rate_positive(self):
         res = ex.run(ex.default_config("size-decay"))
         named = {r.metric: r.value for r in res.records}
@@ -633,10 +642,12 @@ class TestCli:
         assert hint in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    def test_run_error_exits_three(self, tmp_path, capsys):
-        # a valid config whose geometry degenerates inside the driver
+    @pytest.mark.parametrize("mu_max", [200, 24])
+    def test_run_error_exits_three(self, tmp_path, capsys, mu_max):
+        # a valid config whose geometry degenerates inside the run: at
+        # mu_max 24 the Whitney members of chord 24 have zero width
         cfg = tmp_path / "t.cfg"
-        cfg.write_text("kind = partition\nmu_max = 200\n")
+        cfg.write_text(f"kind = partition\nmu_max = {mu_max}\n")
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err

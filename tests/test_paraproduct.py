@@ -119,7 +119,7 @@ class TestParaproduct:
         for d in range(0, 4):
             want = want + qk(f, 8 - 2 * d)
         got = pp_apply(f, g, kbits=8)
-        assert np.abs((got - 2.5 * want).values).max() < 1e-12
+        assert np.abs((got - want * 2.5).values).max() < 1e-12
 
     def test_single_mode_pair_survives_at_even_depth(self):
         f, g = mode(200, amp=2.0), mode(5, amp=3.0)  # 200 in (128, 256]
