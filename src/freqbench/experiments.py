@@ -38,6 +38,7 @@ from .sizes import (
     layer_split,
     model_sum,
     single_tree_audit,
+    term_sum,
 )
 from .timefreq import (
     SINK_LEVEL,
@@ -222,6 +223,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             and cfg.scale_bits > cfg.span_bits):
         bad(f"scale_bits must be <= span_bits = {cfg.span_bits} for "
             f"{cfg.kind}, got {cfg.scale_bits}")
+    # the last chord's Whitney members are about 4**-mu_max / c0 wide;
+    # deeper, a double cannot tell their sides apart
+    deepest = 23 if cfg.c0 <= 9 else 22
+    if cfg.kind == "partition" and cfg.mu_max > deepest:
+        bad(f"mu_max must be <= {deepest} for partition at c0 = {cfg.c0}, "
+            f"got {cfg.mu_max}")
     if cfg.kind == "polygon-scan" and cfg.exponents is None:
         bad("exponents must be a triple for polygon-scan, got None")
     if cfg.exponents is not None:
@@ -607,19 +614,17 @@ def run_model_sum(cfg: ExperimentConfig):
             for _ in range(3))
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         tree = max(trees, key=lambda tr: len(tr.members))
-        lhs, rhs = single_tree_audit(fs, tiles, tree, cfg.slope, thetas,
-                                     cfg.order, cfg.support_factor,
-                                     cfg.weight_power, cfg.blur,
-                                     cfg.span_bits, cfg.scale_bits)
+        terms = model_sum(fs, tiles, cfg.slope, cfg.order, cfg.blur)
+        lhs, rhs = single_tree_audit(fs, tiles, tree, terms, cfg.slope,
+                                     thetas, cfg.order, cfg.support_factor,
+                                     cfg.weight_power, cfg.span_bits,
+                                     cfg.scale_bits)
         ratio = lhs / rhs if rhs > 0 else math.inf
         metrics.append((f"audit_ratio_t{t}", ratio))
         audit_max = max(audit_max, ratio)
         if exps is not None:
-            denom = 1.0
-            for i in range(3):
-                denom *= fs[i].norm(exps[i])
-            val = abs(model_sum(fs, tiles, cfg.slope, cfg.order, cfg.blur))
-            form = val / denom if denom > 0 else math.inf
+            denom = math.prod(f.norm(p) for f, p in zip(fs, exps))
+            form = abs(term_sum(terms)) / denom if denom > 0 else math.inf
             metrics.append((f"form_ratio_t{t}", form))
             form_max = max(form_max, form)
     metrics.append(("audit_ratio_max", audit_max))

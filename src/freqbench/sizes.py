@@ -99,25 +99,28 @@ def _window_offsets(f: GridFunction, lo, hi,
     return (f.freqs() / f.length - 0.5 * (lo + hi)) / half
 
 
-def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
-                      order: int, support_factor: float) -> np.ndarray:
+def multiplier_family(f: GridFunction, lo, hi, marked, order: int,
+                      support_factor: float) -> np.ndarray:
     """Concrete symbols over the grid modes, supported on the dilated
-    omega, as a (3, size) bank of windows.
+    window [lo, hi], as a (3, size) bank; array ends (and marks) give one
+    bank per window, stacked as (..., 3, size).
 
     With a marked frequency the symbols carry a saturating odd factor, so
-    |m(xi)| <= LEVEL * min(1, |xi - marked| / |omega|) pointwise; without
-    one they are plain bump envelopes bounded by :data:`LEVEL`.
+    |m(xi)| <= LEVEL * min(1, |xi - marked| / (hi - lo)) pointwise; with
+    ``marked`` None they are plain bump envelopes bounded by :data:`LEVEL`.
     """
-    u = _window_offsets(f, omega.lo, omega.hi, support_factor)
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    u = _window_offsets(f, lo, hi, support_factor)
     env = _bump(u, order)
     if marked is None:
-        return np.array([LEVEL * env,
-                         LEVEL * _bump(u, order + 2),
-                         LEVEL * env * (1.0 - 0.5 * _bump(u, 2 * order))])
-    t = (f.freqs() / f.length - marked) / omega.length
-    return np.array([LEVEL * env * np.tanh(t),
-                     LEVEL * env * (t / np.sqrt(1.0 + t * t)),
-                     LEVEL * _bump(u, order + 2) * np.tanh(0.5 * t)])
+        rows = (LEVEL * env, LEVEL * _bump(u, order + 2),
+                LEVEL * env * (1.0 - 0.5 * _bump(u, 2 * order)))
+    else:
+        t = (f.freqs() / f.length - np.asarray(marked)[..., None]) / (hi - lo)
+        rows = (LEVEL * env * np.tanh(t),
+                LEVEL * env * (t / np.sqrt(1.0 + t * t)),
+                LEVEL * _bump(u, order + 2) * np.tanh(0.5 * t))
+    return np.stack(rows, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +129,14 @@ def multiplier_family(f: GridFunction, omega: Iv, marked: float | None,
 class TreeSizer:
     """Size functionals of one function over one tile family.
 
-    Trees are index arrays into ``tiles``.  Two caches serve the threshold
-    sweeps, where the same tile reappears in many candidate trees:
-
-    - tile seminorms, by (tile index, component, marked frequency);
-    - filtered powers |f * m|^2 for the three symbols of
-      :func:`multiplier_family`, by (frequency window, marked frequency).
-      The filtered function does not depend on the tile, so every tile and
-      top sharing a window shares one (3, size) :meth:`GridFunction.bank`.
-      :meth:`tree_size` weighs the distinct intervals of a tree's uncached
-      members and top in one call; the rows do not outlive the call.
+    Trees are index arrays into ``tiles``.  The threshold sweeps meet the
+    same tile in many trees, so the sizer caches tile seminorms by (tile,
+    component, marked frequency), top terms by (top, component) and the
+    filtered powers |f * m|^2 of the :func:`multiplier_family` symbols by
+    window (lo, hi, marked frequency or None).  :meth:`tree_sizes` fills a
+    batch: one :func:`tail_weight` call weighs every uncached term, and one
+    :func:`multiplier_family` call and one :meth:`GridFunction.bank` per
+    mark kind filter the new windows.  Weight rows never outlive the call.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -146,78 +147,79 @@ class TreeSizer:
         self.order = order
         self.support_factor = support_factor
         self.weight_power = weight_power
-        self._omega = operator_intervals(tiles.side, tiles.centers, slope)
+        ops = operator_intervals(tiles.side, tiles.centers, slope)
+        self._omega = ops[tiles.cube].tolist()  # tile -> component -> ends
         self._ends = list(zip(tiles.lo.tolist(), tiles.hi.tolist()))
-        self._tile_cache: dict = {}
-        self._top_cache: dict = {}
-        self._power_cache: dict = {}
+        self._tile_cache, self._top_cache, self._power_cache = {}, {}, {}
 
     def tile_seminorm(self, j: int, i: int, marked: float) -> float:
         key = (j, i, marked)
         if key not in self._tile_cache:
-            self._fill_seminorms([j], i, marked,
-                                 self._weights([self._ends[j]]).values())
+            self._fill({key: (self._tile_cache, self._ends[j],
+                              (*self._omega[j][i], marked), 1.0)}, {})
         return self._tile_cache[key]
 
-    def _weights(self, ends: list[tuple[float, float]]) -> dict:
-        """Tail weight rows of the distinct (lo, hi) ``ends``, in one call."""
-        distinct = list(dict.fromkeys(ends))
-        rows = tail_weight(self.f, *zip(*distinct), self.weight_power)
-        return dict(zip(distinct, rows))
-
-    def _fill_seminorms(self, js: list[int], i: int, marked: float,
-                        ws) -> None:
-        """Cache the seminorms of tiles ``js``, weighed by rows ``ws``."""
-        cache = self._tile_cache
-        for j, w in zip(js, ws):
-            omega = Iv(*self._omega[self.tiles.cube[j], i].tolist())
-            cache[(j, i, marked)] = self._weighted_max(w, omega, marked)
-
-    def _weighted_max(self, w: np.ndarray, omega: Iv, marked) -> float:
-        """Largest ``w``-weighted L2 norm of f under omega's multiplier
-        family; the filtered powers are cached per window."""
-        key = (omega, marked)
-        powers = self._power_cache.get(key)
-        if powers is None:
-            powers = np.abs(self.f.bank(multiplier_family(
-                self.f, omega, marked, self.order, self.support_factor))) ** 2
-            self._power_cache[key] = powers
-        sums = np.sum(w * w * powers, axis=-1)
-        return float(np.sqrt(sums * self.f.dx).max())
-
-    def _top_term(self, top: TopData, i: int, w: np.ndarray) -> float:
-        key = (top, i)
-        got = self._top_cache.get(key)
-        if got is not None:
-            return got
-        circle = self.f.length
-        omega = top_interval(top, i, self.slope, circle)
-        best = self._weighted_max(w, omega, None)
-        length = min(top.interval.length, circle)
-        out = best / math.sqrt(length)
-        self._top_cache[key] = out
-        return out
+    def tree_sizes(self, trees: list[Tree], i: int) -> list[float]:
+        """Sizes of ``trees`` in component i, from one batched fill."""
+        return self._sizes(trees, i, {})
 
     def tree_size(self, tree: Tree, i: int) -> float:
-        marked = top_frequency(tree.top, i, self.slope)
-        length = min(tree.interval.length, self.f.length)
-        members = tree.members.tolist()
-        missing = [j for j in members
-                   if (j, i, marked) not in self._tile_cache]
-        ends = [self._ends[j] for j in missing]
-        top = (tree.top.interval.lo, tree.top.interval.hi)
-        if (tree.top, i) not in self._top_cache:
-            ends.append(top)
-        rows = self._weights(ends) if ends else {}
-        self._fill_seminorms(missing, i, marked, map(rows.get, ends))
-        acc = sum(self.tile_seminorm(j, i, marked) ** 2 for j in members)
-        return math.sqrt(acc / length) + self._top_term(tree.top, i,
-                                                         rows.get(top))
+        return self._sizes([tree], i, {})[0]
 
     def collection_size(self, i: int, trees: list[Tree]) -> float:
         """Largest tree size over ``trees``."""
-        return float(np.max([self.tree_size(tree, i) for tree in trees],
-                            initial=0.0))
+        return float(np.max(self.tree_sizes(trees, i), initial=0.0))
+
+    def _sizes(self, trees: list[Tree], i: int, rows: dict) -> list[float]:
+        """Tree sizes after filling every uncached term; ``rows`` holds the
+        squared weight rows already taken, by spatial ends."""
+        tiles, tops, circle = self._tile_cache, self._top_cache, self.f.length
+        todo: dict = {}  # key -> (cache, spatial ends, window, divisor)
+        per_tree = []
+        for tree in trees:
+            top, marked = tree.top, top_frequency(tree.top, i, self.slope)
+            members = tree.members.tolist()
+            per_tree.append((marked, members))
+            for j in members:
+                if (j, i, marked) not in tiles:
+                    todo[(j, i, marked)] = (tiles, self._ends[j],
+                                            (*self._omega[j][i], marked), 1.0)
+            if (top, i) not in tops:
+                omega = top_interval(top, i, self.slope, circle)
+                todo[(top, i)] = (tops, (top.interval.lo, top.interval.hi),
+                                  (omega.lo, omega.hi, None),
+                                  math.sqrt(min(top.interval.length, circle)))
+        if todo:
+            self._fill(todo, rows)
+        return [math.sqrt(sum(tiles[(j, i, marked)] ** 2 for j in members)
+                          / min(tree.interval.length, circle))
+                + tops[(tree.top, i)]
+                for tree, (marked, members) in zip(trees, per_tree)]
+
+    def _fill(self, todo: dict, rows: dict) -> None:
+        """Cache each ``todo`` entry's largest weighted L2 norm of f under
+        its window's symbols, over its divisor; ``rows`` gains the squared
+        weight rows it lacks, from one :func:`tail_weight` call."""
+        f, dx, powers = self.f, self.f.dx, self._power_cache
+        ends = [e for e in dict.fromkeys([t[1] for t in todo.values()])
+                if e not in rows]
+        if ends:
+            w = tail_weight(f, *zip(*ends), self.weight_power)
+            rows.update(zip(ends, w * w))
+        new = [win for win in dict.fromkeys([t[2] for t in todo.values()])
+               if win not in powers]
+        for unmarked in (False, True):
+            group = [win for win in new if (win[2] is None) == unmarked]
+            if group:
+                lo, hi, at = zip(*group)
+                fam = multiplier_family(f, lo, hi, None if unmarked else at,
+                                        self.order, self.support_factor)
+                banks = np.abs(f.bank(fam.reshape(-1, f.size))) ** 2
+                powers.update(zip(group, banks.reshape(len(group), 3, -1)))
+        for key, (cache, ends, window, divisor) in todo.items():
+            # sqrt(max(s) dx) is max(sqrt(s dx)): both steps are monotone
+            sums = np.sum(rows[ends] * powers[window], axis=-1)
+            cache[key] = math.sqrt(sums.max() * dx) / divisor
 
 
 def maximal_trees(tiles: Family, span_bits: int,
@@ -306,14 +308,15 @@ def spatial_cutoff(f: GridFunction, lo, hi, blur: float) -> np.ndarray:
 
 def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
               tiles: Family, slope: float, order: int,
-              blur: float) -> complex:
-    """Sum over tiles of the cutoff-localized triple product.
+              blur: float) -> np.ndarray:
+    """Per-tile terms of the model sum, complex, in tile order.
 
-    Each tile contributes the integral of its smoothed spatial indicator
-    against the product of the three frequency-projected functions, each
-    projected by a bump at support factor :data:`MODEL_SUPPORT`.  Each
-    component's projections of all cubes come from one
-    :meth:`GridFunction.bank`; the terms are added in tile order.
+    A tile's term is the integral of its smoothed spatial indicator against
+    the product of the three frequency-projected functions, each projected
+    by a bump at support factor :data:`MODEL_SUPPORT`; each component's
+    projections of all cubes come from one :meth:`GridFunction.bank`.  No
+    row depends on the other tiles of the call, so a subfamily's terms are
+    the family's terms at its tiles.
     """
     f = fs[0]
     ops = operator_intervals(tiles.side, tiles.centers, slope)
@@ -323,33 +326,39 @@ def model_sum(fs: tuple[GridFunction, GridFunction, GridFunction],
                             MODEL_SUPPORT)
         prod = prod * fs[i].bank(LEVEL * _bump(u, order))
     cuts = spatial_cutoff(f, tiles.lo, tiles.hi, blur)
-    total = 0.0 + 0.0j
-    for cut, q in zip(cuts, tiles.cube.tolist()):
-        total += complex(np.sum(cut * prod[q]) * f.dx)
+    return np.sum(cuts * prod[tiles.cube], axis=-1) * f.dx
+
+
+def term_sum(terms: np.ndarray) -> complex:
+    """The model sum of ``terms``, added one by one in their order."""
+    total = 0j
+    for term in terms.tolist():
+        total += term
     return total
 
 
 def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
-                      tiles: Family, tree: Tree, slope: float,
-                      thetas: tuple[float, float, float], order: int,
-                      support_factor: float, weight_power: int,
-                      blur: float, span_bits: int,
-                      scale_bits: int) -> tuple[float, float]:
+                      tiles: Family, tree: Tree, terms: np.ndarray,
+                      slope: float, thetas: tuple[float, float, float],
+                      order: int, support_factor: float, weight_power: int,
+                      span_bits: int, scale_bits: int) -> tuple[float, float]:
     """Model sum over one tree of ``tiles`` against its size-product budget.
 
-    Returns (lhs, rhs): the absolute model sum, and the top length times
-    the product of per-component collection sizes raised to the exponents.
-    The exponent on the first component is one; callers keep the others
-    strictly inside (0, 1).
+    Returns (lhs, rhs): the absolute sum of the tree's members' ``terms``
+    (the :func:`model_sum` terms of ``tiles``), and the top length times the
+    product of per-component collection sizes raised to the exponents.  The
+    exponent on the first component is one; callers keep the others
+    strictly inside (0, 1).  The components size the same trees on one
+    grid, so one :func:`tail_weight` call, alive for the audit, weighs all.
     """
+    lhs = abs(term_sum(terms[tree.members]))
     members = tiles.take(tree.members)
-    lhs = abs(model_sum(fs, members, slope, order, blur))
-    length = min(tree.interval.length, fs[0].length)
-    rhs = length
+    rhs = min(tree.interval.length, fs[0].length)
     trees = maximal_trees(members, span_bits, scale_bits)
-    for i in range(3):
-        sizer = TreeSizer(fs[i], members, slope, order, support_factor,
+    rows: dict = {}  # squared weight rows, shared by the components
+    for i, f in enumerate(fs):
+        sizer = TreeSizer(f, members, slope, order, support_factor,
                           weight_power)
-        s = sizer.collection_size(i, trees)
-        rhs *= s ** thetas[i]
+        rhs *= float(np.max(sizer._sizes(trees, i, rows),
+                            initial=0.0)) ** thetas[i]
     return lhs, rhs

@@ -37,14 +37,18 @@ def valid_configs(draw):
     kind = draw(st.sampled_from([kind for kind, _ in ex.experiment_kinds()]))
     cfg = ex.default_config(kind)
     scale_bits = draw(st.integers(2, 16))
+    # a partition resolves chords down to 23, and 23 only at c0 <= 9
+    deep = kind == "partition"
+    mu_max = draw(st.integers(1, 23 if deep else 64))
+    c0 = draw(st.integers(2, 9 if deep and mu_max == 23 else 16))
     # the compact families' tiles need tops as long as 2**scale_bits
     pooled = kind in ("forest-bessel", "model-sum")
     fields = dict(
         grid_n=st.integers(8, 1 << 14).map(lambda n: 2 * n),
         domain_len=finite(0.0, 1e6, exclude_min=True),
         seed=st.integers(0, 2 ** 63), trials=st.integers(1, 10 ** 6),
-        mu_max=st.integers(1, 64), alpha=finite(0.0, 1.0, **open_unit),
-        c0=st.integers(2, 16), k0=finite(-60.0, 60.0),
+        mu_max=st.just(mu_max), alpha=finite(0.0, 1.0, **open_unit),
+        c0=st.just(c0), k0=finite(-60.0, 60.0),
         scale_bits=st.just(scale_bits),
         span_bits=st.integers(scale_bits if pooled else 0, 16),
         clearance=finite(), compact_spread=finite(),
@@ -511,6 +515,9 @@ OUT_OF_DOMAIN = [
     ("partition", "mu_max = 0"), ("partition", "alpha = 1"),
     ("partition", "c0 = 17"),
     ("partition", "c0 = 64"),              # past the host's memory
+    # the Whitney members of the last chord have zero width
+    ("partition", "mu_max = 24"), ("partition", "mu_max = 200"),
+    ("partition", "mu_max = 23\nc0 = 10"),
     ("polygon-scan", "k0 = 61"), ("polygon-scan", "k0 = -61"),
     ("polygon-scan", "k0 = 2000"),         # 2**k0 overflows
     ("polygon-scan", "k0 = -2000"),        # 2**k0 is 0, a divisor
@@ -640,18 +647,6 @@ class TestCli:
                          "--out", str(tmp_path / "x"), *argv]) == 2
         err = capsys.readouterr().err
         assert hint in err and err.count("\n") == 1
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("mu_max", [200, 24])
-    def test_run_error_exits_three(self, tmp_path, capsys, mu_max):
-        # a valid config whose geometry degenerates inside the run: at
-        # mu_max 24 the Whitney members of chord 24 have zero width
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(f"kind = partition\nmu_max = {mu_max}\n")
-        assert cli_main(["run", "--config", str(cfg),
-                         "--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert err == "error: partition run failed: degenerate rectangle\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("body,hint", [

@@ -597,3 +597,11 @@ class TestCoverCollection:
             rep = part.hypothesis_report(RNG(6), cover_samples=800,
                                          overlap_samples=300)
             assert rep.containment_ok and rep.cover_ok
+
+    @pytest.mark.parametrize("mu_max,c0", [(24, C0), (23, 10)])
+    def test_unresolvable_chord_refused(self, mu_max, c0):
+        # the last chord's Whitney members are about 4**-mu_max / c0 wide,
+        # too thin for a double to keep both sides apart; the config domain
+        # stops one step short of these
+        with pytest.raises(ValueError, match="degenerate rectangle"):
+            G.polygon_cover(G.LacunaryPolygon(mu_max), ALPHA, c0)

@@ -23,6 +23,7 @@ from freqbench.sizes import (
     single_tree_audit,
     spatial_cutoff,
     tail_weight,
+    term_sum,
     top_frequency,
     top_interval,
 )
@@ -116,13 +117,13 @@ class TestMultiplierFamily:
         omega = Iv(2.0, 3.0)
         outside = np.abs(xs - omega.center) >= 0.75  # 1.5 * |omega| / 2
         for marked in (None, 2.0):
-            for sym in multiplier_family(f, omega, marked, *SIZE[:2]):
+            for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2]):
                 assert np.all(sym[outside] == 0.0)
 
     def test_unmarked_family_bounded_and_distinct(self):
         f, xs = self.freqs()
         omega = Iv(-1.0, 1.0)
-        fam = multiplier_family(f, omega, None, *SIZE[:2])
+        fam = multiplier_family(f, *ends(omega), None, *SIZE[:2])
         for sym in fam:
             assert np.abs(sym).max() <= 0.95 + 1e-12
         center = np.argmin(np.abs(xs - omega.center))
@@ -137,7 +138,7 @@ class TestMultiplierFamily:
         omega = Iv(1.5, 3.5)
         marked = 2.0  # on the mode lattice for length 32
         cap = 0.95 * np.minimum(1.0, np.abs(xs - marked) / omega.length)
-        for sym in multiplier_family(f, omega, marked, *SIZE[:2]):
+        for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2]):
             assert np.all(np.abs(sym) <= cap + 1e-15)
             assert sym[np.argmin(np.abs(xs - marked))] == 0.0
 
@@ -178,7 +179,7 @@ class TestTileSeminorm:
         at = np.argmin(np.abs(xs - xi0))
         amp = max(
             abs(sym[at])
-            for sym in multiplier_family(f, omega, marked, *SIZE[:2])
+            for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2])
         )
         w = tail_weight(f, *ends(tiles.interval(0)), SIZE[2])
         want = amp * 0.7 * math.sqrt(float(np.sum(w * w)) * f.dx)
@@ -200,12 +201,20 @@ def per_symbol_weighted_max(sizer, interval, omega, marked):
     f = sizer.f
     w = tail_weight(f, *ends(interval), sizer.weight_power)
     best = 0.0
-    for sym in multiplier_family(f, omega, marked, sizer.order,
+    for sym in multiplier_family(f, *ends(omega), marked, sizer.order,
                                  sizer.support_factor):
         g = f.multiply_spectrum(sym)
         val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2) * f.dx))
         best = max(best, val)
     return best
+
+
+def one_row_top_term(sizer, top, i):
+    """The uncached top term of component i, from the top's own row."""
+    omega = top_interval(top, i, SLOPE, sizer.f.length)
+    length = min(top.interval.length, sizer.f.length)
+    best = per_symbol_weighted_max(sizer, top.interval, omega, None)
+    return best / math.sqrt(length)
 
 
 class TestFilterCache:
@@ -226,13 +235,9 @@ class TestFilterCache:
                             want = per_symbol_weighted_max(
                                 sizer, tiles.interval(j), omega, marked)
                             assert sizer.tile_seminorm(j, i, marked) == want
-                    omega = top_interval(tree.top, i, SLOPE, f.length)
-                    length = min(tree.interval.length, f.length)
-                    want = per_symbol_weighted_max(
-                        sizer, tree.top.interval, omega, None)
-                    w = tail_weight(f, *ends(tree.top.interval), power)
-                    assert sizer._top_term(tree.top, i, w) == (
-                        want / math.sqrt(length))
+                    sizer.tree_size(tree, i)
+                    assert sizer._top_cache[(tree.top, i)] == (
+                        one_row_top_term(sizer, tree.top, i))
             # a repeated key recomputed from cached filtered powers
             j, i, marked = next(iter(sizer._tile_cache))
             first = sizer._tile_cache.pop((j, i, marked))
@@ -278,12 +283,8 @@ class TestFilterCache:
             for tree in maximal_trees(tiles, *BITS):
                 for i in range(3):
                     sizer.tree_size(tree, i)
-                    w = tail_weight(f, *ends(tree.top.interval), SIZE[2])
-                    omega = top_interval(tree.top, i, SLOPE, f.length)
-                    length = min(tree.interval.length, f.length)
-                    want = sizer._weighted_max(w, omega, None)
                     assert sizer._top_cache[(tree.top, i)] == (
-                        want / math.sqrt(length))
+                        one_row_top_term(sizer, tree.top, i))
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
         f = GridFunction.zeros(512, 32.0)
@@ -308,8 +309,7 @@ class TestTreeSize:
         want = (
             math.sqrt(sizer.tile_seminorm(0, 0, marked) ** 2
                       / tiles.length[0])
-            + sizer._top_term(top, 0, tail_weight(f, *ends(top.interval),
-                                                  SIZE[2]))
+            + one_row_top_term(sizer, top, 0)
         )
         assert sizer.tree_size(tree, 0) == pytest.approx(want, rel=1e-12)
 
@@ -525,6 +525,67 @@ class TestBatchedRows:
         for (j, i, marked), got in batched._tile_cache.items():
             assert single.tile_seminorm(j, i, marked) == got
 
+    def test_multiplier_family_rows_match_single_windows(self):
+        # every component window of the compact families of seeds 0-7,
+        # with and without marks, in one call and one window at a time
+        f = GridFunction.zeros(512, 32.0)
+        for seed in range(8):
+            tiles = compact_family(seed, *FAMILY)
+            ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
+            lo, hi = ops[..., 0].ravel(), ops[..., 1].ravel()
+            marks = np.random.default_rng(seed).uniform(-8.0, 8.0, lo.size)
+            for marked in (None, marks):
+                got = multiplier_family(f, lo, hi, marked, *SIZE[:2])
+                assert got.shape == (lo.size, 3, 512)
+                for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+                    one = None if marked is None else float(marked[k])
+                    assert np.array_equal(
+                        got[k], multiplier_family(f, a, b, one, *SIZE[:2]))
+
+
+class TestTreeSizesBatch:
+    def test_batch_matches_one_tree_calls_and_reference(self, monkeypatch):
+        # all maximal trees in one call on a fresh sizer: one weight call,
+        # at most one symbol stack and one bank per mark kind, and every
+        # size, seminorm and top term equal to the one-tree and per-symbol
+        # references bit for bit
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(sizes, "tail_weight",
+                            counted("weigh", tail_weight))
+        monkeypatch.setattr(sizes, "multiplier_family",
+                            counted("family", multiplier_family))
+        monkeypatch.setattr(GridFunction, "bank",
+                            counted("bank", GridFunction.bank))
+        for seed in range(8):
+            tiles = compact_family(seed, *FAMILY)
+            f = band_noise(512, 32.0, 7.5, np.random.default_rng(seed + 60))
+            ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
+            trees = maximal_trees(tiles, *BITS)
+            batched = TreeSizer(f, tiles, SLOPE, *SIZE)
+            single = TreeSizer(f, tiles, SLOPE, *SIZE)
+            for i in range(3):
+                calls.clear()
+                got = batched.tree_sizes(trees, i)
+                assert calls.count("weigh") == 1
+                assert calls.count("family") == calls.count("bank") <= 2
+                assert got == [single.tree_size(tree, i) for tree in trees]
+                for tree in trees:
+                    marked = top_frequency(tree.top, i, SLOPE)
+                    for j in tree.members.tolist():
+                        omega = Iv(*ops[tiles.cube[j], i].tolist())
+                        assert batched._tile_cache[(j, i, marked)] == (
+                            per_symbol_weighted_max(
+                                batched, tiles.interval(j), omega, marked))
+                    assert batched._top_cache[(tree.top, i)] == (
+                        one_row_top_term(batched, tree.top, i))
+
 class TestModelSum:
     def make_inputs(self, seed, band=7.5):
         rng = np.random.default_rng(seed)
@@ -545,11 +606,13 @@ class TestModelSum:
                 prod = np.ones(f.size, dtype=complex)
                 for i in range(3):
                     omega = Iv(*ops[tiles.cube[j], i])
-                    sym = multiplier_family(fs[i], omega, None, 5, 1.2)[0]
+                    sym = multiplier_family(fs[i], *ends(omega), None,
+                                            5, 1.2)[0]
                     prod = prod * fs[i].multiply_spectrum(sym).values
                 cut = one_cutoff(f, tiles.interval(j), BLUR)
                 ref += complex(np.sum(cut * prod) * f.dx)
-            assert model_sum(fs, tiles, SLOPE, SIZE[0], BLUR) == ref
+            assert term_sum(model_sum(fs, tiles, SLOPE, SIZE[0],
+                                      BLUR)) == ref
         assert len(widths) == 2
 
     def test_band_miss_gives_zero(self):
@@ -557,12 +620,21 @@ class TestModelSum:
         # a cube anchored well away from zero, so every projection vanishes
         fs = self.make_inputs(22, band=0.4)
         tiles = one_cube_family(1.0, (6.0, 6.5, 5.5), [5])
-        assert abs(model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)) < 1e-14
+        assert abs(term_sum(model_sum(fs, tiles, SLOPE, SIZE[0],
+                                      BLUR))) < 1e-14
 
     def test_empty_collection_is_zero(self):
         fs = self.make_inputs(23)
         empty = compact_family(0, *FAMILY).take([])
-        assert model_sum(fs, empty, SLOPE, SIZE[0], BLUR) == 0.0
+        terms = model_sum(fs, empty, SLOPE, SIZE[0], BLUR)
+        assert terms.shape == (0,) and term_sum(terms) == 0.0
+
+
+def audit(fs, tiles, tree, bits=BITS):
+    """The single-tree audit of ``tree`` at the default sizes."""
+    terms = model_sum(fs, tiles, SLOPE, SIZE[0], BLUR)
+    return single_tree_audit(fs, tiles, tree, terms, SLOPE, THETAS, *SIZE,
+                             *bits)
 
 
 class TestSingleTreeAudit:
@@ -576,8 +648,7 @@ class TestSingleTreeAudit:
             fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                        for _ in range(3))
             tree = self.largest_tree(tiles)
-            lhs, rhs = single_tree_audit(fs, tiles, tree, SLOPE, THETAS,
-                                         *SIZE, BLUR, *BITS)
+            lhs, rhs = audit(fs, tiles, tree)
             assert math.isfinite(lhs) and math.isfinite(rhs)
             assert rhs > 0.0
             assert lhs <= rhs
@@ -590,12 +661,37 @@ class TestSingleTreeAudit:
         fs = list(band_noise(512, 32.0, 7.5, rng, normalize="sup")
                   for _ in range(3))
         tree = self.largest_tree(tiles)
-        lhs, rhs = single_tree_audit(tuple(fs), tiles, tree, SLOPE, THETAS,
-                                     *SIZE, BLUR, *BITS)
+        lhs, rhs = audit(tuple(fs), tiles, tree)
         fs[0] = fs[0] * 3.0
-        lhs3, rhs3 = single_tree_audit(tuple(fs), tiles, tree, SLOPE, THETAS,
-                                       *SIZE, BLUR, *BITS)
+        lhs3, rhs3 = audit(tuple(fs), tiles, tree)
         assert lhs3 / rhs3 == pytest.approx(lhs / rhs, rel=1e-9)
+
+    def test_lhs_is_the_members_own_model_sum(self):
+        # the tree's member terms taken from the family's terms add up to
+        # the model sum over the members alone, bit for bit
+        for seed in range(8):
+            tiles = compact_family(seed, *FAMILY)
+            rng = np.random.default_rng(seed + 910)
+            fs = tuple(band_noise(512, 32.0, 7.5, rng) for _ in range(3))
+            tree = self.largest_tree(tiles)
+            own = model_sum(fs, tiles.take(tree.members), SLOPE, SIZE[0],
+                            BLUR)
+            assert audit(fs, tiles, tree)[0] == abs(term_sum(own))
+
+    def test_model_sum_run_weighs_once_per_audit(self, monkeypatch):
+        # the three components size the same trees over one grid, so each
+        # trial's audit takes all its weight rows from one call
+        calls = []
+
+        def counted(f, lo, hi, power):
+            calls.append(np.size(lo))
+            return tail_weight(f, lo, hi, power)
+
+        monkeypatch.setattr(sizes, "tail_weight", counted)
+        cfg = ex.default_config("model-sum")
+        cfg.trials = 4
+        assert ex.run(cfg).passed
+        assert len(calls) == 4 and min(calls) > 1
 
     def test_sizes_run_over_the_given_pool(self):
         # at scale_bits 5 the tree's maximal trees over the (6, 5) pool are
@@ -616,6 +712,5 @@ class TestSingleTreeAudit:
         for i in range(3):
             sizer = TreeSizer(fs[i], members, SLOPE, *SIZE)
             want *= sizer.collection_size(i, trees) ** THETAS[i]
-        _, rhs = single_tree_audit(fs, tiles, tree, SLOPE, THETAS, *SIZE,
-                                   BLUR, *bits)
+        _, rhs = audit(fs, tiles, tree, bits)
         assert rhs == want
