@@ -44,7 +44,6 @@ from .timefreq import (
     SINK_LEVEL,
     Family,
     Tree,
-    bessel_ratio,
     build_halos,
     cluster_family,
     compact_family,
@@ -192,12 +191,22 @@ _DOMAINS = {
     # families draw 3 of 2**scale_bits positions: 2 are too few, 2**30
     # take 16 GiB and 2**70 is no C long
     "scale_bits": (">= 2 and <= 16", lambda v: 2 <= v <= 16),
-    "span_bits": (">= 0", lambda v: v >= 0),  # shorter tops miss unit tiles
+    # shorter tops miss unit tiles; 2**1024 is no double
+    "span_bits": (">= 0 and <= 1023", lambda v: 0 <= v <= 1023),
+    # the Whitney offsets draw from [c0 + 0.5, 3 c0], empty below 0.25.
+    # Seeds 0-19 all give families from 0.25 to 4, fewer above
+    "clearance": (">= 0.25", lambda v: v >= 0.25),
+    "compact_spread": (">= 0.25", lambda v: v >= 0.25),
     "slope": ("positive", lambda v: v > 0),
     "order": (">= 1", lambda v: v >= 1),
     # every symbol vanishes at 0, and the even bump takes -s for s
     "support_factor": ("positive", lambda v: v > 0),
     "weight_power": (">= 1", lambda v: v >= 1),
+    # at <= 0 the cutoff's mollifier silently sits at its cell floor
+    "blur": ("positive", lambda v: v > 0),
+    # at <= 0 the mask flags every sample; size-decay's does below
+    # 2 / domain_len too, and exits 3
+    "exceptional_factor": ("positive", lambda v: v > 0),
     "decay_power": (">= 1", lambda v: v >= 1),
     "set_count": (">= 1", lambda v: v >= 1),  # no spans make a zero input
     "moll_width": ("positive", lambda v: v > 0),  # the mollifier's width
@@ -573,9 +582,8 @@ def run_forest_bessel(cfg: ExperimentConfig):
             levels = [lv for lv in sorted(forest) if lv != SINK_LEVEL]
             r_best = g_best = 0.0
             for level in levels:
-                r = bessel_ratio(forest[level], level, energy)
-                tops = sum(tree.interval.length for tree in forest[level])
-                r_best = max(r_best, r)
+                tops = sum(tree.length for tree in forest[level])
+                r_best = max(r_best, tops / (4.0 ** level * energy))
                 g_best = max(g_best, tops / (4.0 ** level * measure))
             metrics.append((f"bessel_t{t}c{i}", r_best))
             metrics.append((f"global_t{t}c{i}", g_best))

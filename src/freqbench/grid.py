@@ -141,9 +141,6 @@ class GridFunction:
     def __truediv__(self, other):
         return self._binop(other, np.divide)
 
-    def __repr__(self):
-        return "GridFunction(size=%d, length=%g)" % (self.size, self.length)
-
 
 def indicator(intervals, size, length=1.0):
     """Indicator of a union of half-open intervals [a, b), sampled.

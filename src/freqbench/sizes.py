@@ -6,7 +6,9 @@ spatial interval.  The *tile seminorm* measures how much of the function a
 multiplier confined to that frequency interval can concentrate on the tile,
 weighted by a polynomial tail factor pinned to the spatial interval.  Tree
 and collection sizes aggregate the seminorms, and everything downstream
-(forest thresholds, exceptional layers, the model sum) consumes those.
+(forest thresholds, exceptional layers, the model sum) consumes those.  A
+tree's top is a (zeta, lo, hi) tuple; :mod:`freqbench.timefreq` builds the
+top pool and the maximal trees this module sizes.
 
 Multiplier suprema are taken over a small concrete family rather than an
 abstract class: saturating odd profiles times compact bump envelopes when
@@ -27,15 +29,7 @@ import math
 import numpy as np
 
 from .grid import GridFunction, convolve, maximal_average, shared_kernel
-from .timefreq import (
-    Family,
-    Iv,
-    TopData,
-    Tree,
-    candidate_tops,
-    operator_intervals,
-    tree_members,
-)
+from .timefreq import Family, Tree, maximal_trees, operator_intervals
 
 LEVEL = 0.95            # sup of every multiplier of :func:`multiplier_family`
 MIN_WIDTH_CELLS = 4.0   # floor of the cutoff mollifier's width, in cells
@@ -47,22 +41,22 @@ def _shear_factor(i: int, slope: float) -> float:
     return (1.0, slope, -(1.0 + slope))[i]
 
 
-def top_frequency(top: TopData, i: int, slope: float) -> float:
-    """Marked frequency of component i for a tree top."""
-    return _shear_factor(i, slope) * top.zeta
+def top_frequency(top: tuple, i: int, slope: float) -> float:
+    """Marked frequency of component i for a tree top (zeta, lo, hi)."""
+    return _shear_factor(i, slope) * top[0]
 
 
-def top_interval(top: TopData, i: int, slope: float, circle: float) -> Iv:
-    """Component interval attached to a tree top.
+def top_interval(top: tuple, i: int, slope: float,
+                 circle: float) -> tuple[float, float]:
+    """Component interval (lo, hi) attached to a tree top (zeta, lo, hi).
 
     Width is (1, slope, 1+slope)[i] over the top length, centered at the
     marked frequency; tops longer than the circle saturate at the circle
     length.
     """
-    length = min(top.interval.length, circle)
-    w = abs(_shear_factor(i, slope)) / length
+    w = abs(_shear_factor(i, slope)) / min(top[2] - top[1], circle)
     c = top_frequency(top, i, slope)
-    return Iv(c - 0.5 * w, c + 0.5 * w)
+    return c - 0.5 * w, c + 0.5 * w
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +125,11 @@ class TreeSizer:
 
     Trees are index arrays into ``tiles``.  The threshold sweeps meet the
     same tile in many trees, so the sizer caches tile seminorms by (tile,
-    component, marked frequency), top terms by (top, component) and the
-    filtered powers |f * m|^2 of the :func:`multiplier_family` symbols by
-    window (lo, hi, marked frequency or None).  :meth:`tree_sizes` fills a
-    batch: one :func:`tail_weight` call weighs every uncached term, and one
+    component, marked frequency), top terms by (top, component), keyed on
+    the tree's (zeta, lo, hi) top as it is, and the filtered powers
+    |f * m|^2 of the :func:`multiplier_family` symbols by window (lo, hi,
+    marked frequency or None).  :meth:`tree_sizes` fills a batch: one
+    :func:`tail_weight` call weighs every uncached term, and one
     :func:`multiplier_family` call and one :meth:`GridFunction.bank` per
     mark kind filter the new windows.  Weight rows never outlive the call.
     """
@@ -185,14 +180,14 @@ class TreeSizer:
                     todo[(j, i, marked)] = (tiles, self._ends[j],
                                             (*self._omega[j][i], marked), 1.0)
             if (top, i) not in tops:
-                omega = top_interval(top, i, self.slope, circle)
-                todo[(top, i)] = (tops, (top.interval.lo, top.interval.hi),
-                                  (omega.lo, omega.hi, None),
-                                  math.sqrt(min(top.interval.length, circle)))
+                todo[(top, i)] = (tops, top[1:],
+                                  (*top_interval(top, i, self.slope, circle),
+                                   None),
+                                  math.sqrt(min(tree.length, circle)))
         if todo:
             self._fill(todo, rows)
         return [math.sqrt(sum(tiles[(j, i, marked)] ** 2 for j in members)
-                          / min(tree.interval.length, circle))
+                          / min(tree.length, circle))
                 + tops[(tree.top, i)]
                 for tree, (marked, members) in zip(trees, per_tree)]
 
@@ -220,16 +215,6 @@ class TreeSizer:
             # sqrt(max(s) dx) is max(sqrt(s dx)): both steps are monotone
             sums = np.sum(rows[ends] * powers[window], axis=-1)
             cache[key] = math.sqrt(sums.max() * dx) / divisor
-
-
-def maximal_trees(tiles: Family, span_bits: int,
-                  scale_bits: int) -> list[Tree]:
-    """The nonempty maximal trees of ``tiles`` over the top pool of
-    :func:`freqbench.timefreq.candidate_tops`, in pool order."""
-    pool = candidate_tops(tiles, span_bits, scale_bits)
-    member = tree_members(tiles, pool)
-    return [Tree(pool[k], np.flatnonzero(member[k]))
-            for k in np.flatnonzero(member.any(axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +338,7 @@ def single_tree_audit(fs: tuple[GridFunction, GridFunction, GridFunction],
     """
     lhs = abs(term_sum(terms[tree.members]))
     members = tiles.take(tree.members)
-    rhs = min(tree.interval.length, fs[0].length)
+    rhs = min(tree.length, fs[0].length)
     trees = maximal_trees(members, span_bits, scale_bits)
     rows: dict = {}  # squared weight rows, shared by the components
     for i, f in enumerate(fs):

@@ -6,8 +6,10 @@ centres ``(c, 3)`` and halos ``(c, 3, 2)``.  Each side is a power of
 ``2**scale_bits``, and the three component intervals sit close to the line
 ``u = v = w`` without touching it (see :func:`diagonal_clearance_violations`).
 Its tiles pair a cube index ``(n,)`` with a dyadic spatial interval of
-reciprocal length, held as ``lo`` and ``length`` ``(n,)``.  A :class:`Tree`
-is a top plus an index array into its family, in family order.
+reciprocal length, held as ``lo`` and ``length`` ``(n,)``.  A tree top is a
+hashable float tuple ``(zeta, lo, hi)``: an anchor frequency over a dyadic
+interval.  A :class:`Tree` is a top plus an index array into its family, in
+family order.
 
 Around each cube component we grow a *halo*: an interval slightly larger than
 the thousandfold dilate of the component.  Halos are what every ordering,
@@ -24,8 +26,10 @@ Contents:
 - tile orderings as matrices (:func:`le_matrix`, :func:`lessdot_matrix`),
   footprints and their closure (:func:`footprint_violations`,
   :func:`regularize`),
-- one top x tile membership mask per family (:func:`tree_members`), greedy
-  maximal selection (:func:`greedy_select`), its order-convexity audit
+- the top pool (:func:`candidate_tops`), one top x tile membership mask per
+  family (:func:`tree_members`), the maximal trees over the pool
+  (:func:`maximal_trees`), greedy maximal selection
+  (:func:`greedy_select`), its order-convexity audit
   (:func:`selection_convexity_violations`) and a threshold sweep into
   forests driven by a size callback (:func:`forest_decompose`),
 - seeded generators of families that pass every check
@@ -57,31 +61,6 @@ SINK_LEVEL = 60
 
 # ---------------------------------------------------------------------------
 # intervals
-
-@dataclass(frozen=True, order=True)
-class Iv:
-    """Closed interval [lo, hi] with exact dyadic endpoints."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.hi >= self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-
-def dyadic(length: float, index: int) -> Iv:
-    """The index-th interval of the given length in the standard grid."""
-    return Iv(index * length, (index + 1) * length)
-
 
 def _rows(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rows (c - h, c + h)."""
@@ -144,13 +123,11 @@ class Family:
     def hi(self) -> np.ndarray:
         return self.lo + self.length
 
-    def interval(self, j: int) -> Iv:
-        return Iv(float(self.lo[j]), float(self.lo[j] + self.length[j]))
-
-    def own_top(self, j: int) -> "TopData":
+    def own_top(self, j: int) -> tuple[float, float, float]:
         """Tile j's first-halo centre over its own interval."""
         h = self.halos[self.cube[j], 0]
-        return TopData(float(0.5 * (h[0] + h[1])), self.interval(j))
+        lo = float(self.lo[j])
+        return float(0.5 * (h[0] + h[1])), lo, float(lo + self.length[j])
 
     def take(self, idx) -> "Family":
         """The tiles ``idx``, in that order, over the cubes they carry."""
@@ -401,43 +378,34 @@ def regularize(tiles: Family) -> Family:
 # trees and forests
 
 @dataclass(frozen=True)
-class TopData:
-    """Anchor frequency and spatial extent of a tree."""
-
-    zeta: float
-    interval: Iv
-
-
-@dataclass(frozen=True)
 class Tree:
-    """A top and the indices of its member tiles, in family order."""
+    """A top (zeta, lo, hi), an anchor frequency over a dyadic interval, and
+    the indices of its member tiles, in family order."""
 
-    top: TopData
+    top: tuple[float, float, float]
     members: np.ndarray = field(compare=False)
 
     @property
-    def interval(self) -> Iv:
-        return self.top.interval
+    def length(self) -> float:
+        return self.top[2] - self.top[1]
 
 
-def tree_members(tiles: Family, tops: list[TopData]) -> np.ndarray:
+def tree_members(tiles: Family, tops: list[tuple]) -> np.ndarray:
     """Membership mask (len(tops), len(tiles)) of the maximal trees.
 
     Tile j belongs to top t when its spatial interval fits the top's and
     some halo of its cube encloses the top halo.
     """
-    top = np.array([(t.zeta, t.interval.lo, t.interval.hi) for t in tops]
-                   ).reshape(-1, 3)
-    zeta, ivs = top[:, 0], top[:, 1:]
-    r = TOP_RADIUS / (ivs[:, 1] - ivs[:, 0])
-    th = np.column_stack([zeta - r, zeta + r])
-    inside = (ivs[:, :1] <= tiles.lo) & (tiles.hi <= ivs[:, 1:])
-    halo = _encloses(tiles.halos[tiles.cube][None], th[:, None, None])
+    zeta, lo, hi = np.array(tops, dtype=float).reshape(-1, 3).T[..., None]
+    r = TOP_RADIUS / (hi - lo)
+    th = np.stack([zeta - r, zeta + r], axis=-1)
+    inside = (lo <= tiles.lo) & (tiles.hi <= hi)
+    halo = _encloses(tiles.halos[tiles.cube][None], th[:, None])
     return inside & halo.any(axis=-1)
 
 
 def candidate_tops(tiles: Family, span_bits: int,
-                   scale_bits: int) -> list[TopData]:
+                   scale_bits: int) -> list[tuple[float, float, float]]:
     """Deterministic top pool: first-halo centers crossed with the dyadic
     ancestors of each tile interval up to length 2**span_bits.
 
@@ -445,17 +413,26 @@ def candidate_tops(tiles: Family, span_bits: int,
     selection over this pool always exhausts the family.  Sorted so that
     wider tops come first, ties broken by anchor then position.
     """
-    tops: set[TopData] = set()
+    tops: set[tuple[float, float, float]] = set()
     step = 2 ** scale_bits
     zeta = 0.5 * (tiles.halos[:, 0, 0] + tiles.halos[:, 0, 1])
     for z, lo, length in zip(zeta[tiles.cube].tolist(), tiles.lo.tolist(),
                              tiles.length.tolist()):
         while length <= float(2 ** span_bits):
             idx = math.floor(lo / length + 1e-12)
-            tops.add(TopData(z, dyadic(length, idx)))
+            tops.add((z, idx * length, (idx + 1) * length))
             length *= step
-    return sorted(tops, key=lambda t: (-t.interval.length, t.zeta,
-                                       t.interval.lo))
+    return sorted(tops, key=lambda t: (t[1] - t[2], t[0], t[1]))
+
+
+def maximal_trees(tiles: Family, span_bits: int,
+                  scale_bits: int) -> list[Tree]:
+    """The nonempty maximal trees of ``tiles`` over the top pool of
+    :func:`candidate_tops`, in pool order."""
+    pool = candidate_tops(tiles, span_bits, scale_bits)
+    member = tree_members(tiles, pool)
+    return [Tree(pool[k], np.flatnonzero(member[k]))
+            for k in np.flatnonzero(member.any(axis=1))]
 
 
 def _first_tree(pool, member, remaining, accept=None) -> Tree | None:
@@ -536,10 +513,7 @@ def forest_decompose(tiles: Family, size_fn, span_bits: int,
     if not all(map(math.isfinite, sizes)):
         raise ValueError("non-finite tree size of a maximal tree")
     start = max((s for s in sizes if s > 0), default=None)
-    if start is None:
-        return {SINK_LEVEL: greedy_select(tiles, span_bits, scale_bits)} \
-            if len(tiles) else {}
-    n = math.floor(-math.log2(start))
+    n = SINK_LEVEL if start is None else math.floor(-math.log2(start))
     out: dict[int, list[Tree]] = {}
     while remaining.any() and n < SINK_LEVEL:
         threshold = 2.0 ** (-n - 1)
@@ -554,12 +528,6 @@ def forest_decompose(tiles: Family, size_fn, span_bits: int,
             Tree(t.top, rest[t.members])
             for t in greedy_select(tiles.take(rest), span_bits, scale_bits)]
     return out
-
-
-def bessel_ratio(forest: list[Tree], level: int, energy: float) -> float:
-    """Sum of top lengths against the squared threshold times energy."""
-    total = sum(t.interval.length for t in forest)
-    return total / (4.0 ** level * energy)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ def valid_configs(draw):
     c0 = draw(st.integers(2, 9 if deep and mu_max == 23 else 16))
     # the compact families' tiles need tops as long as 2**scale_bits
     pooled = kind in ("forest-bessel", "model-sum")
+    positive = finite(0.0, None, exclude_min=True)
     fields = dict(
         grid_n=st.integers(8, 1 << 14).map(lambda n: 2 * n),
         domain_len=finite(0.0, 1e6, exclude_min=True),
@@ -50,13 +51,13 @@ def valid_configs(draw):
         mu_max=st.just(mu_max), alpha=finite(0.0, 1.0, **open_unit),
         c0=st.just(c0), k0=finite(-60.0, 60.0),
         scale_bits=st.just(scale_bits),
-        span_bits=st.integers(scale_bits if pooled else 0, 16),
-        clearance=finite(), compact_spread=finite(),
+        span_bits=st.integers(scale_bits if pooled else 0, 1023),
+        clearance=finite(0.25), compact_spread=finite(0.25),
         slope=finite(0.0, 1e6, exclude_min=True),
         order=st.integers(1, 64),
         support_factor=finite(0.0, None, exclude_min=True),
-        weight_power=st.integers(1, 64), blur=finite(),
-        exceptional_factor=finite(), decay_power=st.integers(1, 64),
+        weight_power=st.integers(1, 64), blur=positive,
+        exceptional_factor=positive, decay_power=st.integers(1, 64),
         band=finite(), moll_width=finite(0.0, None, exclude_min=True),
         set_count=st.integers(1, 64), kbits=st.integers(1, 60),
         exponents=triple if kind == "polygon-scan" else st.none() | triple,
@@ -525,12 +526,22 @@ OUT_OF_DOMAIN = [
     ("tiles", "scale_bits = 1"),           # 2 positions, 3 to draw
     ("forest-bessel", "scale_bits = 70"),  # 2**70 is no C long
     ("tiles", "span_bits = -1"),           # the pool misses unit tiles
+    ("tiles", "span_bits = 1024"),         # 2**span_bits is no double
+    # the Whitney offsets' range [c0 + 0.5, 3 c0] is empty
+    ("tiles", "clearance = -1"), ("tiles", "clearance = 0.24"),
+    ("forest-bessel", "compact_spread = -1"),
+    ("model-sum", "compact_spread = 0.2"),
     # compact families hold tiles longer than the pool's tops
     ("forest-bessel", "scale_bits = 7"),
     ("model-sum", "scale_bits = 5\nspan_bits = 4"),
     ("tiles", "slope = 0"), ("forest-bessel", "order = 0"),
     ("forest-bessel", "support_factor = 0"),
     ("forest-bessel", "weight_power = 0"),
+    # the cutoff would sit at its cell floor unasked
+    ("model-sum", "blur = 0"), ("model-sum", "blur = -1"),
+    # the mask would flag the whole circle
+    ("size-decay", "exceptional_factor = 0"),
+    ("size-decay", "exceptional_factor = -1"),
     ("size-decay", "decay_power = 0"), ("forest-bessel", "set_count = 0"),
     # the mollifier kernel needs a width
     ("forest-bessel", "moll_width = 0"), ("size-decay", "moll_width = 0"),

@@ -17,7 +17,6 @@ from freqbench.sizes import (
     TreeSizer,
     exceptional_mask,
     layer_split,
-    maximal_trees,
     model_sum,
     multiplier_family,
     single_tree_audit,
@@ -29,14 +28,12 @@ from freqbench.sizes import (
 )
 from freqbench.timefreq import (
     Family,
-    Iv,
-    TopData,
     Tree,
     build_halos,
     compact_family,
-    dyadic,
     forest_decompose,
     greedy_select,
+    maximal_trees,
     operator_intervals,
 )
 
@@ -64,8 +61,9 @@ def band_noise(n, length, band, rng, normalize="l2"):
     return f / np.abs(f.values).max()
 
 
-def ends(iv):
-    return iv.lo, iv.hi
+def span(tiles, j):
+    """The (lo, hi) spatial interval of tile j."""
+    return tiles.lo[j], tiles.hi[j]
 
 
 def one_cube_family(side, centers, cells):
@@ -83,27 +81,25 @@ def unit_tiles(*cells):
 class TestTailWeight:
     def test_peak_and_reference_values(self):
         f = GridFunction.zeros(256, 1.0)
-        iv = Iv(0.25, 0.5)  # center 0.375 lands on the sample lattice
-        w = tail_weight(f, *ends(iv), power=10)
+        # center 0.375 lands on the sample lattice
+        w = tail_weight(f, 0.25, 0.5, power=10)
         assert w[np.argmin(np.abs(f.x - 0.375))] == 1.0
         at = np.argmin(np.abs(f.x - 0.625))  # one interval-length away, u = 1
         assert w[at] == pytest.approx(2.0 ** -5, rel=1e-12)
 
     def test_matches_wrapped_distance_formula(self):
         f = GridFunction.zeros(128, 1.0)
-        iv = Iv(-0.05, 0.05)
-        w = tail_weight(f, *ends(iv), power=6)
-        d = np.abs(f.x - iv.center)
+        w = tail_weight(f, -0.05, 0.05, power=6)
+        d = np.abs(f.x)
         d = np.minimum(d, f.length - d)
-        ref = (1.0 + (d / iv.length) ** 2) ** -3.0
+        ref = (1.0 + (d / 0.1) ** 2) ** -3.0
         assert np.allclose(w, ref, atol=1e-14)
 
     def test_higher_power_decays_faster(self):
         f = GridFunction.zeros(64, 1.0)
-        iv = Iv(0.0, 0.125)
-        lo, hi = (tail_weight(f, *ends(iv), power=12),
-                  tail_weight(f, *ends(iv), power=4))
-        off_center = np.abs(f.x - iv.center) > 1e-9
+        lo, hi = (tail_weight(f, 0.0, 0.125, power=12),
+                  tail_weight(f, 0.0, 0.125, power=4))
+        off_center = np.abs(f.x - 0.0625) > 1e-9
         assert np.all(lo[off_center] < hi[off_center])
 
 
@@ -114,19 +110,18 @@ class TestMultiplierFamily:
 
     def test_support_confined_to_dilated_interval(self):
         f, xs = self.freqs()
-        omega = Iv(2.0, 3.0)
-        outside = np.abs(xs - omega.center) >= 0.75  # 1.5 * |omega| / 2
+        omega = (2.0, 3.0)
+        outside = np.abs(xs - 2.5) >= 0.75  # 1.5 * |omega| / 2
         for marked in (None, 2.0):
-            for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2]):
+            for sym in multiplier_family(f, *omega, marked, *SIZE[:2]):
                 assert np.all(sym[outside] == 0.0)
 
     def test_unmarked_family_bounded_and_distinct(self):
         f, xs = self.freqs()
-        omega = Iv(-1.0, 1.0)
-        fam = multiplier_family(f, *ends(omega), None, *SIZE[:2])
+        fam = multiplier_family(f, -1.0, 1.0, None, *SIZE[:2])
         for sym in fam:
             assert np.abs(sym).max() <= 0.95 + 1e-12
-        center = np.argmin(np.abs(xs - omega.center))
+        center = np.argmin(np.abs(xs))
         assert fam[0][center] == pytest.approx(0.95)
         assert fam[2][center] == pytest.approx(0.475)
         for a in range(3):
@@ -135,27 +130,26 @@ class TestMultiplierFamily:
 
     def test_marked_family_obeys_vanishing_bound(self):
         f, xs = self.freqs()
-        omega = Iv(1.5, 3.5)
         marked = 2.0  # on the mode lattice for length 32
-        cap = 0.95 * np.minimum(1.0, np.abs(xs - marked) / omega.length)
-        for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2]):
+        cap = 0.95 * np.minimum(1.0, np.abs(xs - marked) / 2.0)
+        for sym in multiplier_family(f, 1.5, 3.5, marked, *SIZE[:2]):
             assert np.all(np.abs(sym) <= cap + 1e-15)
             assert sym[np.argmin(np.abs(xs - marked))] == 0.0
 
 
 class TestTopGeometry:
     def test_component_widths_and_zero_sum(self):
-        top = TopData(3.0, dyadic(16.0, 1))
+        top = (3.0, 16.0, 32.0)
         marks = [top_frequency(top, i, SLOPE) for i in range(3)]
         assert marks == [3.0, 3.375, -6.375]
         assert sum(marks) == 0.0
-        widths = [top_interval(top, i, SLOPE, 32.0).length for i in range(3)]
+        widths = [hi - lo for lo, hi in
+                  (top_interval(top, i, SLOPE, 32.0) for i in range(3))]
         assert widths == pytest.approx([1 / 16, 1.125 / 16, 2.125 / 16])
 
     def test_circle_caps_top_length(self):
-        top = TopData(0.0, dyadic(64.0, 0))
-        iv = top_interval(top, 0, SLOPE, circle=32.0)
-        assert iv.length == pytest.approx(1 / 32)
+        lo, hi = top_interval((0.0, 0.0, 64.0), 0, SLOPE, circle=32.0)
+        assert hi - lo == pytest.approx(1 / 32)
 
 
 class TestTileSeminorm:
@@ -164,14 +158,14 @@ class TestTileSeminorm:
         # so the seminorm collapses to max |m(xi0)| times the weight norm.
         n, length = 512, 32.0
         tiles = unit_tiles(3)
-        omega = Iv(*operator_intervals(tiles.side, tiles.centers, SLOPE)[0, 0])
-        k0 = int(round(omega.center * length)) + 3  # inside the support
+        omega = operator_intervals(tiles.side, tiles.centers, SLOPE)[0, 0]
+        k0 = int(round(omega.mean() * length)) + 3  # inside the support
         coeffs = np.zeros(n, dtype=complex)
         coeffs[k0 + n // 2] = 0.7
         f = GridFunction.from_spectrum(coeffs, length)
         xi0 = (k0) / length
 
-        marked = omega.lo - 0.25
+        marked = omega[0] - 0.25
         sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         got = sizer.tile_seminorm(0, 0, marked)
 
@@ -179,9 +173,9 @@ class TestTileSeminorm:
         at = np.argmin(np.abs(xs - xi0))
         amp = max(
             abs(sym[at])
-            for sym in multiplier_family(f, *ends(omega), marked, *SIZE[:2])
+            for sym in multiplier_family(f, *omega, marked, *SIZE[:2])
         )
-        w = tail_weight(f, *ends(tiles.interval(0)), SIZE[2])
+        w = tail_weight(f, *span(tiles, 0), SIZE[2])
         want = amp * 0.7 * math.sqrt(float(np.sum(w * w)) * f.dx)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -199,9 +193,9 @@ class TestTileSeminorm:
 def per_symbol_weighted_max(sizer, interval, omega, marked):
     """The uncached seminorm: one spectral round trip per symbol."""
     f = sizer.f
-    w = tail_weight(f, *ends(interval), sizer.weight_power)
+    w = tail_weight(f, *interval, sizer.weight_power)
     best = 0.0
-    for sym in multiplier_family(f, *ends(omega), marked, sizer.order,
+    for sym in multiplier_family(f, *omega, marked, sizer.order,
                                  sizer.support_factor):
         g = f.multiply_spectrum(sym)
         val = float(np.sqrt(np.sum(w * w * np.abs(g.values) ** 2) * f.dx))
@@ -212,8 +206,8 @@ def per_symbol_weighted_max(sizer, interval, omega, marked):
 def one_row_top_term(sizer, top, i):
     """The uncached top term of component i, from the top's own row."""
     omega = top_interval(top, i, SLOPE, sizer.f.length)
-    length = min(top.interval.length, sizer.f.length)
-    best = per_symbol_weighted_max(sizer, top.interval, omega, None)
+    length = min(top[2] - top[1], sizer.f.length)
+    best = per_symbol_weighted_max(sizer, top[1:], omega, None)
     return best / math.sqrt(length)
 
 
@@ -231,9 +225,9 @@ class TestFilterCache:
                              float(rng.uniform(-8.0, 8.0)))
                     for marked in marks:
                         for j in tree.members.tolist():
-                            omega = Iv(*ops[tiles.cube[j], i].tolist())
+                            omega = ops[tiles.cube[j], i].tolist()
                             want = per_symbol_weighted_max(
-                                sizer, tiles.interval(j), omega, marked)
+                                sizer, span(tiles, j), omega, marked)
                             assert sizer.tile_seminorm(j, i, marked) == want
                     sizer.tree_size(tree, i)
                     assert sizer._top_cache[(tree.top, i)] == (
@@ -288,7 +282,7 @@ class TestFilterCache:
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
         f = GridFunction.zeros(512, 32.0)
-        spatial_cutoff(f, *ends(Iv(4.0, 5.0)), BLUR)
+        spatial_cutoff(f, 4.0, 5.0, BLUR)
         kern = shared_kernel(512, 32.0, 0.25, 1)
         assert shared_kernel(512, 32.0, 0.25, 1) is kern
         with pytest.raises(ValueError):
@@ -317,7 +311,7 @@ class TestTreeSize:
         rng = np.random.default_rng(11)
         f = band_noise(512, 32.0, 6.0, rng)
         tiles = unit_tiles(2, 7)
-        top = TopData(tiles.own_top(0).zeta, Iv(0.0, 8.0))
+        top = (tiles.own_top(0)[0], 0.0, 8.0)
         sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         small = sizer.tree_size(Tree(top, np.array([0])), 0)
         big = sizer.tree_size(Tree(top, np.array([0, 1])), 0)
@@ -451,30 +445,31 @@ class TestSpatialCutoff:
         f = GridFunction.zeros(512, 32.0)
         total = np.zeros(512)
         for j in range(32):
-            total += spatial_cutoff(f, *ends(dyadic(1.0, j)), BLUR)
+            total += spatial_cutoff(f, float(j), j + 1.0, BLUR)
         assert np.abs(total - 1.0).max() < 1e-12
 
     def test_positive_localized_unit_mass(self):
         f = GridFunction.zeros(512, 32.0)
-        cut = spatial_cutoff(f, *ends(Iv(4.0, 5.0)), BLUR)
+        cut = spatial_cutoff(f, 4.0, 5.0, BLUR)
         assert cut.min() > 0.0
         assert cut[np.argmin(np.abs(f.x - 4.5))] > 0.9
         assert cut[np.argmin(np.abs(f.x - 8.0))] < 0.01
         assert np.sum(cut) * f.dx == pytest.approx(1.0, abs=1e-12)
 
 
-def one_tail_weight(f, iv, power):
-    """The tail weight of one interval, in scalar arithmetic."""
-    off = np.mod(f.x - iv.center + 0.5 * f.length, f.length) - 0.5 * f.length
-    u = off / iv.length
+def one_tail_weight(f, lo, hi, power):
+    """The tail weight of [lo, hi], in scalar arithmetic."""
+    off = np.mod(f.x - 0.5 * (lo + hi) + 0.5 * f.length, f.length) \
+        - 0.5 * f.length
+    u = off / (hi - lo)
     return (1.0 + u * u) ** (-0.5 * float(power))
 
 
-def one_cutoff(f, iv, blur):
-    """The cutoff of one interval: one box, one convolve."""
-    width = max(blur * iv.length, sizes.MIN_WIDTH_CELLS * f.dx)
-    start = int(round(iv.lo / f.dx))
-    count = min(int(round(min(iv.length, f.length) / f.dx)), f.size)
+def one_cutoff(f, lo, hi, blur):
+    """The cutoff of [lo, hi]: one box, one convolve."""
+    width = max(blur * (hi - lo), sizes.MIN_WIDTH_CELLS * f.dx)
+    start = int(round(lo / f.dx))
+    count = min(int(round(min(hi - lo, f.length) / f.dx)), f.size)
     box = np.zeros(f.size, dtype=complex)
     box[np.mod(start + np.arange(count), f.size)] = 1.0
     kern = shared_kernel(f.size, f.length, width, 1)
@@ -495,9 +490,8 @@ class TestBatchedRows:
             got = tail_weight(f, *self.ROWS.T, power)
             assert got.shape == (len(self.ROWS), 512)
             for row, (lo, hi) in zip(got, self.ROWS.tolist()):
-                iv = Iv(lo, hi)
-                assert np.array_equal(row, tail_weight(f, *ends(iv), power))
-                assert np.array_equal(row, one_tail_weight(f, iv, power))
+                assert np.array_equal(row, tail_weight(f, lo, hi, power))
+                assert np.array_equal(row, one_tail_weight(f, lo, hi, power))
 
     def test_cutoff_rows_match_single_intervals(self):
         f = GridFunction.zeros(512, 32.0)
@@ -507,9 +501,8 @@ class TestBatchedRows:
         got = spatial_cutoff(f, *self.ROWS.T, BLUR)
         assert got.shape == (len(self.ROWS), 512)
         for row, (lo, hi) in zip(got, self.ROWS.tolist()):
-            iv = Iv(lo, hi)
-            assert np.array_equal(row, spatial_cutoff(f, *ends(iv), BLUR))
-            assert np.array_equal(row, one_cutoff(f, iv, BLUR))
+            assert np.array_equal(row, spatial_cutoff(f, lo, hi, BLUR))
+            assert np.array_equal(row, one_cutoff(f, lo, hi, BLUR))
 
     def test_uncached_members_batched_like_single_tiles(self):
         # tree_size fills its uncached members from one weight array; a
@@ -579,10 +572,10 @@ class TestTreeSizesBatch:
                 for tree in trees:
                     marked = top_frequency(tree.top, i, SLOPE)
                     for j in tree.members.tolist():
-                        omega = Iv(*ops[tiles.cube[j], i].tolist())
+                        omega = ops[tiles.cube[j], i].tolist()
                         assert batched._tile_cache[(j, i, marked)] == (
                             per_symbol_weighted_max(
-                                batched, tiles.interval(j), omega, marked))
+                                batched, span(tiles, j), omega, marked))
                     assert batched._top_cache[(tree.top, i)] == (
                         one_row_top_term(batched, tree.top, i))
 
@@ -605,11 +598,10 @@ class TestModelSum:
             for j in range(len(tiles)):
                 prod = np.ones(f.size, dtype=complex)
                 for i in range(3):
-                    omega = Iv(*ops[tiles.cube[j], i])
-                    sym = multiplier_family(fs[i], *ends(omega), None,
-                                            5, 1.2)[0]
+                    sym = multiplier_family(fs[i], *ops[tiles.cube[j], i],
+                                            None, 5, 1.2)[0]
                     prod = prod * fs[i].multiply_spectrum(sym).values
-                cut = one_cutoff(f, tiles.interval(j), BLUR)
+                cut = one_cutoff(f, *span(tiles, j), BLUR)
                 ref += complex(np.sum(cut * prod) * f.dx)
             assert term_sum(model_sum(fs, tiles, SLOPE, SIZE[0],
                                       BLUR)) == ref
@@ -708,7 +700,7 @@ class TestSingleTreeAudit:
         assert ([(t.top, t.members.tolist()) for t in trees]
                 != [(t.top, t.members.tolist())
                     for t in maximal_trees(members, *BITS)])
-        want = min(tree.interval.length, 32.0)
+        want = min(tree.length, 32.0)
         for i in range(3):
             sizer = TreeSizer(fs[i], members, SLOPE, *SIZE)
             want *= sizer.collection_size(i, trees) ** THETAS[i]

@@ -14,16 +14,11 @@ from freqbench.timefreq import (
     SINK_LEVEL,
     Family,
     HaloError,
-    Iv,
-    TopData,
-    Tree,
-    bessel_ratio,
     build_halos,
     candidate_tops,
     cluster_family,
     compact_family,
     diagonal_clearance_violations,
-    dyadic,
     footprint_violations,
     footprints,
     forest_decompose,
@@ -88,20 +83,8 @@ def weight_size(tiles):
 
 
 class TestIntervals:
-    def test_basic_measures(self):
-        iv = Iv(-1.0, 3.0)
-        assert iv.length == 4.0
-        assert iv.center == 1.0
-
     def test_scaled_is_centered(self):
         assert _scaled(np.array([2.0, 4.0]), 10.0).tolist() == [-7.0, 13.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Iv(1.0, 0.0)
-
-    def test_dyadic_grid(self):
-        assert dyadic(0.25, 5) == Iv(1.25, 1.5)
 
 
 class TestSpacing:
@@ -255,7 +238,7 @@ class TestTrees:
         # the top halo is [zeta - r, zeta + r] with r = TOP_RADIUS / 16: a
         # cube halo holding exactly that interval admits the tile, one a
         # quantum short at either end does not
-        top = TopData(100.0, dyadic(16.0, 0))
+        top = (100.0, 0.0, 16.0)
         side, centers = cubes(diag_cube(1.0 / 16.0, 100.0))
         ends = [(68.75, 131.25), (68.75 + 2.0 ** -20, 131.25),
                 (68.75, 131.25 - 2.0 ** -20)]
@@ -271,8 +254,8 @@ class TestTrees:
 
     def test_members_match_brute_filter(self):
         tiles = cluster_family(5, *CLUSTER)
-        top = TopData(tiles.own_top(0).zeta, dyadic(16.0, 0))
-        old = S.TopData(top.zeta, S.dyadic(16.0, 0))
+        top = (tiles.own_top(0)[0], 0.0, 16.0)
+        old = S.TopData(top[0], S.dyadic(16.0, 0))
         want = [j for j in range(len(tiles))
                 if old.interval.encloses(S.Iv(tiles.lo[j], tiles.hi[j]))
                 and any(S.Iv(*tiles.halos[tiles.cube[j], i]).encloses(old.halo)
@@ -282,7 +265,7 @@ class TestTrees:
     def test_candidate_pool_sorted_and_covering(self):
         tiles = cluster_family(6, *CLUSTER)
         pool = candidate_tops(tiles, 6, 4)
-        lengths = [t.interval.length for t in pool]
+        lengths = [hi - lo for _, lo, hi in pool]
         assert lengths == sorted(lengths, reverse=True)
         assert tree_members(tiles, pool).any(axis=0).all()
 
@@ -346,16 +329,16 @@ class TestForestDecompose:
             for t in trees:
                 assert size(t) > 2.0 ** (-n - 1)
 
-    def test_bessel_ratio_scaling(self):
-        none = np.array([], dtype=int)
-        trees = [Tree(TopData(0.0, dyadic(4.0, 0)), none),
-                 Tree(TopData(0.0, dyadic(2.0, 1)), none)]
-        assert bessel_ratio(trees, 1, 3.0) == (4.0 + 2.0) / (4.0 * 3.0)
-
     def test_zero_size_falls_through(self):
         tiles = cluster_family(15, *CLUSTER)
         forests = forest_decompose(tiles, lambda t: 0.0, *BITS)
         assert list(forests) == [SINK_LEVEL]
+        assert forest_rows(forests) == forest_rows(
+            {SINK_LEVEL: greedy_select(tiles, *BITS)})
+
+    def test_empty_family_has_no_forest(self):
+        tiles = cluster_family(15, *CLUSTER).take([])
+        assert forest_decompose(tiles, weight_size(tiles), *BITS) == {}
 
 
 class TestOperatorIntervals:
@@ -365,9 +348,9 @@ class TestOperatorIntervals:
 
     def test_third_component_flipped(self):
         side, centers = cubes(diag_cube(2.0, 100.0))
-        w = Iv(*operator_intervals(side, centers, 1.0)[0, 2])
-        assert w.hi <= 0.0
-        assert w.center == -2.0 * centers[0, 2]
+        lo, hi = operator_intervals(side, centers, 1.0)[0, 2]
+        assert hi <= 0.0
+        assert 0.5 * (lo + hi) == -2.0 * centers[0, 2]
 
 
 class TestClusterFamily:
@@ -423,6 +406,7 @@ def tile_rows(objs):
 
 
 def top_row(top):
+    """A scalar top as the (zeta, lo, hi) tuple of the array code."""
     return top.zeta, top.interval.lo, top.interval.hi
 
 
@@ -470,9 +454,10 @@ def check_orders_and_footprints(tiles):
 
 
 def forest_rows(forests, position=None):
-    return {level: [(top_row(t.top),
-                     [position[p] for p in t.members] if position
-                     else t.members.tolist()) for t in trees]
+    """Exact (top, members) rows; ``position`` maps scalar tiles."""
+    return {level: [(top_row(t.top), [position[p] for p in t.members])
+                    if position else (t.top, t.members.tolist())
+                    for t in trees]
             for level, trees in forests.items()}
 
 
@@ -572,7 +557,7 @@ class TestScalarEquivalence:
         position = {p: j for j, p in enumerate(objs)}
         pool = candidate_tops(tiles, 6, 4)
         old_pool = S.candidate_tops(objs, 6, 4)
-        assert [top_row(t) for t in pool] == [top_row(t) for t in old_pool]
+        assert pool == [top_row(t) for t in old_pool]
         assert [np.flatnonzero(m).tolist()
                 for m in tree_members(tiles, pool)] == \
             [[position[p] for p in S.tree_members(objs, t)] for t in old_pool]
