@@ -31,7 +31,6 @@ __all__ = [
     "bilinear_apply",
     "unit_symbol",
     "halfplane_sign_symbol",
-    "directional_hilbert",
     "pv_cotangent_symbol",
     "region_symbol",
 ]
@@ -44,6 +43,12 @@ class AliasReport:
     in_band_mass: float
     wrapped_mass: float
     pairs: int
+
+    @property
+    def wrapped_fraction(self) -> float:
+        """Share of the apply's pair mass that wrapped."""
+        total = self.in_band_mass + self.wrapped_mass
+        return self.wrapped_mass / total if total > 0 else 0.0
 
 
 def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
@@ -101,11 +106,6 @@ def halfplane_sign_symbol(slope):
     def m(ki, kj):
         return 1j * np.pi * np.sign(slope * ki - kj)
     return m
-
-
-def directional_hilbert(f, g, slope):
-    """Two-input Hilbert transform along direction ``slope``."""
-    return bilinear_apply(f, g, halfplane_sign_symbol(slope))
 
 
 def pv_cotangent_symbol(slope, nodes: int):

@@ -120,19 +120,12 @@ def _convex_contains(verts: np.ndarray, points, tol: float):
     return inside
 
 
-def quad_rect_overlap(quad: np.ndarray, x0, x1, y0, y1):
-    """Vectorized separating-axis test: which rectangles meet the convex
-    quad with (4, 2) counterclockwise vertices `quad`.
-
-    Rectangle coordinates may be arrays of equal shape.
-    """
-    x0 = np.asarray(x0, float)
-    x1 = np.asarray(x1, float)
-    y0 = np.asarray(y0, float)
-    y1 = np.asarray(y1, float)
-    ok = np.ones(x0.shape, dtype=bool)
+def quad_rect_overlap(quad: np.ndarray, boxes: np.ndarray):
+    """Vectorized separating-axis test: which boxes of a (4, ...) array
+    meet the convex quad with (4, 2) counterclockwise vertices `quad`."""
+    x0, x1, y0, y1 = boxes
     # axis-aligned separation
-    ok &= (x0 <= quad[:, 0].max()) & (x1 >= quad[:, 0].min())
+    ok = (x0 <= quad[:, 0].max()) & (x1 >= quad[:, 0].min())
     ok &= (y0 <= quad[:, 1].max()) & (y1 >= quad[:, 1].min())
     # quad edge normals
     nxt = np.roll(quad, -1, axis=0)
@@ -226,6 +219,17 @@ class LacunaryPolygon:
         return np.concatenate(out, axis=0)
 
 
+def _corners_inside(polygon: LacunaryPolygon, boxes: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Which boxes of a (4, m) array have all four corners in the closed
+    polygon, up to tol."""
+    x0, x1, y0, y1 = boxes
+    inside = np.ones(boxes.shape[1], dtype=bool)
+    for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+        inside &= polygon.contains(np.stack([cx, cy], axis=1), tol=tol)
+    return inside
+
+
 # ---------------------------------------------------------------------------
 # sheared local frames of the chord shells
 
@@ -265,8 +269,8 @@ Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
 MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
-def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
-                        clip: LacunaryPolygon | None = None) -> np.ndarray:
+def whitney_shell_rects(mu: int, r: int, *, C0: int,
+                        alpha: float) -> np.ndarray:
     """Whitney rectangles for one chord shell (second quadrant), (4, k).
 
     A dyadic square of side 2^j centred at (m, n) 2^(j-Q) in the sheared
@@ -280,9 +284,7 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
 
     Below the top two nonempty scales only offsets up to 2 C0 2^Q are
     kept: the larger ones duplicate distance bands already covered one
-    scale up.  `clip` drops the rare members whose corners leave the
-    closed polygon (the coarse-scale spill-over artifact of a desk-sized
-    C0).
+    scale up.
     """
     if C0 < 2:
         raise ValueError("need C0 >= 2 for a nonempty clearance band")
@@ -311,18 +313,13 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int, alpha: float,
         uc = M * step
         wc = (M + O) * step  # shell sits above the diagonal (w > u locally)
         ah = alpha * h
-        hit = quad_rect_overlap(quad, uc - ah, uc + ah, wc - ah, wc + ah)
+        hit = quad_rect_overlap(quad, np.stack([uc - ah, uc + ah,
+                                                wc - ah, wc + ah]))
         if hit.any():
             found += 1
-            rx0 = ax - (uc[hit] + h)
-            rx1 = ax - (uc[hit] - h)
-            ry0 = ay - s * (wc[hit] + h)
-            ry1 = ay - s * (wc[hit] - h)
-            good = np.ones(len(rx0), dtype=bool)
-            if clip is not None:
-                for cx, cy in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
-                    good &= clip.contains(np.stack([cx, cy], axis=1), tol=1e-12)
-            kept.append(np.stack([rx0, rx1, ry0, ry1])[:, good])
+            uh, wh = uc[hit], wc[hit]
+            kept.append(np.stack([ax - (uh + h), ax - (uh - h),
+                                  ay - s * (wh + h), ay - s * (wh - h)]))
             closest = (C0 + 2.0 ** (-Q)) * 2.0 ** j * dist_factor
             if closest < target or found >= MAX_SCALES:
                 break
@@ -446,10 +443,11 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float,
 
     Central square + pole caps + (1/alpha)-dilated staircase (members
     widened by STAIR_OVERLAP) and truncation fillers (all quadrant
-    images) + clipped Whitney rectangle families for up to SHELLS dyadic
-    chord shells per chord (a shell is skipped once its inner dilation
-    factor would drop below 1/2; the staircase and square own the deep
-    interior).
+    images) + Whitney rectangle families for up to SHELLS dyadic chord
+    shells per chord (a shell is skipped once its inner dilation factor
+    would drop below 1/2; the staircase and square own the deep
+    interior).  Each ring drops any member with a corner outside the
+    closed polygon before it is mirrored.
 
     The staircase members are stored dilated so that their alpha-shrinks
     reproduce the undilated staircase, which touches the horizontal axis;
@@ -472,8 +470,9 @@ def polygon_cover(polygon: LacunaryPolygon, alpha: float,
         for r in range(SHELLS):
             if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) > 0.5:
                 break
-            parts.append(_mirrored(whitney_shell_rects(
-                mu, r, C0=C0, alpha=alpha, clip=polygon)))
+            ring = whitney_shell_rects(mu, r, C0=C0, alpha=alpha)
+            parts.append(_mirrored(ring[:, _corners_inside(polygon, ring,
+                                                           1e-12)]))
     return np.concatenate(parts, axis=1)
 
 
@@ -579,7 +578,7 @@ def _slots(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class PolygonPartition:
     """Normalized product-bump partition subordinate to a rectangle cover,
-    given as a (4, m) box array whose rows are kept as views.
+    given as a (4, m) box array.
 
     Each member R carries eta_R(x, y) = prof((x-cx)/hx) * prof((y-cy)/hy)
     with the canonical plateau profile, so chi_{alpha R} <= eta_R <=
@@ -599,15 +598,14 @@ class PolygonPartition:
                  alpha: float):
         self.polygon = polygon
         self.alpha = float(alpha)
-        self.x0, self.x1, self.y0, self.y1 = boxes
-        self.cx = 0.5 * (self.x0 + self.x1)
-        self.cy = 0.5 * (self.y0 + self.y1)
-        self.hx = 0.5 * (self.x1 - self.x0)
-        self.hy = 0.5 * (self.y1 - self.y0)
+        self.boxes = boxes
+        x0, x1, y0, y1 = boxes
+        self.cx, self.cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        self.hx, self.hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
 
-        ix0, iy0 = self._bucket(self.x0), self._bucket(self.y0)
-        ny = self._bucket(self.y1) - iy0 + 1
-        member, rank = _slots((self._bucket(self.x1) - ix0 + 1) * ny)
+        ix0, iy0 = self._bucket(x0), self._bucket(y0)
+        ny = self._bucket(y1) - iy0 + 1
+        member, rank = _slots((self._bucket(x1) - ix0 + 1) * ny)
         keys = ((ix0[member] + rank // ny[member]) * self.BUCKETS
                 + iy0[member] + rank % ny[member])
         order = np.argsort(keys, kind="stable")
@@ -616,7 +614,7 @@ class PolygonPartition:
                                         np.arange(self.BUCKETS ** 2 + 1))
 
     def __len__(self) -> int:
-        return len(self.x0)
+        return self.boxes.shape[1]
 
     def _bucket(self, coords):
         scale = self.BUCKETS / (self._HI - self._LO)
@@ -653,6 +651,16 @@ class PolygonPartition:
         np.add.at(psum, owners, eta / denom[owners])
         return psum
 
+    def shrink_misses(self, pts) -> int:
+        """Number of points that no member's alpha-shrink covers."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        ids, owners, _ = self.member_weights(pts)
+        tx = np.abs(pts[owners, 0] - self.cx[ids]) / self.hx[ids]
+        ty = np.abs(pts[owners, 1] - self.cy[ids]) / self.hy[ids]
+        in_shrink = (tx <= self.alpha) & (ty <= self.alpha)
+        hits = np.bincount(owners[in_shrink], minlength=len(pts))
+        return int(np.count_nonzero(hits == 0))
+
     def _comparability(self, ids, owners) -> float:
         """Largest side ratio, widths and heights apart, among members that
         share a point: `ids[i]` covers point `owners[i]`.  1 when no point
@@ -672,31 +680,17 @@ class PolygonPartition:
     def hypothesis_report(self, rng, cover_samples: int,
                           overlap_samples: int) -> PartitionReport:
         # (1) every member inside the closed region
-        inside = np.ones(len(self), dtype=bool)
-        for cx, cy in ((self.x0, self.y0), (self.x1, self.y0),
-                       (self.x1, self.y1), (self.x0, self.y1)):
-            inside &= self.polygon.contains(np.stack([cx, cy], axis=1),
-                                            tol=CONTAINMENT_TOL)
-
+        inside = _corners_inside(self.polygon, self.boxes, CONTAINMENT_TOL)
         # (2) alpha-shrinks cover guarded interior samples
-        pts = self.polygon.interior_samples(cover_samples, rng)
+        misses = self.shrink_misses(
+            self.polygon.interior_samples(cover_samples, rng))
+        # (3) bounded overlap, (4) comparability of co-covering members.
+        # A weight eta > 0 means fl(|p - c| / h) < 1, so |p - c| < h by
+        # monotone rounding: every weighted member contains its point.
+        pts = self.polygon.interior_samples(overlap_samples, rng)
         ids, owners, _ = self.member_weights(pts)
-        tx = np.abs(pts[owners, 0] - self.cx[ids]) / self.hx[ids]
-        ty = np.abs(pts[owners, 1] - self.cy[ids]) / self.hy[ids]
-        in_shrink = (tx <= self.alpha) & (ty <= self.alpha)
-        covered = np.zeros(len(pts), dtype=bool)
-        covered[owners[in_shrink]] = True
-        misses = int((~covered).sum())
-
-        # (3) bounded overlap, (4) comparability of co-covering members
-        pts2 = self.polygon.interior_samples(overlap_samples, rng)
-        ids2, owners2, _ = self.member_weights(pts2)
-        inside_rect = ((np.abs(pts2[owners2, 0] - self.cx[ids2]) <= self.hx[ids2])
-                       & (np.abs(pts2[owners2, 1] - self.cy[ids2]) <= self.hy[ids2]))
-        ids2, owners2 = ids2[inside_rect], owners2[inside_rect]
-        counts = np.bincount(owners2, minlength=len(pts2))
+        counts = np.bincount(owners, minlength=len(pts))
         m1 = int(counts.max()) if len(counts) else 0
-        m2 = self._comparability(ids2, owners2)
-
         return PartitionReport(outside=np.flatnonzero(~inside),
-                               cover_misses=misses, m1=m1, m2=m2)
+                               cover_misses=misses, m1=m1,
+                               m2=self._comparability(ids, owners))

@@ -189,14 +189,10 @@ def maximal_average(f):
 def smooth_ramp(u):
     """C-infinity ramp: 0 for u <= 0, 1 for u >= 1, strictly increasing between."""
     u = np.asarray(u, dtype=float)
-    lo = np.zeros_like(u)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
         b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-        r = np.where(a + b > 0, a / (a + b), lo)
-    r[u <= 0] = 0.0
-    r[u >= 1] = 1.0
-    return r
+        return np.where(a + b > 0, a / (a + b), 0.0)
 
 
 # -- positive band-limited kernels ----------------------------------------

@@ -124,14 +124,15 @@ class TreeSizer:
     """Size functionals of one function over one tile family.
 
     Trees are index arrays into ``tiles``.  The threshold sweeps meet the
-    same tile in many trees, so the sizer caches tile seminorms by (tile,
-    component, marked frequency), top terms by (top, component), keyed on
-    the tree's (zeta, lo, hi) top as it is, and the filtered powers
-    |f * m|^2 of the :func:`multiplier_family` symbols by window (lo, hi,
-    marked frequency or None).  :meth:`tree_sizes` fills a batch: one
-    :func:`tail_weight` call weighs every uncached term, and one
-    :func:`multiplier_family` call and one :meth:`GridFunction.bank` per
-    mark kind filter the new windows.  Weight rows never outlive the call.
+    same tile in many trees, so the sizer keeps one term cache, holding
+    tile seminorms by (tile, component, marked frequency) and top terms by
+    (top, component), keyed on the tree's (zeta, lo, hi) top as it is, and
+    caches the filtered powers |f * m|^2 of the :func:`multiplier_family`
+    symbols by window (lo, hi, marked frequency or None).  A batch of trees
+    is filled at once: one :func:`tail_weight` call weighs every uncached
+    term, and one :func:`multiplier_family` call and one
+    :meth:`GridFunction.bank` per mark kind filter the new windows.  Weight
+    rows never outlive the call.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -145,50 +146,46 @@ class TreeSizer:
         ops = operator_intervals(tiles.side, tiles.centers, slope)
         self._omega = ops[tiles.cube].tolist()  # tile -> component -> ends
         self._ends = list(zip(tiles.lo.tolist(), tiles.hi.tolist()))
-        self._tile_cache, self._top_cache, self._power_cache = {}, {}, {}
+        self._terms, self._power_cache = {}, {}
 
     def tile_seminorm(self, j: int, i: int, marked: float) -> float:
         key = (j, i, marked)
-        if key not in self._tile_cache:
-            self._fill({key: (self._tile_cache, self._ends[j],
-                              (*self._omega[j][i], marked), 1.0)}, {})
-        return self._tile_cache[key]
-
-    def tree_sizes(self, trees: list[Tree], i: int) -> list[float]:
-        """Sizes of ``trees`` in component i, from one batched fill."""
-        return self._sizes(trees, i, {})
+        if key not in self._terms:
+            self._fill({key: (self._ends[j], (*self._omega[j][i], marked),
+                              1.0)}, {})
+        return self._terms[key]
 
     def tree_size(self, tree: Tree, i: int) -> float:
         return self._sizes([tree], i, {})[0]
 
     def collection_size(self, i: int, trees: list[Tree]) -> float:
-        """Largest tree size over ``trees``."""
-        return float(np.max(self.tree_sizes(trees, i), initial=0.0))
+        """Largest tree size over ``trees``, from one batched fill."""
+        return float(np.max(self._sizes(trees, i, {}), initial=0.0))
 
     def _sizes(self, trees: list[Tree], i: int, rows: dict) -> list[float]:
         """Tree sizes after filling every uncached term; ``rows`` holds the
         squared weight rows already taken, by spatial ends."""
-        tiles, tops, circle = self._tile_cache, self._top_cache, self.f.length
-        todo: dict = {}  # key -> (cache, spatial ends, window, divisor)
+        terms, circle = self._terms, self.f.length
+        todo: dict = {}  # key -> (spatial ends, window, divisor)
         per_tree = []
         for tree in trees:
             top, marked = tree.top, top_frequency(tree.top, i, self.slope)
             members = tree.members.tolist()
             per_tree.append((marked, members))
             for j in members:
-                if (j, i, marked) not in tiles:
-                    todo[(j, i, marked)] = (tiles, self._ends[j],
+                if (j, i, marked) not in terms:
+                    todo[(j, i, marked)] = (self._ends[j],
                                             (*self._omega[j][i], marked), 1.0)
-            if (top, i) not in tops:
-                todo[(top, i)] = (tops, top[1:],
+            if (top, i) not in terms:
+                todo[(top, i)] = (top[1:],
                                   (*top_interval(top, i, self.slope, circle),
                                    None),
                                   math.sqrt(min(tree.length, circle)))
         if todo:
             self._fill(todo, rows)
-        return [math.sqrt(sum(tiles[(j, i, marked)] ** 2 for j in members)
+        return [math.sqrt(sum(terms[(j, i, marked)] ** 2 for j in members)
                           / min(tree.length, circle))
-                + tops[(tree.top, i)]
+                + terms[(tree.top, i)]
                 for tree, (marked, members) in zip(trees, per_tree)]
 
     def _fill(self, todo: dict, rows: dict) -> None:
@@ -196,12 +193,12 @@ class TreeSizer:
         its window's symbols, over its divisor; ``rows`` gains the squared
         weight rows it lacks, from one :func:`tail_weight` call."""
         f, dx, powers = self.f, self.f.dx, self._power_cache
-        ends = [e for e in dict.fromkeys([t[1] for t in todo.values()])
+        ends = [e for e in dict.fromkeys([t[0] for t in todo.values()])
                 if e not in rows]
         if ends:
             w = tail_weight(f, *zip(*ends), self.weight_power)
             rows.update(zip(ends, w * w))
-        new = [win for win in dict.fromkeys([t[2] for t in todo.values()])
+        new = [win for win in dict.fromkeys([t[1] for t in todo.values()])
                if win not in powers]
         for unmarked in (False, True):
             group = [win for win in new if (win[2] is None) == unmarked]
@@ -211,10 +208,10 @@ class TreeSizer:
                                         self.order, self.support_factor)
                 banks = np.abs(f.bank(fam.reshape(-1, f.size))) ** 2
                 powers.update(zip(group, banks.reshape(len(group), 3, -1)))
-        for key, (cache, ends, window, divisor) in todo.items():
+        for key, (ends, window, divisor) in todo.items():
             # sqrt(max(s) dx) is max(sqrt(s dx)): both steps are monotone
             sums = np.sum(rows[ends] * powers[window], axis=-1)
-            cache[key] = math.sqrt(sums.max() * dx) / divisor
+            self._terms[key] = math.sqrt(sums.max() * dx) / divisor
 
 
 # ---------------------------------------------------------------------------

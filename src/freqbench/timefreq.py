@@ -572,16 +572,18 @@ def _add_cube(plan, side, offset, d, cells) -> None:
     centers.append([offset + di * side for di in d])
 
 
-def _closed_family(side, centers, cube, index, c0) -> Family | None:
+def _closed_family(plan, scale_bits: int, c0: float) -> Family | None:
     """The planned tiles closed under footprint monotonicity, or None when
-    the cubes fail the clearance, halo or footprint audit."""
-    if diagonal_clearance_violations(side, centers, c0):
+    the cubes fail the spacing, clearance, halo or footprint audit."""
+    side, centers = np.array(plan[0]), np.array(plan[1])
+    if (spacing_violations(side, centers, scale_bits)
+            or diagonal_clearance_violations(side, centers, c0)):
         return None
     try:
         halos = build_halos(side, centers)
     except HaloError:
         return None
-    tiles = regularize(Family.tiled(side, centers, halos, cube, index))
+    tiles = regularize(Family.tiled(side, centers, halos, *plan[2:]))
     return None if footprint_violations(tiles) else tiles
 
 
@@ -609,10 +611,7 @@ def compact_family(seed: int, scale_bits: int, c0: float) -> Family:
             cell = 0 if m == 0 else int(rng.integers(0, COMPACT_SPAN_CELLS))
             _add_cube(plan, small_side, anchor + sign * 1.5 * (m + 1), d,
                       [cell])
-        side, centers = np.array(plan[0]), np.array(plan[1])
-        if spacing_violations(side, centers, scale_bits):
-            continue
-        tiles = _closed_family(side, centers, *plan[2:], c0)
+        tiles = _closed_family(plan, scale_bits, c0)
         if tiles is not None:
             return tiles
     raise RuntimeError(f"no admissible compact family for seed {seed}")
@@ -659,10 +658,7 @@ def cluster_family(seed: int, scale_bits: int, c0: float) -> Family:
                 off = 2.0 * step * mid_side + (m + 1) * 4.0 * step
                 cell = unit_cell if m == 0 else int(rng.integers(0, span))
                 _add_cube(plan, 1.0, anchor + off, d, [cell])
-        side, centers = np.array(plan[0]), np.array(plan[1])
-        if spacing_violations(side, centers, scale_bits):
-            continue
-        tiles = _closed_family(side, centers, *plan[2:], c0)
+        tiles = _closed_family(plan, scale_bits, c0)
         if tiles is not None and len(tiles) <= MAX_TILES:
             return tiles
     raise RuntimeError(f"no admissible family for seed {seed}")

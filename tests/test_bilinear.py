@@ -81,7 +81,8 @@ class TestSignSymbol:
     ])
     def test_exponential_pair_closed_form(self, a, b, s):
         n = 64
-        out, rep = B.directional_hilbert(exponential(n, a), exponential(n, b), s)
+        out, rep = B.bilinear_apply(exponential(n, a), exponential(n, b),
+                                  B.halfplane_sign_symbol(s))
         expect = 1j * np.pi * np.sign(s * a - b) * exponential(n, a + b).values
         assert np.abs(out.values - expect).max() < 1e-12
         assert rep.wrapped_mass == 0.0
@@ -90,7 +91,7 @@ class TestSignSymbol:
         f = bandlimited(128, 8, RNG(4), real=True)
         g = bandlimited(128, 8, RNG(5), real=True)
         assert np.abs(f.values.imag).max() < 1e-13
-        out, _ = B.directional_hilbert(f, g, 2)
+        out, _ = B.bilinear_apply(f, g, B.halfplane_sign_symbol(2))
         assert np.abs(out.values.imag).max() < 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -161,7 +162,7 @@ class TestQuadratureTwin:
     def test_matches_sign_symbol_on_pair(self):
         f = bandlimited(128, 8, RNG(9))
         g = bandlimited(128, 8, RNG(10))
-        fast, _ = B.directional_hilbert(f, g, 2)
+        fast, _ = B.bilinear_apply(f, g, B.halfplane_sign_symbol(2))
         slow, _ = B.bilinear_apply(f, g, B.pv_cotangent_symbol(2, 100_000))
         rel = (fast - slow).norm() / max(fast.norm(), 1e-300)
         assert rel < 1e-3

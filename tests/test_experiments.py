@@ -1,11 +1,12 @@
 """Configuration, drivers, record plumbing and the command line."""
 
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqbench.experiments as ex
@@ -66,6 +67,10 @@ def valid_configs(draw):
         allow_non_conjugate=st.just(allow))
     for name, strategy in fields.items():
         setattr(cfg, name, draw(strategy))
+    if kind in ("paraproduct", "hs-oracle"):
+        floor = 1.0 / cfg.domain_len  # band_noise's lowest nonzero mode
+        assume(math.isfinite(floor))
+        cfg.band = draw(finite(floor))
     ex.validate_config(cfg)
     return cfg
 
@@ -136,6 +141,26 @@ class TestConfig:
         assert cfg.trials == 3 and type(cfg.trials) is int
         assert type(cfg.band) is float
         assert cfg.exponents == (2.0, 4.0, 4.0)
+
+    def test_validate_stores_coerced_values(self):
+        # a config built in Python hashes like the same config read from
+        # a file once it is validated
+        cfg = ex.default_config("paraproduct")
+        cfg.band, cfg.trials = 250, 100.0
+        ex.validate_config(cfg)
+        assert type(cfg.band) is float and type(cfg.trials) is int
+        assert ex.config_hash(cfg) == ex.config_hash(
+            ex.default_config("paraproduct")) == "e373521d4af8540b"
+
+    def test_band_floor_only_for_band_noise_kinds(self):
+        cfg = small("paraproduct", band=1.0)
+        ex.validate_config(cfg)
+        cfg.domain_len = 0.5
+        with pytest.raises(ValueError, match=r"band must be >= 1 / domain_len"
+                           r" = 2 for paraproduct, got 1\.0"):
+            ex.validate_config(cfg)
+        for kind in ("tiles", "polygon-scan", "size-decay"):
+            ex.validate_config(small(kind, band=-5.0))
 
     def test_validate_checks_field_types(self):
         cfg = small("tiles", seed="abc")
@@ -325,6 +350,23 @@ class TestDrivers:
         assert not res.passed
         assert res.failures == [f"metric broken is not finite ({value!r})"]
 
+    def test_polygon_scan_zero_norm_fails_in_run(self, monkeypatch):
+        # a zero input norm makes every ratio infinite; run_polygon_scan
+        # leaves the verdict to run()'s finiteness rule
+        monkeypatch.setattr(ex.GridFunction, "norm", lambda self, p=2.0: 0.0)
+        res = ex.run(small("polygon-scan", mu_max=2))
+        assert not res.passed
+        assert "metric ratio_max is not finite (inf)" in res.failures
+
+    @pytest.mark.parametrize("c0", [12, 13])
+    def test_partition_cover_check_sees_the_residual_points(self, c0):
+        # the report's 4,000 cover samples all pass here, but 3 of the
+        # residual's 10,000 points lie outside every alpha-shrink
+        res = ex.run(small("partition", mu_max=2, c0=c0))
+        named = {r.metric: r.value for r in res.records}
+        assert named["cover_ok"] == 0.0 and named["hypotheses_ok"] == 0.0
+        assert not res.passed
+
     @pytest.mark.xfail(raises=AssertionError,
                        reason="the alpha-shrinks leave 13 of 10,000 guarded "
                        "points uncovered in the r = 1 shell of chord 2")
@@ -392,6 +434,11 @@ def write_run(res, outdir):
     ex.write_summary(os.path.join(outdir, "summary.txt"), res)
 
 
+def compare_exit(tmp_path):
+    """The CLI's exit code for comparing run directories a and b."""
+    return cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+
+
 def compare_values(base, cur):
     """compare_runs over two runs holding one metric per value."""
     cfg = ex.default_config("tiles")
@@ -433,7 +480,7 @@ class TestCompare:
         write_run(res, tmp_path / "a")
         write_run(res, tmp_path / "b")
         rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert rep.status == "ok" and rep.exit_code == 0
+        assert rep.status == "ok" and compare_exit(tmp_path) == 0
         assert rep.worst_drift == 0.0
 
     def test_value_drift_breaches(self, tmp_path):
@@ -445,7 +492,7 @@ class TestCompare:
                   for r in res.records]
         write_run(ex.RunResult(res.config, bumped, [], 0.0), tmp_path / "b")
         rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert rep.status == "drift" and rep.exit_code == 1
+        assert rep.status == "drift" and compare_exit(tmp_path) == 1
         assert any("tiles_max" in msg for msg in rep.breaches)
 
     def test_small_absolute_changes_floored(self, tmp_path):
@@ -484,20 +531,20 @@ class TestCompare:
         write_run(ex.RunResult(res.config, with_value(cur), [], 0.0),
                   tmp_path / "b")
         rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert rep.status == "drift" and rep.exit_code == 1
+        assert rep.status == "drift" and compare_exit(tmp_path) == 1
         assert any("tiles_max" in msg for msg in rep.breaches)
 
     def test_seed_change_requests_rebaseline(self, tmp_path):
         write_run(ex.run(small("tiles", trials=3, seed=0)), tmp_path / "a")
         write_run(ex.run(small("tiles", trials=3, seed=1)), tmp_path / "b")
         rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert rep.status == "rebaseline" and rep.exit_code == 0
+        assert rep.status == "rebaseline" and compare_exit(tmp_path) == 0
 
     def test_other_config_change_is_mismatch(self, tmp_path):
         write_run(ex.run(small("tiles", trials=3)), tmp_path / "a")
         write_run(ex.run(small("tiles", trials=4)), tmp_path / "b")
         rep = ex.compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert rep.status == "mismatch" and rep.exit_code == 2
+        assert rep.status == "mismatch" and compare_exit(tmp_path) == 2
         assert any("trials" in msg for msg in rep.breaches)
 
     def test_grid_doubling_is_comparable(self, tmp_path):
@@ -550,6 +597,9 @@ OUT_OF_DOMAIN = [
     ("paraproduct", "kbits = 61"), ("paraproduct", "kbits = 2000"),
     ("model-sum", "theta2 = 0"), ("model-sum", "theta3 = 1.5"),
     ("polygon-scan", "exponents = none"),  # its norms need a triple
+    # band_noise's lowest nonzero mode sits at 1 / domain_len
+    ("paraproduct", "band = 0"), ("paraproduct", "band = -5"),
+    ("paraproduct", "band = 0.5"), ("hs-oracle", "band = 0"),
 ]
 
 
@@ -659,20 +709,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert hint in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("body,hint", [
-        ("kind = paraproduct\nband = 0\n", "holds no nonzero mode"),
-        ("kind = paraproduct\nband = -5\n", "holds no nonzero mode"),
-        ("kind = hs-oracle\nband = 0\n", "holds no nonzero mode"),
-    ])
-    def test_degenerate_inputs_exit_three(self, tmp_path, capsys, body, hint):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(body + "trials = 1\n")
-        assert cli_main(["run", "--config", str(cfg),
-                         "--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert hint in err and err.count("\n") == 1
-        assert err.startswith("error: ")
 
     def test_arithmetic_error_exits_three(self, tmp_path, capsys,
                                           monkeypatch):

@@ -263,8 +263,10 @@ class TestWhitneyFamilies:
         # pull every centre back through the shell frame: it must sit on
         # the 2^(j-Q) lattice at an offset n - m with C0-dilate clear of
         # the diagonal and 4C0-dilate meeting it
-        x0, x1, y0, y1 = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA,
-                                               clip=clip)
+        boxes = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
+        if clip is not None:
+            boxes = boxes[:, G._corners_inside(clip, boxes, 1e-12)]
+        x0, x1, y0, y1 = boxes
         assert len(x0) > 0
         (ax, ay), slope, _ = G.shell_frame(mu, 0)
         side = x1 - x0
@@ -290,7 +292,7 @@ class TestWhitneyFamilies:
         m = boxes.shape[1]
         idx = RNG(2).choice(m, size=min(300, m), replace=False)
         shrunk = G._dilate(boxes[:, idx], 0.99)
-        assert G.quad_rect_overlap(chord_shell(3, 0), *shrunk).all()
+        assert G.quad_rect_overlap(chord_shell(3, 0), shrunk).all()
 
     def test_corners_inside_polygon(self):
         P = G.LacunaryPolygon(8)
@@ -567,6 +569,17 @@ class TestPartition:
         assert not rep.containment_ok and not rep.ok
         assert rep.outside.tolist() == [1]
 
+    def test_shrink_misses_counts_points_outside_every_shrink(self):
+        P = G.LacunaryPolygon(2)
+        part = G.PolygonPartition(P, np.transpose([(-0.5, 0.5, -0.5, 0.5),
+                                                   (0.0, 0.6, 0.0, 0.6)]),
+                                  alpha=0.5)
+        # inside the first shrink, inside the second only, inside a member
+        # but no shrink, and outside every member
+        pts = [[0.1, -0.1], [0.4, 0.4], [-0.4, 0.0], [0.9, 0.9]]
+        assert part.shrink_misses(pts) == 2
+        assert part.shrink_misses(np.empty((0, 2))) == 0
+
     def test_cover_hole_is_reported(self):
         P = G.LacunaryPolygon(2)
         part = G.PolygonPartition(P, np.transpose([G.central_square()]),
@@ -576,7 +589,68 @@ class TestPartition:
         assert rep.cover_misses > 0
 
 
+def per_scale_clipped_rects(polygon, mu, r, *, C0, alpha):
+    """Reference Whitney ring: the scale walk of whitney_shell_rects with
+    the four-corner polygon check applied to each scale's members as they
+    are found, as the cover was built before it clipped whole rings."""
+    (ax, ay), s, quad = G.shell_frame(mu, r)
+    (bx0, by0), (bx1, by1) = quad.min(axis=0), quad.max(axis=0)
+    lo_off = C0 * 2 ** G.Q + 1
+    dist_factor = s / math.hypot(1.0, s)
+    target = 0.75 * G.GUARD_FRAC * 4.0 ** (-mu)
+    kept = [np.empty((4, 0))]
+    j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
+    found = 0
+    for _ in range(64):
+        step, h = 2.0 ** (j - G.Q), 2.0 ** (j - 1)
+        hi_off = (4 if found < 2 else 2) * C0 * 2 ** G.Q
+        M, O = np.meshgrid(np.arange(math.floor((bx0 - h) / step) - 1,
+                                     math.ceil((bx1 + h) / step) + 2),
+                           np.arange(lo_off, hi_off + 1), indexing="ij")
+        uc, wc, ah = M * step, (M + O) * step, alpha * h
+        hit = G.quad_rect_overlap(quad, np.stack([uc - ah, uc + ah,
+                                                  wc - ah, wc + ah]))
+        if hit.any():
+            found += 1
+            rx0, rx1 = ax - (uc[hit] + h), ax - (uc[hit] - h)
+            ry0, ry1 = ay - s * (wc[hit] + h), ay - s * (wc[hit] - h)
+            good = np.ones(len(rx0), dtype=bool)
+            for cx, cy in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
+                good &= polygon.contains(np.stack([cx, cy], axis=1),
+                                         tol=1e-12)
+            kept.append(np.stack([rx0, rx1, ry0, ry1])[:, good])
+            closest = (C0 + 2.0 ** (-G.Q)) * 2.0 ** j * dist_factor
+            if closest < target or found >= G.MAX_SCALES:
+                break
+        elif found > 0:
+            break
+        j -= 1
+    return np.concatenate(kept, axis=1)
+
+
 class TestCoverCollection:
+    @pytest.mark.parametrize("mu_max,c0", [(2, 4), (4, 2), (8, 8), (12, 4)])
+    def test_ring_clip_matches_per_scale_clip(self, monkeypatch, mu_max, c0):
+        # one containment pass per ring keeps the same members, bit for
+        # bit, as one pass per Whitney scale
+        P = G.LacunaryPolygon(mu_max)
+        got = G.polygon_cover(P, ALPHA, c0)
+        monkeypatch.setattr(G, "whitney_shell_rects",
+                            functools.partial(per_scale_clipped_rects, P))
+        monkeypatch.setattr(G, "_corners_inside",
+                            lambda polygon, boxes, tol:
+                            np.ones(boxes.shape[1], dtype=bool))
+        want = G.polygon_cover(P, ALPHA, c0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_corners_inside_refuses_any_corner_out(self):
+        P = G.LacunaryPolygon(2)
+        boxes = np.transpose([(-0.1, 0.1, -0.1, 0.1), (0.5, 1.2, -0.1, 0.1),
+                              (-1.2, -0.5, -0.1, 0.1), (-0.1, 0.1, 0.5, 1.2),
+                              (-0.1, 0.1, -1.2, -0.5)])
+        assert G._corners_inside(P, boxes, 1e-12).tolist() == [
+            True, False, False, False, False]
+
     def test_cover_equals_its_mirror_images(self):
         # as multisets of boxes, compared exactly: the cover is its own
         # image under x -> -x and under y -> -y

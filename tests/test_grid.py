@@ -176,6 +176,15 @@ class TestBumps:
         assert r[3] == 1.0 and r[4] == 1.0
         assert 0.0 < r[2] < 1.0
 
+    def test_ramp_exact_off_the_open_unit_interval(self):
+        # the formula itself gives +0.0 for u <= 0 (and NaN, and positive
+        # u too small for exp(-1/u)) and 1.0 for u >= 1, bit for bit
+        u = np.array([-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324,
+                      np.nan, 1.0, 1.0 + 2.0 ** -52, 1e300, np.inf])
+        want = np.array([0.0] * 8 + [1.0] * 4)
+        assert np.array_equal(smooth_ramp(u).view(np.int64),
+                              want.view(np.int64))
+
 
 class TestPositiveKernel:
     def test_positive_and_band_limited(self):

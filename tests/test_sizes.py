@@ -185,8 +185,8 @@ class TestTileSeminorm:
         sizer = TreeSizer(f, unit_tiles(0), SLOPE, *SIZE)
         first = sizer.tile_seminorm(0, 1, 0.125)
         key = (0, 1, 0.125)
-        assert sizer._tile_cache[key] == first
-        sizer._tile_cache[key] = 123.0
+        assert sizer._terms[key] == first
+        sizer._terms[key] = 123.0
         assert sizer.tile_seminorm(0, 1, 0.125) == 123.0
 
 
@@ -230,13 +230,13 @@ class TestFilterCache:
                                 sizer, span(tiles, j), omega, marked)
                             assert sizer.tile_seminorm(j, i, marked) == want
                     sizer.tree_size(tree, i)
-                    assert sizer._top_cache[(tree.top, i)] == (
+                    assert sizer._terms[(tree.top, i)] == (
                         one_row_top_term(sizer, tree.top, i))
             # a repeated key recomputed from cached filtered powers
-            j, i, marked = next(iter(sizer._tile_cache))
-            first = sizer._tile_cache.pop((j, i, marked))
-            assert sizer.tile_seminorm(j, i, marked) == first
-            assert len(sizer._power_cache) < len(sizer._tile_cache)
+            tile_keys = [key for key in sizer._terms if len(key) == 3]
+            first = sizer._terms.pop(tile_keys[0])
+            assert sizer.tile_seminorm(*tile_keys[0]) == first
+            assert len(sizer._power_cache) < len(tile_keys)
 
     def test_default_size_decay_filters_six_times(self, monkeypatch):
         # 512 tiles share one frequency window and one top window, so the
@@ -277,7 +277,7 @@ class TestFilterCache:
             for tree in maximal_trees(tiles, *BITS):
                 for i in range(3):
                     sizer.tree_size(tree, i)
-                    assert sizer._top_cache[(tree.top, i)] == (
+                    assert sizer._terms[(tree.top, i)] == (
                         one_row_top_term(sizer, tree.top, i))
 
     def test_cutoff_kernel_is_shared_and_read_only(self):
@@ -514,8 +514,10 @@ class TestBatchedRows:
         for tree in maximal_trees(tiles, *BITS):
             for i in range(3):
                 batched.tree_size(tree, i)
-        assert batched._tile_cache
-        for (j, i, marked), got in batched._tile_cache.items():
+        tile_terms = {key: got for key, got in batched._terms.items()
+                      if len(key) == 3}
+        assert tile_terms
+        for (j, i, marked), got in tile_terms.items():
             assert single.tile_seminorm(j, i, marked) == got
 
     def test_multiplier_family_rows_match_single_windows(self):
@@ -565,18 +567,19 @@ class TestTreeSizesBatch:
             single = TreeSizer(f, tiles, SLOPE, *SIZE)
             for i in range(3):
                 calls.clear()
-                got = batched.tree_sizes(trees, i)
+                got = batched._sizes(trees, i, {})
                 assert calls.count("weigh") == 1
                 assert calls.count("family") == calls.count("bank") <= 2
                 assert got == [single.tree_size(tree, i) for tree in trees]
+                assert single.collection_size(i, trees) == max(got)
                 for tree in trees:
                     marked = top_frequency(tree.top, i, SLOPE)
                     for j in tree.members.tolist():
                         omega = ops[tiles.cube[j], i].tolist()
-                        assert batched._tile_cache[(j, i, marked)] == (
+                        assert batched._terms[(j, i, marked)] == (
                             per_symbol_weighted_max(
                                 batched, span(tiles, j), omega, marked))
-                    assert batched._top_cache[(tree.top, i)] == (
+                    assert batched._terms[(tree.top, i)] == (
                         one_row_top_term(batched, tree.top, i))
 
 class TestModelSum:
