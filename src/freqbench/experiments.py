@@ -204,8 +204,8 @@ _DOMAINS = {
     "weight_power": (">= 1", lambda v: v >= 1),
     # at <= 0 the cutoff's mollifier silently sits at its cell floor
     "blur": ("positive", lambda v: v > 0),
-    # at <= 0 the mask flags every sample; size-decay's does below
-    # 2 / domain_len too, and exits 3
+    # at <= 0 the mask flags every sample; so does size-decay's below
+    # 2 / domain_len, a cross-field rule
     "exceptional_factor": ("positive", lambda v: v > 0),
     "decay_power": (">= 1", lambda v: v >= 1),
     "set_count": (">= 1", lambda v: v >= 1),  # no spans make a zero input
@@ -239,6 +239,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             and cfg.scale_bits > cfg.span_bits):
         bad(f"scale_bits must be <= span_bits = {cfg.span_bits} for "
             f"{cfg.kind}, got {cfg.scale_bits}")
+    # each sample of size-decay's mid-circle density lies in an interval half
+    # the circle long holding all its mass: lower factors flag about all
+    floor = 2.0 / cfg.domain_len
+    if cfg.kind == "size-decay" and cfg.exceptional_factor < floor:
+        bad(f"exceptional_factor must be >= 2 / domain_len = {floor:g} "
+            f"for size-decay, got {cfg.exceptional_factor!r}")
     # the last chord's Whitney members are about 4**-mu_max / c0 wide;
     # deeper, a double cannot tell their sides apart
     deepest = 23 if cfg.c0 <= 9 else 22
@@ -419,8 +425,9 @@ def run_partition(cfg: ExperimentConfig):
     report = part.hypothesis_report(rng, cover_samples=4000,
                                     overlap_samples=4000)
     pts = polygon.interior_samples(10_000, rng)
-    residual = float(np.max(np.abs(part.partition_sum(pts) - 1.0)))
-    report.cover_misses += part.shrink_misses(pts)  # what the residual sees
+    weights = part.member_weights(pts)  # the residual sees these misses
+    residual = float(np.max(np.abs(part.partition_sum(pts, weights) - 1.0)))
+    report.cover_misses += part.shrink_misses(pts, weights)
     metrics = [
         ("partition_residual", residual),
         ("hypotheses_ok", float(report.ok)),
@@ -544,8 +551,10 @@ def run_tiles(cfg: ExperimentConfig):
         tiles_max = max(tiles_max, len(tiles))
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         trees_total += len(trees)
-        for tree in trees:
-            violations += len(footprint_violations(tiles.take(tree.members)))
+        groups = np.zeros((len(trees), len(tiles)), dtype=bool)
+        for t, tree in enumerate(trees):
+            groups[t, tree.members] = True
+        violations += len(footprint_violations(tiles, groups))
         checked, bad = selection_convexity_violations(tiles, trees)
         triples += checked
         violations += bad

@@ -641,20 +641,21 @@ class PolygonPartition:
         keep = eta > 0.0
         return ids[keep], owners[keep], eta[keep]
 
-    def partition_sum(self, pts):
-        """Sum of normalized weights at each point (0 where nothing covers)."""
+    def partition_sum(self, pts, weights=None):
+        """Sum of normalized weights at each point (0 where nothing covers);
+        ``weights``, if given, is the points' :meth:`member_weights`."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ids, owners, eta = self.member_weights(pts)
+        ids, owners, eta = weights or self.member_weights(pts)
         denom = np.zeros(len(pts))
         np.add.at(denom, owners, eta)
         psum = np.zeros(len(pts))
         np.add.at(psum, owners, eta / denom[owners])
         return psum
 
-    def shrink_misses(self, pts) -> int:
+    def shrink_misses(self, pts, weights=None) -> int:
         """Number of points that no member's alpha-shrink covers."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ids, owners, _ = self.member_weights(pts)
+        ids, owners, _ = weights or self.member_weights(pts)
         tx = np.abs(pts[owners, 0] - self.cx[ids]) / self.hx[ids]
         ty = np.abs(pts[owners, 1] - self.cy[ids]) / self.hy[ids]
         in_shrink = (tx <= self.alpha) & (ty <= self.alpha)

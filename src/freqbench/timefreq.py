@@ -24,14 +24,14 @@ Contents:
   (:func:`spacing_violations`, :func:`diagonal_clearance_violations`,
   :func:`halo_violations`) and halo construction (:func:`build_halos`),
 - tile orderings as matrices (:func:`le_matrix`, :func:`lessdot_matrix`),
-  footprints and their closure (:func:`footprint_violations`,
-  :func:`regularize`),
+  footprints and their audit, one pass for a stack of tile groups
+  (:func:`footprint_violations`), and their closure (:func:`regularize`),
 - the top pool (:func:`candidate_tops`), one top x tile membership mask per
   family (:func:`tree_members`), the maximal trees over the pool
   (:func:`maximal_trees`), greedy maximal selection
-  (:func:`greedy_select`), its order-convexity audit
-  (:func:`selection_convexity_violations`) and a threshold sweep into
-  forests driven by a size callback (:func:`forest_decompose`),
+  (:func:`greedy_select`), its order-convexity audit as counts over tile
+  x tile masks (:func:`selection_convexity_violations`) and a threshold
+  sweep into forests driven by a size callback (:func:`forest_decompose`),
 - seeded generators of families that pass every check
   (:func:`cluster_family`, :func:`compact_family`).
 
@@ -233,7 +233,8 @@ def build_halos(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
             for _ in range(3 * len(done) + 1):
                 moved = False
                 for stretched, hull_lo, hull_hi in smaller:
-                    if not any(a <= hi and lo <= b for a, b in stretched):
+                    if hull_hi < lo or hi < hull_lo or not any(
+                            a <= hi and lo <= b for a, b in stretched):
                         continue
                     if lo <= hull_hi and hull_lo <= lo:
                         steps = math.ceil((lo - hull_lo) / quantum) + 1
@@ -249,7 +250,10 @@ def build_halos(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
                 raise HaloError(f"halo budget exhausted for cube side {s} "
                                 f"component {i}")
             halos[q, i] = lo, hi
-        stretched = _scaled(halos[q], HALO_STRETCH).tolist()
+        # _scaled(halos[q], HALO_STRETCH) in floats, operation for operation
+        stretched = [(m - h, m + h) for m, h in
+                     ((0.5 * (a + b), 0.5 * HALO_STRETCH * (b - a))
+                      for a, b in halos[q].tolist())]
         done.append((s, stretched, min(a for a, _ in stretched),
                      max(b for _, b in stretched)))
     # full audit; construction bugs surface here, not downstream
@@ -304,15 +308,16 @@ def le_matrix(tiles: Family) -> np.ndarray:
     return inside & lessdot_matrix(tiles.halos)[np.ix_(tiles.cube, tiles.cube)]
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product: [i, k] when a[i, j] and b[j, k] for some j."""
-    return (a[:, :, None] & b[None]).any(axis=1)
+    """Stacked boolean product; float32 sums of 0/1 are > 0 iff a term is 1."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def footprints(tiles: Family) -> tuple[int, np.ndarray]:
+def footprints(tiles: Family, groups=None) -> tuple[int, np.ndarray]:
     """Union of spatial intervals per cube, as finest-scale cells.
 
     Returns the index of the first cell and a (c, cells) mask; cell k has
     width the shortest tile length and starts at (first + k) * width.
+    A (g, n) tile mask ``groups`` gives each group's (g, c, cells) stack.
     """
     width = tiles.length.min()
     start = np.rint(tiles.lo / width).astype(np.int64)
@@ -320,23 +325,29 @@ def footprints(tiles: Family) -> tuple[int, np.ndarray]:
     first = int(start.min())
     cells = np.arange(first, stop.max())
     owner = tiles.cube == np.arange(len(tiles.side))[:, None]
+    owner = owner if groups is None else owner & groups[:, None, :]
     cover = (start[:, None] <= cells) & (cells < stop[:, None])
     return first, _bool_product(owner, cover)
 
 
-def footprint_violations(tiles: Family) -> list[tuple]:
+def footprint_violations(tiles: Family, groups=None) -> list[tuple]:
     """Monotonicity audit: frequency-below tiles have nested footprints.
 
     Whenever cube a lessdot cube b, the footprint of a must sit inside the
-    footprint of b; the relation depends on the cubes only.  Returns the
-    violating (a, b) cube pairs.
+    footprint of b; the relation depends on the cubes only.  A (g, n) tile
+    mask ``groups`` (default one group of all) audits each group as a family
+    of its own, a pair counting when the group carries both cubes; every
+    tile end is a whole number of cells, so the family's cells serve all.
+    Returns the violating (a, b) cube pairs, group by group.
     """
     if not len(tiles):
         return []
-    _, feet = footprints(tiles)
+    groups = np.ones((1, len(tiles)), bool) if groups is None else groups
+    _, feet = footprints(tiles, groups)
     ld = lessdot_matrix(tiles.halos)
     np.fill_diagonal(ld, False)
-    a, b = np.nonzero(ld & _bool_product(feet, ~feet.T))
+    gaps = _bool_product(feet, ~feet.swapaxes(1, 2))
+    _, a, b = np.nonzero(ld & gaps & feet.any(axis=-1)[:, None, :])
     return list(zip(a.tolist(), b.tolist()))
 
 
@@ -481,16 +492,14 @@ def selection_convexity_violations(tiles: Family,
         tree_of[tree.members] = t
     if (tree_of < 0).any():
         raise ValueError("the trees leave a tile of the family out")
-    le = le_matrix(tiles)
-    length = tiles.length
-    checked = bad = 0
-    for mid in range(len(tiles)):
-        lowers = tree_of[le[:, mid] & (length < length[mid])][:, None]
-        uppers = tree_of[le[mid, :] & (length[mid] < length)][None, :]
-        checked += lowers.size * uppers.size
-        t_mid = tree_of[mid]
-        bad += int(np.count_nonzero((np.minimum(lowers, uppers) > t_mid)
-                                    | (np.maximum(lowers, uppers) < t_mid)))
+    # below[x, y]: x <= y, x strictly shorter: m's lowers are column m, its
+    # uppers row m.  A bad triple's two outer trees both follow or precede m's
+    below = le_matrix(tiles) & (tiles.length[:, None] < tiles.length)
+    later = below & (tree_of[:, None] > tree_of)     # x's tree after y's
+    earlier = below & (tree_of[:, None] < tree_of)
+    checked = int(below.sum(axis=0) @ below.sum(axis=1))
+    bad = int(later.sum(axis=0) @ earlier.sum(axis=1)
+              + earlier.sum(axis=0) @ later.sum(axis=1))
     return checked, bad
 
 def forest_decompose(tiles: Family, size_fn, span_bits: int,

@@ -71,6 +71,10 @@ def valid_configs(draw):
         floor = 1.0 / cfg.domain_len  # band_noise's lowest nonzero mode
         assume(math.isfinite(floor))
         cfg.band = draw(finite(floor))
+    if kind == "size-decay":
+        floor = 2.0 / cfg.domain_len  # the mask flags every sample below
+        assume(math.isfinite(floor))
+        cfg.exceptional_factor = draw(finite(floor))
     ex.validate_config(cfg)
     return cfg
 
@@ -589,6 +593,10 @@ OUT_OF_DOMAIN = [
     # the mask would flag the whole circle
     ("size-decay", "exceptional_factor = 0"),
     ("size-decay", "exceptional_factor = -1"),
+    # just under 2 / domain_len: the mask flags the whole circle
+    ("size-decay", "exceptional_factor = 1.9"),
+    ("size-decay", "exceptional_factor = 0.9\ndomain_len = 2"),
+    ("size-decay", "exceptional_factor = 3.9\ndomain_len = 0.5"),
     ("size-decay", "decay_power = 0"), ("forest-bessel", "set_count = 0"),
     # the mollifier kernel needs a width
     ("forest-bessel", "moll_width = 0"), ("size-decay", "moll_width = 0"),

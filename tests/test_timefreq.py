@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_timefreq as S
+from freqbench import timefreq as tf
 from freqbench.timefreq import (
     CLUSTER_SPACING,
     MAX_TILES,
     SINK_LEVEL,
     Family,
     HaloError,
+    Tree,
     build_halos,
     candidate_tops,
     cluster_family,
@@ -579,3 +581,140 @@ class TestScalarEquivalence:
             old = S.forest_decompose(objs, old_size)
             assert forest_rows(new) == forest_rows(old, position)
             assert list(new) == list(old)
+
+
+# ---------------------------------------------------------------------------
+# the whole-family passes against the per-object loops they replaced
+
+def loop_bool_product(a, b):
+    """The boolean product as an any() over broadcast ands, stacks too."""
+    return (a[..., :, :, None] & b[..., None, :, :]).any(axis=-2)
+
+
+def loop_build_halos(side, centers):
+    """build_halos as a loop over every smaller cube, its stretched halos
+    taken through numpy."""
+    halos = np.empty(centers.shape + (2,))
+    done = []
+    for q in np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0], side)):
+        s = float(side[q])
+        quantum = s / tf.ENDPOINT_QUANTUM
+        base = tf.HALO_FACTOR / 2 * s + quantum
+        budget = tf.HALO_SLACK * s - quantum
+        smaller = [d[1:] for d in done if d[0] < s]
+        for i, c in enumerate(centers[q].tolist()):
+            lo, hi = c - base, c + base
+            for _ in range(3 * len(done) + 1):
+                moved = False
+                for stretched, hull_lo, hull_hi in smaller:
+                    if not any(a <= hi and lo <= b for a, b in stretched):
+                        continue
+                    if lo <= hull_hi and hull_lo <= lo:
+                        lo -= (math.ceil((lo - hull_lo) / quantum) + 1) \
+                            * quantum
+                        moved = True
+                    if hi >= hull_lo and hi <= hull_hi:
+                        hi += (math.ceil((hull_hi - hi) / quantum) + 1) \
+                            * quantum
+                        moved = True
+                if not moved:
+                    break
+            if (c - lo) - base > budget or (hi - c) - base > budget:
+                raise HaloError("halo budget exhausted")
+            halos[q, i] = lo, hi
+        stretched = _scaled(halos[q], tf.HALO_STRETCH).tolist()
+        done.append((s, stretched, min(a for a, _ in stretched),
+                     max(b for _, b in stretched)))
+    if halo_violations(side, centers, halos):
+        raise HaloError("halo nesting failed")
+    return halos
+
+
+def loop_footprint_count(tiles):
+    """Footprint violations of one family, footprints by a boolean loop."""
+    if not len(tiles):
+        return 0
+    width = tiles.length.min()
+    start = np.rint(tiles.lo / width).astype(np.int64)
+    stop = np.rint(tiles.hi / width).astype(np.int64)
+    cells = np.arange(start.min(), stop.max())
+    owner = tiles.cube == np.arange(len(tiles.side))[:, None]
+    cover = (start[:, None] <= cells) & (cells < stop[:, None])
+    feet = loop_bool_product(owner, cover)
+    ld = lessdot_matrix(tiles.halos)
+    np.fill_diagonal(ld, False)
+    return int(np.count_nonzero(ld & loop_bool_product(feet, ~feet.T)))
+
+
+def loop_convexity(tiles, tree_of):
+    """(checked, bad) of the convexity audit, one middle tile at a time."""
+    le = le_matrix(tiles)
+    length = tiles.length
+    checked = bad = 0
+    for mid in range(len(tiles)):
+        lowers = tree_of[le[:, mid] & (length < length[mid])][:, None]
+        uppers = tree_of[le[mid, :] & (length[mid] < length)][None, :]
+        checked += lowers.size * uppers.size
+        t = tree_of[mid]
+        bad += int(np.count_nonzero((np.minimum(lowers, uppers) > t)
+                                    | (np.maximum(lowers, uppers) < t)))
+    return checked, bad
+
+
+def random_groupings(tiles, seed, count=3):
+    """Random labellings of the tiles by 2 to 6 trees: (g, n) masks."""
+    rng = np.random.default_rng((seed, 19))
+    for _ in range(count):
+        label = rng.integers(0, rng.integers(2, 7), len(tiles))
+        yield label == np.arange(label.max() + 1)[:, None]
+
+
+class TestWholeFamilyPasses:
+    @pytest.mark.parametrize("name", ["cluster", "compact"])
+    def test_grouped_audits_match_loops(self, name):
+        hits = [0, 0]
+        for seed in range(12):
+            tiles = generated(name, seed)
+            for groups in random_groupings(tiles, seed):
+                want = sum(loop_footprint_count(tiles.take(np.flatnonzero(g)))
+                           for g in groups)
+                assert len(footprint_violations(tiles, groups)) == want
+                trees = [Tree((0.0, 0.0, 1.0), np.flatnonzero(g))
+                         for g in groups]
+                tree_of = np.argmax(groups, axis=0)
+                got = selection_convexity_violations(tiles, trees)
+                assert got == loop_convexity(tiles, tree_of)
+                hits[0] += want > 0
+                hits[1] += got[1] > 0
+        # the groupings exercise both counts; compact families hold two
+        # tile lengths, so no triple of strictly increasing lengths
+        assert hits[0] > 0 and (hits[1] > 0) == (name == "cluster")
+
+    def test_one_group_is_the_family_audit(self):
+        tiles = halo_family(diag_cube(1.0, 576.0), diag_cube(16.0, 512.0),
+                            cells=[0, 16 + 3])
+        every = np.ones((1, len(tiles)), dtype=bool)
+        assert footprint_violations(tiles, every) == \
+            footprint_violations(tiles) != []
+        assert len(footprint_violations(tiles)) == loop_footprint_count(tiles)
+
+    def test_group_without_the_upper_cube_is_clean(self):
+        # the small cube's tile alone: the larger cube is not carried
+        tiles = halo_family(diag_cube(1.0, 576.0), diag_cube(16.0, 512.0),
+                            cells=[0, 16 + 3])
+        alone = (tiles.cube == 1)[None]
+        assert footprint_violations(tiles, alone) == []
+
+    @pytest.mark.parametrize("name", ["cluster", "compact"])
+    def test_generators_bitwise_against_loops(self, name, monkeypatch):
+        seeds = range(0, 64, 3)
+        new = [generated(name, seed) for seed in seeds]
+        monkeypatch.setattr(tf, "build_halos", loop_build_halos)
+        monkeypatch.setattr(tf, "_bool_product", loop_bool_product)
+        old = [generated(name, seed) for seed in seeds]
+        fields = ("side", "centers", "halos", "lo", "length", "cube")
+        for a, b in zip(new, old):
+            for field in fields:
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
