@@ -204,8 +204,7 @@ _DOMAINS = {
     "weight_power": (">= 1", lambda v: v >= 1),
     # at <= 0 the cutoff's mollifier silently sits at its cell floor
     "blur": ("positive", lambda v: v > 0),
-    # at <= 0 the mask flags every sample; so does size-decay's below
-    # 2 / domain_len, a cross-field rule
+    # at <= 0 the mask flags every sample (size-decay: see _decay_density)
     "exceptional_factor": ("positive", lambda v: v > 0),
     "decay_power": (">= 1", lambda v: v >= 1),
     "set_count": (">= 1", lambda v: v >= 1),  # no spans make a zero input
@@ -239,12 +238,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             and cfg.scale_bits > cfg.span_bits):
         bad(f"scale_bits must be <= span_bits = {cfg.span_bits} for "
             f"{cfg.kind}, got {cfg.scale_bits}")
-    # each sample of size-decay's mid-circle density lies in an interval half
-    # the circle long holding all its mass: lower factors flag about all
-    floor = 2.0 / cfg.domain_len
-    if cfg.kind == "size-decay" and cfg.exceptional_factor < floor:
-        bad(f"exceptional_factor must be >= 2 / domain_len = {floor:g} "
-            f"for size-decay, got {cfg.exceptional_factor!r}")
+    floor = (_decay_density(cfg.grid_n, cfg.domain_len)[1]
+             if cfg.kind == "size-decay" else 0.0)
+    if cfg.exceptional_factor < floor:
+        bad(f"exceptional_factor must be >= {floor!r} for size-decay at "
+            f"this grid_n and domain_len, got {cfg.exceptional_factor!r}")
     # the last chord's Whitney members are about 4**-mu_max / c0 wide;
     # deeper, a double cannot tell their sides apart
     deepest = 23 if cfg.c0 <= 9 else 22
@@ -419,7 +417,7 @@ def _random_input(cfg: ExperimentConfig, rng, lo: float,
 
 def run_partition(cfg: ExperimentConfig):
     polygon = geo.LacunaryPolygon(cfg.mu_max)
-    cover = geo.polygon_cover(polygon, alpha=cfg.alpha, C0=cfg.c0)
+    cover = geo.polygon_cover(cfg.mu_max, alpha=cfg.alpha, C0=cfg.c0)
     part = geo.PolygonPartition(polygon, cover, alpha=cfg.alpha)
     rng = trial_rng(cfg, 0)
     report = part.hypothesis_report(rng, cover_samples=4000,
@@ -687,6 +685,18 @@ def run_paraproduct(cfg: ExperimentConfig):
     return metrics, failures
 
 
+def _decay_density(n: int, length: float) -> tuple[GridFunction, float]:
+    """size-decay's density, an indicator 2 / (n // 8) long from mid-circle,
+    and the least exceptional_factor whose mask leaves a sample unflagged,
+    min(maximal average) / mass: n / (length max(b + 1, n - a)) on support
+    samples a..b, 0 on none."""
+    density = indicator([(0.5 * length, 0.5 * length + 2.0 / (n // 8))], n,
+                        length)
+    on = np.flatnonzero(density.values)
+    ends = int(max(on[-1] + 1, n - on[0])) if len(on) else math.inf
+    return density, n / (length * ends)
+
+
 def run_size_decay(cfg: ExperimentConfig):
     n, length = cfg.grid_n, cfg.domain_len
     side = float(n // 8)
@@ -697,8 +707,8 @@ def run_size_decay(cfg: ExperimentConfig):
                          np.zeros(count, dtype=int), np.arange(count))
     edge = operator_band_edge(tiles, cfg.slope, cfg.support_factor)
 
-    density = indicator([(0.5 * length, 0.5 * length + 2.0 / side)], n, length)
-    mask = exceptional_mask(density, cfg.exceptional_factor)
+    mask = exceptional_mask(_decay_density(n, length)[0],
+                            cfg.exceptional_factor)
     base = restricted_input(n, length, [(0.25 * length, 0.85 * length)],
                             cfg.moll_width)
     f3 = GridFunction(base.values * (~mask).astype(float), length)

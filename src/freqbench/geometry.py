@@ -62,13 +62,6 @@ def chord_diag_span(mu: int) -> float:
     return 2.0 * math.sin(3.0 * t) * math.sin(t)
 
 
-def shear_pullback(mu: int, xy: np.ndarray) -> np.ndarray:
-    """Inverse of the chord shear: (x, y) -> (-x, -y/slope)."""
-    s = chord_slope(mu)
-    xy = np.asarray(xy, dtype=float)
-    return np.stack([-xy[..., 0], -xy[..., 1] / s], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # boxes and convex quads
 
@@ -219,17 +212,6 @@ class LacunaryPolygon:
         return np.concatenate(out, axis=0)
 
 
-def _corners_inside(polygon: LacunaryPolygon, boxes: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """Which boxes of a (4, m) array have all four corners in the closed
-    polygon, up to tol."""
-    x0, x1, y0, y1 = boxes
-    inside = np.ones(boxes.shape[1], dtype=bool)
-    for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
-        inside &= polygon.contains(np.stack([cx, cy], axis=1), tol=tol)
-    return inside
-
-
 # ---------------------------------------------------------------------------
 # sheared local frames of the chord shells
 
@@ -249,8 +231,8 @@ def shell_frame(mu: int, r: int):
     va, vb = quadrant2_vertex(mu), quadrant2_vertex(mu + 1)
     anchor = (1.0 - c0) * va
     dc = c1 - c0
-    pa = shear_pullback(mu, va)
-    pb = shear_pullback(mu, vb)
+    pa = (-va[0], -va[1] / s)   # the chord shear's inverse
+    pb = (-vb[0], -vb[1] / s)
     gg = (1.0 - c0) * g
     quad = np.array([(0.0, 0.0), (gg, gg),
                      (gg - dc * pb[0], gg - dc * pb[1]),
@@ -437,60 +419,43 @@ def pole_caps() -> list[tuple]:
     return [(-0.54, 0.54, 0.0, 0.76), (-0.54, 0.54, -0.76, 0.0)]
 
 
-def polygon_cover(polygon: LacunaryPolygon, alpha: float,
-                  C0: int) -> np.ndarray:
-    """Full rectangle cover of the polygon interior, (4, m).
+def polygon_cover(mu_max: int, alpha: float, C0: int) -> np.ndarray:
+    """Full rectangle cover of the interior of LacunaryPolygon(mu_max), (4, m).
 
     Central square + pole caps + (1/alpha)-dilated staircase (members
     widened by STAIR_OVERLAP) and truncation fillers (all quadrant
     images) + Whitney rectangle families for up to SHELLS dyadic chord
     shells per chord (a shell is skipped once its inner dilation factor
     would drop below 1/2; the staircase and square own the deep
-    interior).  Each ring drops any member with a corner outside the
-    closed polygon before it is mirrored.
+    interior).
 
     The staircase members are stored dilated so that their alpha-shrinks
     reproduce the undilated staircase, which touches the horizontal axis;
     undilated members would leave an uncovered sliver along it.  With the
     corrected staircase factors the dilates stay inside the closed polygon
-    for alpha >= 0.96 (margin ~0.2 * 4^-mu, machine-checked by the
-    hypothesis report).  Every member is contained in the closed polygon
-    and the alpha-shrinks cover the guarded interior.
+    for alpha >= 0.96 (margin ~0.2 * 4^-mu).  Nothing here checks
+    containment: the hypothesis report checks every member once.
 
     Members come in this order: the square, the caps, the staircase and
     fillers with their mirror images, then each (mu, shell) ring with its
     mirror images.  A degenerate staircase, filler or ring member raises.
     """
     stair2 = [staircase_rect(mu, overlap_frac=STAIR_OVERLAP)
-              for mu in range(2, polygon.mu_max + 1)]
-    stair2.extend(truncation_fillers(polygon.mu_max, alpha=alpha))
+              for mu in range(2, mu_max + 1)]
+    stair2.extend(truncation_fillers(mu_max, alpha=alpha))
     parts = [np.transpose([central_square(), *pole_caps()]),
              _mirrored(_dilate(np.transpose(stair2), 1.0 / alpha))]
-    for mu in range(1, polygon.mu_max + 1):
+    for mu in range(1, mu_max + 1):
         for r in range(SHELLS):
             if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) > 0.5:
                 break
-            ring = whitney_shell_rects(mu, r, C0=C0, alpha=alpha)
-            parts.append(_mirrored(ring[:, _corners_inside(polygon, ring,
-                                                           1e-12)]))
+            parts.append(_mirrored(whitney_shell_rects(mu, r, C0=C0,
+                                                       alpha=alpha)))
     return np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # interval projections of one chord family
-
-
-@dataclass
-class ChordIntervals:
-    """Merged projection intervals of the outermost chord family.
-
-    i = 1: horizontal projections, i = 2: vertical, i = 3: the reflected
-    sum -(J1_R + J2_R) rectangle by rectangle.  `dilated` holds the
-    (1/alpha)-dilates about each component's center.
-    """
-
-    components: dict[int, np.ndarray]   # (count, 2) rows (lo, hi), ascending
-    dilated: dict[int, np.ndarray]
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -503,21 +468,24 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.column_stack([lo[new], reach[np.r_[new[1:], True]]])
 
 
-def chord_intervals(mu: int, C0: int, alpha: float) -> ChordIntervals:
+def chord_intervals(mu: int, C0: int, alpha: float) -> dict[int, np.ndarray]:
+    """{i: (1/alpha)-dilated components of the i-th projections of chord
+    mu's outermost Whitney family}, each a (count, 2) array of ascending
+    (lo, hi) rows: i = 1 horizontal, 2 vertical, 3 the reflected sum
+    -(J1_R + J2_R) rectangle by rectangle."""
     x0, x1, y0, y1 = whitney_shell_rects(mu, 0, C0=C0, alpha=alpha)
-    comps = {1: _merge_intervals(x0, x1),
-             2: _merge_intervals(y0, y1),
-             3: _merge_intervals(-(x1 + y1), -(x0 + y0))}
     dil = {}
-    for i, comp in comps.items():
-        a, b = comp.T
+    for i, (lo, hi) in enumerate(((x0, x1), (y0, y1),
+                                  (-(x1 + y1), -(x0 + y0))), 1):
+        a, b = _merge_intervals(lo, hi).T
         c, h = 0.5 * (a + b), 0.5 * (b - a) / alpha
         dil[i] = _merge_intervals(c - h, c + h)
-    return ChordIntervals(comps, dil)
+    return dil
 
 
-def interval_overlap_count(families: list[ChordIntervals], i: int) -> int:
-    """Max number of dilated i-intervals covering a single point.
+def interval_overlap_count(families: list[dict], i: int) -> int:
+    """Max number of dilated i-intervals of the :func:`chord_intervals`
+    families covering a single point.
 
     Endpoints at depth mu live at scale 4^-mu around O(1) anchors; the
     chord anchors themselves come from stable product-form steps, so the
@@ -525,7 +493,7 @@ def interval_overlap_count(families: list[ChordIntervals], i: int) -> int:
     """
     events = []
     for fam in families:
-        for a, b in fam.dilated[i]:
+        for a, b in fam[i]:
             events.append((a, 1))
             events.append((b, -1))
     events.sort()
@@ -680,8 +648,12 @@ class PolygonPartition:
 
     def hypothesis_report(self, rng, cover_samples: int,
                           overlap_samples: int) -> PartitionReport:
-        # (1) every member inside the closed region
-        inside = _corners_inside(self.polygon, self.boxes, CONTAINMENT_TOL)
+        # (1) every member inside the closed region: all four corners
+        x0, x1, y0, y1 = self.boxes
+        inside = np.ones(len(self), dtype=bool)
+        for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+            inside &= self.polygon.contains(np.stack([cx, cy], axis=1),
+                                            tol=CONTAINMENT_TOL)
         # (2) alpha-shrinks cover guarded interior samples
         misses = self.shrink_misses(
             self.polygon.interior_samples(cover_samples, rng))

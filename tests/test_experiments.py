@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import freqbench.experiments as ex
 from freqbench.cli import main as cli_main
+from freqbench.grid import maximal_average
+from freqbench.sizes import exceptional_mask
 
 
 def small(kind, **tweaks):
@@ -72,7 +74,8 @@ def valid_configs(draw):
         assume(math.isfinite(floor))
         cfg.band = draw(finite(floor))
     if kind == "size-decay":
-        floor = 2.0 / cfg.domain_len  # the mask flags every sample below
+        # the mask flags every sample below
+        floor = ex._decay_density(cfg.grid_n, cfg.domain_len)[1]
         assume(math.isfinite(floor))
         cfg.exceptional_factor = draw(finite(floor))
     ex.validate_config(cfg)
@@ -387,6 +390,28 @@ class TestDrivers:
         assert named["decay_rate"] > 0
         assert named["layer2_size"] < named["layer1_size"] < named["layer0_size"]
 
+    @pytest.mark.parametrize("factor,code", [(1.98, 2), (1.99, 0)])
+    def test_size_decay_floor_at_default_grid(self, tmp_path, capsys,
+                                              factor, code):
+        # the density's floor is 4096 / 2064 = 1.9845 here
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"kind = size-decay\nexceptional_factor = {factor}\n")
+        assert cli_main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == code
+        assert ("exceptional_factor must be >= 1.98449"
+                in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("n,length", [(16, 1.0), (64, 0.25), (256, 3.0),
+                                          (512, 32.0), (1000, 1.0),
+                                          (4096, 1.0), (4096, 3.0)])
+    def test_size_decay_floor_is_least_maximal_average(self, n, length):
+        density, floor = ex._decay_density(n, length)
+        m = maximal_average(density).values.real
+        assert floor == pytest.approx(m.min() / density.integral().real,
+                                      rel=1e-14)
+        assert exceptional_mask(density, floor * (1 - 1e-9)).all()
+        assert not exceptional_mask(density, floor * (1 + 1e-9)).all()
+
     def test_size_decay_zero_layer_size_fails_cleanly(self, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setattr(ex.TreeSizer, "tree_size",
@@ -593,7 +618,8 @@ OUT_OF_DOMAIN = [
     # the mask would flag the whole circle
     ("size-decay", "exceptional_factor = 0"),
     ("size-decay", "exceptional_factor = -1"),
-    # just under 2 / domain_len: the mask flags the whole circle
+    # under the density's floor (1.98, 0.996 and 3.94 here): the mask
+    # flags the whole circle
     ("size-decay", "exceptional_factor = 1.9"),
     ("size-decay", "exceptional_factor = 0.9\ndomain_len = 2"),
     ("size-decay", "exceptional_factor = 3.9\ndomain_len = 0.5"),

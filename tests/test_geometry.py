@@ -46,10 +46,16 @@ def chord_shell(mu, r):
                      (1 - c1) * vb, (1 - c1) * va])
 
 
-def span(fam, i):
-    """(lowest, highest) endpoint of the i-th projections of a chord
-    family."""
-    comp = fam.components[i]
+def components(mu):
+    """Undilated merged projection components of chord mu's outermost
+    Whitney family, i = 1, 2, 3 as in G.chord_intervals."""
+    x0, x1, y0, y1 = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
+    return {1: G._merge_intervals(x0, x1), 2: G._merge_intervals(y0, y1),
+            3: G._merge_intervals(-(x1 + y1), -(x0 + y0))}
+
+
+def span(comp):
+    """(lowest, highest) endpoint of merged (count, 2) components."""
     return comp[0][0], comp[-1][1]
 
 
@@ -259,14 +265,11 @@ class TestChordShells:
 
 class TestWhitneyFamilies:
     @staticmethod
-    def assert_band_conditions(mu, clip):
+    def assert_band_conditions(mu):
         # pull every centre back through the shell frame: it must sit on
         # the 2^(j-Q) lattice at an offset n - m with C0-dilate clear of
         # the diagonal and 4C0-dilate meeting it
-        boxes = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
-        if clip is not None:
-            boxes = boxes[:, G._corners_inside(clip, boxes, 1e-12)]
-        x0, x1, y0, y1 = boxes
+        x0, x1, y0, y1 = G.whitney_shell_rects(mu, 0, C0=C0, alpha=ALPHA)
         assert len(x0) > 0
         (ax, ay), slope, _ = G.shell_frame(mu, 0)
         side = x1 - x0
@@ -283,8 +286,7 @@ class TestWhitneyFamilies:
 
     def test_members_satisfy_band_conditions(self):
         for mu in (2, 5):
-            for clip in (None, G.LacunaryPolygon(8)):
-                self.assert_band_conditions(mu, clip)
+            self.assert_band_conditions(mu)
 
     def test_retention_touches_shell(self):
         # alpha-dilate of each member must meet the absolute shell quad
@@ -411,25 +413,24 @@ class TestIntervalFamilies:
             assert [tuple(r) for r in got] == tuple_merge(zip(lo, hi))
 
     def test_reflected_sum_construction(self):
-        fam = G.chord_intervals(3, C0, ALPHA)
         # every third-index component endpoint comes from -(J1_R + J2_R)
         x0, x1, y0, y1 = G.whitney_shell_rects(3, 0, C0=C0, alpha=ALPHA)
         lo = np.min(-(x1 + y1))
         hi = np.max(-(x0 + y0))
-        a, b = span(fam, 3)
+        a, b = span(components(3)[3])
         assert a == pytest.approx(lo, abs=1e-15)
         assert b == pytest.approx(hi, abs=1e-15)
 
     def test_unions_connected(self):
         for mu in (1, 4, 9):
-            fam = G.chord_intervals(mu, C0, ALPHA)
+            comps, fam = components(mu), G.chord_intervals(mu, C0, ALPHA)
             for i in (1, 2, 3):
-                assert len(fam.components[i]) == 1
+                assert len(comps[i]) == 1 and fam[i].shape == (1, 2)
 
     def test_dilate_factor(self):
-        fam = G.chord_intervals(2, C0, ALPHA)
+        comps, fam = components(2), G.chord_intervals(2, C0, ALPHA)
         for i in (1, 2, 3):
-            (a, b), (da, db) = fam.components[i][0], fam.dilated[i][0]
+            (a, b), (da, db) = comps[i][0], fam[i][0]
             assert (db - da) == pytest.approx((b - a) / 0.99, rel=1e-12)
             assert da < a and db > b
 
@@ -444,7 +445,7 @@ class TestIntervalFamilies:
     def test_vertical_extent_shrinks_geometrically(self):
         widths = []
         for mu in (4, 5, 6):
-            a, b = span(G.chord_intervals(mu, C0, ALPHA), 2)
+            a, b = span(components(mu)[2])
             widths.append(b - a)
         assert 1.7 < widths[0] / widths[1] < 2.3
         assert 1.7 < widths[1] / widths[2] < 2.3
@@ -511,7 +512,7 @@ class TestPartition:
 
     def test_member_weights_match_dense_evaluation(self):
         P = G.LacunaryPolygon(3)
-        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
+        part = G.PolygonPartition(P, G.polygon_cover(3, ALPHA, C0), alpha=ALPHA)
         pts = RNG(8).uniform(-1.1, 1.1, size=(300, 2))
         ids, owners, eta = part.member_weights(pts)
         tx = (pts[:, None, 0] - part.cx[None, :]) / part.hx[None, :]
@@ -525,7 +526,7 @@ class TestPartition:
 
     def test_full_cover_hypotheses_and_sum(self):
         P = G.LacunaryPolygon(4)
-        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
+        part = G.PolygonPartition(P, G.polygon_cover(4, ALPHA, C0), alpha=ALPHA)
         rng = RNG(9)
         rep = part.hypothesis_report(rng, cover_samples=1500, overlap_samples=1000)
         assert rep.containment_ok
@@ -537,7 +538,7 @@ class TestPartition:
 
     def test_comparability_matches_point_loop(self):
         P = G.LacunaryPolygon(4)
-        part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
+        part = G.PolygonPartition(P, G.polygon_cover(4, ALPHA, C0), alpha=ALPHA)
         rng = RNG(10)
         wide = rng.uniform(-1.2, 1.2, size=(3000, 2))
         ids, owners = covering(part, wide)
@@ -562,12 +563,16 @@ class TestPartition:
         assert len(set(ratios[6:])) > 10
 
     def test_bad_containment_is_reported_with_witnesses(self):
+        # the report alone checks containment: one box inside, then one
+        # poking out in each of the four directions
         P = G.LacunaryPolygon(2)
-        boxes = np.transpose([G.central_square(), (0.5, 1.2, -0.1, 0.1)])
+        boxes = np.transpose([(-0.1, 0.1, -0.1, 0.1), (0.5, 1.2, -0.1, 0.1),
+                              (-1.2, -0.5, -0.1, 0.1), (-0.1, 0.1, 0.5, 1.2),
+                              (-0.1, 0.1, -1.2, -0.5)])
         part = G.PolygonPartition(P, boxes, alpha=ALPHA)
         rep = part.hypothesis_report(RNG(1), cover_samples=200, overlap_samples=100)
         assert not rep.containment_ok and not rep.ok
-        assert rep.outside.tolist() == [1]
+        assert rep.outside.tolist() == [1, 2, 3, 4]
 
     def test_shrink_misses_counts_points_outside_every_shrink(self):
         P = G.LacunaryPolygon(2)
@@ -589,67 +594,24 @@ class TestPartition:
         assert rep.cover_misses > 0
 
 
-def per_scale_clipped_rects(polygon, mu, r, *, C0, alpha):
-    """Reference Whitney ring: the scale walk of whitney_shell_rects with
-    the four-corner polygon check applied to each scale's members as they
-    are found, as the cover was built before it clipped whole rings."""
-    (ax, ay), s, quad = G.shell_frame(mu, r)
-    (bx0, by0), (bx1, by1) = quad.min(axis=0), quad.max(axis=0)
-    lo_off = C0 * 2 ** G.Q + 1
-    dist_factor = s / math.hypot(1.0, s)
-    target = 0.75 * G.GUARD_FRAC * 4.0 ** (-mu)
-    kept = [np.empty((4, 0))]
-    j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
-    found = 0
-    for _ in range(64):
-        step, h = 2.0 ** (j - G.Q), 2.0 ** (j - 1)
-        hi_off = (4 if found < 2 else 2) * C0 * 2 ** G.Q
-        M, O = np.meshgrid(np.arange(math.floor((bx0 - h) / step) - 1,
-                                     math.ceil((bx1 + h) / step) + 2),
-                           np.arange(lo_off, hi_off + 1), indexing="ij")
-        uc, wc, ah = M * step, (M + O) * step, alpha * h
-        hit = G.quad_rect_overlap(quad, np.stack([uc - ah, uc + ah,
-                                                  wc - ah, wc + ah]))
-        if hit.any():
-            found += 1
-            rx0, rx1 = ax - (uc[hit] + h), ax - (uc[hit] - h)
-            ry0, ry1 = ay - s * (wc[hit] + h), ay - s * (wc[hit] - h)
-            good = np.ones(len(rx0), dtype=bool)
-            for cx, cy in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
-                good &= polygon.contains(np.stack([cx, cy], axis=1),
-                                         tol=1e-12)
-            kept.append(np.stack([rx0, rx1, ry0, ry1])[:, good])
-            closest = (C0 + 2.0 ** (-G.Q)) * 2.0 ** j * dist_factor
-            if closest < target or found >= G.MAX_SCALES:
-                break
-        elif found > 0:
-            break
-        j -= 1
-    return np.concatenate(kept, axis=1)
-
-
 class TestCoverCollection:
-    @pytest.mark.parametrize("mu_max,c0", [(2, 4), (4, 2), (8, 8), (12, 4)])
-    def test_ring_clip_matches_per_scale_clip(self, monkeypatch, mu_max, c0):
-        # one containment pass per ring keeps the same members, bit for
-        # bit, as one pass per Whitney scale
-        P = G.LacunaryPolygon(mu_max)
-        got = G.polygon_cover(P, ALPHA, c0)
-        monkeypatch.setattr(G, "whitney_shell_rects",
-                            functools.partial(per_scale_clipped_rects, P))
-        monkeypatch.setattr(G, "_corners_inside",
-                            lambda polygon, boxes, tol:
-                            np.ones(boxes.shape[1], dtype=bool))
-        want = G.polygon_cover(P, ALPHA, c0)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_corners_inside_refuses_any_corner_out(self):
-        P = G.LacunaryPolygon(2)
-        boxes = np.transpose([(-0.1, 0.1, -0.1, 0.1), (0.5, 1.2, -0.1, 0.1),
-                              (-1.2, -0.5, -0.1, 0.1), (-0.1, 0.1, 0.5, 1.2),
-                              (-0.1, 0.1, -1.2, -0.5)])
-        assert G._corners_inside(P, boxes, 1e-12).tolist() == [
-            True, False, False, False, False]
+    def test_every_ring_inside_smallest_polygon(self):
+        # the cover keeps every Whitney member unchecked; each ring of
+        # chord mu must already lie in LacunaryPolygon(mu), the smallest
+        # polygon with that chord, which every deeper polygon contains
+        rings = 0
+        for mu in range(1, 9):
+            P = G.LacunaryPolygon(mu)
+            shells = [r for r in range(G.SHELLS)
+                      if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) <= 0.5]
+            for c0 in (2, 9, 16):
+                for alpha in (0.3, 0.99):
+                    for r in shells:
+                        boxes = G.whitney_shell_rects(mu, r, C0=c0,
+                                                      alpha=alpha)
+                        assert P.contains(corners(boxes), tol=1e-12).all()
+                        rings += 1
+        assert rings == 132
 
     def test_cover_equals_its_mirror_images(self):
         # as multisets of boxes, compared exactly: the cover is its own
@@ -658,8 +620,7 @@ class TestCoverCollection:
             return boxes[:, np.lexsort(boxes[::-1])]
 
         for mu_max in range(1, 9):
-            x0, x1, y0, y1 = boxes = G.polygon_cover(
-                G.LacunaryPolygon(mu_max), ALPHA, C0)
+            x0, x1, y0, y1 = boxes = G.polygon_cover(mu_max, ALPHA, C0)
             for image in ([-x1, -x0, y0, y1], [x0, x1, -y1, -y0]):
                 assert np.array_equal(multiset(np.array(image)),
                                       multiset(boxes))
@@ -667,7 +628,8 @@ class TestCoverCollection:
     def test_small_polygon_covers(self):
         for mu_max in (1, 2):
             P = G.LacunaryPolygon(mu_max)
-            part = G.PolygonPartition(P, G.polygon_cover(P, ALPHA, C0), alpha=ALPHA)
+            part = G.PolygonPartition(P, G.polygon_cover(mu_max, ALPHA, C0),
+                                      alpha=ALPHA)
             rep = part.hypothesis_report(RNG(6), cover_samples=800,
                                          overlap_samples=300)
             assert rep.containment_ok and rep.cover_ok
@@ -678,4 +640,4 @@ class TestCoverCollection:
         # too thin for a double to keep both sides apart; the config domain
         # stops one step short of these
         with pytest.raises(ValueError, match="degenerate rectangle"):
-            G.polygon_cover(G.LacunaryPolygon(mu_max), ALPHA, c0)
+            G.polygon_cover(mu_max, ALPHA, c0)
