@@ -563,16 +563,12 @@ class TestPartition:
         assert len(set(ratios[6:])) > 10
 
     def test_bad_containment_is_reported_with_witnesses(self):
-        # the report alone checks containment: one box inside, then one
-        # poking out in each of the four directions
         P = G.LacunaryPolygon(2)
-        boxes = np.transpose([(-0.1, 0.1, -0.1, 0.1), (0.5, 1.2, -0.1, 0.1),
-                              (-1.2, -0.5, -0.1, 0.1), (-0.1, 0.1, 0.5, 1.2),
-                              (-0.1, 0.1, -1.2, -0.5)])
+        boxes = np.transpose([G.central_square(), (0.5, 1.2, -0.1, 0.1)])
         part = G.PolygonPartition(P, boxes, alpha=ALPHA)
         rep = part.hypothesis_report(RNG(1), cover_samples=200, overlap_samples=100)
         assert not rep.containment_ok and not rep.ok
-        assert rep.outside.tolist() == [1, 2, 3, 4]
+        assert rep.outside.tolist() == [1]
 
     def test_shrink_misses_counts_points_outside_every_shrink(self):
         P = G.LacunaryPolygon(2)
@@ -612,6 +608,18 @@ class TestCoverCollection:
                         assert P.contains(corners(boxes), tol=1e-12).all()
                         rings += 1
         assert rings == 132
+
+    def test_corners_inside_refuses_any_corner_out(self):
+        # the report alone checks containment: one box inside, then one
+        # poking out in each of the four directions
+        P = G.LacunaryPolygon(2)
+        boxes = np.transpose([(-0.1, 0.1, -0.1, 0.1), (0.5, 1.2, -0.1, 0.1),
+                              (-1.2, -0.5, -0.1, 0.1), (-0.1, 0.1, 0.5, 1.2),
+                              (-0.1, 0.1, -1.2, -0.5)])
+        part = G.PolygonPartition(P, boxes, alpha=ALPHA)
+        rep = part.hypothesis_report(RNG(1), cover_samples=200, overlap_samples=100)
+        assert not rep.containment_ok and not rep.ok
+        assert rep.outside.tolist() == [1, 2, 3, 4]
 
     def test_cover_equals_its_mirror_images(self):
         # as multisets of boxes, compared exactly: the cover is its own
