@@ -16,7 +16,8 @@ the diagonal depth ranges are started at the right offsets (two, one and
 three below the coupling depth); starting all three one step down, as a
 naive swap of summation order suggests, leaves a macroscopic defect, which
 :func:`telescoping_decompose` reports beside the exact residual as
-``naive_residual``, evaluated on the same bands.
+``naive_residual``, evaluated on the same bands.  The second and third
+inputs enter only at the coupling depths; deeper bands add exact zeros.
 
 A maximal martingale transform closes the toolkit; it acts band-by-band
 on the same annuli.
@@ -102,20 +103,19 @@ def max_martingale(a, psi: GridFunction, kmax: int) -> GridFunction:
     return GridFunction(best.astype(complex), psi.length)
 
 
-def _diagonal_terms(dg: np.ndarray, dh: np.ndarray, fat, offsets,
+def _diagonal_terms(dg: np.ndarray, dh: np.ndarray, fsum, offsets,
                     dx: float) -> tuple[complex, complex, complex]:
-    """The three diagonal terms, started ``offsets`` below each depth."""
+    """The three diagonal terms, started ``offsets`` below each depth and
+    stopped where ``fsum[el + offset]`` becomes the zero row."""
     o_same, o_down, o_up = offsets
-    kbits = len(dg) - 1
-    t_same = 0.0j
-    t_down = 0.0j
-    t_up = 0.0j
-    for el in range(kbits + 1):
-        t_same += complex(np.sum(dg[el] * dh[el] * fat(el + o_same)) * dx)
-        if el >= 1:
-            t_down += complex(np.sum(dg[el] * dh[el - 1] * fat(el + o_down)) * dx)
-        if el + 1 <= kbits:
-            t_up += complex(np.sum(dg[el] * dh[el + 1] * fat(el + o_up)) * dx)
+    reach = len(fsum) - 1
+    t_same = t_down = t_up = 0.0j
+    for el in range(reach - o_same):
+        t_same += complex(np.sum(dg[el] * dh[el] * fsum[el + o_same]) * dx)
+    for el in range(1, reach - o_down):
+        t_down += complex(np.sum(dg[el] * dh[el - 1] * fsum[el + o_down]) * dx)
+    for el in range(reach - o_up):
+        t_up += complex(np.sum(dg[el] * dh[el + 1] * fsum[el + o_up]) * dx)
     return t_same, t_down, t_up
 
 
@@ -124,28 +124,31 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     """Split the paraproduct pairing into its six telescoping terms.
 
     Inputs are projected onto the ball at the band limit first (flag
-    ``truncated`` reports whether that changed anything).  Returns the
-    three forward terms (full product, shallower-band swap of the second
-    input, shallower-band swap of the third), the three diagonal terms
-    (third-input annulus at the same, one-coarser and one-finer depth than
-    the second's, started at :data:`EXACT_OFFSETS`), the direct pairing,
-    their difference ``residual``, and ``scale`` = product of the three l2
-    norms.  The residual is pure float roundoff.  ``naive_residual`` is
-    the same difference with the diagonal terms started at
-    :data:`NAIVE_OFFSETS`, on the same bands: the macroscopic defect of
-    the careless range swap.
+    ``truncated``: a sample moved by over 1e-13 times the input's
+    largest).  Returns the three forward terms (full product,
+    shallower-band swap of the second input, shallower-band swap of the
+    third), the three diagonal terms (third-input annulus at the same,
+    one-coarser and one-finer depth than the second's, started at
+    :data:`EXACT_OFFSETS`), the direct pairing, their difference
+    ``residual``, and ``scale`` = product of the three l2 norms.  The
+    residual is pure float roundoff.  ``naive_residual`` is the same
+    difference with the diagonal terms started at :data:`NAIVE_OFFSETS`,
+    on the same bands: the macroscopic defect of the careless range swap.
+    ``g`` and ``h`` are banked only at the coupling depths: a deeper
+    annulus meets only empty suffix sums of ``f``, an exact zero.
     """
 
     def clip(u: GridFunction) -> tuple[GridFunction, bool]:
         v = pk(u, kbits)
-        return v, bool(np.abs((u - v).values).max() > 1e-13)
+        cut = np.abs((u - v).values).max()
+        return v, bool(cut > 1e-13 * np.abs(u.values).max())
 
     f0, tf = clip(f)
     g0, tg = clip(g)
     h0, th = clip(h)
 
     depths = _depth_range(kbits)
-    steps = kbits - np.arange(kbits + 1)
+    steps = kbits - depths
     df = f0.bank(_annuli(f0, kbits - 2 * depths))
     dg = g0.bank(_annuli(g0, steps))
     dh = h0.bank(_annuli(h0, steps))
@@ -157,15 +160,12 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     for d in range(len(df) - 1, -1, -1):
         fsum[d] = fsum[d + 1] + df[d]
 
-    def fat(m: int) -> np.ndarray:
-        return fsum[min(max(m, 0), len(df))] if m < len(df) else zero
-
     gv, hv = g0.values, h0.values
     t_full = complex(np.sum(fsum[0] * gv * hv) * dx)
 
     # prefix sums over depths of g and h: gpre[d] = sum_{e < d} dg[e]
-    gpre = np.cumsum(np.vstack([zero, dg]), axis=0)
-    hpre = np.cumsum(np.vstack([zero, dh]), axis=0)
+    gpre = np.cumsum(np.vstack([zero, dg[:-1]]), axis=0)
+    hpre = np.cumsum(np.vstack([zero, dh[:-1]]), axis=0)
     t_swap_g = 0.0j
     t_swap_h = 0.0j
     for d in depths:
@@ -174,8 +174,8 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
 
     pairing = complex(np.sum(pp_apply(f0, g0, kbits).values * hv) * dx)
     forward = t_full + t_swap_g + t_swap_h
-    t_same, t_down, t_up = _diagonal_terms(dg, dh, fat, EXACT_OFFSETS, dx)
-    naive = sum(_diagonal_terms(dg, dh, fat, NAIVE_OFFSETS, dx), forward)
+    t_same, t_down, t_up = _diagonal_terms(dg, dh, fsum, EXACT_OFFSETS, dx)
+    naive = sum(_diagonal_terms(dg, dh, fsum, NAIVE_OFFSETS, dx), forward)
     return {
         "forward": t_full,
         "swap_g": t_swap_g,

@@ -5,6 +5,10 @@ import pytest
 
 from freqbench.grid import GridFunction
 from freqbench.paraproduct import (
+    EXACT_OFFSETS,
+    NAIVE_OFFSETS,
+    _annuli,
+    _depth_range,
     max_martingale,
     pk,
     pp_apply,
@@ -81,6 +85,75 @@ def old_qk(f, k):
 def old_pk(f, k):
     band = np.abs(f.freqs() / f.length) <= 2.0 ** k
     return f.multiply_spectrum(band.astype(float))
+
+
+def old_telescoping_decompose(f, g, h, kbits):
+    """telescoping_decompose with g and h banked at all kbits + 1 annuli:
+    the diagonal loops run every el against a zero row past the suffix
+    sums of f, and the prefix stacks take every band.  Only the truncation
+    flag follows the relative rule of the kept version."""
+
+    def clip(u):
+        v = pk(u, kbits)
+        cut = np.abs((u - v).values).max()
+        return v, bool(cut > 1e-13 * np.abs(u.values).max())
+
+    f0, tf = clip(f)
+    g0, tg = clip(g)
+    h0, th = clip(h)
+    depths = _depth_range(kbits)
+    steps = kbits - np.arange(kbits + 1)
+    df = f0.bank(_annuli(f0, kbits - 2 * depths))
+    dg = g0.bank(_annuli(g0, steps))
+    dh = h0.bank(_annuli(h0, steps))
+    dx = f0.dx
+    zero = np.zeros(f0.size, dtype=complex)
+    fsum = [zero] * (len(df) + 1)
+    for d in range(len(df) - 1, -1, -1):
+        fsum[d] = fsum[d + 1] + df[d]
+
+    def fat(m):
+        return fsum[min(max(m, 0), len(df))] if m < len(df) else zero
+
+    def diagonal(offsets):
+        o_same, o_down, o_up = offsets
+        t_same = t_down = t_up = 0.0j
+        for el in range(kbits + 1):
+            t_same += complex(np.sum(dg[el] * dh[el] * fat(el + o_same)) * dx)
+            if el >= 1:
+                t_down += complex(np.sum(dg[el] * dh[el - 1]
+                                         * fat(el + o_down)) * dx)
+            if el + 1 <= kbits:
+                t_up += complex(np.sum(dg[el] * dh[el + 1]
+                                       * fat(el + o_up)) * dx)
+        return t_same, t_down, t_up
+
+    gv, hv = g0.values, h0.values
+    t_full = complex(np.sum(fsum[0] * gv * hv) * dx)
+    gpre = np.cumsum(np.vstack([zero, dg]), axis=0)
+    hpre = np.cumsum(np.vstack([zero, dh]), axis=0)
+    t_swap_g = 0.0j
+    t_swap_h = 0.0j
+    for d in depths:
+        t_swap_g -= complex(np.sum(df[d] * gpre[d] * hv) * dx)
+        t_swap_h -= complex(np.sum(df[d] * hpre[max(d - 1, 0)] * gv) * dx)
+    pairing = complex(np.sum(pp_apply(f0, g0, kbits).values * hv) * dx)
+    forward = t_full + t_swap_g + t_swap_h
+    t_same, t_down, t_up = diagonal(EXACT_OFFSETS)
+    naive = sum(diagonal(NAIVE_OFFSETS), forward)
+    return {
+        "forward": t_full,
+        "swap_g": t_swap_g,
+        "swap_h": t_swap_h,
+        "diag_same": t_same,
+        "diag_down": t_down,
+        "diag_up": t_up,
+        "pairing": pairing,
+        "residual": abs(pairing - (forward + t_same + t_down + t_up)),
+        "naive_residual": abs(pairing - naive),
+        "scale": f0.norm() * g0.norm() * h0.norm(),
+        "truncated": tf or tg or th,
+    }
 
 
 class TestBandBank:
@@ -205,6 +278,45 @@ class TestTelescoping:
                 near = near + dh[el + 1].values
             rhs += complex(np.sum(x * near) * f.dx)
         assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1e-30)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+    def test_truncated_is_relative_to_input_size(self, scale):
+        rng = np.random.default_rng(34)
+        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f = f / f.norm() * scale  # in band: only roundoff leaves the ball
+        assert not telescoping_decompose(f, g, h, kbits=8)["truncated"]
+        out = telescoping_decompose(f + mode(400, amp=scale), g, h, kbits=8)
+        assert out["truncated"]
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+    def test_matches_full_band_reference_bit_for_bit(self, n):
+        for kbits in range(1, 13):
+            band = min(0.9 * 2 ** kbits, n / 2 - 1)
+            rng = np.random.default_rng(kbits)
+            f, g, h = (noise(band, rng, n=n) for _ in range(3))
+            triples = [(f, g, h), (GridFunction.zeros(n, L), g, h)]
+            if 2 ** kbits + 2 < n // 2:  # a mode the clip must remove
+                triples.append((f + mode(2 ** kbits + 2, n=n), g, h))
+            for u, v, w in triples:
+                got = telescoping_decompose(u, v, w, kbits)
+                want = old_telescoping_decompose(u, v, w, kbits)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("kbits", [1, 2, 5, 8, 12])
+    def test_banks_only_the_reachable_depths(self, kbits, monkeypatch):
+        rows = []
+        bank = GridFunction.bank
+
+        def counting_bank(self, windows):
+            rows.append(len(windows))
+            return bank(self, windows)
+
+        monkeypatch.setattr(GridFunction, "bank", counting_bank)
+        rng = np.random.default_rng(35)
+        f, g, h = (noise(250.0, rng) for _ in range(3))
+        telescoping_decompose(f, g, h, kbits)
+        # f, g and h, then pp_apply's f and g
+        assert rows == [len(_depth_range(kbits))] * 5
 
 
 class TestSquareAndMartingale:
