@@ -69,8 +69,9 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     n = f.size
     ks = f.freqs()
     cf, cg = f.spectrum(), g.spectrum()
-    ia = np.nonzero(np.abs(cf) > 0.0)[0]
-    ja = np.nonzero(np.abs(cg) > 0.0)[0]
+    up = np.argsort(ks)  # ascending frequency fixes the bincount order
+    ia = up[np.abs(cf[up]) > 0.0]
+    ja = up[np.abs(cg[up]) > 0.0]
     out = np.zeros(n, dtype=complex)
     if ia.size == 0 or ja.size == 0:
         return (GridFunction.from_spectrum(out, f.length),
@@ -79,9 +80,8 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     kj = ks[ja][None, :]
     prod = (cf[ia][:, None] * cg[ja][None, :]) * symbol(ki, kj)
     ksum = ki + kj
-    lo = -(n // 2)
-    wrapped = (ksum < lo) | (ksum >= lo + n)
-    pos = (ksum - lo) % n
+    wrapped = (ksum < -(n // 2)) | (ksum >= n // 2)
+    pos = ksum % n
     out = (np.bincount(pos.ravel(), weights=prod.real.ravel(), minlength=n)
            + 1j * np.bincount(pos.ravel(), weights=prod.imag.ravel(),
                               minlength=n))

@@ -358,13 +358,14 @@ def band_noise(n: int, length: float, band: float, rng) -> GridFunction:
     be a constant (or, normalized, all NaN), and every identity a run
     checks on it would hold vacuously.
     """
-    coeffs = np.zeros(n, dtype=complex)
-    ks = np.arange(-(n // 2), n - (n // 2))
+    ks = np.sort(GridFunction.zeros(n, length).freqs())  # the draws' order
     live = np.abs(ks / length) <= band
     if not np.any(live & (ks != 0)):
         raise ValueError(f"band {band:g} holds no nonzero mode on a domain "
                          f"of length {length:g}; inputs would be constant")
-    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[ks[live] % n] = (rng.normal(size=live.sum())
+                            + 1j * rng.normal(size=live.sum()))
     f = GridFunction.from_spectrum(coeffs, length)
     return f / f.norm()
 
@@ -391,8 +392,7 @@ def restricted_input(n: int, length: float, spans,
     grid fine enough to carry the kernel's spectrum.
     """
     kern = shared_kernel(n, length, width, MOLLIFIER_HALF_POWER)
-    kc = np.fft.fftshift(kern.transform) / n
-    ks = np.arange(-(n // 2), n - (n // 2))
+    ks = GridFunction.zeros(n, length).freqs()
     chi = np.zeros(n, dtype=complex)
     for a, b in spans:
         pa = np.exp(-2j * np.pi * ks * (a / length))
@@ -401,7 +401,7 @@ def restricted_input(n: int, length: float, spans,
             term = np.where(ks == 0, (b - a) / length,
                             (pa - pb) / (2j * np.pi * np.where(ks == 0, 1, ks)))
         chi += term
-    return GridFunction.from_spectrum(length * chi * kc, length)
+    return GridFunction.from_spectrum(length * chi * (kern.transform / n), length)
 
 
 def _random_input(cfg: ExperimentConfig, rng, lo: float,

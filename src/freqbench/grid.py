@@ -1,7 +1,7 @@
 """Periodic sampled functions with exact spectral bookkeeping.
 
 Everything downstream runs on a uniformly sampled periodic interval
-[0, length): complex samples, a centered integer spectrum one shifted FFT
+[0, length): complex samples, an integer spectrum in FFT order one FFT
 away, and a small set of discrete operators whose exactness the rest of
 the package leans on.  The design rule here is that any statement a test
 wants to make "exactly" (mass of an indicator, a partition of unity
@@ -30,10 +30,10 @@ class GridFunction:
     """Complex function on a periodic interval, known by its samples.
 
     The domain is [0, length), sampled at ``size`` equally spaced points
-    x_j = j * length / size.  The spectrum is indexed by integer
-    frequencies k in [-size/2, size/2); coefficient c_k multiplies
-    exp(2*pi*i*k*x/length), so a round trip through the spectrum is a
-    shifted FFT and its inverse with no phase factor.
+    x_j = j * length / size.  The spectrum holds integer frequencies k in
+    [-size/2, size/2) in FFT order, k at index k mod size (see ``freqs``);
+    c_k multiplies exp(2*pi*i*k*x/length), so a round trip through the
+    spectrum is an FFT and its inverse with no shift or phase factor.
     """
 
     __slots__ = ("values", "length", "_spec")
@@ -50,9 +50,9 @@ class GridFunction:
 
     @classmethod
     def from_spectrum(cls, coeffs, length=1.0):
-        """Build from centered coefficients aligned with ``freqs()``."""
+        """Build from FFT-order coefficients, aligned with ``freqs()``."""
         c = np.asarray(coeffs, dtype=complex)
-        vals = np.fft.ifft(np.fft.ifftshift(c)) * c.size
+        vals = np.fft.ifft(c) * c.size
         out = cls(vals, length=length)
         out._spec = c.copy()
         return out
@@ -77,8 +77,9 @@ class GridFunction:
         return np.arange(self.size) * self.dx
 
     def freqs(self):
+        """Frequency of each spectrum index: 0, ..., n/2 - 1, -n/2, ..., -1."""
         n = self.size
-        return np.arange(-(n // 2), n // 2)
+        return (np.arange(n) + n // 2) % n - n // 2
 
     def same_grid(self, other):
         return self.size == other.size and self.length == other.length
@@ -86,17 +87,16 @@ class GridFunction:
     # -- spectrum ---------------------------------------------------------
 
     def spectrum(self):
-        """Centered coefficients, aligned with ``freqs()``.  Cached."""
+        """FFT-order coefficients, aligned with ``freqs()``.  Cached."""
         if self._spec is None:
-            self._spec = np.fft.fftshift(np.fft.fft(self.values)) / self.size
+            self._spec = np.fft.fft(self.values) / self.size
         return self._spec
 
     def bank(self, windows):
         """Samples under each row of the (rows, size) stack ``windows`` over
-        ``freqs()``, from one batched inverse FFT; row r equals
+        ``freqs()`` (FFT order), from one batched inverse FFT; row r equals
         ``multiply_spectrum(windows[r]).values`` bit for bit."""
-        rows = np.fft.ifftshift(self.spectrum() * windows, axes=-1)
-        out = np.fft.ifft(rows, axis=-1)
+        out = np.fft.ifft(self.spectrum() * windows, axis=-1)
         out *= self.size
         return out
 
@@ -213,8 +213,8 @@ class PositiveBandKernel:
     sinc zeros the lower constant genuinely degrades, which is fine for
     every use the package makes of it.
 
-    ``transform`` is the unshifted FFT of ``values``, taken once here so
-    that every :func:`convolve` against the kernel reuses it.
+    ``transform`` is the FFT of ``values``, laid out as ``freqs()``; every
+    :func:`convolve` against the kernel reuses it.
     """
 
     __slots__ = ("size", "length", "values", "transform")

@@ -16,8 +16,8 @@ the symbol must vanish at a marked frequency, plain bumps otherwise.  The
 pointwise bound |m| <= min(1, |xi - marked| / width) holds exactly for the
 saturating profiles, so no a posteriori constraint check is needed.
 
-The module is deliberately grid-first: all operators act through centered
-spectra of :class:`freqbench.grid.GridFunction`, and every interval is
+The module is deliberately grid-first: all operators are spectral windows
+over :meth:`freqbench.grid.GridFunction.freqs`, and every interval is
 assumed to keep its dilated support inside the grid's frequency band (see
 :func:`freqbench.timefreq.operator_band_edge`).
 """

@@ -17,9 +17,10 @@ SCALE = 4.0   # polygon coordinate 1 at mode n/4
 def bandlimited(n, band, rng, real=False):
     """Random function with spectrum supported in |k| <= band."""
     c = np.zeros(n, dtype=complex)
-    ks = np.arange(-(n // 2), n // 2)
-    sel = np.abs(ks) <= band
-    c[sel] = rng.standard_normal(sel.sum()) + 1j * rng.standard_normal(sel.sum())
+    ks = GridFunction.zeros(n).freqs()
+    up = np.argsort(ks)  # the draws go to ascending frequencies
+    sel = up[np.abs(ks[up]) <= band]
+    c[sel] = rng.standard_normal(sel.size) + 1j * rng.standard_normal(sel.size)
     if real:
         # enforce conjugate symmetry c_{-k} = conj(c_k)
         for k in range(1, band + 1):
@@ -31,14 +32,16 @@ def bandlimited(n, band, rng, real=False):
 def modulate(f, shift):
     """f times exp(2 pi i shift x / length): the spectrum moved up by
     ``shift``, none of it across the band edge."""
-    c = np.roll(f.spectrum(), shift)
-    assert not c[:shift].any() if shift >= 0 else not c[shift:].any()
+    ks = f.freqs()
+    moved = ks + shift
+    assert not f.spectrum()[(moved < ks.min()) | (moved > ks.max())].any()
+    c = np.roll(f.spectrum(), shift)  # frequency k to k + shift mod size
     return GridFunction.from_spectrum(c, f.length)
 
 
 def exponential(n, k):
     c = np.zeros(n, dtype=complex)
-    c[k + n // 2] = 1.0
+    c[GridFunction.zeros(n).freqs() == k] = 1.0
     return GridFunction.from_spectrum(c)
 
 

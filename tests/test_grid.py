@@ -29,13 +29,15 @@ class TestSpectrum:
         assert np.abs(g.values - f.values).max() < 1e-12
 
     def test_single_mode(self):
-        # coefficient at k=3 is exp(2 pi i 3 x)
+        # coefficient at k is exp(2 pi i k x), at the band edges -n/2 and
+        # n/2 - 1 too, where an off-by-one in the layout would show
         n = 64
-        c = np.zeros(n, dtype=complex)
-        c[n // 2 + 3] = 1.0
-        f = GridFunction.from_spectrum(c, length=1.0)
-        xs = f.x
-        assert np.abs(f.values - np.exp(2j * np.pi * 3 * xs)).max() < 1e-12
+        for k in (3, -n // 2, n // 2 - 1):
+            c = np.zeros(n, dtype=complex)
+            c[GridFunction.zeros(n).freqs() == k] = 1.0
+            f = GridFunction.from_spectrum(c, length=1.0)
+            xs = f.x
+            assert np.abs(f.values - np.exp(2j * np.pi * k * xs)).max() < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(11)
@@ -48,11 +50,15 @@ class TestSpectrum:
         # zero-padding the spectrum gives the same function on a grid
         # twice as fine
         rng = np.random.default_rng(5)
+        ks = GridFunction.zeros(64).freqs()
+        up = np.argsort(ks)
         c = np.zeros(64, dtype=complex)
-        c[24:40] = rng.standard_normal(16)
+        c[up[(ks[up] >= -8) & (ks[up] < 8)]] = rng.standard_normal(16)
         f = GridFunction.from_spectrum(c, length=1.0)
         big = np.zeros(128, dtype=complex)
-        big[32:96] = f.spectrum()
+        fine = GridFunction.zeros(128).freqs()
+        for k, ck in zip(ks, f.spectrum()):
+            big[fine == k] = ck
         g = GridFunction.from_spectrum(big, length=1.0)
         assert abs(g.norm(2) - f.norm(2)) < 1e-12
         # samples of g at even indices are samples of f
@@ -192,8 +198,8 @@ class TestPositiveKernel:
         assert k.values.min() > 0.0
         # every frequency carrying mass above 4e-16 of the peak lies within
         # the spectrum radius m * length / w
-        c = np.abs(np.fft.fftshift(k.transform)) / k.size
-        ks = np.arange(-256, 256)
+        c = np.abs(k.transform) / k.size
+        ks = GridFunction.zeros(512).freqs()
         assert np.abs(ks[c > 4e-16 * c.max()]).max() <= 8 * 16
 
     def test_mass_one(self):
@@ -273,15 +279,16 @@ class TestPositiveKernel:
 
 def band_noise(rng, size, band, length=1.0):
     coeffs = np.zeros(size, dtype=complex)
-    ks = np.arange(-(size // 2), size // 2)
-    live = np.abs(ks / length) <= band
-    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
+    ks = GridFunction.zeros(size).freqs()
+    up = np.argsort(ks)  # the draws go to ascending frequencies
+    live = up[np.abs(ks[up] / length) <= band]
+    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
     return GridFunction.from_spectrum(coeffs, length)
 
 
 def mode(k, size, amp=1.0):
     coeffs = np.zeros(size, dtype=complex)
-    coeffs[k + size // 2] = amp
+    coeffs[GridFunction.zeros(size).freqs() == k] = amp
     return GridFunction.from_spectrum(coeffs)
 
 

@@ -21,15 +21,16 @@ N, L = 1024, 1.0
 
 def noise(band, rng, n=N):
     coeffs = np.zeros(n, dtype=complex)
-    ks = np.arange(-(n // 2), n - (n // 2))
-    live = np.abs(ks / L) <= band
-    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
+    ks = GridFunction.zeros(n, L).freqs()
+    up = np.argsort(ks)  # the draws go to ascending frequencies
+    live = up[np.abs(ks[up] / L) <= band]
+    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
     return GridFunction.from_spectrum(coeffs, L)
 
 
 def mode(k, n=N, amp=1.0):
     coeffs = np.zeros(n, dtype=complex)
-    coeffs[k + n // 2] = amp
+    coeffs[GridFunction.zeros(n, L).freqs() == k] = amp
     return GridFunction.from_spectrum(coeffs, L)
 
 

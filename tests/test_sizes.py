@@ -52,9 +52,10 @@ BITS = (6, 4)
 def band_noise(n, length, band, rng, normalize="l2"):
     """Random trigonometric polynomial with modes confined to |xi| <= band."""
     coeffs = np.zeros(n, dtype=complex)
-    ks = np.arange(-(n // 2), n - (n // 2))
-    live = np.abs(ks / length) <= band
-    coeffs[live] = rng.normal(size=live.sum()) + 1j * rng.normal(size=live.sum())
+    ks = GridFunction.zeros(n, length).freqs()
+    up = np.argsort(ks)  # the draws go to ascending frequencies
+    live = up[np.abs(ks[up] / length) <= band]
+    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
     f = GridFunction.from_spectrum(coeffs, length)
     if normalize == "l2":
         return f / f.norm()
@@ -161,7 +162,7 @@ class TestTileSeminorm:
         omega = operator_intervals(tiles.side, tiles.centers, SLOPE)[0, 0]
         k0 = int(round(omega.mean() * length)) + 3  # inside the support
         coeffs = np.zeros(n, dtype=complex)
-        coeffs[k0 + n // 2] = 0.7
+        coeffs[GridFunction.zeros(n, length).freqs() == k0] = 0.7
         f = GridFunction.from_spectrum(coeffs, length)
         xi0 = (k0) / length
 
