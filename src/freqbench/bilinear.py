@@ -69,7 +69,7 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     n = f.size
     ks = f.freqs()
     cf, cg = f.spectrum(), g.spectrum()
-    up = np.argsort(ks)  # ascending frequency fixes the bincount order
+    up = np.arange(-(n // 2), n // 2) % n  # ascending: fixes bincount's order
     ia = up[np.abs(cf[up]) > 0.0]
     ja = up[np.abs(cg[up]) > 0.0]
     out = np.zeros(n, dtype=complex)
@@ -122,17 +122,18 @@ def pv_cotangent_symbol(slope, nodes: int):
     i*pi*sign(theta) exactly (the integrand is a trig polynomial of
     degree |theta|, integrated exactly by the midpoint rule), so at
     integer slopes the twin certifies the sign symbol to roundoff.  At
-    non-integer theta it converges to the periodized kernel's own
-    symbol, which differs from the sign at order 1e-3; integer-slope
-    use only is certified.  Shares no code with the sign symbol.
+    non-integer theta the quadrature converges to the periodized kernel's
+    own symbol instead, which differs from the sign at order 1e-3, so the
+    twin is certified, and accepted, at integer offsets only: a
+    non-integer theta raises ValueError.  Shares no code with the sign
+    symbol.
 
     Evaluation: t_j = (2j + 1)/(2 nodes), so placing the folded weights
     w_j = (2/nodes) pi cot(pi t_j) at the odd slots 2j + 1 of a length
     2*nodes array u makes the sum at integer theta a DFT entry,
     S(theta) = -i Im U[theta mod 2 nodes], with no phase factor.  The
     real transform of u is taken once per factory call (U[2 nodes - m]
-    is conj U[m]), so every integer theta is a lookup; non-integer theta
-    fall back to the direct sum over the nodes.
+    is conj U[m]), so every theta is a lookup.
     """
     half = nodes // 2
     t = (np.arange(half) + 0.5) / nodes
@@ -142,22 +143,15 @@ def pv_cotangent_symbol(slope, nodes: int):
     spec = np.fft.rfft(u)
 
     def m(ki, kj):
-        theta = slope * ki - kj
-        uniq, inv = np.unique(theta, return_inverse=True)
-        vals = np.empty(uniq.size, dtype=complex)
-        whole = uniq == np.round(uniq)
-        k = np.round(uniq[whole]).astype(np.int64) % (2 * nodes)
+        theta = np.asarray(slope * ki - kj)
+        whole = np.round(theta)
+        if not np.array_equal(whole, theta):
+            raise ValueError("pv_cotangent_symbol is certified at integer "
+                             "offsets slope*ki - kj only")
+        k = whole.astype(np.int64) % (2 * nodes)
         upper = k > nodes
         im = spec[np.where(upper, 2 * nodes - k, k)].imag
-        vals[whole] = 1j * np.where(upper, im, -im)
-        frac = uniq[~whole]
-        direct = np.empty(frac.size)
-        # chunked outer product: frac can reach ~1e3, nodes ~2e5
-        for a in range(0, frac.size, 64):
-            s = np.sin(2.0 * np.pi * frac[a:a + 64, None] * t[None, :])
-            direct[a:a + 64] = s @ w
-        vals[~whole] = 1j * direct
-        return vals[inv].reshape(np.broadcast(ki, kj).shape)
+        return 1j * np.where(upper, im, -im)
 
     return m
 
@@ -168,21 +162,18 @@ def region_symbol(contains, size, scale: float):
     ``contains`` maps an (n, 2) point array to booleans.  Integer mode
     pairs land at (scale*ki/size, scale*kj/size); at scale 4 the open unit
     disk around the origin corresponds to the middle half-band of the grid.
-    The first call tests every mode pair of a ``size``-point grid in one
-    batch; every call after that is a table lookup, so ``ki`` and ``kj``
+    Every mode pair of a ``size``-point grid is tested in one batch when
+    the symbol is made; every call is a table lookup, so ``ki`` and ``kj``
     must be modes of that grid.
     """
     lo = -(size // 2)
-    table = None
+    ks = np.arange(lo, lo + size) * (scale / size)
+    pts = np.stack([np.repeat(ks, size), np.tile(ks, size)], axis=1)
+    table = contains(pts).astype(float).reshape(size, size)
 
     def m(ki, kj):
-        nonlocal table
         i, j = np.asarray(ki) - lo, np.asarray(kj) - lo
         if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= size:
             raise ValueError(f"mode outside the {size}-point grid")
-        if table is None:
-            ks = np.arange(lo, lo + size) * (scale / size)
-            pts = np.stack([np.repeat(ks, size), np.tile(ks, size)], axis=1)
-            table = contains(pts).astype(float).reshape(size, size)
         return table[i, j]
     return m

@@ -358,7 +358,7 @@ def band_noise(n: int, length: float, band: float, rng) -> GridFunction:
     be a constant (or, normalized, all NaN), and every identity a run
     checks on it would hold vacuously.
     """
-    ks = np.sort(GridFunction.zeros(n, length).freqs())  # the draws' order
+    ks = np.arange(-(n // 2), n // 2)  # the draws go in ascending frequency
     live = np.abs(ks / length) <= band
     if not np.any(live & (ks != 0)):
         raise ValueError(f"band {band:g} holds no nonzero mode on a domain "
@@ -397,10 +397,8 @@ def restricted_input(n: int, length: float, spans,
     for a, b in spans:
         pa = np.exp(-2j * np.pi * ks * (a / length))
         pb = np.exp(-2j * np.pi * ks * (b / length))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(ks == 0, (b - a) / length,
-                            (pa - pb) / (2j * np.pi * np.where(ks == 0, 1, ks)))
-        chi += term
+        chi += np.where(ks == 0, (b - a) / length,
+                        (pa - pb) / (2j * np.pi * np.where(ks == 0, 1, ks)))
     return GridFunction.from_spectrum(length * chi * (kern.transform / n), length)
 
 

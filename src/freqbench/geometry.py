@@ -614,11 +614,9 @@ class PolygonPartition:
         ``weights``, if given, is the points' :meth:`member_weights`."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ids, owners, eta = weights or self.member_weights(pts)
-        denom = np.zeros(len(pts))
-        np.add.at(denom, owners, eta)
-        psum = np.zeros(len(pts))
-        np.add.at(psum, owners, eta / denom[owners])
-        return psum
+        denom = np.bincount(owners, weights=eta, minlength=len(pts))
+        return np.bincount(owners, weights=eta / denom[owners],
+                           minlength=len(pts))
 
     def shrink_misses(self, pts, weights=None) -> int:
         """Number of points that no member's alpha-shrink covers."""

@@ -7,26 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqbench.bilinear as B
+import freqbench.experiments as ex
 import freqbench.geometry as G
 from freqbench.grid import GridFunction
+from noise import band_noise
 
 RNG = np.random.default_rng
 SCALE = 4.0   # polygon coordinate 1 at mode n/4
-
-
-def bandlimited(n, band, rng, real=False):
-    """Random function with spectrum supported in |k| <= band."""
-    c = np.zeros(n, dtype=complex)
-    ks = GridFunction.zeros(n).freqs()
-    up = np.argsort(ks)  # the draws go to ascending frequencies
-    sel = up[np.abs(ks[up]) <= band]
-    c[sel] = rng.standard_normal(sel.size) + 1j * rng.standard_normal(sel.size)
-    if real:
-        # enforce conjugate symmetry c_{-k} = conj(c_k)
-        for k in range(1, band + 1):
-            c[ks == -k] = np.conj(c[ks == k])
-        c[ks == 0] = c[ks == 0].real
-    return GridFunction.from_spectrum(c)
 
 
 def modulate(f, shift):
@@ -53,8 +40,8 @@ def trilinear(f, g, h, symbol):
 
 class TestProductSymbol:
     def test_reproduces_product_band_limited(self):
-        f = bandlimited(128, 10, RNG(0))
-        g = bandlimited(128, 10, RNG(1))
+        f = band_noise(128, 10, RNG(0))
+        g = band_noise(128, 10, RNG(1))
         out, rep = B.bilinear_apply(f, g, B.unit_symbol)
         assert np.abs(out.values - (f * g).values).max() < 1e-12
         assert rep.wrapped_mass == 0.0
@@ -71,7 +58,7 @@ class TestProductSymbol:
 
     def test_empty_input(self):
         f = GridFunction.zeros(32)
-        g = bandlimited(32, 3, RNG(3))
+        g = band_noise(32, 3, RNG(3))
         out, rep = B.bilinear_apply(f, g, B.unit_symbol)
         assert np.abs(out.values).max() == 0.0
         assert rep.pairs == 0
@@ -91,8 +78,8 @@ class TestSignSymbol:
         assert rep.wrapped_mass == 0.0
 
     def test_real_inputs_real_output(self):
-        f = bandlimited(128, 8, RNG(4), real=True)
-        g = bandlimited(128, 8, RNG(5), real=True)
+        f = band_noise(128, 8, RNG(4), real=True)
+        g = band_noise(128, 8, RNG(5), real=True)
         assert np.abs(f.values.imag).max() < 1e-13
         out, _ = B.bilinear_apply(f, g, B.halfplane_sign_symbol(2))
         assert np.abs(out.values.imag).max() < 1e-12
@@ -104,9 +91,9 @@ class TestSignSymbol:
         # jointly modulating the inputs and compensating the output
         # leaves the trilinear form unchanged
         n = 256
-        f = bandlimited(n, 6, RNG(6))
-        g = bandlimited(n, 6, RNG(7))
-        h = bandlimited(n, 40, RNG(8))
+        f = band_noise(n, 6, RNG(6))
+        g = band_noise(n, 6, RNG(7))
+        h = band_noise(n, 40, RNG(8))
         sym = B.halfplane_sign_symbol(s)
         base = trilinear(f, g, h, sym)
         shifted = trilinear(
@@ -150,21 +137,9 @@ class TestQuadratureTwin:
         assert abs(at_k) < 1e-12
         assert fold == pytest.approx(base, abs=1e-13)
 
-    def test_irrational_slope_converges_to_periodized_symbol(self):
-        # at non-integer offsets the quadrature is K-stable but its limit
-        # is the periodized kernel's own symbol, not i*pi*sign: the twin
-        # certifies the sign symbol only at integer offsets
-        s = np.sqrt(2.0)
-        ki = np.array([[5]])
-        kj = np.array([[2]])
-        vals = [B.pv_cotangent_symbol(s, k)(ki, kj)[0, 0]
-                for k in (4096, 16384)]
-        assert abs(vals[1] - vals[0]) < 1e-6          # converged
-        assert abs(vals[1] - 1j * np.pi) > 1e-3       # to a different value
-
     def test_matches_sign_symbol_on_pair(self):
-        f = bandlimited(128, 8, RNG(9))
-        g = bandlimited(128, 8, RNG(10))
+        f = band_noise(128, 8, RNG(9))
+        g = band_noise(128, 8, RNG(10))
         fast, _ = B.bilinear_apply(f, g, B.halfplane_sign_symbol(2))
         slow, _ = B.bilinear_apply(f, g, B.pv_cotangent_symbol(2, 100_000))
         rel = (fast - slow).norm() / max(fast.norm(), 1e-300)
@@ -202,18 +177,18 @@ class TestQuadratureTwin:
                                                np.array([[0]]))[:, 0]
         assert np.abs(got - expect).max() < 1e-14
 
-    def test_half_integer_slope_mixes_both_paths(self):
-        # slope 1/2 gives integer theta at even ki and half-integers at odd
-        # ki; both must equal the node-by-node sum
-        nodes = 2048
+    def test_refuses_non_integer_offsets(self):
+        # the quadrature is certified only where theta = slope*ki - kj is
+        # an integer; elsewhere it tends to the periodized kernel's own
+        # symbol, 1e-3 off the sign, so it refuses to answer there
         ki = np.arange(-6, 7)[:, None]
         kj = np.arange(-4, 5)[None, :]
-        got = B.pv_cotangent_symbol(0.5, nodes)(ki, kj)
-        t = (np.arange(nodes // 2) + 0.5) / nodes
-        w = (2.0 / nodes) * np.pi / np.tan(np.pi * t)
-        theta = (0.5 * ki - kj).ravel()
-        direct = 1j * (np.sin(2 * np.pi * theta[:, None] * t[None, :]) @ w)
-        assert np.abs(got.ravel() - direct).max() < 1e-12
+        for slope in (np.sqrt(2.0), 0.5):   # 0.5: integer theta at even ki
+            with pytest.raises(ValueError, match="integer"):
+                B.pv_cotangent_symbol(slope, 2048)(ki, kj)
+        got = B.pv_cotangent_symbol(2.0, 2048)(ki, kj)
+        assert np.array_equal(got, B.pv_cotangent_symbol(2, 2048)(ki, kj))
+        assert np.abs(got - B.halfplane_sign_symbol(2)(ki, kj)).max() < 1e-12
 
 
 class TestRegionSymbol:
@@ -274,10 +249,31 @@ class TestRegionSymbol:
 
 class TestTrilinearForm:
     def test_unit_symbol_is_plain_integral(self):
-        f = bandlimited(64, 5, RNG(11))
-        g = bandlimited(64, 5, RNG(12))
-        h = bandlimited(64, 20, RNG(13))
+        f = band_noise(64, 5, RNG(11))
+        g = band_noise(64, 5, RNG(12))
+        h = band_noise(64, 20, RNG(13))
         out, rep = B.bilinear_apply(f, g, B.unit_symbol)
         direct = (f * g * h).integral()
         assert (out * h).integral() == pytest.approx(direct, abs=1e-12)
         assert rep.wrapped_mass == 0.0
+
+
+def test_modes_are_found_without_sorting(monkeypatch):
+    # the FFT layout gives the ascending order of the modes in closed
+    # form, so the inputs, every symbol and the apply run with numpy's
+    # sorts refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modes were sorted")
+
+    n = 128
+    polygon = G.LacunaryPolygon(8)
+    for name in ("sort", "argsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    f = ex.band_noise(n, 1.0, n / 8, RNG(0))
+    g = ex.restricted_input(n, 1.0, [(0.1, 0.3), (0.5, 0.55)], 0.0625)
+    symbols = (B.unit_symbol, B.halfplane_sign_symbol(2),
+               B.pv_cotangent_symbol(2, 4 * n + 2),
+               B.region_symbol(polygon.contains, n, SCALE))
+    for symbol in symbols:
+        out, report = B.bilinear_apply(f, g, symbol)
+        assert report.pairs > 0 and np.isfinite(out.values).all()

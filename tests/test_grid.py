@@ -14,6 +14,7 @@ from freqbench.grid import (
     smooth_ramp,
 )
 from freqbench.paraproduct import _annuli, _balls, pk, qk
+from noise import ascending, band_noise
 
 
 def random_gridfunction(rng, size=128, length=1.0):
@@ -51,9 +52,9 @@ class TestSpectrum:
         # twice as fine
         rng = np.random.default_rng(5)
         ks = GridFunction.zeros(64).freqs()
-        up = np.argsort(ks)
         c = np.zeros(64, dtype=complex)
-        c[up[(ks[up] >= -8) & (ks[up] < 8)]] = rng.standard_normal(16)
+        up = ascending(64)
+        c[up[(up >= -8) & (up < 8)] % 64] = rng.standard_normal(16)
         f = GridFunction.from_spectrum(c, length=1.0)
         big = np.zeros(128, dtype=complex)
         fine = GridFunction.zeros(128).freqs()
@@ -277,15 +278,6 @@ class TestPositiveKernel:
             assert np.array_equal(row, convolve(want, k))
 
 
-def band_noise(rng, size, band, length=1.0):
-    coeffs = np.zeros(size, dtype=complex)
-    ks = GridFunction.zeros(size).freqs()
-    up = np.argsort(ks)  # the draws go to ascending frequencies
-    live = up[np.abs(ks[up] / length) <= band]
-    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
-    return GridFunction.from_spectrum(coeffs, length)
-
-
 def mode(k, size, amp=1.0):
     coeffs = np.zeros(size, dtype=complex)
     coeffs[GridFunction.zeros(size).freqs() == k] = amp
@@ -307,7 +299,7 @@ class TestBank:
 
     def test_annulus_rows_match_per_band_projections(self):
         rng = np.random.default_rng(50)
-        f = band_noise(rng, 1024, 250.0) + mode(400, 1024)
+        f = band_noise(1024, 250.0, rng) + mode(400, 1024)
         ks = list(range(-1, self.K + 3))
         bank = f.bank(_annuli(f, ks))
         assert bank.shape == (len(ks), 1024)
@@ -317,7 +309,7 @@ class TestBank:
 
     def test_ball_rows_match_per_band_projections(self):
         rng = np.random.default_rng(51)
-        f = band_noise(rng, 1024, 250.0) + mode(400, 1024)
+        f = band_noise(1024, 250.0, rng) + mode(400, 1024)
         ks = list(range(-1, self.K + 3))
         bank = f.bank(_balls(f, ks))
         for row, k in zip(bank, ks):
@@ -327,7 +319,7 @@ class TestBank:
     @pytest.mark.parametrize("size", [512, 1024, 4096])
     def test_smooth_window_rows_match_one_row_round_trips(self, size):
         rng = np.random.default_rng(size)
-        f = band_noise(rng, size, size / 5, length=32.0)
+        f = band_noise(size, size / 5, rng, 32.0)
         for rows in (1, 2, 3, 17):
             windows = rng.uniform(-1.0, 1.0, (rows, size))
             bank = f.bank(windows)

@@ -15,17 +15,9 @@ from freqbench.paraproduct import (
     qk,
     telescoping_decompose,
 )
+from noise import band_noise
 
 N, L = 1024, 1.0
-
-
-def noise(band, rng, n=N):
-    coeffs = np.zeros(n, dtype=complex)
-    ks = GridFunction.zeros(n, L).freqs()
-    up = np.argsort(ks)  # the draws go to ascending frequencies
-    live = up[np.abs(ks[up] / L) <= band]
-    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
-    return GridFunction.from_spectrum(coeffs, L)
 
 
 def mode(k, n=N, amp=1.0):
@@ -48,7 +40,7 @@ class TestBandProjections:
 
     def test_ball_is_mean_plus_annuli(self):
         rng = np.random.default_rng(1)
-        f = noise(200.0, rng)
+        f = band_noise(N, 200.0, rng, L)
         for k in (3, 6, 8):
             acc = pk(f, -1)  # the ball |xi| <= 1/2 holds only the zero mode
             for el in range(0, k + 1):
@@ -57,13 +49,13 @@ class TestBandProjections:
 
     def test_annuli_disjoint_and_idempotent(self):
         rng = np.random.default_rng(2)
-        f = noise(200.0, rng)
+        f = band_noise(N, 200.0, rng, L)
         assert np.abs(qk(qk(f, 5), 5).values - qk(f, 5).values).max() < 1e-12
         assert np.abs(qk(qk(f, 5), 6).values).max() < 1e-13
 
     def test_parseval_over_bands(self):
         rng = np.random.default_rng(3)
-        f = noise(500.0, rng)
+        f = band_noise(N, 500.0, rng, L)
         total = pk(f, -1).norm() ** 2
         for k in range(0, 10):
             total += qk(f, k).norm() ** 2
@@ -71,7 +63,7 @@ class TestBandProjections:
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(4)
-        f, g = noise(100.0, rng), noise(100.0, rng)
+        f, g = band_noise(N, 100.0, rng, L), band_noise(N, 100.0, rng, L)
         assert inner(qk(f, 5), g) == pytest.approx(inner(f, qk(g, 5)),
                                                  rel=1e-12)
 
@@ -162,7 +154,7 @@ class TestBandBank:
 
     def test_pp_apply_matches_per_band_loop(self):
         rng = np.random.default_rng(52)
-        f, g = noise(250.0, rng), noise(250.0, rng)
+        f, g = band_noise(N, 250.0, rng, L), band_noise(N, 250.0, rng, L)
         want = GridFunction.zeros(N, L)
         for d in range(0, (self.K - 1) // 2 + 1):
             piece = (old_qk(f, self.K - 2 * d).values
@@ -172,7 +164,7 @@ class TestBandBank:
 
     def test_max_martingale_matches_per_band_loop(self):
         rng = np.random.default_rng(53)
-        psi = noise(400.0, rng)
+        psi = band_noise(N, 400.0, rng, L)
         kmax = self.K + 1
         a = rng.choice([-1.0, 1.0], size=kmax + 1)
         acc = np.zeros(N, dtype=complex)
@@ -187,7 +179,7 @@ class TestBandBank:
 class TestParaproduct:
     def test_constant_second_input(self):
         rng = np.random.default_rng(5)
-        f = noise(250.0, rng)
+        f = band_noise(N, 250.0, rng, L)
         g = GridFunction(np.full(N, 2.5, dtype=complex), L)
         want = GridFunction.zeros(N, L)
         for d in range(0, 4):
@@ -209,7 +201,7 @@ class TestParaproduct:
         # pairing against h equals the sum with h cut to the one-coarser
         # ball, because each summand's spectrum fits inside it
         rng = np.random.default_rng(6)
-        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
         K = 8
         lhs = complex(np.sum(pp_apply(f, g, K).values * h.values) * f.dx)
         rhs = 0.0j
@@ -224,14 +216,14 @@ class TestTelescoping:
     def test_residual_is_roundoff_on_random_triples(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            f, g, h = (noise(250.0, rng) for _ in range(3))
+            f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
             out = telescoping_decompose(f, g, h, kbits=8)
             assert not out["truncated"]
             assert out["residual"] <= 1e-10 * out["scale"]
 
     def test_zero_first_input(self):
         rng = np.random.default_rng(30)
-        g, h = noise(250.0, rng), noise(250.0, rng)
+        g, h = band_noise(N, 250.0, rng, L), band_noise(N, 250.0, rng, L)
         out = telescoping_decompose(GridFunction.zeros(N, L), g, h, kbits=8)
         for key in ("forward", "swap_g", "swap_h", "diag_same", "diag_down",
                     "diag_up", "pairing"):
@@ -239,15 +231,15 @@ class TestTelescoping:
 
     def test_naive_ranges_leave_macroscopic_defect(self):
         rng = np.random.default_rng(31)
-        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
         out = telescoping_decompose(f, g, h, kbits=8)
         assert out["residual"] <= 1e-10 * out["scale"]
         assert out["naive_residual"] > 1e-4 * out["scale"]
 
     def test_out_of_band_input_is_clipped_and_flagged(self):
         rng = np.random.default_rng(32)
-        f = noise(250.0, rng) + mode(400)  # above the 2**8 ball
-        g, h = noise(250.0, rng), noise(250.0, rng)
+        f = band_noise(N, 250.0, rng, L) + mode(400)  # above the 2**8 ball
+        g, h = band_noise(N, 250.0, rng, L), band_noise(N, 250.0, rng, L)
         out = telescoping_decompose(f, g, h, kbits=8)
         assert out["truncated"]
         assert out["residual"] <= 1e-10 * out["scale"]
@@ -256,7 +248,7 @@ class TestTelescoping:
         # pairing a band of the second input and the far tail of the first
         # against h only sees the three adjacent bands of h
         rng = np.random.default_rng(33)
-        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
         K = 8
         dg = [qk(g, K - e) for e in range(K + 1)]
         dh = [qk(h, K - e) for e in range(K + 1)]
@@ -283,7 +275,7 @@ class TestTelescoping:
     @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
     def test_truncated_is_relative_to_input_size(self, scale):
         rng = np.random.default_rng(34)
-        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
         f = f / f.norm() * scale  # in band: only roundoff leaves the ball
         assert not telescoping_decompose(f, g, h, kbits=8)["truncated"]
         out = telescoping_decompose(f + mode(400, amp=scale), g, h, kbits=8)
@@ -294,7 +286,7 @@ class TestTelescoping:
         for kbits in range(1, 13):
             band = min(0.9 * 2 ** kbits, n / 2 - 1)
             rng = np.random.default_rng(kbits)
-            f, g, h = (noise(band, rng, n=n) for _ in range(3))
+            f, g, h = (band_noise(n, band, rng, L) for _ in range(3))
             triples = [(f, g, h), (GridFunction.zeros(n, L), g, h)]
             if 2 ** kbits + 2 < n // 2:  # a mode the clip must remove
                 triples.append((f + mode(2 ** kbits + 2, n=n), g, h))
@@ -314,7 +306,7 @@ class TestTelescoping:
 
         monkeypatch.setattr(GridFunction, "bank", counting_bank)
         rng = np.random.default_rng(35)
-        f, g, h = (noise(250.0, rng) for _ in range(3))
+        f, g, h = (band_noise(N, 250.0, rng, L) for _ in range(3))
         telescoping_decompose(f, g, h, kbits)
         # f, g and h, then pp_apply's f and g
         assert rows == [len(_depth_range(kbits))] * 5
@@ -323,7 +315,7 @@ class TestTelescoping:
 class TestSquareAndMartingale:
     def test_unit_coefficients_give_ball_remainders(self):
         rng = np.random.default_rng(40)
-        psi = noise(400.0, rng)
+        psi = band_noise(N, 400.0, rng, L)
         kmax = 10
         got = max_martingale(np.ones(kmax + 1), psi, kmax)
         best = np.zeros(N)
@@ -333,7 +325,7 @@ class TestSquareAndMartingale:
 
     def test_triangle_bound(self):
         rng = np.random.default_rng(41)
-        psi = noise(400.0, rng)
+        psi = band_noise(N, 400.0, rng, L)
         kmax = 10
         a = rng.uniform(-1, 1, size=kmax + 1)
         got = max_martingale(a, psi, kmax).values.real
@@ -344,7 +336,7 @@ class TestSquareAndMartingale:
 
     def test_short_coefficients_rejected(self):
         rng = np.random.default_rng(42)
-        psi = noise(100.0, rng)
+        psi = band_noise(N, 100.0, rng, L)
         with pytest.raises(ValueError):
             max_martingale(np.ones(3), psi, kmax=8)
 

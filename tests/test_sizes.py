@@ -36,6 +36,7 @@ from freqbench.timefreq import (
     maximal_trees,
     operator_intervals,
 )
+from noise import band_noise
 
 SLOPE = 1.125
 # the config defaults of order, support factor and weight power, of the
@@ -47,19 +48,6 @@ THETAS = (1.0, 0.7, 0.7)
 # families' c0), and of span_bits and scale_bits (the tree top pool)
 FAMILY = (4, 0.5)
 BITS = (6, 4)
-
-
-def band_noise(n, length, band, rng, normalize="l2"):
-    """Random trigonometric polynomial with modes confined to |xi| <= band."""
-    coeffs = np.zeros(n, dtype=complex)
-    ks = GridFunction.zeros(n, length).freqs()
-    up = np.argsort(ks)  # the draws go to ascending frequencies
-    live = up[np.abs(ks[up] / length) <= band]
-    coeffs[live] = rng.normal(size=live.size) + 1j * rng.normal(size=live.size)
-    f = GridFunction.from_spectrum(coeffs, length)
-    if normalize == "l2":
-        return f / f.norm()
-    return f / np.abs(f.values).max()
 
 
 def span(tiles, j):
@@ -182,7 +170,7 @@ class TestTileSeminorm:
 
     def test_cache_is_consumed(self):
         rng = np.random.default_rng(5)
-        f = band_noise(512, 32.0, 6.0, rng)
+        f = band_noise(512, 6.0, rng, 32.0, norm=2)
         sizer = TreeSizer(f, unit_tiles(0), SLOPE, *SIZE)
         first = sizer.tile_seminorm(0, 1, 0.125)
         key = (0, 1, 0.125)
@@ -217,7 +205,7 @@ class TestFilterCache:
         for seed, order, support, power in ((0, 5, 1.5, 10), (3, 4, 1.2, 4)):
             rng = np.random.default_rng(seed + 70)
             tiles = compact_family(seed, *FAMILY)
-            f = band_noise(512, 32.0, 7.5, rng)
+            f = band_noise(512, 7.5, rng, 32.0, norm=2)
             sizer = TreeSizer(f, tiles, SLOPE, order, support, power)
             ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
             for tree in maximal_trees(tiles, *BITS):
@@ -273,7 +261,8 @@ class TestFilterCache:
         # equals the one from a weight row of the top alone, bit for bit
         for seed in range(4):
             tiles = compact_family(seed, *FAMILY)
-            f = band_noise(512, 32.0, 7.5, np.random.default_rng(seed + 90))
+            f = band_noise(512, 7.5, np.random.default_rng(seed + 90), 32.0,
+                           norm=2)
             sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
             for tree in maximal_trees(tiles, *BITS):
                 for i in range(3):
@@ -295,7 +284,7 @@ class TestFilterCache:
 class TestTreeSize:
     def test_singleton_matches_two_term_formula(self):
         rng = np.random.default_rng(9)
-        f = band_noise(512, 32.0, 6.0, rng)
+        f = band_noise(512, 6.0, rng, 32.0, norm=2)
         tiles = unit_tiles(4)
         top = tiles.own_top(0)
         tree = Tree(top, np.array([0]))
@@ -310,7 +299,7 @@ class TestTreeSize:
 
     def test_more_members_never_shrink_a_tree(self):
         rng = np.random.default_rng(11)
-        f = band_noise(512, 32.0, 6.0, rng)
+        f = band_noise(512, 6.0, rng, 32.0, norm=2)
         tiles = unit_tiles(2, 7)
         top = (tiles.own_top(0)[0], 0.0, 8.0)
         sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
@@ -321,7 +310,7 @@ class TestTreeSize:
     def test_collection_size_dominates_selected_trees(self):
         tiles = compact_family(3, *FAMILY)
         rng = np.random.default_rng(33)
-        f = band_noise(512, 32.0, 7.5, rng)
+        f = band_noise(512, 7.5, rng, 32.0, norm=2)
         sizer = TreeSizer(f, tiles, SLOPE, *SIZE)
         total = sizer.collection_size(2, maximal_trees(tiles, *BITS))
         for tree in greedy_select(tiles, *BITS):
@@ -509,7 +498,7 @@ class TestBatchedRows:
         # tree_size fills its uncached members from one weight array; a
         # fresh sizer asked tile by tile gives the same seminorms
         tiles = compact_family(5, *FAMILY)
-        f = band_noise(512, 32.0, 7.5, np.random.default_rng(44))
+        f = band_noise(512, 7.5, np.random.default_rng(44), 32.0, norm=2)
         batched = TreeSizer(f, tiles, SLOPE, *SIZE)
         single = TreeSizer(f, tiles, SLOPE, *SIZE)
         for tree in maximal_trees(tiles, *BITS):
@@ -561,7 +550,8 @@ class TestTreeSizesBatch:
                             counted("bank", GridFunction.bank))
         for seed in range(8):
             tiles = compact_family(seed, *FAMILY)
-            f = band_noise(512, 32.0, 7.5, np.random.default_rng(seed + 60))
+            f = band_noise(512, 7.5, np.random.default_rng(seed + 60), 32.0,
+                           norm=2)
             ops = operator_intervals(tiles.side, tiles.centers, SLOPE)
             trees = maximal_trees(tiles, *BITS)
             batched = TreeSizer(f, tiles, SLOPE, *SIZE)
@@ -586,7 +576,8 @@ class TestTreeSizesBatch:
 class TestModelSum:
     def make_inputs(self, seed, band=7.5):
         rng = np.random.default_rng(seed)
-        return tuple(band_noise(512, 32.0, band, rng) for _ in range(3))
+        return tuple(band_noise(512, band, rng, 32.0, norm=2)
+                     for _ in range(3))
 
     def test_matches_uncached_reference(self):
         # one round trip per cube component and one convolve per tile,
@@ -641,7 +632,7 @@ class TestSingleTreeAudit:
         for seed in (0, 2, 6):
             tiles = compact_family(seed, *FAMILY)
             rng = np.random.default_rng(seed + 900)
-            fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
+            fs = tuple(band_noise(512, 7.5, rng, 32.0, norm=np.inf)
                        for _ in range(3))
             tree = self.largest_tree(tiles)
             lhs, rhs = audit(fs, tiles, tree)
@@ -654,7 +645,7 @@ class TestSingleTreeAudit:
         # sides identically, so the ratio is exactly stable
         tiles = compact_family(1, *FAMILY)
         rng = np.random.default_rng(901)
-        fs = list(band_noise(512, 32.0, 7.5, rng, normalize="sup")
+        fs = list(band_noise(512, 7.5, rng, 32.0, norm=np.inf)
                   for _ in range(3))
         tree = self.largest_tree(tiles)
         lhs, rhs = audit(tuple(fs), tiles, tree)
@@ -668,7 +659,8 @@ class TestSingleTreeAudit:
         for seed in range(8):
             tiles = compact_family(seed, *FAMILY)
             rng = np.random.default_rng(seed + 910)
-            fs = tuple(band_noise(512, 32.0, 7.5, rng) for _ in range(3))
+            fs = tuple(band_noise(512, 7.5, rng, 32.0, norm=2)
+                       for _ in range(3))
             tree = self.largest_tree(tiles)
             own = model_sum(fs, tiles.take(tree.members), SLOPE, SIZE[0],
                             BLUR)
@@ -696,7 +688,7 @@ class TestSingleTreeAudit:
         bits = (6, 5)
         tiles = compact_family(0, bits[1], FAMILY[1])
         rng = np.random.default_rng(902)
-        fs = tuple(band_noise(512, 32.0, 7.5, rng, normalize="sup")
+        fs = tuple(band_noise(512, 7.5, rng, 32.0, norm=np.inf)
                    for _ in range(3))
         tree = max(greedy_select(tiles, *bits), key=lambda t: len(t.members))
         members = tiles.take(tree.members)
