@@ -202,8 +202,6 @@ class LacunaryPolygon:
             batch = max(4 * need, 256)
             pts = rng.uniform(-1.0, 1.0, size=(batch, 2))
             pts = pts[self.contains(pts, tol=0.0)]
-            if len(pts) == 0:
-                continue
             dist = self.edge_distances(pts)
             keep = np.all(dist > guards[None, :], axis=1)
             pts = pts[keep]
@@ -601,8 +599,6 @@ class PolygonPartition:
         """Raw bump values: (member ids, point ids, eta) triples, sparse."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ids, owners = self._candidates(pts)
-        if len(ids) == 0:
-            return ids, owners, np.array([])
         tx = (pts[owners, 0] - self.cx[ids]) / self.hx[ids]
         ty = (pts[owners, 1] - self.cy[ids]) / self.hy[ids]
         eta = plateau_profile(tx, self.alpha) * plateau_profile(ty, self.alpha)

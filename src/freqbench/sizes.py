@@ -29,7 +29,8 @@ import math
 import numpy as np
 
 from .grid import GridFunction, convolve, maximal_average, shared_kernel
-from .timefreq import Family, Tree, maximal_trees, operator_intervals
+from .timefreq import (Family, Tree, maximal_trees, operator_intervals,
+                       shear)
 
 LEVEL = 0.95            # sup of every multiplier of :func:`multiplier_family`
 MIN_WIDTH_CELLS = 4.0   # floor of the cutoff mollifier's width, in cells
@@ -37,13 +38,9 @@ MAX_LAYER = 12          # deepest 4**l-fold dilate :func:`layer_split` tries
 MODEL_SUPPORT = 1.2     # support factor of the model sum's projections
 
 
-def _shear_factor(i: int, slope: float) -> float:
-    return (1.0, slope, -(1.0 + slope))[i]
-
-
 def top_frequency(top: tuple, i: int, slope: float) -> float:
     """Marked frequency of component i for a tree top (zeta, lo, hi)."""
-    return _shear_factor(i, slope) * top[0]
+    return shear(slope)[i] * top[0]
 
 
 def top_interval(top: tuple, i: int, slope: float,
@@ -54,7 +51,7 @@ def top_interval(top: tuple, i: int, slope: float,
     marked frequency; tops longer than the circle saturate at the circle
     length.
     """
-    w = abs(_shear_factor(i, slope)) / min(top[2] - top[1], circle)
+    w = abs(shear(slope)[i]) / min(top[2] - top[1], circle)
     c = top_frequency(top, i, slope)
     return c - 0.5 * w, c + 0.5 * w
 

@@ -11,12 +11,13 @@ hashable float tuple ``(zeta, lo, hi)``: an anchor frequency over a dyadic
 interval.  A :class:`Tree` is a top plus an index array into its family, in
 family order.
 
-Around each cube component we grow a *halo*: an interval slightly larger than
-the thousandfold dilate of the component.  Halos are what every ordering,
+Around each cube component we put a *halo*: the thousandfold dilate of the
+component, one quantum wider at each end.  Halos are what every ordering,
 tree and selection rule below consumes.  The module enforces, by explicit
 exhaustive checking, the one geometric fact everything else leans on: when a
 ten-fold stretched halo of a smaller cube meets a halo of a larger cube, all
-three stretched halos of the smaller cube land inside that same halo.
+three stretched halos of the smaller cube land inside that same halo.  A cube
+set whose halos break it is refused, never repaired.
 
 Contents:
 
@@ -46,14 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Halo geometry constants.  A halo contains the 1000-fold dilate of its cube
-# component and is at most one percent wider per side; tree tops use a halo
+# Halo geometry constants.  A halo is the 1000-fold dilate of its cube
+# component widened by side / ENDPOINT_QUANTUM per end; tree tops use a halo
 # of half that width around a single point.
 HALO_FACTOR = 1000
-HALO_SLACK = 10          # max widening per side, in units of the cube side
+HALO_SLACK = 10          # audited max widening per end, in cube sides
 HALO_STRETCH = 10        # stretch factor applied when comparing across scales
 TOP_RADIUS = HALO_FACTOR // 2
-ENDPOINT_QUANTUM = 256   # halo endpoints move in steps of side / 256
+ENDPOINT_QUANTUM = 256   # a halo end sits side / 256 beyond the dilate
 
 #: forest level that collects the tiles no size threshold ever selects
 SINK_LEVEL = 60
@@ -139,18 +140,19 @@ class Family:
                       renumber[self.cube[idx]])
 
 
+def shear(slope: float) -> tuple[float, float, float]:
+    """Factors of the map t -> (t, slope*t, -(1+slope)*t), one per
+    component; the three frequencies sum to zero along the diagonal."""
+    return 1.0, slope, -(1.0 + slope)
+
+
 def operator_intervals(side: np.ndarray, centers: np.ndarray,
                        slope: float) -> np.ndarray:
-    """Images of the cube components under t -> (t, slope*t, -(1+slope)*t),
-    as (c, 3, 2) rows (lo, hi).
-
-    Component widths come out in the ratio 1 : slope : 1+slope, matching the
-    anisotropy of the directional model operators; the third factor flips
-    orientation so the three frequencies sum to zero along the diagonal.
-    """
-    out = _components(side, centers)
-    out[:, 1] = slope * out[:, 1]
-    out[:, 2] = -(1.0 + slope) * out[:, 2, ::-1]
+    """Images of the cube components under :func:`shear`, as (c, 3, 2)
+    rows (lo, hi).  Widths come out in the ratio 1 : slope : 1+slope,
+    matching the anisotropy of the directional model operators."""
+    out = _components(side, centers) * np.array(shear(slope))[:, None]
+    out[:, 2] = out[:, 2, ::-1]     # the negative factor swaps the ends
     return out
 
 
@@ -205,58 +207,19 @@ def diagonal_clearance_violations(side: np.ndarray, centers: np.ndarray,
             for q, k in zip(*np.nonzero(flags))]
 
 class HaloError(ValueError):
-    """Raised when no admissible halo assignment exists within the budget."""
+    """Raised when the halos of a cube family break the nesting property."""
 
 
 def build_halos(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Assign to each cube three halos with the cross-scale nesting property.
 
-    Each halo starts one quantum beyond the 1000-fold component dilate and
-    may grow by at most HALO_SLACK sides per endpoint, in quantized steps.
-    Cubes are processed by increasing side; a halo endpoint of a larger cube
-    that would cut through the stretched-halo hull of a smaller cube is
-    pushed outward past it, smaller cubes taken in processing order.
-    Returns the (c, 3, 2) halos; raises :class:`HaloError` when the
-    one-percent budget cannot resolve a cut.
+    Each halo is the 1000-fold component dilate widened by one quantum
+    (side / ENDPOINT_QUANTUM) per endpoint.  Returns the (c, 3, 2) halos
+    when :func:`halo_violations` passes them, and raises :class:`HaloError`
+    naming the first violation otherwise; no endpoint is ever moved.
     """
-    halos = np.empty(centers.shape + (2,))
-    done = []   # (side, stretched halos, hull lo, hull hi) of processed cubes
-    for q in np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0], side)):
-        s = float(side[q])
-        quantum = s / ENDPOINT_QUANTUM
-        base = HALO_FACTOR / 2 * s + quantum
-        budget = HALO_SLACK * s - quantum
-        smaller = [d[1:] for d in done if d[0] < s]
-        for i, c in enumerate(centers[q].tolist()):
-            lo, hi = c - base, c + base
-            # push endpoints off every smaller cube's stretched hull
-            for _ in range(3 * len(done) + 1):
-                moved = False
-                for stretched, hull_lo, hull_hi in smaller:
-                    if hull_hi < lo or hi < hull_lo or not any(
-                            a <= hi and lo <= b for a, b in stretched):
-                        continue
-                    if lo <= hull_hi and hull_lo <= lo:
-                        steps = math.ceil((lo - hull_lo) / quantum) + 1
-                        lo -= steps * quantum
-                        moved = True
-                    if hi >= hull_lo and hi <= hull_hi:
-                        steps = math.ceil((hull_hi - hi) / quantum) + 1
-                        hi += steps * quantum
-                        moved = True
-                if not moved:
-                    break
-            if (c - lo) - base > budget or (hi - c) - base > budget:
-                raise HaloError(f"halo budget exhausted for cube side {s} "
-                                f"component {i}")
-            halos[q, i] = lo, hi
-        # _scaled(halos[q], HALO_STRETCH) in floats, operation for operation
-        stretched = [(m - h, m + h) for m, h in
-                     ((0.5 * (a + b), 0.5 * HALO_STRETCH * (b - a))
-                      for a, b in halos[q].tolist())]
-        done.append((s, stretched, min(a for a, _ in stretched),
-                     max(b for _, b in stretched)))
-    # full audit; construction bugs surface here, not downstream
+    halos = _rows(centers,
+                  (HALO_FACTOR / 2 * side + side / ENDPOINT_QUANTUM)[:, None])
     bad = halo_violations(side, centers, halos)
     if bad:
         raise HaloError(f"halo nesting failed: {bad[0]}")

@@ -412,14 +412,13 @@ def top_row(top):
     return top.zeta, top.interval.lo, top.interval.hi
 
 
-# both generators at several seeds, plus hand-built cube sets: one whose
-# larger cube needs halo pushes at both ends of its components
+# both generators at several seeds, plus hand-built cube sets: the scalar
+# search pushes the halo ends of the larger cube of PUSHED at both ends
 FAMILIES = ([("cluster", s) for s in (0, 3, 8, 21, 40)]
             + [("compact", s) for s in (0, 1, 5, 6, 9, 13)])
 PUSHED = [diag_cube(1.0, -3047.0), diag_cube(16.0, 0.0),
           diag_cube(1.0, 3050.0, perm=(1, 0, 2)), diag_cube(256.0, 40000.0)]
-CUBE_SETS = {"pushed": PUSHED,
-             "hand": [diag_cube(1.0, 576.0), diag_cube(1.0, 640.0, 2.5),
+CUBE_SETS = {"hand": [diag_cube(1.0, 576.0), diag_cube(1.0, 640.0, 2.5),
                       diag_cube(16.0, 512.0), diag_cube(256.0, 0.0)]}
 
 
@@ -470,7 +469,7 @@ class TestScalarEquivalence:
         assert tile_rows(scalar_tiles(generated(name, seed))) == \
             tile_rows(old(seed))
 
-    @pytest.mark.parametrize("name", ["pushed", "hand", "cluster"])
+    @pytest.mark.parametrize("name", ["hand", "cluster"])
     def test_halo_endpoints_bitwise(self, name):
         if name == "cluster":
             fam = generated("cluster", 5)
@@ -482,10 +481,17 @@ class TestScalarEquivalence:
         old = S.build_halos(qs)
         assert [tuple(map(tuple, h)) for h in new.tolist()] == \
             [tuple((h.lo, h.hi) for h in old[q]) for q in qs]
-        if name == "pushed":
-            base = (500 * side + side / 256)[:, None]
-            assert (new[..., 0] != centers - base).any()
-            assert (new[..., 1] != centers + base).any()
+
+    def test_set_needing_pushes_is_refused(self):
+        # the scalar search moves halo ends here; the closed form moves
+        # none, so its halos cut a stretched hull and the audit refuses them
+        side, centers = cubes(*PUSHED)
+        with pytest.raises(HaloError, match="broken-nesting"):
+            build_halos(side, centers)
+        old = S.build_halos(scalar_cubes(side, centers))
+        base = (500 * side + side / 256)[:, None]
+        ends = np.array([[(h.lo, h.hi) for h in hs] for hs in old.values()])
+        assert (ends != np.stack([centers - base, centers + base], -1)).any()
 
     def test_halo_budget_failure_matches(self):
         qs = PUSHED[:2] + [diag_cube(1.0, 9000.0), diag_cube(256.0, 100.0)]
@@ -704,6 +710,40 @@ class TestWholeFamilyPasses:
                             cells=[0, 16 + 3])
         alone = (tiles.cube == 1)[None]
         assert footprint_violations(tiles, alone) == []
+
+    def test_halos_match_the_push_search_off_default(self, monkeypatch):
+        # every halo set the generators ask for, away from the default
+        # scale_bits and spread: the closed form builds the push search's
+        # halos bit for bit, or both refuse
+        closed = tf.build_halos
+        seen = set()
+
+        def both(side, centers):
+            try:
+                want = loop_build_halos(side, centers)
+            except HaloError:
+                want = None
+            try:
+                got = closed(side, centers)
+            except HaloError:
+                assert want is None
+                seen.add("refused")
+                raise
+            assert want is not None
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            seen.add("built")
+            return got
+
+        monkeypatch.setattr(tf, "build_halos", both)
+        for make in (cluster_family, compact_family):
+            for bits in (2, 4, 8, 16):
+                for spread in (0.25, 1.0, 4.0, 8.0):
+                    for seed in range(4):
+                        try:
+                            make(seed, bits, spread)
+                        except RuntimeError:
+                            pass
+        assert seen == {"built", "refused"}
 
     @pytest.mark.parametrize("name", ["cluster", "compact"])
     def test_generators_bitwise_against_loops(self, name, monkeypatch):
