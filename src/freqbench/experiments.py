@@ -194,9 +194,11 @@ _DOMAINS = {
     # shorter tops miss unit tiles; 2**1024 is no double
     "span_bits": (">= 0 and <= 1023", lambda v: 0 <= v <= 1023),
     # the Whitney offsets draw from [c0 + 0.5, 3 c0], empty below 0.25.
-    # Seeds 0-19 all give families from 0.25 to 4, fewer above
-    "clearance": (">= 0.25", lambda v: v >= 0.25),
-    "compact_spread": (">= 0.25", lambda v: v >= 0.25),
+    # Seeds 0-19 all give families from 0.25 to 4, fewer above.  Up to 32
+    # no drawn cube set needs halos wider than build_halos makes (a test
+    # checks every spread); from about 50 some do
+    "clearance": (">= 0.25 and <= 32", lambda v: 0.25 <= v <= 32),
+    "compact_spread": (">= 0.25 and <= 32", lambda v: 0.25 <= v <= 32),
     "slope": ("positive", lambda v: v > 0),
     "order": (">= 1", lambda v: v >= 1),
     # every symbol vanishes at 0, and the even bump takes -s for s

@@ -55,7 +55,7 @@ def valid_configs(draw):
         c0=st.just(c0), k0=finite(-60.0, 60.0),
         scale_bits=st.just(scale_bits),
         span_bits=st.integers(scale_bits if pooled else 0, 1023),
-        clearance=finite(0.25), compact_spread=finite(0.25),
+        clearance=finite(0.25, 32.0), compact_spread=finite(0.25, 32.0),
         slope=finite(0.0, 1e6, exclude_min=True),
         order=st.integers(1, 64),
         support_factor=finite(0.0, None, exclude_min=True),
@@ -607,6 +607,8 @@ OUT_OF_DOMAIN = [
     ("tiles", "clearance = -1"), ("tiles", "clearance = 0.24"),
     ("forest-bessel", "compact_spread = -1"),
     ("model-sum", "compact_spread = 0.2"),
+    # from about 50 drawn cube sets need wider halos; 32 is checked
+    ("tiles", "clearance = 33"), ("model-sum", "compact_spread = 32.5"),
     # compact families hold tiles longer than the pool's tops
     ("forest-bessel", "scale_bits = 7"),
     ("model-sum", "scale_bits = 5\nspan_bits = 4"),

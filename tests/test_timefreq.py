@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_timefreq as S
+from freqbench import experiments as ex
 from freqbench import timefreq as tf
 from freqbench.timefreq import (
     CLUSTER_SPACING,
@@ -413,7 +414,7 @@ def top_row(top):
 
 
 # both generators at several seeds, plus hand-built cube sets: the scalar
-# search pushes the halo ends of the larger cube of PUSHED at both ends
+# search pushes both ends of every halo of PUSHED's side-16 cube
 FAMILIES = ([("cluster", s) for s in (0, 3, 8, 21, 40)]
             + [("compact", s) for s in (0, 1, 5, 6, 9, 13)])
 PUSHED = [diag_cube(1.0, -3047.0), diag_cube(16.0, 0.0),
@@ -488,12 +489,17 @@ class TestScalarEquivalence:
         side, centers = cubes(*PUSHED)
         with pytest.raises(HaloError, match="broken-nesting"):
             build_halos(side, centers)
-        old = S.build_halos(scalar_cubes(side, centers))
+        qs = scalar_cubes(side, centers)
+        old = S.build_halos(qs)
         base = (500 * side + side / 256)[:, None]
-        ends = np.array([[(h.lo, h.hi) for h in hs] for hs in old.values()])
-        assert (ends != np.stack([centers - base, centers + base], -1)).any()
+        ends = np.array([[(h.lo, h.hi) for h in old[q]] for q in qs])
+        moved = ends != np.stack([centers - base, centers + base], -1)
+        assert moved[1].all() and not moved[[0, 2, 3]].any()
 
     def test_halo_budget_failure_matches(self):
+        # no budget is left to exhaust: the scalar search refuses because
+        # its pushes would pass the budget, the closed form because the
+        # audit fails
         qs = PUSHED[:2] + [diag_cube(1.0, 9000.0), diag_cube(256.0, 100.0)]
         side, centers = cubes(*qs)
         with pytest.raises(HaloError):
@@ -636,6 +642,56 @@ def loop_build_halos(side, centers):
     return halos
 
 
+# every Whitney spread 0.5 * round(2 u), u in [c0 + 0.5, 3 c0), that a
+# clearance or compact_spread up to the validator's bound can draw
+SPREAD_BOUND = 32.0
+SPREADS = np.arange(1, 6 * int(SPREAD_BOUND) + 2) * 0.5
+
+
+def planned_layouts(make, bits, monkeypatch):
+    """The distinct cube layouts a generator plans at scale_bits, as
+    (sides, centres) arrays with every Whitney offset zero."""
+    seen = set()
+
+    def record(plan, scale_bits, c0):
+        seen.add((tuple(plan[0]), tuple(c[0] for c in plan[1])))
+
+    monkeypatch.setattr(tf, "_whitney_offsets", lambda rng, c0: (0.0,) * 3)
+    monkeypatch.setattr(tf, "_closed_family", record)
+    for seed in range(4):
+        with pytest.raises(RuntimeError):
+            make(seed, bits, 1.0)
+    return [tuple(map(np.array, lay)) for lay in sorted(seen)]
+
+
+def push_needs(s, b, s2, b2):
+    """Where the push search would move an end of a halo of the larger cube
+    (side s2, centred at b2 before its offsets) for the smaller cube (s, b),
+    at every pair of spreads in SPREADS.  Returns two (smaller's spread,
+    larger's spread) masks: some end moves, and some end moves past the
+    budget (which the search refuses, as does the audit)."""
+    def halos(side, base):
+        d = np.stack([0 * SPREADS, SPREADS, -SPREADS], -1)
+        return tf._rows(base + d * side, tf.HALO_FACTOR / 2 * side
+                        + side / tf.ENDPOINT_QUANTUM)
+    st = _scaled(halos(s, b), tf.HALO_STRETCH)[:, None, None]
+    hull_lo, hull_hi = st[..., 0].min(-1), st[..., 1].max(-1)
+    ends = halos(s2, b2)
+    if not ((hull_lo.min() <= ends) & (ends <= hull_hi.max())).any():
+        return np.zeros((2, len(SPREADS), len(SPREADS)), bool)
+    lo, hi = np.moveaxis(ends[None], -1, 0)
+    meets = ((st[..., 0] <= hi[..., None])
+             & (lo[..., None] <= st[..., 1])).any(-1)
+    # the search moves an end that sits on the hull of a stretched halo
+    # set it meets, to one quantum past the hull
+    at_lo = meets & (hull_lo <= lo) & (lo <= hull_hi)
+    at_hi = meets & (hull_lo <= hi) & (hi <= hull_hi)
+    budget = tf.HALO_SLACK * s2
+    past = (at_lo & (lo - hull_lo > budget)) | \
+        (at_hi & (hull_hi - hi > budget))
+    return (at_lo | at_hi).any(-1), past.any(-1)
+
+
 def loop_footprint_count(tiles):
     """Footprint violations of one family, footprints by a boolean loop."""
     if not len(tiles):
@@ -737,13 +793,57 @@ class TestWholeFamilyPasses:
         monkeypatch.setattr(tf, "build_halos", both)
         for make in (cluster_family, compact_family):
             for bits in (2, 4, 8, 16):
-                for spread in (0.25, 1.0, 4.0, 8.0):
+                for spread in (0.25, 1.0, 4.0, 8.0, 16.0, SPREAD_BOUND):
                     for seed in range(4):
                         try:
                             make(seed, bits, spread)
                         except RuntimeError:
                             pass
         assert seen == {"built", "refused"}
+
+    def test_push_search_builds_past_the_spread_bound(self, monkeypatch):
+        # why the validator stops at 32: at clearance 64 the search moves
+        # halo ends to build a family whose closed-form halos are refused
+        monkeypatch.setattr(tf, "build_halos", loop_build_halos)
+        fam = cluster_family(0, 4, 64.0)
+        with pytest.raises(HaloError, match="broken-nesting"):
+            build_halos(fam.side, fam.centers)
+
+    @pytest.mark.parametrize("name", ["cluster", "compact"])
+    def test_no_admitted_spread_needs_a_push(self, name, monkeypatch):
+        # up to the validator's bound, no cube set a generator plans has a
+        # halo end the push search would move: at each scale_bits either
+        # no cube pair moves an end within the budget at any spreads, or
+        # some pair moves one past it at all spreads (search and audit
+        # both refuse), or the spacing audit refuses every set first
+        for field in ("clearance", "compact_spread"):
+            admits = ex._DOMAINS[field][1]
+            assert admits(SPREAD_BOUND)
+            assert not admits(np.nextafter(SPREAD_BOUND, np.inf))
+        make = {"cluster": cluster_family, "compact": compact_family}[name]
+        verdicts = []
+        for bits in range(2, 17):
+            layouts = planned_layouts(make, bits, monkeypatch)
+            assert len(layouts) == (1 if name == "cluster" else 4)
+            for sides, centers in layouts:
+                within = always_past = False
+                for q, qq in zip(*np.nonzero(sides[:, None] < sides)):
+                    moves, past = push_needs(sides[q], centers[q],
+                                             sides[qq], centers[qq])
+                    within |= (moves & ~past).any()
+                    always_past |= past.all()
+                # the two largest cubes' same-index components drawn as
+                # far apart as the spreads allow: if they crowd, all do
+                top = np.flatnonzero(sides == sides.max())[:2]
+                far = sides.max() * SPREADS[-1] * np.array([[-1, 1, 0],
+                                                            [1, -1, 0]])
+                crowded = len(top) == 2 and ("same-scale-crowding", 0, 1, 0) \
+                    in spacing_violations(sides[top],
+                                          centers[top, None] + far, bits)
+                verdicts.append((bits, "none in budget" if not within else
+                                 "refused" if always_past or crowded
+                                 else "open"))
+        assert [v for v in verdicts if v[1] == "open"] == []
 
     @pytest.mark.parametrize("name", ["cluster", "compact"])
     def test_generators_bitwise_against_loops(self, name, monkeypatch):
