@@ -611,8 +611,9 @@ class PolygonPartition:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ids, owners, eta = weights or self.member_weights(pts)
         denom = np.bincount(owners, weights=eta, minlength=len(pts))
+        # float even where no weight lands: a bincount of none is int64
         return np.bincount(owners, weights=eta / denom[owners],
-                           minlength=len(pts))
+                           minlength=len(pts)).astype(float)
 
     def shrink_misses(self, pts, weights=None) -> int:
         """Number of points that no member's alpha-shrink covers."""

@@ -148,8 +148,6 @@ def indicator(intervals, size, length=1.0):
     Half-open on purpose: with endpoints on the sample lattice the grid
     mass of [a, b) is exactly b - a.
     """
-    if not hasattr(intervals[0], "__len__"):
-        intervals = [intervals]
     g = GridFunction.zeros(size, length=length)
     xs = g.x
     mask = np.zeros(size, dtype=bool)

@@ -23,10 +23,10 @@ Contents:
 
 - family health checks broadcast over the cube arrays
   (:func:`spacing_violations`, :func:`diagonal_clearance_violations`,
-  :func:`halo_violations`) and halo construction (:func:`build_halos`),
+  the nesting audit :func:`halo_violations`) and halos (:func:`build_halos`),
 - tile orderings as matrices (:func:`le_matrix`, :func:`lessdot_matrix`),
-  footprints and their audit, one pass for a stack of tile groups
-  (:func:`footprint_violations`), and their closure (:func:`regularize`),
+  footprints, their audit for a stack of tile groups
+  (:func:`footprint_violations`) and a closure passing it (:func:`regularize`),
 - the top pool (:func:`candidate_tops`), one top x tile membership mask per
   family (:func:`tree_members`), the maximal trees over the pool
   (:func:`maximal_trees`), greedy maximal selection
@@ -51,7 +51,6 @@ import numpy as np
 # component widened by side / ENDPOINT_QUANTUM per end; tree tops use a halo
 # of half that width around a single point.
 HALO_FACTOR = 1000
-HALO_SLACK = 10          # audited max widening per end, in cube sides
 HALO_STRETCH = 10        # stretch factor applied when comparing across scales
 TOP_RADIUS = HALO_FACTOR // 2
 ENDPOINT_QUANTUM = 256   # a halo end sits side / 256 beyond the dilate
@@ -214,44 +213,34 @@ def build_halos(side: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Assign to each cube three halos with the cross-scale nesting property.
 
     Each halo is the 1000-fold component dilate widened by one quantum
-    (side / ENDPOINT_QUANTUM) per endpoint.  Returns the (c, 3, 2) halos
-    when :func:`halo_violations` passes them, and raises :class:`HaloError`
-    naming the first violation otherwise; no endpoint is ever moved.
+    (side / ENDPOINT_QUANTUM) per endpoint, so it holds the dilate by
+    construction.  Returns the (c, 3, 2) halos when :func:`halo_violations`
+    finds no broken nesting, and raises :class:`HaloError` naming the first
+    violation otherwise; no endpoint is ever moved.
     """
     halos = _rows(centers,
                   (HALO_FACTOR / 2 * side + side / ENDPOINT_QUANTUM)[:, None])
-    bad = halo_violations(side, centers, halos)
+    bad = halo_violations(side, halos)
     if bad:
         raise HaloError(f"halo nesting failed: {bad[0]}")
     return halos
 
 
-def halo_violations(side: np.ndarray, centers: np.ndarray,
-                    halos: np.ndarray) -> list[tuple]:
+def halo_violations(side: np.ndarray, halos: np.ndarray) -> list[tuple]:
     """Exhaustively audit the cross-scale halo nesting property.
 
     For cubes q, q' with side(q) < side(q'): if any stretched halo of q
     meets halo j of q', then every stretched halo of q must lie inside
-    that same halo.  Also audits containment of the 1000-fold dilate and
-    the one-percent width budget.  Returns ("too-small", q, i),
-    ("over-budget", q, i) and ("broken-nesting", q, q', j) tuples.
+    that same halo.  Returns ("broken-nesting", q, q', j) tuples.
     """
-    grown = _scaled(_components(side, centers), HALO_FACTOR)
-    slack = HALO_SLACK * side[:, None]
-    small = ~_encloses(halos, grown)
-    over = (halos[..., 0] < grown[..., 0] - slack) | \
-        (halos[..., 1] > grown[..., 1] + slack)
     # axes: smaller cube, larger cube, its halo j, stretched halo of q
     st = _scaled(halos, HALO_STRETCH)[:, None, None]
     big = halos[None, :, :, None]
     meets = ((st[..., 0] <= big[..., 1]) & (big[..., 0] <= st[..., 1]))
     broken = (side[:, None] < side[None, :])[..., None] & \
         meets.any(axis=-1) & ~_encloses(big, st).all(axis=-1)
-    return ([("too-small", int(q), int(i)) for q, i in zip(*np.nonzero(small))]
-            + [("over-budget", int(q), int(i))
-               for q, i in zip(*np.nonzero(over))]
-            + [("broken-nesting", int(q), int(qq), int(j))
-               for q, qq, j in zip(*np.nonzero(broken))])
+    return [("broken-nesting", int(q), int(qq), int(j))
+            for q, qq, j in zip(*np.nonzero(broken))]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +535,8 @@ def _add_cube(plan, side, offset, d, cells) -> None:
 
 def _closed_family(plan, scale_bits: int, c0: float) -> Family | None:
     """The planned tiles closed under footprint monotonicity, or None when
-    the cubes fail the spacing, clearance, halo or footprint audit."""
+    the cubes fail the spacing, clearance or halo audit.  No footprint
+    audit follows: :func:`regularize` stops only where that audit passes."""
     side, centers = np.array(plan[0]), np.array(plan[1])
     if (spacing_violations(side, centers, scale_bits)
             or diagonal_clearance_violations(side, centers, c0)):
@@ -555,8 +545,7 @@ def _closed_family(plan, scale_bits: int, c0: float) -> Family | None:
         halos = build_halos(side, centers)
     except HaloError:
         return None
-    tiles = regularize(Family.tiled(side, centers, halos, *plan[2:]))
-    return None if footprint_violations(tiles) else tiles
+    return regularize(Family.tiled(side, centers, halos, *plan[2:]))
 
 
 def compact_family(seed: int, scale_bits: int, c0: float) -> Family:

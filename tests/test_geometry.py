@@ -503,6 +503,23 @@ class TestPartition:
         assert part.partition_sum([[px, py]])[0] == pytest.approx(1.0,
                                                                   abs=1e-15)
 
+    def test_sum_is_float_where_nothing_covers(self):
+        # a bincount over no weights is int64; the sum must not follow it
+        P = G.LacunaryPolygon(4)
+        part = G.PolygonPartition(P, G.polygon_cover(4, 0.5, 2.0), alpha=0.5)
+        for pts in ([[3, 0], [0, -3]], np.empty((0, 2))):
+            s = part.partition_sum(pts)
+            assert s.dtype == np.float64 and s.tolist() == [0.0] * len(pts)
+        # covered points keep the bits of the normalized bincount
+        pts = np.vstack([RNG(5).uniform(-0.3, 0.3, size=(50, 2)), [[3, 0]]])
+        _, owners, eta = part.member_weights(pts)
+        denom = np.bincount(owners, weights=eta, minlength=len(pts))
+        want = np.bincount(owners, weights=eta / denom[owners],
+                           minlength=len(pts))
+        got = part.partition_sum(pts)
+        assert got.dtype == np.float64 and (want[:-1] > 0).all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_profile_sandwich(self):
         t = np.linspace(-1.3, 1.3, 2001)
         vals = G.plateau_profile(t, 0.8)

@@ -69,7 +69,7 @@ class TestSpectrum:
 class TestNorms:
     def test_indicator_mass_exact(self):
         # half-open indicator with lattice endpoints has exact mass
-        f = indicator((4.0, 5.0), 256, length=8.0)
+        f = indicator([(4.0, 5.0)], 256, length=8.0)
         assert f.integral() == 1.0
         assert f.norm(1) == 1.0
 
@@ -113,7 +113,7 @@ def row_loop_maximal_average(f):
 def maximal_average_inputs():
     rng = np.random.default_rng(57)
     sparse = np.where(rng.random(4096) < 0.01, rng.random(4096), 0.0)
-    yield indicator((0.5, 0.5 + 2.0 / 512), 4096)  # size-decay's density
+    yield indicator([(0.5, 0.5 + 2.0 / 512)], 4096)  # size-decay's density
     yield GridFunction(sparse)
     yield random_gridfunction(rng, size=4096)
     yield random_gridfunction(rng, size=1000, length=3.0)
@@ -133,7 +133,7 @@ class TestMaximalAverage:
             assert got.tobytes() == want.tobytes(), f
 
     def test_peak_memory_not_above_row_loop(self):
-        f = indicator((0.5, 0.5 + 2.0 / 512), 4096)
+        f = indicator([(0.5, 0.5 + 2.0 / 512)], 4096)
         peaks = []
         for fn in (maximal_average, row_loop_maximal_average):
             fn(GridFunction.zeros(16))  # first-call allocations are not peaks
@@ -148,7 +148,7 @@ class TestMaximalAverage:
     def test_indicator_value_two_units_right(self):
         # mass-1 indicator on [4,5); at x=6 the best closed interval is
         # [4,6]: average exactly 1/2
-        f = indicator((4.0, 5.0), 256, length=8.0)
+        f = indicator([(4.0, 5.0)], 256, length=8.0)
         m = maximal_average(f)
         x = f.x
         idx = int(np.argmin(np.abs(x - 6.0)))
@@ -233,7 +233,7 @@ class TestPositiveKernel:
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=2)
         cuts = np.linspace(0.0, 1.0, 9)
         parts = [
-            convolve(indicator((a, b), 512, 1.0).values, k)
+            convolve(indicator([(a, b)], 512, 1.0).values, k)
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
         total = parts[0]
@@ -245,13 +245,13 @@ class TestPositiveKernel:
 
     def test_convolution_preserves_mass(self):
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=6)
-        f = indicator((0.25, 0.5), 512, 1.0)
+        f = indicator([(0.25, 0.5)], 512, 1.0)
         g = GridFunction(convolve(f.values, k), f.length)
         assert abs(g.integral().real - 0.25) < 1e-12
 
     def test_convolve_reuses_kernel_transform(self, monkeypatch):
         k = PositiveBandKernel(size=512, length=1.0, width=1 / 32, half_power=6)
-        f = indicator((0.25, 0.5), 512, 1.0)
+        f = indicator([(0.25, 0.5)], 512, 1.0)
         # the convolve of an uncached kernel: both transforms per call
         want = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(k.values)) * f.dx
         seen = []

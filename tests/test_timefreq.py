@@ -136,8 +136,7 @@ class TestHalos:
 
     def test_halo_family_verifies(self):
         side, centers = self.cubes()
-        assert halo_violations(side, centers, build_halos(side, centers)) \
-            == []
+        assert halo_violations(side, build_halos(side, centers)) == []
 
     def test_halo_contains_thousandfold_dilate(self):
         side, centers = self.cubes()
@@ -166,7 +165,7 @@ class TestHalos:
         # shifted so the stretched small halos straddle its boundary
         fake[1, :, 0] = centers[1] - 8000.0 + 6000.0
         fake[1, :, 1] = centers[1] + 8000.0 + 6000.0
-        assert "broken-nesting" in kinds(halo_violations(side, centers, fake))
+        assert "broken-nesting" in kinds(halo_violations(side, fake))
 
 
 class TestOrderings:
@@ -362,7 +361,7 @@ class TestClusterFamily:
         side, centers = tiles.side, tiles.centers
         assert spacing_violations(side, centers, 4) == []
         assert diagonal_clearance_violations(side, centers, CLEARANCE) == []
-        assert halo_violations(side, centers, tiles.halos) == []
+        assert halo_violations(side, tiles.halos) == []
         assert footprint_violations(tiles) == []
 
     def test_three_spatial_scales(self):
@@ -550,13 +549,14 @@ class TestScalarEquivalence:
         for hals in (halos, far):
             old = S.halo_violations({q: tuple(S.Iv(*h) for h in hs)
                                      for q, hs in zip(qs, hals.tolist())})
-            got = [(v[0], *[qs[k].centers for k in v[1:-1]], v[-1])
-                   for v in halo_violations(side, centers, hals)]
-            assert kinds(got) == {"too-small", "over-budget",
+            # the scalar audit still has the dilate and budget rows; src
+            # keeps only nesting, which the closed form can break
+            assert kinds(old) == {"too-small", "over-budget",
                                   "broken-nesting"}
+            got = [(v[0], qs[v[1]].centers, qs[v[2]].centers, v[3])
+                   for v in halo_violations(side, hals)]
             assert sorted(got) == sorted(
-                v if v[0] == "broken-nesting" else (v[0], v[2], v[3])
-                for v in old)
+                v for v in old if v[0] == "broken-nesting")
 
     @pytest.mark.parametrize("name,seed", FAMILIES)
     def test_regularize_matches(self, name, seed):
@@ -612,7 +612,7 @@ def loop_build_halos(side, centers):
         s = float(side[q])
         quantum = s / tf.ENDPOINT_QUANTUM
         base = tf.HALO_FACTOR / 2 * s + quantum
-        budget = tf.HALO_SLACK * s - quantum
+        budget = S.HALO_SLACK * s - quantum
         smaller = [d[1:] for d in done if d[0] < s]
         for i, c in enumerate(centers[q].tolist()):
             lo, hi = c - base, c + base
@@ -637,7 +637,7 @@ def loop_build_halos(side, centers):
         stretched = _scaled(halos[q], tf.HALO_STRETCH).tolist()
         done.append((s, stretched, min(a for a, _ in stretched),
                      max(b for _, b in stretched)))
-    if halo_violations(side, centers, halos):
+    if halo_violations(side, halos):
         raise HaloError("halo nesting failed")
     return halos
 
@@ -686,7 +686,7 @@ def push_needs(s, b, s2, b2):
     # set it meets, to one quantum past the hull
     at_lo = meets & (hull_lo <= lo) & (lo <= hull_hi)
     at_hi = meets & (hull_lo <= hi) & (hi <= hull_hi)
-    budget = tf.HALO_SLACK * s2
+    budget = S.HALO_SLACK * s2
     past = (at_lo & (lo - hull_lo > budget)) | \
         (at_hi & (hull_hi - hi > budget))
     return (at_lo | at_hi).any(-1), past.any(-1)
@@ -800,6 +800,46 @@ class TestWholeFamilyPasses:
                         except RuntimeError:
                             pass
         assert seen == {"built", "refused"}
+
+    def test_closed_form_needs_only_the_nesting_audit(self, monkeypatch):
+        # the rules src no longer audits, checked where the generators go:
+        # no closed-form halo set misses the dilate or passes the budget
+        # (the scalar audit's other rows), and every family regularize
+        # returns is already footprint monotone
+        closed = tf.build_halos
+        seen = set()
+
+        def audited(side, centers):
+            halos = tf._rows(centers, (tf.HALO_FACTOR / 2 * side
+                                       + side / tf.ENDPOINT_QUANTUM)[:, None])
+            old = S.halo_violations(
+                {q: tuple(S.Iv(*h) for h in hs) for q, hs in
+                 zip(scalar_cubes(side, centers), halos.tolist())})
+            assert kinds(old) <= {"broken-nesting"}
+            try:
+                got = closed(side, centers)
+            except HaloError:
+                assert old
+                seen.add("refused")
+                raise
+            assert not old
+            assert np.array_equal(got.view(np.int64), halos.view(np.int64))
+            seen.add("admitted")
+            return got
+
+        monkeypatch.setattr(tf, "build_halos", audited)
+        families = 0
+        for make in (cluster_family, compact_family):
+            for bits in (2, 4, 8):
+                for spread in (0.25, 1.0, 4.0, 8.0, SPREAD_BOUND):
+                    for seed in range(4):
+                        try:
+                            tiles = make(seed, bits, spread)
+                        except RuntimeError:
+                            continue
+                        assert footprint_violations(tiles) == []
+                        families += 1
+        assert seen == {"admitted", "refused"} and families > 0
 
     def test_push_search_builds_past_the_spread_bound(self, monkeypatch):
         # why the validator stops at 32: at clearance 64 the search moves
