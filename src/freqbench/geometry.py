@@ -85,31 +85,30 @@ def _mirrored(boxes: np.ndarray) -> np.ndarray:
                            np.vstack([boxes[:2], flip[2:]]), flip], axis=1)
 
 
-def _convex_contains(verts: np.ndarray, points, tol: float):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _convex_contains(verts: np.ndarray, boxes: np.ndarray, tol: float):
+    """Which boxes of a (4, m) array lie in the closed CCW convex `verts`."""
     vx, vy = verts.T
     ex, ey = (np.roll(verts, -1, axis=0) - verts).T
-    # cross(edge, p - v) >= -tol for every edge of a CCW convex loop, one
-    # edge at a time.  Per chunk of CONTAIN_CHUNK points an edge is skipped
-    # when all four corners of the chunk's bounding box pass it: the cross
-    # product is affine in p and rounding is monotone, so also its computed
-    # value at any point of the box is >= the least computed corner value,
-    # and no rounding margin is needed.  A NaN anywhere (in the box, or
-    # from 0 * inf or inf - inf at a point) shows at a corner, and
-    # ~(corner_min >= -tol) keeps the edge.
-    inside = np.ones(len(pts), dtype=bool)
-    for lo in range(0, len(pts), CONTAIN_CHUNK):
-        px = pts[lo:lo + CONTAIN_CHUNK, 0]
-        py = pts[lo:lo + CONTAIN_CHUNK, 1]
-        cx = np.array([px.min(), px.max()])[[0, 1, 1, 0]]
-        cy = np.array([py.min(), py.max()])[[0, 0, 1, 1]]
+    # cross(edge, corner - v) >= -tol for every edge and corner.  The cross
+    # product is affine in the corner and rounding is monotone, so per edge
+    # its computed value at px = x1 if ey > 0 else x0, py = y0 if ex > 0
+    # else y1 is the least of the four corners' (also after division by
+    # the edge's length), and no rounding margin is needed.  By the same
+    # argument an edge is skipped for a chunk of CONTAIN_CHUNK boxes whose
+    # bounding box's four corners pass it.  A NaN shows at a bounding
+    # corner, which keeps every edge, and at some edge's extreme corner.
+    inside = np.ones(boxes.shape[1], dtype=bool)
+    for lo in range(0, len(inside), CONTAIN_CHUNK):
+        x0, x1, y0, y1 = boxes[:, lo:lo + CONTAIN_CHUNK]
+        cx = np.array([x0.min(), x1.max()])[[0, 1, 1, 0]]
+        cy = np.array([y0.min(), y1.max()])[[0, 0, 1, 1]]
         corner_min = (ex[:, None] * (cy - vy[:, None])
                       - ey[:, None] * (cx - vx[:, None])).min(axis=1)
         chunk = inside[lo:lo + CONTAIN_CHUNK]  # a view: &= writes inside
         for k in np.flatnonzero(~(corner_min >= -tol)):
+            px = x1 if ey[k] > 0 else x0
+            py = y0 if ex[k] > 0 else y1
             chunk &= ex[k] * (py - vy[k]) - ey[k] * (px - vx[k]) >= -tol
-    if np.ndim(points) == 1:
-        return bool(inside[0])
     return inside
 
 
@@ -125,8 +124,8 @@ def quad_rect_overlap(quad: np.ndarray, boxes: np.ndarray):
     for (ax, ay), (bx, by) in zip(quad, nxt):
         nx, ny = ay - by, bx - ax  # inward normal of a CCW edge
         qproj = quad @ np.array([nx, ny])
-        rect_lo = nx * np.where(nx >= 0, x0, x1) + ny * np.where(ny >= 0, y0, y1)
-        rect_hi = nx * np.where(nx >= 0, x1, x0) + ny * np.where(ny >= 0, y1, y0)
+        rect_lo = nx * (x0 if nx >= 0 else x1) + ny * (y0 if ny >= 0 else y1)
+        rect_hi = nx * (x1 if nx >= 0 else x0) + ny * (y1 if ny >= 0 else y0)
         ok &= (rect_lo <= qproj.max()) & (rect_hi >= qproj.min())
     return ok
 
@@ -168,7 +167,9 @@ class LacunaryPolygon:
 
     def contains(self, points, tol: float = 1e-12):
         """Closed containment test (boundary counts as inside up to tol)."""
-        return _convex_contains(self.vertices, points, tol)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        inside = _convex_contains(self.vertices, pts.T[[0, 0, 1, 1]], tol)
+        return bool(inside[0]) if np.ndim(points) == 1 else inside
 
     # -- distances and sampling -------------------------------------------
 
@@ -192,19 +193,25 @@ class LacunaryPolygon:
         A point is accepted when its distance to every edge of chord index
         mu exceeds GUARD_FRAC * 4^-mu.  Finite Whitney families cannot
         reach all the way to a chord, so the cover check needs this guard.
-        The truncation edges use the last chord's guard scale.
+        The truncation edges use the last chord's guard scale.  Points
+        within min(apothem - guard) - 1e-9 of the origin clear every guard
+        (an edge is at least its apothem less |p| away, and the margin is
+        far above rounding), so only the rest need :meth:`edge_distances`.
         """
         eff_mu = np.minimum(self.edge_mu, self.mu_max).astype(float)
         guards = GUARD_FRAC * 4.0 ** (-eff_mu)
+        vx, vy = self.vertices.T
+        ex, ey = (np.roll(self.vertices, -1, axis=0) - self.vertices).T
+        safe = np.min((ey * vx - ex * vy) / np.hypot(ex, ey) - guards) - 1e-9
         out = []
         need = count
         while need > 0:
             batch = max(4 * need, 256)
             pts = rng.uniform(-1.0, 1.0, size=(batch, 2))
             pts = pts[self.contains(pts, tol=0.0)]
-            dist = self.edge_distances(pts)
-            keep = np.all(dist > guards[None, :], axis=1)
-            pts = pts[keep]
+            ok = np.hypot(pts[:, 0], pts[:, 1]) <= safe
+            ok[~ok] = (self.edge_distances(pts[~ok]) > guards).all(axis=1)
+            pts = pts[ok]
             out.append(pts[:need])
             need -= len(pts[:need])
         return np.concatenate(out, axis=0)
@@ -572,12 +579,12 @@ class PolygonPartition:
         ix0, iy0 = self._bucket(x0), self._bucket(y0)
         ny = self._bucket(y1) - iy0 + 1
         member, rank = _slots((self._bucket(x1) - ix0 + 1) * ny)
-        keys = ((ix0[member] + rank // ny[member]) * self.BUCKETS
-                + iy0[member] + rank % ny[member])
-        order = np.argsort(keys, kind="stable")
-        self._members = member[order]
-        self._offsets = np.searchsorted(keys[order],
-                                        np.arange(self.BUCKETS ** 2 + 1))
+        col, row = np.divmod(rank, ny[member])
+        keys = ((ix0 * self.BUCKETS + iy0)[member] + col * self.BUCKETS
+                + row).astype(np.uint16)   # BUCKETS**2 keys: a radix sort
+        self._members = member[np.argsort(keys, kind="stable")]
+        self._offsets = np.r_[0, np.cumsum(np.bincount(
+            keys, minlength=self.BUCKETS ** 2))]
 
     def __len__(self) -> int:
         return self.boxes.shape[1]
@@ -644,11 +651,8 @@ class PolygonPartition:
     def hypothesis_report(self, rng, cover_samples: int,
                           overlap_samples: int) -> PartitionReport:
         # (1) every member inside the closed region: all four corners
-        x0, x1, y0, y1 = self.boxes
-        inside = np.ones(len(self), dtype=bool)
-        for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
-            inside &= self.polygon.contains(np.stack([cx, cy], axis=1),
-                                            tol=CONTAINMENT_TOL)
+        inside = _convex_contains(self.polygon.vertices, self.boxes,
+                                  CONTAINMENT_TOL)
         # (2) alpha-shrinks cover guarded interior samples
         misses = self.shrink_misses(
             self.polygon.interior_samples(cover_samples, rng))

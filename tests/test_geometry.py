@@ -1,6 +1,5 @@
 """Geometry of the polygon, chord shells, Whitney families, partition."""
 
-import functools
 import math
 
 import numpy as np
@@ -32,6 +31,12 @@ def corners(boxes):
     x0, x1, y0, y1 = np.reshape(boxes, (4, -1))
     return np.concatenate([np.stack([x0, y0], 1), np.stack([x1, y0], 1),
                            np.stack([x1, y1], 1), np.stack([x0, y1], 1)])
+
+
+def point_boxes(pts):
+    """The (4, m) array of degenerate boxes (x, x, y, y) of (m, 2) points,
+    or (4, 1) for one point."""
+    return np.atleast_2d(np.asarray(pts, dtype=float)).T[[0, 0, 1, 1]]
 
 
 def chord_shell(mu, r):
@@ -183,7 +188,8 @@ class TestPolygonContainment:
         regions = [(P.vertices, P.contains) for P in
                    map(G.LacunaryPolygon, (1, 5, 8, 12))]
         shell = chord_shell(3, 0)
-        regions.append((shell, functools.partial(G._convex_contains, shell)))
+        regions.append((shell, lambda pts, tol: G._convex_contains(
+            shell, point_boxes(pts), tol)))
         for chunk in (G.CONTAIN_CHUNK, 16, 1):
             monkeypatch.setattr(G, "CONTAIN_CHUNK", chunk)
             for verts, contains in regions:
@@ -201,6 +207,67 @@ class TestPolygonContainment:
                     / np.sum(d * d, axis=2), 0.0, 1.0)
         ref = np.linalg.norm(pts[:, None, :] - (a + t[:, :, None] * d), axis=2)
         assert np.array_equal(P.edge_distances(pts), ref)
+
+    def test_box_loops_match_corner_broadcast(self, monkeypatch):
+        # one extreme corner per edge must give the AND of the broadcast
+        # over all four corners, bit for bit: boxes hug every edge and
+        # vertex (sides from 0 to 1e-3 about points within 1e-9 of the
+        # boundary), sorted by angle so that small chunks straddle edges,
+        # and a NaN in any one coordinate refuses its box
+        rng = RNG(12)
+        regions = [G.LacunaryPolygon(mu).vertices for mu in (1, 5, 8, 12)]
+        regions.append(chord_shell(3, 0))
+        for chunk in (G.CONTAIN_CHUNK, 16, 1):
+            monkeypatch.setattr(G, "CONTAIN_CHUNK", chunk)
+            for verts in regions:
+                _, pts = self.near_boundary(verts, rng)
+                side = (rng.choice([0.0, 1e-9, 1e-6, 1e-3], size=(2, len(pts)))
+                        * rng.uniform(size=(2, len(pts))))
+                lo = pts.T - rng.uniform(size=(2, len(pts))) * side
+                boxes = np.stack([lo[0], lo[0] + side[0],
+                                  lo[1], lo[1] + side[1]])
+                rel = 0.5 * (boxes[[0, 2]] + boxes[[1, 3]]).T \
+                    - verts.mean(axis=0)
+                boxes = boxes[:, np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
+                                            kind="stable")]
+                # one NaN coordinate, each row in turn, every 29 boxes
+                at = np.arange(8) * 29 + 3
+                boxes[at % 4, at] = np.nan
+                for tol in (G.CONTAINMENT_TOL, 1e-12, 0.0):
+                    got = G._convex_contains(verts, boxes, tol)
+                    with np.errstate(invalid="ignore"):
+                        per_corner = self.broadcast_contains(
+                            verts, corners(boxes), tol).reshape(4, -1)
+                    assert np.array_equal(got, per_corner.all(axis=0))
+                    assert not got[at].any()
+                    # some boxes straddle an edge: corners on both sides
+                    assert (per_corner.any(axis=0) & ~got).any()
+
+    def test_interior_samples_match_full_distance_reference(self):
+        # the apothem disc only skips edge_distances: the same points, bit
+        # for bit, from the same stream of draws
+        def reference(P, count, rng):
+            eff_mu = np.minimum(P.edge_mu, P.mu_max).astype(float)
+            guards = G.GUARD_FRAC * 4.0 ** (-eff_mu)
+            out, need = [], count
+            while need > 0:
+                pts = rng.uniform(-1.0, 1.0, size=(max(4 * need, 256), 2))
+                pts = pts[P.contains(pts, tol=0.0)]
+                keep = np.all(P.edge_distances(pts) > guards[None, :], axis=1)
+                pts = pts[keep]
+                out.append(pts[:need])
+                need -= len(pts[:need])
+            return np.concatenate(out, axis=0)
+
+        for mu_max in (1, 2, 8, 23):
+            P = G.LacunaryPolygon(mu_max)
+            for seed in range(4):
+                got_rng, want_rng = RNG(seed), RNG(seed)
+                got = P.interior_samples(1000 + 300 * seed, got_rng)
+                want = reference(P, 1000 + 300 * seed, want_rng)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state)
 
     def test_interior_samples_respect_guard(self):
         P = G.LacunaryPolygon(3)
@@ -222,8 +289,9 @@ class TestChordShells:
         mu = 2
         T = chord_shell(mu, 0)
         mid = 0.5 * (G.quadrant2_vertex(mu) + G.quadrant2_vertex(mu + 1))
-        assert G._convex_contains(T, mid, 1e-12)
-        assert not G._convex_contains(T, mid * (1.0 + 1e-6), 1e-12)
+        assert G._convex_contains(T, point_boxes(mid), 1e-12).all()
+        assert not G._convex_contains(T, point_boxes(mid * (1.0 + 1e-6)),
+                                      1e-12).any()
 
     def test_area_against_sectional_quadrature(self):
         # slice the quad horizontally; width(y) is piecewise linear, so the
@@ -307,7 +375,7 @@ class TestWhitneyFamilies:
         P = G.LacunaryPolygon(8)
         T = chord_shell(mu, 0)
         pts = RNG(11).uniform(T.min(axis=0), T.max(axis=0), size=(4000, 2))
-        pts = pts[G._convex_contains(T, pts, 1e-12)]
+        pts = pts[G._convex_contains(T, point_boxes(pts), 1e-12)]
         eff = np.minimum(P.edge_mu, P.mu_max).astype(float)
         guards = 0.2 * 4.0 ** (-eff)
         pts = pts[np.all(P.edge_distances(pts) > guards[None, :], axis=1)]
@@ -578,6 +646,37 @@ class TestPartition:
             ratios.append(got)
         assert ratios[0] > 1.0 and ratios[2:6] == [1.0] * 4
         assert len(set(ratios[6:])) > 10
+
+    @pytest.mark.parametrize("mu_max, c0", [(8, 4), (2, 2), (12, 9)])
+    def test_bucket_index_matches_searchsorted(self, mu_max, c0):
+        # the counting sort lists the same members in the same order as a
+        # stable argsort of int64 keys with searchsorted bucket offsets
+        part = G.PolygonPartition(G.LacunaryPolygon(mu_max),
+                                  G.polygon_cover(mu_max, ALPHA, c0), ALPHA)
+        x0, x1, y0, y1 = part.boxes
+        ix0, iy0 = part._bucket(x0), part._bucket(y0)
+        ny = part._bucket(y1) - iy0 + 1
+        member, rank = G._slots((part._bucket(x1) - ix0 + 1) * ny)
+        keys = ((ix0[member] + rank // ny[member]) * part.BUCKETS
+                + iy0[member] + rank % ny[member])
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(part._members, member[order])
+        assert np.array_equal(part._offsets, np.searchsorted(
+            keys[order], np.arange(part.BUCKETS ** 2 + 1)))
+
+    def test_report_checks_members_in_one_box_pass(self, monkeypatch):
+        # containment takes the (4, m) members in one pass; the point
+        # test sees only the draws of the guarded samples
+        P = G.LacunaryPolygon(3)
+        part = G.PolygonPartition(P, G.polygon_cover(3, ALPHA, C0), ALPHA)
+        widths = []
+        box_pass = G._convex_contains
+        monkeypatch.setattr(G, "_convex_contains", lambda verts, boxes, tol:
+                            widths.append(boxes.shape[1])
+                            or box_pass(verts, boxes, tol))
+        part.hypothesis_report(RNG(2), cover_samples=300, overlap_samples=200)
+        assert widths[0] == len(part) > 1024
+        assert len(part) not in widths[1:]   # the rest are sample draws
 
     def test_bad_containment_is_reported_with_witnesses(self):
         P = G.LacunaryPolygon(2)

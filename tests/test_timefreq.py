@@ -770,7 +770,11 @@ class TestWholeFamilyPasses:
     def test_halos_match_the_push_search_off_default(self, monkeypatch):
         # every halo set the generators ask for, away from the default
         # scale_bits and spread: the closed form builds the push search's
-        # halos bit for bit, or both refuse
+        # halos bit for bit, or both refuse; and the rules src no longer
+        # audits hold where the generators go: no closed-form halo set
+        # misses the dilate or passes the budget (the scalar audit's other
+        # rows), and every family regularize returns is already footprint
+        # monotone
         closed = tf.build_halos
         seen = set()
 
@@ -779,37 +783,6 @@ class TestWholeFamilyPasses:
                 want = loop_build_halos(side, centers)
             except HaloError:
                 want = None
-            try:
-                got = closed(side, centers)
-            except HaloError:
-                assert want is None
-                seen.add("refused")
-                raise
-            assert want is not None
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            seen.add("built")
-            return got
-
-        monkeypatch.setattr(tf, "build_halos", both)
-        for make in (cluster_family, compact_family):
-            for bits in (2, 4, 8, 16):
-                for spread in (0.25, 1.0, 4.0, 8.0, 16.0, SPREAD_BOUND):
-                    for seed in range(4):
-                        try:
-                            make(seed, bits, spread)
-                        except RuntimeError:
-                            pass
-        assert seen == {"built", "refused"}
-
-    def test_closed_form_needs_only_the_nesting_audit(self, monkeypatch):
-        # the rules src no longer audits, checked where the generators go:
-        # no closed-form halo set misses the dilate or passes the budget
-        # (the scalar audit's other rows), and every family regularize
-        # returns is already footprint monotone
-        closed = tf.build_halos
-        seen = set()
-
-        def audited(side, centers):
             halos = tf._rows(centers, (tf.HALO_FACTOR / 2 * side
                                        + side / tf.ENDPOINT_QUANTUM)[:, None])
             old = S.halo_violations(
@@ -819,19 +792,20 @@ class TestWholeFamilyPasses:
             try:
                 got = closed(side, centers)
             except HaloError:
-                assert old
+                assert want is None and old
                 seen.add("refused")
                 raise
-            assert not old
+            assert want is not None and not old
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert np.array_equal(got.view(np.int64), halos.view(np.int64))
-            seen.add("admitted")
+            seen.add("built")
             return got
 
-        monkeypatch.setattr(tf, "build_halos", audited)
+        monkeypatch.setattr(tf, "build_halos", both)
         families = 0
         for make in (cluster_family, compact_family):
-            for bits in (2, 4, 8):
-                for spread in (0.25, 1.0, 4.0, 8.0, SPREAD_BOUND):
+            for bits in (2, 4, 8, 16):
+                for spread in (0.25, 1.0, 4.0, 8.0, 16.0, SPREAD_BOUND):
                     for seed in range(4):
                         try:
                             tiles = make(seed, bits, spread)
@@ -839,7 +813,7 @@ class TestWholeFamilyPasses:
                             continue
                         assert footprint_violations(tiles) == []
                         families += 1
-        assert seen == {"admitted", "refused"} and families > 0
+        assert seen == {"built", "refused"} and families > 0
 
     def test_push_search_builds_past_the_spread_bound(self, monkeypatch):
         # why the validator stops at 32: at clearance 64 the search moves
