@@ -714,7 +714,7 @@ class TestCli:
                                             monkeypatch, kind, body):
         # refused before the experiment runs: no warning, no output
         # directory; some of these values would take gigabytes to run
-        monkeypatch.setattr(ex, "run", lambda cfg: pytest.fail("it ran"))
+        monkeypatch.setattr(ex, "run", lambda cfg, **_: pytest.fail("it ran"))
         cfg = tmp_path / "t.cfg"
         cfg.write_text(f"kind = {kind}\n{body}\n")
         assert cli_main(["run", "--config", str(cfg),
@@ -834,7 +834,7 @@ class TestCli:
         out = tmp_path / "notes.txt"
         out.write_text("keep me\n")
         ran = []
-        monkeypatch.setattr(ex, "run", lambda c: ran.append(c))
+        monkeypatch.setattr(ex, "run", lambda c, **_: ran.append(c))
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
