@@ -767,16 +767,15 @@ class TestWholeFamilyPasses:
         alone = (tiles.cube == 1)[None]
         assert footprint_violations(tiles, alone) == []
 
-    def test_halos_match_the_push_search_off_default(self, monkeypatch):
-        # every halo set the generators ask for, away from the default
-        # scale_bits and spread: the closed form builds the push search's
-        # halos bit for bit, or both refuse; and the rules src no longer
-        # audits hold where the generators go: no closed-form halo set
-        # misses the dilate or passes the budget (the scalar audit's other
-        # rows), and every family regularize returns is already footprint
-        # monotone
+    @pytest.fixture(scope="class")
+    def halo_sweep(self):
+        # one sweep over every halo set the generators ask for, away from
+        # the default scale_bits and spread, recording for each call the
+        # push search's halos, the closed form's, the scalar audit of the
+        # dilate and what the closed form built, and for each family
+        # regularize returns its footprint violations
         closed = tf.build_halos
-        seen = set()
+        calls, families = [], []
 
         def both(side, centers):
             try:
@@ -788,32 +787,59 @@ class TestWholeFamilyPasses:
             old = S.halo_violations(
                 {q: tuple(S.Iv(*h) for h in hs) for q, hs in
                  zip(scalar_cubes(side, centers), halos.tolist())})
-            assert kinds(old) <= {"broken-nesting"}
             try:
                 got = closed(side, centers)
             except HaloError:
-                assert want is None and old
-                seen.add("refused")
+                calls.append((want, halos, old, None))
                 raise
-            assert want is not None and not old
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert np.array_equal(got.view(np.int64), halos.view(np.int64))
-            seen.add("built")
+            calls.append((want, halos, old, got))
             return got
 
-        monkeypatch.setattr(tf, "build_halos", both)
-        families = 0
-        for make in (cluster_family, compact_family):
-            for bits in (2, 4, 8, 16):
-                for spread in (0.25, 1.0, 4.0, 8.0, 16.0, SPREAD_BOUND):
-                    for seed in range(4):
-                        try:
-                            tiles = make(seed, bits, spread)
-                        except RuntimeError:
-                            continue
-                        assert footprint_violations(tiles) == []
-                        families += 1
-        assert seen == {"built", "refused"} and families > 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tf, "build_halos", both)
+            for make in (cluster_family, compact_family):
+                for bits in (2, 4, 8, 16):
+                    for spread in (0.25, 1.0, 4.0, 8.0, 16.0, SPREAD_BOUND):
+                        for seed in range(4):
+                            try:
+                                tiles = make(seed, bits, spread)
+                            except RuntimeError:
+                                continue
+                            families.append(footprint_violations(tiles))
+        return calls, families
+
+    def test_halos_match_the_push_search_off_default(self, halo_sweep):
+        # the closed form builds the push search's halos bit for bit, or
+        # both refuse
+        seen = set()
+        for want, _, _, got in halo_sweep[0]:
+            if got is None:
+                assert want is None
+                seen.add("refused")
+                continue
+            assert want is not None
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            seen.add("built")
+        assert seen == {"built", "refused"}
+
+    def test_closed_form_needs_only_the_nesting_audit(self, halo_sweep):
+        # the rules src no longer audits hold where the generators go: no
+        # closed-form halo set misses the dilate or passes the budget (the
+        # scalar audit's other rows), and every family regularize returns
+        # is already footprint monotone
+        calls, families = halo_sweep
+        seen = set()
+        for _, halos, old, got in calls:
+            assert kinds(old) <= {"broken-nesting"}
+            if got is None:
+                assert old
+                seen.add("refused")
+                continue
+            assert not old
+            assert np.array_equal(got.view(np.int64), halos.view(np.int64))
+            seen.add("admitted")
+        assert all(v == [] for v in families)
+        assert seen == {"admitted", "refused"} and len(families) > 0
 
     def test_push_search_builds_past_the_spread_bound(self, monkeypatch):
         # why the validator stops at 32: at clearance 64 the search moves
