@@ -37,7 +37,7 @@ def _cmd_run(args) -> int:
         print(f"error: --out must be a directory: {err}", file=sys.stderr)
         return 2
     try:
-        result = ex.run(cfg, validated=True)
+        result = ex.run(cfg)
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as err:
         if fresh:
             os.rmdir(args.out)  # a failed run leaves no empty directory

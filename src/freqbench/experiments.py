@@ -796,9 +796,8 @@ class RunResult:
         return not self.failures
 
 
-def run(cfg: ExperimentConfig, *, validated: bool = False) -> RunResult:
-    if not validated:  # load_config has just checked it
-        validate_config(cfg)
+def run(cfg: ExperimentConfig) -> RunResult:
+    validate_config(cfg)
     runner = _RUNNERS[cfg.kind][0]
     start = time.perf_counter()
     metrics, failures = runner(cfg)

@@ -656,24 +656,6 @@ class TestCli:
         assert (out / "summary.txt").exists()
         assert "passed = true" in capsys.readouterr().out
 
-    def test_run_validates_the_config_once(self, tmp_path, monkeypatch):
-        # load_config validates, and the run it hands on does not check
-        # again (a size-decay check builds the density); a direct run of
-        # an invalid config still raises
-        kinds = []
-        check = ex.validate_config
-        monkeypatch.setattr(ex, "validate_config",
-                            lambda cfg: kinds.append(cfg.kind) or check(cfg))
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text("kind = size-decay\ntrials = 1\n")
-        assert cli_main(["run", "--config", str(cfg),
-                         "--out", str(tmp_path / "run")]) == 0
-        assert kinds == ["size-decay"]
-        bad = small("size-decay", support_factor=0.0)
-        with pytest.raises(ValueError, match="support_factor must be positive"):
-            ex.run(bad)
-        assert kinds == ["size-decay"] * 2
-
     def test_run_invalid_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("kind = model-sum\nexponents = 1.5, 4, 4\ntrials = 1\n")
@@ -714,7 +696,7 @@ class TestCli:
                                             monkeypatch, kind, body):
         # refused before the experiment runs: no warning, no output
         # directory; some of these values would take gigabytes to run
-        monkeypatch.setattr(ex, "run", lambda cfg, **_: pytest.fail("it ran"))
+        monkeypatch.setattr(ex, "run", lambda cfg: pytest.fail("it ran"))
         cfg = tmp_path / "t.cfg"
         cfg.write_text(f"kind = {kind}\n{body}\n")
         assert cli_main(["run", "--config", str(cfg),
@@ -834,7 +816,7 @@ class TestCli:
         out = tmp_path / "notes.txt"
         out.write_text("keep me\n")
         ran = []
-        monkeypatch.setattr(ex, "run", lambda c, **_: ran.append(c))
+        monkeypatch.setattr(ex, "run", lambda c: ran.append(c))
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
