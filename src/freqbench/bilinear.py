@@ -69,7 +69,9 @@ def bilinear_apply(f: GridFunction, g: GridFunction, symbol):
     n = f.size
     ks = f.freqs()
     cf, cg = f.spectrum(), g.spectrum()
-    up = np.arange(-(n // 2), n // 2) % n  # ascending: fixes bincount's order
+    # up[j] = (j - n/2) mod n indexes the modes in ascending frequency,
+    # which fixes bincount's order; for even n it is ks[j] + n/2
+    up = ks + n // 2
     ia = up[np.abs(cf[up]) > 0.0]
     ja = up[np.abs(cg[up]) > 0.0]
     out = np.zeros(n, dtype=complex)

@@ -31,7 +31,7 @@ import numpy as np
 from . import bilinear as bil
 from . import geometry as geo
 from . import paraproduct as para
-from .grid import GridFunction, indicator, shared_kernel
+from .grid import GridFunction, grid_lattice, indicator, shared_kernel
 from .sizes import (
     TreeSizer,
     exceptional_mask,
@@ -245,6 +245,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.exceptional_factor < floor:
         bad(f"exceptional_factor must be >= {floor!r} for size-decay at "
             f"this grid_n and domain_len, got {cfg.exceptional_factor!r}")
+    # the restricted inputs' mollifier spectrum must stay below the band
+    # edge, the test PositiveBandKernel makes when the run builds it
+    if (cfg.kind in ("polygon-scan", "forest-bessel", "model-sum",
+                     "size-decay")
+            and (MOLLIFIER_HALF_POWER * cfg.domain_len / cfg.moll_width
+                 >= cfg.grid_n / 2)):
+        least = 2 * MOLLIFIER_HALF_POWER * cfg.domain_len / cfg.grid_n
+        bad(f"moll_width must be > {least!r} for {cfg.kind} at this grid_n "
+            f"and domain_len, got {cfg.moll_width!r}: its mollifier would "
+            "alias")
     # the last chord's Whitney members are about 4**-mu_max / c0 wide;
     # deeper, a double cannot tell their sides apart
     deepest = 23 if cfg.c0 <= 9 else 22
@@ -394,7 +404,7 @@ def restricted_input(n: int, length: float, spans,
     grid fine enough to carry the kernel's spectrum.
     """
     kern = shared_kernel(n, length, width, MOLLIFIER_HALF_POWER)
-    ks = GridFunction.zeros(n, length).freqs()
+    ks = grid_lattice(n, length)[1]
     chi = np.zeros(n, dtype=complex)
     for a, b in spans:
         pa = np.exp(-2j * np.pi * ks * (a / length))

@@ -7,6 +7,9 @@ the package leans on.  The design rule here is that any statement a test
 wants to make "exactly" (mass of an indicator, a partition of unity
 summing to one) must be exact in floating point, not merely accurate, so
 endpoints and widths are kept on binary-friendly lattices by the callers.
+
+A grid's sample points and frequencies are built once per (size, length)
+by :func:`grid_lattice` and shared read-only by every caller on it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "GridFunction",
+    "grid_lattice",
     "indicator",
     "maximal_average",
     "smooth_ramp",
@@ -24,6 +28,17 @@ __all__ = [
     "shared_kernel",
     "convolve",
 ]
+
+
+@functools.lru_cache(maxsize=16)
+def grid_lattice(size: int, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sample points j * length / size and FFT-order frequencies
+    of the grid of ``size`` samples on [0, length), one pair per grid."""
+    x = np.arange(size) * (length / size)
+    k = (np.arange(size) + size // 2) % size - size // 2
+    x.flags.writeable = False
+    k.flags.writeable = False
+    return x, k
 
 
 class GridFunction:
@@ -73,13 +88,13 @@ class GridFunction:
 
     @property
     def x(self):
-        """Sample points."""
-        return np.arange(self.size) * self.dx
+        """Sample points, read-only and shared by the grid's functions."""
+        return grid_lattice(self.size, self.length)[0]
 
     def freqs(self):
-        """Frequency of each spectrum index: 0, ..., n/2 - 1, -n/2, ..., -1."""
-        n = self.size
-        return (np.arange(n) + n // 2) % n - n // 2
+        """Frequency of each spectrum index: 0, ..., n/2 - 1, -n/2, ..., -1;
+        read-only and shared by the grid's functions."""
+        return grid_lattice(self.size, self.length)[1]
 
     def same_grid(self, other):
         return self.size == other.size and self.length == other.length

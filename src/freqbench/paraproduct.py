@@ -25,14 +25,17 @@ on the same annuli.
 :func:`pp_apply`, :func:`max_martingale` and :func:`telescoping_decompose`
 take every band of one input from one
 :meth:`freqbench.grid.GridFunction.bank`, a single batched inverse FFT over
-the stack of band masks.
+the stack of band masks, which is built once per grid and band list and
+shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, grid_lattice
 
 # diagonal depth offsets that make the telescoping identity lattice-exact,
 # and the naive offsets obtained by swapping summation order carelessly
@@ -40,21 +43,28 @@ EXACT_OFFSETS = (2, 1, 3)
 NAIVE_OFFSETS = (1, 1, 2)
 
 
-def _abs_freqs(f: GridFunction) -> np.ndarray:
-    return np.abs(f.freqs() / f.length)
+@functools.lru_cache(maxsize=8)
+def _masks(size: int, length: float, ks: tuple, ball: bool) -> np.ndarray:
+    """Read-only (len(ks), size) 0/1 masks over one grid's ``freqs()``,
+    built once per grid and ``ks``: balls |xi| <= 2**k, or annuli."""
+    a = np.abs(grid_lattice(size, length)[1] / length)
+    k = np.asarray(ks, dtype=float)[:, None]
+    inside = a <= 2.0 ** k
+    if not ball:
+        inside &= a > 2.0 ** (k - 1)
+    out = inside.astype(float)
+    out.flags.writeable = False
+    return out
 
 
 def _annuli(f: GridFunction, ks) -> np.ndarray:
     """(len(ks), size) 0/1 masks of 2**(k-1) < |xi| <= 2**k over ``freqs()``."""
-    a = _abs_freqs(f)
-    k = np.asarray(ks, dtype=float)[:, None]
-    return ((a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)).astype(float)
+    return _masks(f.size, f.length, tuple(map(float, ks)), False)
 
 
 def _balls(f: GridFunction, ks) -> np.ndarray:
     """(len(ks), size) 0/1 masks of |xi| <= 2**k over ``freqs()``."""
-    k = np.asarray(ks, dtype=float)[:, None]
-    return (_abs_freqs(f) <= 2.0 ** k).astype(float)
+    return _masks(f.size, f.length, tuple(map(float, ks)), True)
 
 
 def qk(f: GridFunction, k: int) -> GridFunction:

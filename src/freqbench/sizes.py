@@ -68,9 +68,15 @@ def tail_weight(f: GridFunction, lo, hi, power: int) -> np.ndarray:
     infinitely differentiable away from the wrap seam, so grid quadrature
     of weighted norms converges fast and refining the grid moves measured
     sizes by far less than any dyadic threshold margin.
+
+    The offset is periodized by ``np.fmod`` plus length where negative:
+    numpy's float remainder without the floor division it discards.  Only
+    the sign of an exactly-zero remainder differs, and subtracting half the
+    length erases it, so the weights equal the ``np.mod`` form bit for bit.
     """
     lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
-    off = np.mod(f.x - 0.5 * (lo + hi) + 0.5 * f.length, f.length)
+    off = np.fmod(f.x - 0.5 * (lo + hi) + 0.5 * f.length, f.length)
+    np.add(off, f.length, out=off, where=off < 0)
     u = (off - 0.5 * f.length) / (hi - lo)
     return (1.0 + u * u) ** (-0.5 * float(power))
 
@@ -250,7 +256,7 @@ def layer_split(tiles: Family, omega: np.ndarray,
             lo = center - 0.5 * length
             start = int(round(lo / dx))
             count = min(int(round(length / dx)), n)
-            if not omega[np.mod(start + np.arange(count), n)].all():
+            if not omega[(start + np.arange(count)) % n].all():
                 out.setdefault(level, []).append(j)
                 break
         else:
@@ -273,9 +279,9 @@ def spatial_cutoff(f: GridFunction, lo, hi, blur: float) -> np.ndarray:
     """
     lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
     n, dx = f.size, f.dx
-    start = np.round(lo / dx)
+    start = np.round(lo / dx).astype(np.int64)
     count = np.minimum(np.round(np.minimum(hi - lo, f.length) / dx), n)
-    boxes = (np.mod(np.arange(n) - start, n) < count).astype(complex)
+    boxes = ((np.arange(n) - start) % n < count).astype(complex)
     widths = np.maximum(blur * (hi - lo), MIN_WIDTH_CELLS * dx)[..., 0]
     out = np.empty(boxes.shape)
     for width in dict.fromkeys(widths.ravel().tolist()):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import freqbench.experiments as ex
 from freqbench.cli import main as cli_main
-from freqbench.grid import maximal_average
+from freqbench.grid import PositiveBandKernel, maximal_average
 from freqbench.sizes import exceptional_mask
 
 
@@ -73,6 +74,12 @@ def valid_configs(draw):
         floor = 1.0 / cfg.domain_len  # band_noise's lowest nonzero mode
         assume(math.isfinite(floor))
         cfg.band = draw(finite(floor))
+    if kind in ("polygon-scan", "forest-bessel", "model-sum", "size-decay"):
+        # the restricted inputs' mollifier aliases at and below this width
+        floor = 2 * ex.MOLLIFIER_HALF_POWER * cfg.domain_len / cfg.grid_n
+        cfg.moll_width = draw(finite(floor, None, exclude_min=True))
+        assume(ex.MOLLIFIER_HALF_POWER * cfg.domain_len / cfg.moll_width
+               < cfg.grid_n / 2)
     if kind == "size-decay":
         # the mask flags every sample below
         floor = ex._decay_density(cfg.grid_n, cfg.domain_len)[1]
@@ -168,6 +175,31 @@ class TestConfig:
             ex.validate_config(cfg)
         for kind in ("tiles", "polygon-scan", "size-decay"):
             ex.validate_config(small(kind, band=-5.0))
+
+    @pytest.mark.parametrize("kind", ["polygon-scan", "forest-bessel",
+                                      "model-sum", "size-decay"])
+    def test_moll_width_refused_exactly_where_its_kernel_aliases(self, kind):
+        # at the edge width the kernel's spectrum radius is grid_n / 2; one
+        # ulp wider it fits, and no wider width is refused
+        cfg = ex.default_config(kind)
+        edge = 2 * ex.MOLLIFIER_HALF_POWER * cfg.domain_len / cfg.grid_n
+        for width in (edge / 2, edge, np.nextafter(edge, math.inf),
+                      cfg.moll_width):
+            cfg.moll_width = float(width)
+            try:
+                PositiveBandKernel(cfg.grid_n, cfg.domain_len, width,
+                                   ex.MOLLIFIER_HALF_POWER)
+            except ValueError as err:
+                assert "would alias" in str(err)
+                hint = f"moll_width must be > {edge!r} for {kind}"
+                with pytest.raises(ValueError, match=re.escape(hint)):
+                    ex.validate_config(cfg)
+            else:
+                assert width > edge
+                ex.validate_config(cfg)
+        # widths that alias on the default grid are not refused elsewhere
+        for other in ("tiles", "paraproduct"):
+            ex.validate_config(small(other, moll_width=edge / 2))
 
     def test_validate_checks_field_types(self):
         cfg = small("tiles", seed="abc")
@@ -628,6 +660,13 @@ OUT_OF_DOMAIN = [
     ("size-decay", "decay_power = 0"), ("forest-bessel", "set_count = 0"),
     # the mollifier kernel needs a width
     ("forest-bessel", "moll_width = 0"), ("size-decay", "moll_width = 0"),
+    # the restricted inputs' mollifier would alias: MOLLIFIER_HALF_POWER *
+    # domain_len / moll_width reaches grid_n / 2 (100 >= 8, 128 >= 32,
+    # and 512 and 64 exactly at the band edge)
+    ("size-decay", "moll_width = 0.02\ngrid_n = 16"),
+    ("forest-bessel", "moll_width = 0.5\ngrid_n = 64"),
+    ("model-sum", "moll_width = 0.125"),
+    ("polygon-scan", "moll_width = 0.03125"),
     # no paraproduct depth, or 2**kbits overflows
     ("paraproduct", "kbits = 0"), ("paraproduct", "kbits = -3"),
     ("paraproduct", "kbits = 61"), ("paraproduct", "kbits = 2000"),

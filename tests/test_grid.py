@@ -326,3 +326,54 @@ class TestBank:
             assert bank.shape == (rows, size)
             for row, window in zip(bank, windows):
                 assert np.array_equal(row, f.multiply_spectrum(window).values)
+
+
+class TestSharedGridArrays:
+    """Sample points, frequencies and band masks are built once per grid
+    and handed out read-only."""
+
+    GRIDS = [(16, 1.0), (512, 32.0), (4096, 0.3), (1024, 7.77)]
+
+    @staticmethod
+    def old_freqs(n):
+        return (np.arange(n) + n // 2) % n - n // 2
+
+    @pytest.mark.parametrize("size,length", GRIDS)
+    def test_lattice_equals_closed_forms(self, size, length):
+        f = GridFunction.zeros(size, length)
+        assert f.x.tobytes() == (np.arange(size) * f.dx).tobytes()
+        assert f.freqs().tobytes() == self.old_freqs(size).tobytes()
+
+    @pytest.mark.parametrize("size,length", GRIDS)
+    def test_masks_equal_closed_forms(self, size, length):
+        f = GridFunction.zeros(size, length)
+        a = np.abs(self.old_freqs(size) / length)
+        for ks in ([3], [-1, 0, 3, 8], range(10), np.arange(8, 0, -2)):
+            k = np.asarray(ks, dtype=float)[:, None]
+            annuli = ((a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)).astype(float)
+            balls = (a <= 2.0 ** k).astype(float)
+            assert _annuli(f, ks).tobytes() == annuli.tobytes()
+            assert _balls(f, ks).tobytes() == balls.tobytes()
+
+    def test_shared_arrays_are_read_only(self):
+        f = GridFunction.zeros(64, 1.0)
+        for arr in (f.x, f.freqs(), _annuli(f, [2, 3]), _balls(f, [2])):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+            assert not arr.flags.writeable
+
+    def test_one_grid_shares_another_length_does_not(self):
+        rng = np.random.default_rng(3)
+        f = GridFunction.zeros(64, 2.0)
+        g = random_gridfunction(rng, size=64, length=2.0)
+        h = GridFunction.zeros(64, 3.0)
+        assert f.x is g.x and f.freqs() is g.freqs()
+        assert h.x is not f.x and h.freqs() is not f.freqs()
+        assert not np.array_equal(h.x, f.x)
+        assert np.array_equal(h.freqs(), f.freqs())
+        ks = [1, 3, 4]
+        for masks in (_annuli, _balls):
+            assert masks(f, ks) is masks(g, np.array(ks))
+            assert masks(h, ks) is not masks(f, ks)
+            assert not np.array_equal(masks(h, ks), masks(f, ks))
+        assert _annuli(f, ks) is not _balls(f, ks)

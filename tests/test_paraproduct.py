@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import freqbench.experiments as ex
+import freqbench.paraproduct as para
 from freqbench.grid import GridFunction
 from freqbench.paraproduct import (
     EXACT_OFFSETS,
@@ -174,6 +176,16 @@ class TestBandBank:
             np.maximum(best, np.abs(acc), out=best)
         got = max_martingale(a, psi, kmax).values
         assert np.array_equal(got, best.astype(complex))
+
+    def test_run_builds_each_mask_stack_once(self):
+        # the clip balls, the doubled-depth and coupling-depth annuli, the
+        # coupling balls and the martingale annuli: five stacks, however
+        # many trials
+        cfg = ex.default_config("paraproduct")
+        cfg.trials = 3
+        para._masks.cache_clear()
+        assert ex.run(cfg).passed
+        assert para._masks.cache_info().misses == 5
 
 
 class TestParaproduct:

@@ -1,12 +1,14 @@
 """Tests for size functionals, exceptional layers, and the model sum."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import freqbench.experiments as ex
-from freqbench import sizes
+from freqbench import grid, sizes
 from freqbench.grid import (
     GridFunction,
     indicator,
@@ -84,12 +86,41 @@ class TestTailWeight:
         ref = (1.0 + (d / 0.1) ** 2) ** -3.0
         assert np.allclose(w, ref, atol=1e-14)
 
+    def test_negative_zero_remainder_matches_mod(self):
+        # centre 1.5 puts sample 0 one circle left of the seam: fmod gives
+        # -0.0 there where np.mod gives +0.0, and the weights still agree
+        f = GridFunction.zeros(256, 1.0)
+        off = np.fmod(f.x[0] - 1.5 + 0.5, 1.0)
+        assert off == 0.0 and np.signbit(off)
+        for power in (3, 4, 10):
+            got = tail_weight(f, 1.25, 1.75, power)
+            assert got[0] == 2.0 ** (-0.5 * power)
+            assert got.tobytes() == one_tail_weight(f, 1.25, 1.75,
+                                                    power).tobytes()
+
     def test_higher_power_decays_faster(self):
         f = GridFunction.zeros(64, 1.0)
         lo, hi = (tail_weight(f, 0.0, 0.125, power=12),
                   tail_weight(f, 0.0, 0.125, power=4))
         off_center = np.abs(f.x - 0.0625) > 1e-9
         assert np.all(lo[off_center] < hi[off_center])
+
+
+@pytest.mark.parametrize("module", [sizes, grid])
+def test_no_floor_divmod_remainder(module):
+    # floats are periodized by np.fmod with an explicit sign fix and
+    # integers by %, so neither module names numpy's floor-divmod
+    # remainder, np.mod or np.remainder, whose float loop is most of a
+    # weight row's cost
+    tree = ast.parse(inspect.getsource(module))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("np", "numpy")}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              for alias in node.names}
+    assert not names & {"mod", "remainder"}
 
 
 class TestMultiplierFamily:
@@ -448,7 +479,8 @@ class TestSpatialCutoff:
 
 
 def one_tail_weight(f, lo, hi, power):
-    """The tail weight of [lo, hi], in scalar arithmetic."""
+    """The tail weight of [lo, hi], in scalar arithmetic, periodized by
+    numpy's floor-divmod remainder."""
     off = np.mod(f.x - 0.5 * (lo + hi) + 0.5 * f.length, f.length) \
         - 0.5 * f.length
     u = off / (hi - lo)
@@ -475,13 +507,21 @@ class TestBatchedRows:
                      [-0.75, 0.25]])
 
     def test_tail_weight_rows_match_single_intervals(self):
-        f = GridFunction.zeros(512, 32.0)
-        for power in (4, 10):
-            got = tail_weight(f, *self.ROWS.T, power)
-            assert got.shape == (len(self.ROWS), 512)
-            for row, (lo, hi) in zip(got, self.ROWS.tolist()):
-                assert np.array_equal(row, tail_weight(f, lo, hi, power))
-                assert np.array_equal(row, one_tail_weight(f, lo, hi, power))
+        # the rows scaled to each circle, and ends drawn from five circles
+        # either side: left of 0, right of the circle, longer than it; the
+        # np.mod reference agrees byte for byte
+        drawn = np.sort(np.random.default_rng(8).uniform(-5.0, 5.0, (64, 2)),
+                        axis=1)
+        for length in (1.0, 32.0, 0.3, 7.77):
+            f = GridFunction.zeros(512, length)
+            ends = np.vstack([self.ROWS / 32.0, drawn]) * length
+            for power in (3, 4, 10):
+                got = tail_weight(f, *ends.T, power)
+                assert got.shape == (len(ends), 512)
+                for row, (lo, hi) in zip(got, ends.tolist()):
+                    assert np.array_equal(row, tail_weight(f, lo, hi, power))
+                    assert row.tobytes() == one_tail_weight(
+                        f, lo, hi, power).tobytes()
 
     def test_cutoff_rows_match_single_intervals(self):
         f = GridFunction.zeros(512, 32.0)
