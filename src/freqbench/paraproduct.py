@@ -45,25 +45,26 @@ NAIVE_OFFSETS = (1, 1, 2)
 
 @functools.lru_cache(maxsize=8)
 def _masks(size: int, length: float, ks: tuple, ball: bool) -> np.ndarray:
-    """Read-only (len(ks), size) 0/1 masks over one grid's ``freqs()``,
-    built once per grid and ``ks``: balls |xi| <= 2**k, or annuli."""
+    """Read-only (len(ks), size) boolean masks over one grid's ``freqs()``,
+    built once per grid and ``ks``: balls |xi| <= 2**k, or annuli.  A
+    spectrum times a mask casts it to the complex 0 and 1 that float 0/1
+    masks cast to, so the products are the same bit for bit."""
     a = np.abs(grid_lattice(size, length)[1] / length)
     k = np.asarray(ks, dtype=float)[:, None]
     inside = a <= 2.0 ** k
     if not ball:
         inside &= a > 2.0 ** (k - 1)
-    out = inside.astype(float)
-    out.flags.writeable = False
-    return out
+    inside.flags.writeable = False
+    return inside
 
 
 def _annuli(f: GridFunction, ks) -> np.ndarray:
-    """(len(ks), size) 0/1 masks of 2**(k-1) < |xi| <= 2**k over ``freqs()``."""
+    """(len(ks), size) masks of 2**(k-1) < |xi| <= 2**k over ``freqs()``."""
     return _masks(f.size, f.length, tuple(map(float, ks)), False)
 
 
 def _balls(f: GridFunction, ks) -> np.ndarray:
-    """(len(ks), size) 0/1 masks of |xi| <= 2**k over ``freqs()``."""
+    """(len(ks), size) masks of |xi| <= 2**k over ``freqs()``."""
     return _masks(f.size, f.length, tuple(map(float, ks)), True)
 
 

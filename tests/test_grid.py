@@ -346,14 +346,16 @@ class TestSharedGridArrays:
 
     @pytest.mark.parametrize("size,length", GRIDS)
     def test_masks_equal_closed_forms(self, size, length):
-        f = GridFunction.zeros(size, length)
+        # boolean stacks, whose banks equal the float 0/1 stacks' bit for bit
+        f = random_gridfunction(np.random.default_rng(size), size, length)
         a = np.abs(self.old_freqs(size) / length)
         for ks in ([3], [-1, 0, 3, 8], range(10), np.arange(8, 0, -2)):
             k = np.asarray(ks, dtype=float)[:, None]
             annuli = ((a > 2.0 ** (k - 1)) & (a <= 2.0 ** k)).astype(float)
             balls = (a <= 2.0 ** k).astype(float)
-            assert _annuli(f, ks).tobytes() == annuli.tobytes()
-            assert _balls(f, ks).tobytes() == balls.tobytes()
+            for got, want in ((_annuli(f, ks), annuli), (_balls(f, ks), balls)):
+                assert got.dtype == bool and np.array_equal(got, want)
+                assert f.bank(got).tobytes() == f.bank(want).tobytes()
 
     def test_shared_arrays_are_read_only(self):
         f = GridFunction.zeros(64, 1.0)
