@@ -255,12 +255,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad(f"moll_width must be > {least!r} for {cfg.kind} at this grid_n "
             f"and domain_len, got {cfg.moll_width!r}: its mollifier would "
             "alias")
-    # the last chord's Whitney members are about 4**-mu_max / c0 wide;
-    # deeper, a double cannot tell their sides apart
-    deepest = 23 if cfg.c0 <= 9 else 22
-    if cfg.kind == "partition" and cfg.mu_max > deepest:
-        bad(f"mu_max must be <= {deepest} for partition at c0 = {cfg.c0}, "
-            f"got {cfg.mu_max}")
+    # a member no wider than the containment slack could poke out unseen
+    if cfg.kind == "partition":
+        deepest = 1
+        while geo.finest_side(deepest + 1, cfg.c0) > geo.SLACK:
+            deepest += 1
+        if cfg.mu_max > deepest:
+            bad(f"mu_max must be <= {deepest} for partition at c0 = "
+                f"{cfg.c0}, got {cfg.mu_max}")
     if cfg.kind == "polygon-scan" and cfg.exponents is None:
         bad("exponents must be a triple for polygon-scan, got None")
     if cfg.exponents is not None:
@@ -496,17 +498,15 @@ def run_polygon_scan(cfg: ExperimentConfig):
         denom = f.norm(p1) * g.norm(p2)
         ratios.append(out.norm(q) / denom if denom > 0 else math.inf)
         wrapped = max(wrapped, report.wrapped_fraction)
-    fams10 = [geo.chord_intervals(mu, C0=cfg.c0, alpha=cfg.alpha)
-              for mu in range(1, 11)]
-    fams20 = fams10 + [geo.chord_intervals(mu, C0=cfg.c0, alpha=cfg.alpha)
-                       for mu in range(11, 21)]
+    fams = [geo.chord_intervals(mu, C0=cfg.c0, alpha=cfg.alpha)
+            for mu in range(1, 21)]
     metrics = [("ratio_max", float(max(ratios))),
                ("ratio_mean", float(np.mean(ratios))),
                ("wrapped_fraction_max", wrapped)]
     failures = _wrap_failures(wrapped)
     for i in (1, 2, 3):
-        c10 = geo.interval_overlap_count(fams10, i)
-        c20 = geo.interval_overlap_count(fams20, i)
+        c10 = geo.interval_overlap_count(fams[:10], i)
+        c20 = geo.interval_overlap_count(fams, i)
         metrics.append((f"overlap_mu10_i{i}", float(c10)))
         metrics.append((f"overlap_mu20_i{i}", float(c20)))
         if c10 != c20:

@@ -6,8 +6,8 @@ the same few ingredients:
 
 - stable closed forms for vertices, chord slopes and diagonal spans
   (product forms, no cancellation down to mu ~ 25);
-- a convex containment test for the polygon, and the sheared local frame
-  of each chord shell;
+- one convex containment rule in distance units, with the roundoff slack
+  SLACK, and the sheared local frame of each chord shell;
 - Whitney rectangles hugging each chord: dyadic squares selected against
   the diagonal by integer offsets and pushed through the chord shear;
 - the axis-hugging staircase, pole caps and central square;
@@ -35,8 +35,9 @@ import numpy as np
 from .grid import smooth_ramp
 
 GUARD_FRAC = 0.2        # sampling guard off chord mu, in units of 4^-mu
-CONTAINMENT_TOL = 1e-9  # slack of the hypothesis report's containment check
 CONTAIN_CHUNK = 4096    # points per bounding-box edge cull in containment
+# containment slack in distance: two ulps of 1, a coordinate's roundoff
+SLACK = 2.0 * np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
 # vertices, slopes, diagonal spans
@@ -85,18 +86,20 @@ def _mirrored(boxes: np.ndarray) -> np.ndarray:
                            np.vstack([boxes[:2], flip[2:]]), flip], axis=1)
 
 
-def _convex_contains(verts: np.ndarray, boxes: np.ndarray, tol: float):
-    """Which boxes of a (4, m) array lie in the closed CCW convex `verts`."""
+def _convex_contains(verts: np.ndarray, boxes: np.ndarray):
+    """Which (4, m) boxes lie within SLACK of the closed CCW convex `verts`."""
     vx, vy = verts.T
     ex, ey = (np.roll(verts, -1, axis=0) - verts).T
-    # cross(edge, corner - v) >= -tol for every edge and corner.  The cross
-    # product is affine in the corner and rounding is monotone, so per edge
-    # its computed value at px = x1 if ey > 0 else x0, py = y0 if ex > 0
-    # else y1 is the least of the four corners' (also after division by
-    # the edge's length), and no rounding margin is needed.  By the same
-    # argument an edge is skipped for a chunk of CONTAIN_CHUNK boxes whose
-    # bounding box's four corners pass it.  A NaN shows at a bounding
-    # corner, which keeps every edge, and at some edge's extreme corner.
+    floor = -SLACK * np.hypot(ex, ey)   # per edge, in cross-product units
+    # cross(edge, corner - v) >= floor for every edge and corner: a signed
+    # distance of at least -SLACK.  The cross product is affine in the
+    # corner and rounding is monotone, so per edge its computed value at
+    # px = x1 if ey > 0 else x0, py = y0 if ex > 0 else y1 is the least of
+    # the four corners', and since the floor is one scalar per edge that
+    # corner decides the box with no rounding margin.  By the same argument
+    # an edge is skipped for a chunk of CONTAIN_CHUNK boxes whose bounding
+    # box's four corners pass it.  A NaN shows at a bounding corner, which
+    # keeps every edge, and at some edge's extreme corner.
     inside = np.ones(boxes.shape[1], dtype=bool)
     for lo in range(0, len(inside), CONTAIN_CHUNK):
         x0, x1, y0, y1 = boxes[:, lo:lo + CONTAIN_CHUNK]
@@ -105,10 +108,10 @@ def _convex_contains(verts: np.ndarray, boxes: np.ndarray, tol: float):
         corner_min = (ex[:, None] * (cy - vy[:, None])
                       - ey[:, None] * (cx - vx[:, None])).min(axis=1)
         chunk = inside[lo:lo + CONTAIN_CHUNK]  # a view: &= writes inside
-        for k in np.flatnonzero(~(corner_min >= -tol)):
+        for k in np.flatnonzero(~(corner_min >= floor)):
             px = x1 if ey[k] > 0 else x0
             py = y0 if ex[k] > 0 else y1
-            chunk &= ex[k] * (py - vy[k]) - ey[k] * (px - vx[k]) >= -tol
+            chunk &= ex[k] * (py - vy[k]) - ey[k] * (px - vx[k]) >= floor[k]
     return inside
 
 
@@ -149,11 +152,10 @@ class LacunaryPolygon:
         if mu_max < 1:
             raise ValueError("mu_max must be at least 1")
         self.mu_max = int(mu_max)
-        upper = []  # (angle, chord index of the edge *leaving* this vertex)
-        for mu in range(mu_max + 1, 0, -1):  # first quadrant, ascending angle
-            upper.append(math.pi * 2.0 ** (-mu))
-        for mu in range(2, mu_max + 2):      # second quadrant
-            upper.append(math.pi - math.pi * 2.0 ** (-mu))
+        # upper half-plane angles: the first quadrant's, then the second's
+        upper = ([math.pi * 2.0 ** (-mu) for mu in range(mu_max + 1, 0, -1)]
+                 + [math.pi - math.pi * 2.0 ** (-mu)
+                    for mu in range(2, mu_max + 2)])
         angles = [0.0] + upper + [math.pi] + [2.0 * math.pi - a for a in reversed(upper)]
         self.vertices = np.array([[math.cos(a), math.sin(a)] for a in angles])
 
@@ -165,10 +167,10 @@ class LacunaryPolygon:
 
     # -- containment -------------------------------------------------------
 
-    def contains(self, points, tol: float = 1e-12):
-        """Closed containment test (boundary counts as inside up to tol)."""
+    def contains(self, points):
+        """Closed containment test, up to SLACK outside the boundary."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = _convex_contains(self.vertices, pts.T[[0, 0, 1, 1]], tol)
+        inside = _convex_contains(self.vertices, pts.T[[0, 0, 1, 1]])
         return bool(inside[0]) if np.ndim(points) == 1 else inside
 
     # -- distances and sampling -------------------------------------------
@@ -194,21 +196,21 @@ class LacunaryPolygon:
         mu exceeds GUARD_FRAC * 4^-mu.  Finite Whitney families cannot
         reach all the way to a chord, so the cover check needs this guard.
         The truncation edges use the last chord's guard scale.  Points
-        within min(apothem - guard) - 1e-9 of the origin clear every guard
-        (an edge is at least its apothem less |p| away, and the margin is
-        far above rounding), so only the rest need :meth:`edge_distances`.
+        within min(apothem - guard) - SLACK of the origin clear every guard
+        (an edge is at least its apothem less |p| away, and SLACK absorbs
+        the roundoff of both), so only the rest need :meth:`edge_distances`.
         """
         eff_mu = np.minimum(self.edge_mu, self.mu_max).astype(float)
         guards = GUARD_FRAC * 4.0 ** (-eff_mu)
         vx, vy = self.vertices.T
         ex, ey = (np.roll(self.vertices, -1, axis=0) - self.vertices).T
-        safe = np.min((ey * vx - ex * vy) / np.hypot(ex, ey) - guards) - 1e-9
+        safe = np.min((ey * vx - ex * vy) / np.hypot(ex, ey) - guards) - SLACK
         out = []
         need = count
         while need > 0:
             batch = max(4 * need, 256)
             pts = rng.uniform(-1.0, 1.0, size=(batch, 2))
-            pts = pts[self.contains(pts, tol=0.0)]
+            pts = pts[self.contains(pts)]
             ok = np.hypot(pts[:, 0], pts[:, 1]) <= safe
             ok[~ok] = (self.edge_distances(pts[~ok]) > guards).all(axis=1)
             pts = pts[ok]
@@ -256,6 +258,17 @@ Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
 MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
+def finest_side(mu: int, C0: int) -> float:
+    """Side of chord mu's finest Whitney squares: the largest power of two
+    whose closest squares, C0 + 2^-Q sides off the diagonal, are within
+    0.75 * GUARD_FRAC * 4^-mu of the chord (s / |(1, s)| times as far)."""
+    s = chord_slope(mu)
+    reach = (C0 + 2.0 ** (-Q)) * (s / math.hypot(1.0, s))
+    target = 0.75 * GUARD_FRAC * 4.0 ** (-mu)
+    side = 2.0 ** math.ceil(math.log2(target / reach))   # or twice the side
+    return side if side * reach < target else side / 2.0
+
+
 def whitney_shell_rects(mu: int, r: int, *, C0: int,
                         alpha: float) -> np.ndarray:
     """Whitney rectangles for one chord shell (second quadrant), (4, k).
@@ -265,9 +278,9 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
     its 4C0-dilate meets it: C0 2^Q < n - m <= 4 C0 2^Q, integer-exact.
     It is kept when its alpha-dilate meets the shell, then pushed forward
     through the chord shear.  Scales run from the coarsest that clears the
-    band down to the one whose closest squares sit inside the sampling
-    guard (GUARD_FRAC * 4^-mu off the chord), at most MAX_SCALES of them,
-    so the family covers every guarded point of its shell.
+    band down to :func:`finest_side`, whose closest squares sit inside the
+    sampling guard, at most MAX_SCALES of them, so the family covers every
+    guarded point of its shell.
 
     Below the top two nonempty scales only offsets up to 2 C0 2^Q are
     kept: the larger ones duplicate distance bands already covered one
@@ -281,10 +294,7 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
     lo_off = C0 * (1 << Q) + 1       # n - m strictly above C0 * 2^Q
     hi_full = 4 * C0 * (1 << Q)      # 4C0-dilate still meets the diagonal
     hi_thin = 2 * C0 * (1 << Q)
-
-    # local offset (w - u) maps to absolute chord distance by this factor
-    dist_factor = s / math.hypot(1.0, s)
-    target = 0.75 * GUARD_FRAC * 4.0 ** (-mu)
+    finest = finest_side(mu, C0)
 
     kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
     j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
@@ -307,8 +317,7 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
             uh, wh = uc[hit], wc[hit]
             kept.append(np.stack([ax - (uh + h), ax - (uh - h),
                                   ay - s * (wh + h), ay - s * (wh - h)]))
-            closest = (C0 + 2.0 ** (-Q)) * 2.0 ** j * dist_factor
-            if closest < target or found >= MAX_SCALES:
+            if 2.0 ** j <= finest or found >= MAX_SCALES:
                 break
         elif found > 0:
             break
@@ -494,19 +503,13 @@ def interval_overlap_count(families: list[dict], i: int) -> int:
 
     Endpoints at depth mu live at scale 4^-mu around O(1) anchors; the
     chord anchors themselves come from stable product-form steps, so the
-    sweep decides ties from differences far above roundoff.
+    sweep decides ties from differences far above roundoff.  At a tie an
+    interval closes before the next opens, so touching ones do not overlap.
     """
-    events = []
-    for fam in families:
-        for a, b in fam[i]:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    best = cur = 0
-    for _, delta in events:
-        cur += delta
-        best = max(best, cur)
-    return best
+    ends = np.concatenate([fam[i] for fam in families]).T   # rows lo, hi
+    steps = np.repeat([1, -1], ends.shape[1])
+    order = np.lexsort((steps, ends.ravel()))
+    return int(np.cumsum(steps[order]).max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +654,7 @@ class PolygonPartition:
     def hypothesis_report(self, rng, cover_samples: int,
                           overlap_samples: int) -> PartitionReport:
         # (1) every member inside the closed region: all four corners
-        inside = _convex_contains(self.polygon.vertices, self.boxes,
-                                  CONTAINMENT_TOL)
+        inside = _convex_contains(self.polygon.vertices, self.boxes)
         # (2) alpha-shrinks cover guarded interior samples
         misses = self.shrink_misses(
             self.polygon.interior_samples(cover_samples, rng))

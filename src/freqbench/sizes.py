@@ -246,22 +246,20 @@ def layer_split(tiles: Family, omega: np.ndarray,
         raise ValueError("flagged set covers the whole circle")
     n = omega.size
     dx = circle / n
-    out: dict[int, list[int]] = {}
+    # unflagged samples before each index of the circle traversed twice, so
+    # a wrapped window of at most n samples is one difference
+    clear = np.r_[0, np.cumsum(np.tile(~omega, 2))]
     centers = 0.5 * (tiles.lo + tiles.hi)
-    for j, (center, width) in enumerate(zip(centers.tolist(),
-                                            tiles.length.tolist())):
-        for level in range(MAX_LAYER + 1):
-            scale = 4.0 ** level
-            length = min(width * scale, circle)
-            lo = center - 0.5 * length
-            start = int(round(lo / dx))
-            count = min(int(round(length / dx)), n)
-            if not omega[(start + np.arange(count)) % n].all():
-                out.setdefault(level, []).append(j)
-                break
-        else:
-            raise RuntimeError("tile never escaped the flagged set")
-    return {level: np.array(js) for level, js in out.items()}
+    layer = np.full(len(centers), -1)
+    for level in range(MAX_LAYER + 1):
+        length = np.minimum(tiles.length * 4.0 ** level, circle)
+        start = np.round((centers - 0.5 * length) / dx).astype(np.int64) % n
+        count = np.minimum(np.round(length / dx), n).astype(np.int64)
+        layer[(layer < 0) & (clear[start + count] > clear[start])] = level
+    if (layer < 0).any():
+        raise RuntimeError("tile never escaped the flagged set")
+    return {int(level): np.flatnonzero(layer == level)
+            for level in np.unique(layer)}
 
 
 # ---------------------------------------------------------------------------

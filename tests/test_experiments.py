@@ -41,10 +41,10 @@ def valid_configs(draw):
     kind = draw(st.sampled_from([kind for kind, _ in ex.experiment_kinds()]))
     cfg = ex.default_config(kind)
     scale_bits = draw(st.integers(2, 16))
-    # a partition resolves chords down to 23, and 23 only at c0 <= 9
+    # a partition resolves chords down to 22, and 22 only at c0 <= 9
     deep = kind == "partition"
-    mu_max = draw(st.integers(1, 23 if deep else 64))
-    c0 = draw(st.integers(2, 9 if deep and mu_max == 23 else 16))
+    mu_max = draw(st.integers(1, 22 if deep else 64))
+    c0 = draw(st.integers(2, 9 if deep and mu_max == 22 else 16))
     # the compact families' tiles need tops as long as 2**scale_bits
     pooled = kind in ("forest-bessel", "model-sum")
     positive = finite(0.0, None, exclude_min=True)
@@ -624,7 +624,11 @@ OUT_OF_DOMAIN = [
     ("partition", "mu_max = 0"), ("partition", "alpha = 1"),
     ("partition", "c0 = 17"),
     ("partition", "c0 = 64"),              # past the host's memory
-    # the Whitney members of the last chord have zero width
+    # the last chord's thinnest Whitney members are no wider than the
+    # containment slack of 2 ulps of 1 (2 ulps in the first three rows),
+    # or have zero width
+    ("partition", "mu_max = 23"), ("partition", "mu_max = 22\nc0 = 10"),
+    ("partition", "mu_max = 22\nc0 = 16"),
     ("partition", "mu_max = 24"), ("partition", "mu_max = 200"),
     ("partition", "mu_max = 23\nc0 = 10"),
     ("polygon-scan", "k0 = 61"), ("polygon-scan", "k0 = -61"),

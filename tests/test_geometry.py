@@ -1,12 +1,14 @@
 """Geometry of the polygon, chord shells, Whitney families, partition."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freqbench import geometry as G
+from freqbench import experiments as ex, geometry as G
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 ALPHA, C0 = 0.99, 4   # the default config's cover parameters
@@ -37,6 +39,19 @@ def point_boxes(pts):
     """The (4, m) array of degenerate boxes (x, x, y, y) of (m, 2) points,
     or (4, 1) for one point."""
     return np.atleast_2d(np.asarray(pts, dtype=float)).T[[0, 0, 1, 1]]
+
+
+def deepest_admitted(c0):
+    """The deepest chord a partition config admits at this c0."""
+    cfg = ex.default_config("partition")
+    cfg.c0 = c0
+    for mu in range(1, 64):
+        cfg.mu_max = mu + 1
+        try:
+            ex.validate_config(cfg)
+        except ValueError:
+            return mu
+    raise AssertionError(f"no partition depth refused at c0 = {c0}")
 
 
 def chord_shell(mu, r):
@@ -125,8 +140,8 @@ class TestPolygonContainment:
 
     def test_vertices_are_boundary_points(self):
         P = G.LacunaryPolygon(3)
-        assert np.all(P.contains(P.vertices, tol=1e-12))
-        assert not np.any(P.contains(P.vertices * (1.0 + 1e-9), tol=1e-12))
+        assert np.all(P.contains(P.vertices))
+        assert not np.any(P.contains(P.vertices * (1.0 + 1e-9)))
 
     def test_reflection_symmetry(self):
         P = G.LacunaryPolygon(5)
@@ -137,32 +152,36 @@ class TestPolygonContainment:
 
     @staticmethod
     def near_boundary(verts, rng):
-        """(near, all): `near` holds eight points within 1e-9 of every
-        vertex and of one point on every edge; `all` adds those sites
-        themselves (on the boundary up to rounding) and 500 points around
-        the loop."""
+        """(near, all): `near` holds eight points within 1e-9 and eight
+        within 4 SLACK of every vertex and of one point on every edge;
+        `all` adds those sites themselves (on the boundary up to rounding)
+        and 500 points around the loop."""
         nxt = np.roll(verts, -1, axis=0)
         along = verts + rng.uniform(size=(len(verts), 1)) * (nxt - verts)
         sites = np.concatenate([verts, along])
-        near = np.repeat(sites, 8, axis=0)
-        near += rng.uniform(-1e-9, 1e-9, size=near.shape)
+        near = np.repeat(sites, 16, axis=0)
+        reach = np.tile(np.repeat([1e-9, 4 * G.SLACK], 8), len(sites))
+        near += rng.uniform(-1.0, 1.0, size=near.shape) * reach[:, None]
         lo, hi = verts.min(axis=0), verts.max(axis=0)
         pad = 0.1 * (hi - lo)
         return near, np.concatenate([
             rng.uniform(lo - pad, hi + pad, size=(500, 2)), near, sites])
 
     @staticmethod
-    def broadcast_contains(verts, pts, tol):
+    def broadcast_contains(verts, pts, slack=G.SLACK):
+        """The (points x edges) containment test: every cross product at
+        least -slack times its edge's length."""
         v, nxt = verts, np.roll(verts, -1, axis=0)
         ex, ey = (nxt - v).T
         cross = (ex[None, :] * (pts[:, 1:2] - v[None, :, 1])
                  - ey[None, :] * (pts[:, 0:1] - v[None, :, 0]))
-        return np.all(cross >= -tol, axis=1)
+        return np.all(cross >= -slack * np.hypot(ex, ey), axis=1)
 
     def test_edge_loops_match_broadcast(self, monkeypatch):
         # the per-edge loops, with the edge cull per chunk of points, must
         # reproduce the (points x edges) broadcast bit for bit, also for
-        # points within 1e-9 of edges and vertices; sorted by angle about
+        # points within 1e-9 and within a few SLACK of edges and vertices,
+        # where the per-edge slack decides; sorted by angle about
         # the region's centre, small chunks hug the boundary and straddle
         # its edges, and one-point chunks hold the cull to the point's own
         # cross products
@@ -178,25 +197,29 @@ class TestPolygonContainment:
             # one non-finite point every 37 rows, amid finite ones
             at = np.arange(len(bad)) * 37 + 5
             pts = np.insert(pts, at, bad, axis=0)
-            for tol in (0.0, 1e-12, 1e-9):
-                with np.errstate(invalid="ignore"):
-                    got = contains(pts, tol=tol)
-                    ref = self.broadcast_contains(verts, pts, tol)
-                assert np.array_equal(got, ref)
-                assert not got[at + np.arange(len(bad))].any()
+            with np.errstate(invalid="ignore"):
+                got = contains(pts)
+                ref = self.broadcast_contains(verts, pts)
+                strict = self.broadcast_contains(verts, pts, 0.0)
+            assert np.array_equal(got, ref)
+            assert not got[at + np.arange(len(bad))].any()
+            # the slack admits some points the strict test refuses
+            return (got & ~strict).any()
 
         regions = [(P.vertices, P.contains) for P in
                    map(G.LacunaryPolygon, (1, 5, 8, 12))]
         shell = chord_shell(3, 0)
-        regions.append((shell, lambda pts, tol: G._convex_contains(
-            shell, point_boxes(pts), tol)))
+        regions.append((shell, lambda pts: G._convex_contains(
+            shell, point_boxes(pts))))
+        loose = []
         for chunk in (G.CONTAIN_CHUNK, 16, 1):
             monkeypatch.setattr(G, "CONTAIN_CHUNK", chunk)
             for verts, contains in regions:
                 near, pts = self.near_boundary(verts, rng)
-                check(verts, contains, pts)
+                loose.append(check(verts, contains, pts))
                 # the near points straddle the boundary
-                assert 0 < contains(near, tol=0.0).sum() < len(near)
+                assert 0 < contains(near).sum() < len(near)
+        assert any(loose)
 
         P = G.LacunaryPolygon(5)
         v, nxt = P.vertices, np.roll(P.vertices, -1, axis=0)
@@ -233,26 +256,28 @@ class TestPolygonContainment:
                 # one NaN coordinate, each row in turn, every 29 boxes
                 at = np.arange(8) * 29 + 3
                 boxes[at % 4, at] = np.nan
-                for tol in (G.CONTAINMENT_TOL, 1e-12, 0.0):
-                    got = G._convex_contains(verts, boxes, tol)
-                    with np.errstate(invalid="ignore"):
-                        per_corner = self.broadcast_contains(
-                            verts, corners(boxes), tol).reshape(4, -1)
-                    assert np.array_equal(got, per_corner.all(axis=0))
-                    assert not got[at].any()
-                    # some boxes straddle an edge: corners on both sides
-                    assert (per_corner.any(axis=0) & ~got).any()
+                got = G._convex_contains(verts, boxes)
+                with np.errstate(invalid="ignore"):
+                    per_corner = self.broadcast_contains(
+                        verts, corners(boxes)).reshape(4, -1)
+                assert np.array_equal(got, per_corner.all(axis=0))
+                assert not got[at].any()
+                # some boxes straddle an edge: corners on both sides
+                assert (per_corner.any(axis=0) & ~got).any()
 
     def test_interior_samples_match_full_distance_reference(self):
-        # the apothem disc only skips edge_distances: the same points, bit
-        # for bit, from the same stream of draws
+        # the apothem disc only skips edge_distances, and the slack only
+        # admits points the guard refuses: the same points, bit for bit,
+        # from the same stream of draws as a strict (zero-slack) reference
+        strict = TestPolygonContainment.broadcast_contains
+
         def reference(P, count, rng):
             eff_mu = np.minimum(P.edge_mu, P.mu_max).astype(float)
             guards = G.GUARD_FRAC * 4.0 ** (-eff_mu)
             out, need = [], count
             while need > 0:
                 pts = rng.uniform(-1.0, 1.0, size=(max(4 * need, 256), 2))
-                pts = pts[P.contains(pts, tol=0.0)]
+                pts = pts[strict(P.vertices, pts, 0.0)]
                 keep = np.all(P.edge_distances(pts) > guards[None, :], axis=1)
                 pts = pts[keep]
                 out.append(pts[:need])
@@ -289,9 +314,8 @@ class TestChordShells:
         mu = 2
         T = chord_shell(mu, 0)
         mid = 0.5 * (G.quadrant2_vertex(mu) + G.quadrant2_vertex(mu + 1))
-        assert G._convex_contains(T, point_boxes(mid), 1e-12).all()
-        assert not G._convex_contains(T, point_boxes(mid * (1.0 + 1e-6)),
-                                      1e-12).any()
+        assert G._convex_contains(T, point_boxes(mid)).all()
+        assert not G._convex_contains(T, point_boxes(mid * (1.0 + 1e-6))).any()
 
     def test_area_against_sectional_quadrature(self):
         # slice the quad horizontally; width(y) is piecewise linear, so the
@@ -367,7 +391,7 @@ class TestWhitneyFamilies:
     def test_corners_inside_polygon(self):
         P = G.LacunaryPolygon(8)
         boxes = G.whitney_shell_rects(2, 0, C0=C0, alpha=ALPHA)
-        assert np.all(P.contains(corners(boxes), tol=1e-9))
+        assert np.all(P.contains(corners(boxes)))
 
     def test_shrinks_cover_guarded_shell_points(self):
         mu = 2
@@ -375,7 +399,7 @@ class TestWhitneyFamilies:
         P = G.LacunaryPolygon(8)
         T = chord_shell(mu, 0)
         pts = RNG(11).uniform(T.min(axis=0), T.max(axis=0), size=(4000, 2))
-        pts = pts[G._convex_contains(T, point_boxes(pts), 1e-12)]
+        pts = pts[G._convex_contains(T, point_boxes(pts))]
         eff = np.minimum(P.edge_mu, P.mu_max).astype(float)
         guards = 0.2 * 4.0 ** (-eff)
         pts = pts[np.all(P.edge_distances(pts) > guards[None, :], axis=1)]
@@ -425,7 +449,7 @@ class TestStaircase:
     def test_working_corners_inside(self):
         P = G.LacunaryPolygon(10)
         for mu in range(2, 10):
-            assert P.contains(corners(G.staircase_rect(mu)), tol=1e-12).all()
+            assert P.contains(corners(G.staircase_rect(mu))).all()
 
     def test_members_abut_exactly(self):
         for mu in range(2, 12):
@@ -440,7 +464,7 @@ class TestStaircase:
         P = G.LacunaryPolygon(10)
         for mu in range(2, 10):
             d = G._dilate(np.transpose([G.staircase_rect(mu)]), 1.0 / 0.99)
-            assert P.contains(corners(d), tol=1e-12).all()
+            assert P.contains(corners(d)).all()
 
     def test_truncation_fillers_inside_and_overlapping(self):
         for mu_max in (1, 4, 8):
@@ -448,7 +472,7 @@ class TestStaircase:
             fs = G.truncation_fillers(mu_max, ALPHA)
             assert len(fs) >= 2
             d = G._dilate(np.transpose(fs), 1.0 / 0.99)
-            assert P.contains(corners(d), tol=1e-12).all()
+            assert P.contains(corners(d)).all()
             for prev, nxt in zip(fs, fs[1:]):
                 assert intersects(nxt, prev)  # consecutive levels overlap
             if mu_max >= 2:
@@ -509,6 +533,34 @@ class TestIntervalFamilies:
             c10 = G.interval_overlap_count(fams10, i)
             c20 = G.interval_overlap_count(fams20, i)
             assert c10 == c20 == 2  # recorded value: no growth with depth
+
+    def test_overlap_count_matches_event_loop(self):
+        # the sorted sweep gives the tuple-sorted event loop's count, where
+        # at a tie an interval closes before the next one opens
+        def loop(families, i):
+            events = sorted([(a, 1) for fam in families for a, _ in fam[i]]
+                            + [(b, -1) for fam in families for _, b in fam[i]])
+            best = cur = 0
+            for _, delta in events:
+                cur += delta
+                best = max(best, cur)
+            return best
+
+        rng = RNG(13)
+        counts = set()
+        for _ in range(200):
+            families = []
+            for _ in range(rng.integers(1, 5)):
+                lo = rng.integers(0, 12, size=rng.integers(0, 6)) / 4.0
+                hi = lo + rng.integers(0, 5, size=len(lo)) / 4.0
+                families.append({1: np.column_stack([lo, hi])})
+            got = G.interval_overlap_count(families, 1)
+            assert got == loop(families, 1) and type(got) is int
+            counts.add(got)
+        assert counts >= {0, 1, 2, 3}
+        fams = [G.chord_intervals(mu, C0, ALPHA) for mu in range(1, 21)]
+        for i in (1, 2, 3):
+            assert G.interval_overlap_count(fams, i) == loop(fams, i)
 
     def test_vertical_extent_shrinks_geometrically(self):
         widths = []
@@ -671,9 +723,9 @@ class TestPartition:
         part = G.PolygonPartition(P, G.polygon_cover(3, ALPHA, C0), ALPHA)
         widths = []
         box_pass = G._convex_contains
-        monkeypatch.setattr(G, "_convex_contains", lambda verts, boxes, tol:
+        monkeypatch.setattr(G, "_convex_contains", lambda verts, boxes:
                             widths.append(boxes.shape[1])
-                            or box_pass(verts, boxes, tol))
+                            or box_pass(verts, boxes))
         part.hypothesis_report(RNG(2), cover_samples=300, overlap_samples=200)
         assert widths[0] == len(part) > 1024
         assert len(part) not in widths[1:]   # the rest are sample draws
@@ -709,21 +761,41 @@ class TestPartition:
 class TestCoverCollection:
     def test_every_ring_inside_smallest_polygon(self):
         # the cover keeps every Whitney member unchecked; each ring of
-        # chord mu must already lie in LacunaryPolygon(mu), the smallest
-        # polygon with that chord, which every deeper polygon contains
+        # every chord mu a partition admits must already lie in
+        # LacunaryPolygon(mu), the smallest polygon with that chord, which
+        # every deeper polygon contains
         rings = 0
-        for mu in range(1, 9):
-            P = G.LacunaryPolygon(mu)
-            shells = [r for r in range(G.SHELLS)
-                      if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) <= 0.5]
-            for c0 in (2, 9, 16):
+        for c0 in (2, 9, 16):
+            for mu in range(1, deepest_admitted(c0) + 1):
+                P = G.LacunaryPolygon(mu)
+                shells = [r for r in range(G.SHELLS)
+                          if (2.0 ** (r + 1) - 1.0) * 4.0 ** (-mu) <= 0.5]
                 for alpha in (0.3, 0.99):
                     for r in shells:
                         boxes = G.whitney_shell_rects(mu, r, C0=c0,
                                                       alpha=alpha)
-                        assert P.contains(corners(boxes), tol=1e-12).all()
+                        assert P.contains(corners(boxes)).all()
                         rings += 1
-        assert rings == 132
+        assert rings == 378   # chords 1-22 at c0 2 and 9, 1-21 at c0 16
+
+    @pytest.mark.parametrize("c0", [2, 4, 9, 10, 16])
+    def test_every_admitted_chord_is_resolved(self, c0):
+        # at every chord a partition admits, each edge midpoint of that
+        # chord is inside and a point one thinnest-member width outside it
+        # is refused: a member poking out by its own width is seen
+        deepest = deepest_admitted(c0)
+        P = G.LacunaryPolygon(deepest)
+        v, nxt = P.vertices, np.roll(P.vertices, -1, axis=0)
+        ex, ey = (nxt - v).T
+        outward = np.stack([ey, -ex], 1) / np.hypot(ex, ey)[:, None]
+        for mu in range(1, deepest + 1):
+            x0, x1, y0, y1 = G.whitney_shell_rects(mu, 0, C0=c0, alpha=ALPHA)
+            width = min((x1 - x0).min(), (y1 - y0).min())
+            edges = np.flatnonzero(P.edge_mu == mu)   # one per quadrant
+            mid = 0.5 * (v[edges] + nxt[edges])
+            assert len(edges) == 4 and width > 0
+            assert P.contains(mid).all(), mu
+            assert not P.contains(mid + width * outward[edges]).any(), mu
 
     def test_corners_inside_refuses_any_corner_out(self):
         # the report alone checks containment: one box inside, then one
@@ -762,6 +834,31 @@ class TestCoverCollection:
     def test_unresolvable_chord_refused(self, mu_max, c0):
         # the last chord's Whitney members are about 4**-mu_max / c0 wide,
         # too thin for a double to keep both sides apart; the config domain
-        # stops one step short of these
+        # stops two steps short of these (22, and 21 from c0 10 on), at the
+        # last chord whose thinnest members are wider than the slack
         with pytest.raises(ValueError, match="degenerate rectangle"):
             G.polygon_cover(mu_max, ALPHA, c0)
+
+
+def test_one_containment_slack():
+    # containment has one slack, SLACK: no function in the package takes a
+    # tolerance parameter, and no call of contains or _convex_contains is
+    # handed a float literal
+    for path in sorted(Path(G.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                assert not [n for n in names if n.endswith("tol")], \
+                    (path.name, node.lineno)
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("contains", "_convex_contains"):
+                    args = node.args + [k.value for k in node.keywords]
+                    floats = [c for arg in args for c in ast.walk(arg)
+                              if isinstance(c, ast.Constant)
+                              and isinstance(c.value, float)]
+                    assert not floats, (path.name, node.lineno)

@@ -460,6 +460,78 @@ class TestLayerSplit:
         with pytest.raises(RuntimeError):
             layer_split(self.make_tiles([250]), omega, 1.0)
 
+    @staticmethod
+    def loop_layers(tiles, omega, circle):
+        """The tile-by-tile, level-by-level reference."""
+        if omega.all():
+            raise ValueError("flagged set covers the whole circle")
+        n = omega.size
+        dx = circle / n
+        out = {}
+        centers = 0.5 * (tiles.lo + tiles.hi)
+        for j, (center, width) in enumerate(zip(centers.tolist(),
+                                                tiles.length.tolist())):
+            for level in range(sizes.MAX_LAYER + 1):
+                length = min(width * 4.0 ** level, circle)
+                start = int(round((center - 0.5 * length) / dx))
+                count = min(int(round(length / dx)), n)
+                if not omega[(start + np.arange(count)) % n].all():
+                    out.setdefault(level, []).append(j)
+                    break
+            else:
+                raise RuntimeError("tile never escaped the flagged set")
+        return {level: np.array(js) for level, js in out.items()}
+
+    def assert_same_layers(self, tiles, omega, circle):
+        try:
+            want = self.loop_layers(tiles, omega, circle)
+        except (ValueError, RuntimeError) as err:
+            with pytest.raises(type(err), match=str(err)):
+                layer_split(tiles, omega, circle)
+            return None
+        got = layer_split(tiles, omega, circle)
+        assert sorted(got) == sorted(want)
+        for level in want:
+            assert got[level].dtype == np.int64
+            assert np.array_equal(got[level], want[level])
+        return got
+
+    def test_prefix_counts_match_the_loop(self, monkeypatch):
+        # one pass per level over prefix counts of unflagged samples gives
+        # the loop's layers, and its raises, on seeded compact families
+        # over random masks and circles, windows wrapping and saturating
+        rng = np.random.default_rng(2024)
+        depths, case, seed = [], 0, 0
+        while case < 300:
+            seed += 1
+            try:
+                tiles = compact_family(seed, int(rng.integers(4, 9)),
+                                       float(rng.uniform(0.25, 4.0)))
+            except RuntimeError:   # no admissible family at this draw
+                continue
+            case += 1
+            monkeypatch.setattr(sizes, "MAX_LAYER", int(rng.integers(1, 13)))
+            n = int(rng.choice([16, 64, 512, 4096]))
+            # flagged runs of random length, or the whole circle
+            omega = np.repeat(rng.uniform(size=n) < rng.uniform(0.3, 1.0),
+                              rng.integers(1, 64, size=n))[:n]
+            omega = np.resize(omega, n) if case % 50 else np.ones(n, bool)
+            got = self.assert_same_layers(tiles, omega,
+                                          float(rng.uniform(0.5, 64.0)))
+            depths.extend(got or ())
+        assert min(depths) == 0 and max(depths) >= 3
+
+    def test_default_size_decay_layers_match_the_loop(self, monkeypatch):
+        seen = []
+
+        def checked(tiles, omega, circle):
+            seen.append(self.assert_same_layers(tiles, omega, circle))
+            return seen[-1]
+
+        monkeypatch.setattr(ex, "layer_split", checked)
+        ex.run(ex.default_config("size-decay"))
+        assert len(seen) == 1 and len(seen[0]) >= 3
+
 
 class TestSpatialCutoff:
     def test_one_scale_partition_of_unity(self):
