@@ -258,8 +258,8 @@ def layer_split(tiles: Family, omega: np.ndarray,
         layer[(layer < 0) & (clear[start + count] > clear[start])] = level
     if (layer < 0).any():
         raise RuntimeError("tile never escaped the flagged set")
-    return {int(level): np.flatnonzero(layer == level)
-            for level in np.unique(layer)}
+    return {level: np.flatnonzero(layer == level)
+            for level in np.flatnonzero(np.bincount(layer)).tolist()}
 
 
 # ---------------------------------------------------------------------------
