@@ -386,7 +386,8 @@ def band_noise(n: int, length: float, band: float, rng) -> GridFunction:
 
 def random_spans(rng, length: float, count: int,
                  lo: float, hi: float) -> list[tuple[float, float]]:
-    """Disjointly placed intervals with lengths drawn from [lo, hi]."""
+    """``count`` intervals (a, a + width), a uniform on [0, length) and width
+    on [lo, hi]; they may overlap, and wrap past ``length``, on the circle."""
     spans = []
     slots = np.sort(rng.uniform(0.0, length, size=count))
     for k in range(count):
@@ -398,12 +399,12 @@ def random_spans(rng, length: float, count: int,
 
 def restricted_input(n: int, length: float, spans,
                      width: float) -> GridFunction:
-    """Mollified indicator of a union of intervals, via exact coefficients.
+    """Mollified sum of the intervals' indicators, via exact coefficients.
 
-    The indicator's continuum Fourier coefficients are closed-form; the
-    mollifier is a positive unit-mass band-limited kernel, so the result
-    satisfies 0 <= f <= 1 pointwise and is the identical function on any
-    grid fine enough to carry the kernel's spectrum.
+    The indicators' continuum Fourier coefficients are closed-form; the
+    mollifier is a positive unit-mass band-limited kernel, so 0 <= f <= the
+    most intervals over one point of the circle, and f is the identical
+    function on any grid fine enough to carry the kernel's spectrum.
     """
     kern = shared_kernel(n, length, width, MOLLIFIER_HALF_POWER)
     ks = grid_lattice(n, length)[1]

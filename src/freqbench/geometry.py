@@ -1,8 +1,10 @@
 """Plane geometry for the inscribed lacunary polygon and its cover.
 
 The polygon has vertices on the unit circle at angles pi*2^-mu, reflected
-through both axes and truncated near (+-1, 0).  Everything downstream needs
-the same few ingredients:
+through both axes and truncated near (+-1, 0): the second quadrant's are
+:func:`quadrant2_vertex`, the cover frames' closed form, and the other
+quadrants' are their exact sign flips.  Everything downstream needs the
+same few ingredients:
 
 - stable closed forms for vertices, chord slopes and diagonal spans
   (product forms, no cancellation down to mu ~ 25);
@@ -20,9 +22,9 @@ shape (4, m) with rows x0, x1, y0, y1; a single rectangle is the tuple
 (x0, x1, y0, y1).  The cover is such an array, and a member's id is its
 column.
 
-Angles, not symbols: `mu` always indexes the chord whose outer vertex sits
-at angle pi*2^-mu from the vertical axis mirror (second quadrant is the
-reference quadrant; the other three are reflections).
+Angles, not symbols: `mu` always indexes the chord from quadrant2_vertex(mu)
+to quadrant2_vertex(mu + 1) (second quadrant is the reference quadrant; the
+other three are reflections).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .grid import smooth_ramp
 
 GUARD_FRAC = 0.2        # sampling guard off chord mu, in units of 4^-mu
 CONTAIN_CHUNK = 4096    # points per bounding-box edge cull in containment
-# containment slack in distance: two ulps of 1, a coordinate's roundoff
+# containment slack in distance: two ulps of 1, a coordinate's roundoff;
+# every polygon vertex is within 0.2 SLACK of its point on the circle
 SLACK = 2.0 * np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
@@ -140,8 +143,8 @@ def quad_rect_overlap(quad: np.ndarray, boxes: np.ndarray):
 class LacunaryPolygon:
     """Closed inscribed polygon with lacunary vertex angles.
 
-    Vertices sit on the unit circle at angles +-pi*2^-mu around the
-    vertical axis for mu = 1..mu_max+1, in all four quadrants, plus the
+    Vertices sit on the unit circle at angles pi*2^-mu from the
+    horizontal axis for mu = 1..mu_max+1, in all four quadrants, plus the
     truncation vertices (+-1, 0) closing the loop near the horizontal
     poles.  4*mu_max + 4 vertices in all, counterclockwise.
     """
@@ -152,12 +155,12 @@ class LacunaryPolygon:
         if mu_max < 1:
             raise ValueError("mu_max must be at least 1")
         self.mu_max = int(mu_max)
-        # upper half-plane angles: the first quadrant's, then the second's
-        upper = ([math.pi * 2.0 ** (-mu) for mu in range(mu_max + 1, 0, -1)]
-                 + [math.pi - math.pi * 2.0 ** (-mu)
-                    for mu in range(2, mu_max + 2)])
-        angles = [0.0] + upper + [math.pi] + [2.0 * math.pi - a for a in reversed(upper)]
-        self.vertices = np.array([[math.cos(a), math.sin(a)] for a in angles])
+        # the second-quadrant chain, its mirror image in x, exact axis
+        # vertices, then the lower half as the exact mirror image in y
+        q2 = np.array([quadrant2_vertex(mu) for mu in range(2, mu_max + 2)])
+        upper = np.vstack([[1.0, 0.0], q2[::-1] * [-1.0, 1.0], [0.0, 1.0],
+                           q2, [-1.0, 0.0]])
+        self.vertices = np.vstack([upper, upper[-2:0:-1] * [1.0, -1.0]])
 
         # chord index per edge: edge k joins vertex k to k+1 (wrapping);
         # the edge between angles pi*2^-(mu+1) and pi*2^-mu belongs to mu,
@@ -167,11 +170,10 @@ class LacunaryPolygon:
 
     # -- containment -------------------------------------------------------
 
-    def contains(self, points):
-        """Closed containment test, up to SLACK outside the boundary."""
+    def contains(self, points) -> np.ndarray:
+        """Closed containment, up to SLACK outside: one boolean per point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = _convex_contains(self.vertices, pts.T[[0, 0, 1, 1]])
-        return bool(inside[0]) if np.ndim(points) == 1 else inside
+        return _convex_contains(self.vertices, pts.T[[0, 0, 1, 1]])
 
     # -- distances and sampling -------------------------------------------
 
@@ -255,7 +257,6 @@ def shell_frame(mu: int, r: int):
 
 
 Q = 1             # square centres sit on the 2^(j-Q) lattice at side 2^j
-MAX_SCALES = 16   # nonempty dyadic scales kept per chord shell
 
 
 def finest_side(mu: int, C0: int) -> float:
@@ -277,9 +278,9 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
     local frame is a candidate when its C0-dilate clears the diagonal and
     its 4C0-dilate meets it: C0 2^Q < n - m <= 4 C0 2^Q, integer-exact.
     It is kept when its alpha-dilate meets the shell, then pushed forward
-    through the chord shear.  Scales run from the coarsest that clears the
-    band down to :func:`finest_side`, whose closest squares sit inside the
-    sampling guard, at most MAX_SCALES of them, so the family covers every
+    through the chord shear.  Scales run from the shell's extent down to
+    :func:`finest_side`, whose closest squares sit inside the sampling
+    guard, and every nonempty one is kept, so the family covers every
     guarded point of its shell.
 
     Below the top two nonempty scales only offsets up to 2 C0 2^Q are
@@ -294,12 +295,11 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
     lo_off = C0 * (1 << Q) + 1       # n - m strictly above C0 * 2^Q
     hi_full = 4 * C0 * (1 << Q)      # 4C0-dilate still meets the diagonal
     hi_thin = 2 * C0 * (1 << Q)
-    finest = finest_side(mu, C0)
 
     kept = [np.empty((4, 0))]        # rows x0, x1, y0, y1 per scale
-    j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
+    top = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
     found = 0
-    for _ in range(64):
+    for j in range(top, int(math.log2(finest_side(mu, C0))) - 1, -1):
         step = 2.0 ** (j - Q)
         h = 2.0 ** (j - 1)
         hi_off = hi_full if found < 2 else hi_thin
@@ -317,11 +317,6 @@ def whitney_shell_rects(mu: int, r: int, *, C0: int,
             uh, wh = uc[hit], wc[hit]
             kept.append(np.stack([ax - (uh + h), ax - (uh - h),
                                   ay - s * (wh + h), ay - s * (wh - h)]))
-            if 2.0 ** j <= finest or found >= MAX_SCALES:
-                break
-        elif found > 0:
-            break
-        j -= 1
     return np.concatenate(kept, axis=1)
 
 

@@ -66,6 +66,41 @@ def chord_shell(mu, r):
                      (1 - c1) * vb, (1 - c1) * va])
 
 
+def gap_stop_rects(mu, r, c0, alpha):
+    """(boxes, finest side) of one Whitney ring by the older scale loop:
+    at most 16 nonempty scales, a 64-step guard, and a stop at the first
+    empty scale after a hit or at the first hit no wider than
+    G.finest_side."""
+    (ax, ay), s, quad = G.shell_frame(mu, r)
+    (bx0, by0), (bx1, by1) = quad.min(axis=0), quad.max(axis=0)
+    lo_off, hi_full, hi_thin = 2 * c0 + 1, 8 * c0, 4 * c0   # Q = 1
+    kept = [np.empty((4, 0))]
+    j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
+    found = 0
+    for _ in range(64):
+        step, h = 2.0 ** (j - 1), 2.0 ** (j - 1)
+        m_lo = math.floor((bx0 - h) / step) - 1
+        m_hi = math.ceil((bx1 + h) / step) + 1
+        M, O = np.meshgrid(np.arange(m_lo, m_hi + 1),
+                           np.arange(lo_off, (hi_full if found < 2
+                                              else hi_thin) + 1),
+                           indexing="ij")
+        uc, wc, ah = M * step, (M + O) * step, alpha * h
+        hit = G.quad_rect_overlap(quad, np.stack([uc - ah, uc + ah,
+                                                  wc - ah, wc + ah]))
+        if hit.any():
+            found += 1
+            uh, wh = uc[hit], wc[hit]
+            kept.append(np.stack([ax - (uh + h), ax - (uh - h),
+                                  ay - s * (wh + h), ay - s * (wh - h)]))
+            if 2.0 ** j <= G.finest_side(mu, c0) or found >= 16:
+                break
+        elif found > 0:
+            break
+        j -= 1
+    return np.concatenate(kept, axis=1), 2.0 ** j
+
+
 def components(mu):
     """Undilated merged projection components of chord mu's outermost
     Whitney family, i = 1, 2, 3 as in G.chord_intervals."""
@@ -93,6 +128,21 @@ class TestVerticesAndSlopes:
         P = G.LacunaryPolygon(6)
         radii = np.linalg.norm(P.vertices, axis=1)
         assert np.max(np.abs(radii - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("mu_max", [1, 2, 8, 22])
+    def test_vertices_are_exact_mirror_images(self, mu_max):
+        # the second-quadrant chain is quadrant2_vertex bit for bit, the
+        # vertex set is its own image under exact (-x, y) and (x, -y), and
+        # the axis vertices are exact
+        v = G.LacunaryPolygon(mu_max).vertices
+        assert np.array_equal(v[mu_max + 2:2 * mu_max + 2], [
+            G.quadrant2_vertex(mu) for mu in range(2, mu_max + 2)])
+        rows = {tuple(p) for p in v}
+        assert len(rows) == len(v) == 4 * mu_max + 4
+        for flip in ([-1.0, 1.0], [1.0, -1.0]):
+            assert {tuple(p) for p in v * flip} == rows
+        axis = v[[0, mu_max + 1, 2 * mu_max + 2, 3 * mu_max + 3]]
+        assert np.array_equal(axis, [[1, 0], [0, 1], [-1, 0], [0, -1]])
 
     def test_slope_shallowest_chord_exact(self):
         assert G.chord_slope(1) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
@@ -129,14 +179,14 @@ class TestVerticesAndSlopes:
 class TestPolygonContainment:
     def test_origin_inside_far_point_outside(self):
         P = G.LacunaryPolygon(4)
-        assert P.contains(np.array([0.0, 0.0]))
-        assert not P.contains(np.array([2.0, 0.0]))
+        assert P.contains(np.array([0.0, 0.0]))[0]
+        assert not P.contains(np.array([2.0, 0.0]))[0]
 
     def test_chord_midpoint_inside_pushed_outside(self):
         P = G.LacunaryPolygon(4)
         mid = 0.5 * (G.quadrant2_vertex(3) + G.quadrant2_vertex(4))
-        assert P.contains(mid)
-        assert not P.contains(mid * 1.001)
+        assert P.contains(mid)[0]
+        assert not P.contains(mid * 1.001)[0]
 
     def test_vertices_are_boundary_points(self):
         P = G.LacunaryPolygon(3)
@@ -444,7 +494,7 @@ class TestStaircase:
         P = G.LacunaryPolygon(8)
         for mu in range(2, 7):
             x0, _, _, y1 = literal_staircase(mu)
-            assert not P.contains(np.array([x0, y1]))
+            assert not P.contains(np.array([x0, y1]))[0]
 
     def test_working_corners_inside(self):
         P = G.LacunaryPolygon(10)
@@ -763,7 +813,9 @@ class TestCoverCollection:
         # the cover keeps every Whitney member unchecked; each ring of
         # every chord mu a partition admits must already lie in
         # LacunaryPolygon(mu), the smallest polygon with that chord, which
-        # every deeper polygon contains
+        # every deeper polygon contains.  Each ring is also byte-equal to
+        # the older gap-stop loop's, which stopped at G.finest_side, so no
+        # scale above it is empty.  About 4 s on a 2-vCPU VM.
         rings = 0
         for c0 in (2, 9, 16):
             for mu in range(1, deepest_admitted(c0) + 1):
@@ -775,6 +827,9 @@ class TestCoverCollection:
                         boxes = G.whitney_shell_rects(mu, r, C0=c0,
                                                       alpha=alpha)
                         assert P.contains(corners(boxes)).all()
+                        old, finest = gap_stop_rects(mu, r, c0, alpha)
+                        assert old.tobytes() == boxes.tobytes()
+                        assert finest == G.finest_side(mu, c0)
                         rings += 1
         assert rings == 378   # chords 1-22 at c0 2 and 9, 1-21 at c0 16
 
