@@ -78,7 +78,7 @@ def gap_stop_rects(mu, r, c0, alpha):
     j = math.floor(math.log2(max(bx1 - bx0, by1 - by0)))
     found = 0
     for _ in range(64):
-        step, h = 2.0 ** (j - 1), 2.0 ** (j - 1)
+        step = h = 2.0 ** (j - 1)   # Q = 1: the lattice step is a half side
         m_lo = math.floor((bx0 - h) / step) - 1
         m_hi = math.ceil((bx1 + h) / step) + 1
         M, O = np.meshgrid(np.arange(m_lo, m_hi + 1),
