@@ -561,8 +561,8 @@ def run_tiles(cfg: ExperimentConfig):
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         trees_total += len(trees)
         groups = np.zeros((len(trees), len(tiles)), dtype=bool)
-        for t, tree in enumerate(trees):
-            groups[t, tree.members] = True
+        for k, tree in enumerate(trees):
+            groups[k, tree.members] = True
         violations += len(footprint_violations(tiles, groups))
         checked, bad = selection_convexity_violations(tiles, trees)
         triples += checked
@@ -660,15 +660,6 @@ def run_model_sum(cfg: ExperimentConfig):
     return metrics, failures
 
 
-def _kbits_failures(cfg: ExperimentConfig) -> list[str]:
-    """Ball products that wrap check the aliased operator's identity."""
-    if 2.0 ** (cfg.kbits + 2) > cfg.grid_n / cfg.domain_len:
-        return [f"ball products at kbits = {cfg.kbits} wrap: "
-                f"2**(kbits + 2) > grid_n / domain_len = "
-                f"{cfg.grid_n / cfg.domain_len:g}"]
-    return []
-
-
 def run_paraproduct(cfg: ExperimentConfig):
     tele_max = 0.0
     naive_min = math.inf
@@ -690,7 +681,12 @@ def run_paraproduct(cfg: ExperimentConfig):
                ("naive_rel_min", naive_min)]
     for _, label in MARTINGALE_EXPONENTS:
         metrics.append((f"martingale_p{label}_max", mart[label]))
-    failures = _kbits_failures(cfg)
+    failures = []
+    # ball products that wrap check the aliased operator's identity
+    if 2.0 ** (cfg.kbits + 2) > cfg.grid_n / cfg.domain_len:
+        failures.append(f"ball products at kbits = {cfg.kbits} wrap: "
+                        f"2**(kbits + 2) > grid_n / domain_len = "
+                        f"{cfg.grid_n / cfg.domain_len:g}")
     if tele_max > 1e-10:
         failures.append(f"telescoping residual {tele_max:.3e} > 1e-10")
     return metrics, failures

@@ -38,8 +38,8 @@ from .grid import smooth_ramp
 
 GUARD_FRAC = 0.2        # sampling guard off chord mu, in units of 4^-mu
 CONTAIN_CHUNK = 4096    # points per bounding-box edge cull in containment
-# containment slack in distance: two ulps of 1, a coordinate's roundoff;
-# every polygon vertex is within 0.2 SLACK of its point on the circle
+# containment slack in distance from each edge's line: two ulps of 1, a
+# coordinate's roundoff; every vertex is within 0.2 SLACK of its circle point
 SLACK = 2.0 * np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
@@ -91,30 +91,28 @@ def _mirrored(boxes: np.ndarray) -> np.ndarray:
 
 def _convex_contains(verts: np.ndarray, boxes: np.ndarray):
     """Which (4, m) boxes lie within SLACK of the closed CCW convex `verts`."""
-    vx, vy = verts.T
-    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    nxt = np.roll(verts, -1, axis=0)
+    (mx, my), (ex, ey) = (0.5 * (verts + nxt)).T, (nxt - verts).T
     floor = -SLACK * np.hypot(ex, ey)   # per edge, in cross-product units
-    # cross(edge, corner - v) >= floor for every edge and corner: a signed
-    # distance of at least -SLACK.  The cross product is affine in the
-    # corner and rounding is monotone, so per edge its computed value at
+    # cross(edge, corner - m) >= floor for every edge and corner: a signed
+    # distance of at least -SLACK.  From the midpoint m every term is exactly
+    # sign-symmetric, so a mirrored box meets the mirrored edge, traversed
+    # from its other end, with the same bits.  The cross product is affine in
+    # the corner and rounding is monotone, so per edge its computed value at
     # px = x1 if ey > 0 else x0, py = y0 if ex > 0 else y1 is the least of
-    # the four corners', and since the floor is one scalar per edge that
-    # corner decides the box with no rounding margin.  By the same argument
-    # an edge is skipped for a chunk of CONTAIN_CHUNK boxes whose bounding
-    # box's four corners pass it.  A NaN shows at a bounding corner, which
-    # keeps every edge, and at some edge's extreme corner.
+    # the four corners' and decides the box with no rounding margin; a chunk
+    # of CONTAIN_CHUNK boxes skips each edge its bounding box passes at that
+    # corner.  A NaN fails, and keeps, every edge whose corner reads its row.
     inside = np.ones(boxes.shape[1], dtype=bool)
     for lo in range(0, len(inside), CONTAIN_CHUNK):
         x0, x1, y0, y1 = boxes[:, lo:lo + CONTAIN_CHUNK]
-        cx = np.array([x0.min(), x1.max()])[[0, 1, 1, 0]]
-        cy = np.array([y0.min(), y1.max()])[[0, 0, 1, 1]]
-        corner_min = (ex[:, None] * (cy - vy[:, None])
-                      - ey[:, None] * (cx - vx[:, None])).min(axis=1)
+        cx = np.where(ey > 0, x1.max(), x0.min())
+        cy = np.where(ex > 0, y0.min(), y1.max())
         chunk = inside[lo:lo + CONTAIN_CHUNK]  # a view: &= writes inside
-        for k in np.flatnonzero(~(corner_min >= floor)):
+        for k in np.flatnonzero(~(ex * (cy - my) - ey * (cx - mx) >= floor)):
             px = x1 if ey[k] > 0 else x0
             py = y0 if ex[k] > 0 else y1
-            chunk &= ex[k] * (py - vy[k]) - ey[k] * (px - vx[k]) >= floor[k]
+            chunk &= ex[k] * (py - my[k]) - ey[k] * (px - mx[k]) >= floor[k]
     return inside
 
 
@@ -178,7 +176,8 @@ class LacunaryPolygon:
     # -- distances and sampling -------------------------------------------
 
     def edge_distances(self, points) -> np.ndarray:
-        """Distance from each point to each boundary edge segment."""
+        """Distance from each point to each boundary edge segment, measured
+        from its start vertex: a strict guard test reads it, not SLACK."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         px, py = pts[:, 0], pts[:, 1]
         out = np.empty((len(pts), len(self.vertices)))

@@ -108,6 +108,7 @@ def max_martingale(a, psi: GridFunction, kmax: int) -> GridFunction:
     bands = psi.bank(_annuli(psi, range(kmax + 1)))
     acc = np.zeros(psi.size, dtype=complex)
     best = np.zeros(psi.size)
+    # a loop, not a band-axis cumsum: numpy's strided cumsum is slower here
     for k in range(kmax, -1, -1):
         acc = acc + coeffs[k] * bands[k]
         np.maximum(best, np.abs(acc), out=best)
@@ -168,6 +169,7 @@ def telescoping_decompose(f: GridFunction, g: GridFunction, h: GridFunction,
     # suffix sums of the doubled-depth annuli of f: fsum[m] = sum_{d >= m}
     zero = np.zeros(f0.size, dtype=complex)
     fsum = [zero] * (len(df) + 1)
+    # a loop, not a reversed cumsum: numpy's strided cumsum is slower here
     for d in range(len(df) - 1, -1, -1):
         fsum[d] = fsum[d + 1] + df[d]
 

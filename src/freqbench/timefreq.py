@@ -382,10 +382,29 @@ def candidate_tops(tiles: Family, span_bits: int,
     for z, lo, length in zip(zeta[tiles.cube].tolist(), tiles.lo.tolist(),
                              tiles.length.tolist()):
         while length <= float(2 ** span_bits):
-            idx = math.floor(lo / length + 1e-12)
+            idx = math.floor(lo / length)
             tops.add((z, idx * length, (idx + 1) * length))
             length *= step
     return sorted(tops, key=lambda t: (t[1] - t[2], t[0], t[1]))
+
+
+def _trees(pool, member):
+    """The nonempty rows of a top x tile mask as trees, lazily, in pool
+    order."""
+    for k in np.flatnonzero(member.any(axis=1)):
+        yield Tree(pool[k], np.flatnonzero(member[k]))
+
+
+def _select(pool, member, remaining, accept=None) -> list[Tree]:
+    """Take the first maximal tree over the ``remaining`` tiles that passes
+    ``accept``, drop its tiles from ``remaining`` (in place), and repeat
+    until no tree passes."""
+    out: list[Tree] = []
+    while tree := next(filter(accept, _trees(pool, member & remaining)),
+                       None):
+        out.append(tree)
+        remaining[tree.members] = False
+    return out
 
 
 def maximal_trees(tiles: Family, span_bits: int,
@@ -393,20 +412,7 @@ def maximal_trees(tiles: Family, span_bits: int,
     """The nonempty maximal trees of ``tiles`` over the top pool of
     :func:`candidate_tops`, in pool order."""
     pool = candidate_tops(tiles, span_bits, scale_bits)
-    member = tree_members(tiles, pool)
-    return [Tree(pool[k], np.flatnonzero(member[k]))
-            for k in np.flatnonzero(member.any(axis=1))]
-
-
-def _first_tree(pool, member, remaining, accept=None) -> Tree | None:
-    """The first top in pool order whose maximal tree over the remaining
-    tiles is nonempty and passes ``accept``."""
-    live = member & remaining
-    for k in np.flatnonzero(live.any(axis=1)):
-        tree = Tree(pool[k], np.flatnonzero(live[k]))
-        if accept is None or accept(tree):
-            return tree
-    return None
+    return list(_trees(pool, tree_members(tiles, pool)))
 
 
 def greedy_select(tiles: Family, span_bits: int,
@@ -418,15 +424,10 @@ def greedy_select(tiles: Family, span_bits: int,
     tree is maximal in the remainder by construction.
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
-    member = tree_members(tiles, pool)
     remaining = np.ones(len(tiles), dtype=bool)
-    out: list[Tree] = []
-    while remaining.any():
-        tree = _first_tree(pool, member, remaining)
-        if tree is None:
-            raise RuntimeError("top pool failed to cover remaining tiles")
-        out.append(tree)
-        remaining[tree.members] = False
+    out = _select(pool, tree_members(tiles, pool), remaining)
+    if remaining.any():
+        raise RuntimeError("top pool failed to cover remaining tiles")
     return out
 
 
@@ -468,20 +469,18 @@ def forest_decompose(tiles: Family, size_fn, span_bits: int,
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
     member = tree_members(tiles, pool)
-    remaining = np.ones(len(tiles), dtype=bool)
-    sizes = [size_fn(Tree(pool[k], np.flatnonzero(member[k])))
-             for k in np.flatnonzero(member.any(axis=1))]
+    sizes = [size_fn(tree) for tree in _trees(pool, member)]
     if not all(map(math.isfinite, sizes)):
         raise ValueError("non-finite tree size of a maximal tree")
     start = max((s for s in sizes if s > 0), default=None)
     n = SINK_LEVEL if start is None else math.floor(-math.log2(start))
+    remaining = np.ones(len(tiles), dtype=bool)
     out: dict[int, list[Tree]] = {}
     while remaining.any() and n < SINK_LEVEL:
         threshold = 2.0 ** (-n - 1)
-        while tree := _first_tree(pool, member, remaining,
-                                  lambda t: size_fn(t) > threshold):
-            out.setdefault(n, []).append(tree)
-            remaining[tree.members] = False
+        if trees := _select(pool, member, remaining,
+                            lambda t: size_fn(t) > threshold):
+            out[n] = trees
         n += 1
     if remaining.any():
         rest = np.flatnonzero(remaining)

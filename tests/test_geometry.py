@@ -219,13 +219,38 @@ class TestPolygonContainment:
 
     @staticmethod
     def broadcast_contains(verts, pts, slack=G.SLACK):
-        """The (points x edges) containment test: every cross product at
-        least -slack times its edge's length."""
+        """The (points x edges) containment test: every cross product, taken
+        from the edge's midpoint, at least -slack times its edge's length."""
         v, nxt = verts, np.roll(verts, -1, axis=0)
-        ex, ey = (nxt - v).T
-        cross = (ex[None, :] * (pts[:, 1:2] - v[None, :, 1])
-                 - ey[None, :] * (pts[:, 0:1] - v[None, :, 0]))
+        (ex, ey), m = (nxt - v).T, 0.5 * (v + nxt)
+        cross = (ex[None, :] * (pts[:, 1:2] - m[None, :, 1])
+                 - ey[None, :] * (pts[:, 0:1] - m[None, :, 0]))
         return np.all(cross >= -slack * np.hypot(ex, ey), axis=1)
+
+    @pytest.mark.parametrize("mu_max", [2, 5, 8, 22])
+    def test_near_edge_verdicts_are_mirror_symmetric(self, mu_max):
+        # points and boxes within 4 SLACK of the edges, where the slack
+        # decides, keep their verdicts bit for bit under (-x, y), (x, -y)
+        # and (-x, -y): the mirrored edge runs from its other end, and
+        # only a midpoint anchor gives it the same cross products
+        P = G.LacunaryPolygon(mu_max)
+        rng = RNG(mu_max)
+        v, nxt = P.vertices, np.roll(P.vertices, -1, axis=0)
+        k = rng.integers(len(v), size=20000)
+        pts = (v[k] + rng.uniform(size=(len(k), 1)) * (nxt - v)[k]
+               + rng.uniform(-4.0, 4.0, size=(len(k), 2)) * G.SLACK)
+        lo = pts.T - rng.uniform(0.0, 4.0, size=(2, len(k))) * G.SLACK
+        boxes = np.stack([lo[0], pts[:, 0], lo[1], pts[:, 1]])
+        base = P.contains(pts)
+        base_boxes = G._convex_contains(v, boxes)
+        assert 0 < base.sum() < len(pts)
+        assert 0 < base_boxes.sum() < len(k)
+        for fx, fy in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            assert np.array_equal(P.contains(pts * [fx, fy]), base)
+            x0, x1 = (boxes[:2] if fx > 0 else -boxes[1::-1])
+            y0, y1 = (boxes[2:] if fy > 0 else -boxes[:1:-1])
+            assert np.array_equal(
+                G._convex_contains(v, np.stack([x0, x1, y0, y1])), base_boxes)
 
     def test_edge_loops_match_broadcast(self, monkeypatch):
         # the per-edge loops, with the edge cull per chunk of points, must
