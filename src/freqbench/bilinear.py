@@ -46,9 +46,9 @@ class AliasReport:
 
     @property
     def wrapped_fraction(self) -> float:
-        """Share of the apply's pair mass that wrapped."""
+        """Share of the apply's pair mass that wrapped; NaN if a mass is."""
         total = self.in_band_mass + self.wrapped_mass
-        return self.wrapped_mass / total if total > 0 else 0.0
+        return self.wrapped_mass / total if total != 0 else 0.0
 
 
 def bilinear_apply(f: GridFunction, g: GridFunction, symbol):

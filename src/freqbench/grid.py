@@ -175,24 +175,35 @@ def indicator(intervals, size, length=1.0):
 def maximal_average(f):
     """Exact running maximum of |f| averages.
 
-    At each sample point x the value is the supremum of
-    (1/|I|) * integral_I |f| over all closed intervals I = [x_a, x_b]
-    with endpoints on the sample lattice, x_a <= x <= x_b, within the
-    domain (no wraparound).  Exact over that family in O(size^2), as a
-    sweep of the right end q down from the last sample: ``best[p]`` holds
-    the largest average over [x_p, x_q'] for any q' >= q, and the value at
-    x_q is the largest of ``best[:q + 1]``.
+    At each sample point x_q the value is the largest average of |f| over
+    a lattice interval [x_p, x_r] (cells p..r-1), p <= q <= r, within the
+    domain.  Per nonzero cell s, the reversed running max of the row
+    (s, r > s) serves each q > s and the running max of the column
+    (p <= s, s + 1) each q <= s: O(size * nonzeros), a few times an
+    all-pairs sweep on a dense input (the drivers pass sparse ones).
+    Bit for bit that sweep's maximum: each average is the same float
+    (prefix[r] - prefix[p]) / widths[r - p], and a max ignores order.  A
+    zero end cell adds +0.0 to the cumsum, so dropping it keeps the
+    numerator and narrows the width; rounding is monotone, so the average
+    stays as large.  Dropping zero left ends before x_q, then zero right
+    ends after it, leaves a row or a column pair, or (q, q + 1) on a zero
+    cell, whose 0 is where ``out`` starts.
     """
     n = f.size
     prefix = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * f.dx
-    widths = np.arange(n, 0, -1) * f.dx
-    best = (prefix[n] - prefix[:n]) / widths
-    avgs, out = np.empty(n), np.empty(n)
-    for q in range(n - 1, -1, -1):
-        np.subtract(prefix[q], prefix[:q], out=avgs[:q])
-        np.divide(avgs[:q], widths[n - q :], out=avgs[:q])
-        np.maximum(best[:q], avgs[:q], out=best[:q])
-        out[q] = best[: q + 1].max()
+    widths = np.arange(n + 1) * f.dx
+    out, buf = np.zeros(n), np.empty(n)
+    for s in np.flatnonzero(f.values).tolist():
+        row = buf[: n - s]
+        np.subtract(prefix[s + 1 :], prefix[s], out=row)
+        np.divide(row, widths[1 : n - s + 1], out=row)
+        np.maximum.accumulate(row[::-1], out=row[::-1])
+        np.maximum(out[s + 1 :], row[: n - s - 1], out=out[s + 1 :])
+        col = buf[: s + 1]
+        np.subtract(prefix[s + 1], prefix[: s + 1], out=col)
+        np.divide(col, widths[s + 1 : 0 : -1], out=col)
+        np.maximum.accumulate(col, out=col)
+        np.maximum(out[: s + 1], col, out=out[: s + 1])
     return GridFunction(out.astype(complex), f.length)
 
 

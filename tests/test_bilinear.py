@@ -277,3 +277,12 @@ def test_modes_are_found_without_sorting(monkeypatch):
     for symbol in symbols:
         out, report = B.bilinear_apply(f, g, symbol)
         assert report.pairs > 0 and np.isfinite(out.values).all()
+
+
+@pytest.mark.parametrize("in_band,wrapped,want", [
+    (0.0, 0.0, 0.0), (3.0, 1.0, 0.25), (np.nan, 0.0, np.nan),
+    (1.0, np.nan, np.nan)])
+def test_wrapped_fraction_keeps_a_nan_mass(in_band, wrapped, want):
+    # a NaN mass once read as 0.0, an apply that wrapped nothing
+    got = B.AliasReport(in_band, wrapped, 1).wrapped_fraction
+    assert got == want or (np.isnan(got) and np.isnan(want))

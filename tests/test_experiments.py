@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -280,6 +281,55 @@ class TestInputs:
         assert not np.array_equal(a, c)
 
 
+HS_APPLIES = 2 * len(ex.HS_SLOPES) + 1  # bilinear applies per hs-oracle trial
+
+
+def nan_output(result):
+    out, report = result
+    return out * math.nan, report
+
+
+def nan_wrapped(result):
+    return result[0], types.SimpleNamespace(wrapped_fraction=math.nan)
+
+
+# kind, patched owner and name, the call (from 0) whose result is spoiled,
+# the spoil, and the failure it must cause
+NAN_FOLDS = [
+    pytest.param("size-decay", ex.TreeSizer, "tree_size", 1,
+                 lambda size: math.nan,
+                 "metric layer0_size is not finite (nan)",
+                 id="size-decay-best"),
+    pytest.param("paraproduct", ex.para, "telescoping_decompose", 1,
+                 lambda out: dict(out, residual=math.nan),
+                 "metric telescope_rel_max is not finite (nan)",
+                 id="paraproduct-tele_max"),
+    pytest.param("paraproduct", ex.para, "telescoping_decompose", 1,
+                 lambda out: dict(out, naive_residual=math.nan),
+                 "metric naive_rel_min is not finite (nan)",
+                 id="paraproduct-naive_min"),
+    pytest.param("paraproduct", ex.para, "max_martingale", 1,
+                 lambda mm: mm * math.nan,
+                 "metric martingale_p2_max is not finite (nan)",
+                 id="paraproduct-martingale"),
+    pytest.param("hs-oracle", ex.bil, "bilinear_apply", HS_APPLIES,
+                 nan_output, "metric rel_err_s1_max is not finite (nan)",
+                 id="hs-oracle-worst"),
+    pytest.param("hs-oracle", ex.bil, "bilinear_apply", 2 * HS_APPLIES - 1,
+                 nan_output, "metric identity_rel_max is not finite (nan)",
+                 id="hs-oracle-ident"),
+    pytest.param("hs-oracle", ex.bil, "bilinear_apply", HS_APPLIES,
+                 nan_wrapped, "sum frequencies wrapped (nan",
+                 id="hs-oracle-wrapped"),
+    pytest.param("polygon-scan", ex.bil, "bilinear_apply", 1,
+                 nan_output, "metric ratio_max is not finite (nan)",
+                 id="polygon-scan-ratio_max"),
+    pytest.param("polygon-scan", ex.bil, "bilinear_apply", 1,
+                 nan_wrapped, "metric wrapped_fraction_max is not finite (nan)",
+                 id="polygon-scan-wrapped"),
+]
+
+
 class TestDrivers:
     def test_runs_are_deterministic(self):
         r1 = ex.run(small("tiles", trials=4))
@@ -396,6 +446,26 @@ class TestDrivers:
         res = ex.run(small("polygon-scan", mu_max=2))
         assert not res.passed
         assert "metric ratio_max is not finite (inf)" in res.failures
+
+    @pytest.mark.parametrize("kind,owner,name,at,spoil,failure", NAN_FOLDS)
+    def test_nan_after_the_first_trial_fails_the_run(self, monkeypatch, kind,
+                                                     owner, name, at, spoil,
+                                                     failure):
+        # max(acc, nan) is acc, so a fold by max() dropped a NaN met after
+        # its first value and the run passed with finite records
+        real = getattr(owner, name)
+        seen = []
+
+        def spoiled(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out)
+            return spoil(out) if len(seen) == at + 1 else out
+
+        monkeypatch.setattr(owner, name, spoiled)
+        res = ex.run(small(kind))
+        assert len(seen) > at
+        assert not res.passed
+        assert any(failure in line for line in res.failures), res.failures
 
     @pytest.mark.parametrize("c0", [12, 13])
     def test_partition_cover_check_sees_the_residual_points(self, c0):
