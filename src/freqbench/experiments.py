@@ -476,8 +476,9 @@ def _wrap_failures(wrapped: float) -> list[str]:
 def _fold_failures(edge: float, cfg: ExperimentConfig) -> list[str]:
     """A multiplier past the grid's fold frequency is silently cut, so the
     sizes and audits of a run whose operator band reaches the fold
-    describe a different operator."""
-    if 2.0 * edge >= cfg.grid_n / cfg.domain_len:
+    describe a different operator; a NaN edge may reach it, so it fails
+    too."""
+    if not 2.0 * edge < cfg.grid_n / cfg.domain_len:
         return [f"operator band reaches the fold frequency: 2 * band edge "
                 f"{2.0 * edge:.4g} >= grid_n / domain_len = "
                 f"{cfg.grid_n / cfg.domain_len:g}"]
@@ -591,8 +592,8 @@ def run_forest_bessel(cfg: ExperimentConfig):
         rng = trial_rng(cfg, t)
         tiles = compact_family(cfg.seed + t, scale_bits=cfg.scale_bits,
                                c0=cfg.compact_spread)
-        edge = max(edge, operator_band_edge(tiles, cfg.slope,
-                                            cfg.support_factor))
+        edge = np.maximum(edge, operator_band_edge(tiles, cfg.slope,
+                                                   cfg.support_factor))
         spans = random_spans(rng, cfg.domain_len, cfg.set_count, 2.0, 4.0)
         f = restricted_input(cfg.grid_n, cfg.domain_len, spans,
                              cfg.moll_width)
@@ -601,21 +602,22 @@ def run_forest_bessel(cfg: ExperimentConfig):
         sizer = TreeSizer(f, tiles, cfg.slope, cfg.order,
                           cfg.support_factor, cfg.weight_power)
         for i in range(3):
-            forest = forest_decompose(tiles, lambda tr: sizer.tree_size(tr, i),
-                                      cfg.span_bits, cfg.scale_bits)
+            forest = forest_decompose(
+                tiles, lambda trees: sizer.tree_sizes(trees, i),
+                cfg.span_bits, cfg.scale_bits)
             levels = [lv for lv in sorted(forest) if lv != SINK_LEVEL]
             r_best = g_best = 0.0
             for level in levels:
                 tops = sum(tree.length for tree in forest[level])
-                r_best = max(r_best, tops / (4.0 ** level * energy))
-                g_best = max(g_best, tops / (4.0 ** level * measure))
-            metrics.append((f"bessel_t{t}c{i}", r_best))
-            metrics.append((f"global_t{t}c{i}", g_best))
+                r_best = np.maximum(r_best, tops / (4.0 ** level * energy))
+                g_best = np.maximum(g_best, tops / (4.0 ** level * measure))
+            metrics.append((f"bessel_t{t}c{i}", float(r_best)))
+            metrics.append((f"global_t{t}c{i}", float(g_best)))
             metrics.append((f"levels_t{t}c{i}", float(len(levels))))
-            ratio_max = max(ratio_max, r_best)
-            global_max = max(global_max, g_best)
-    metrics.append(("bessel_max", ratio_max))
-    metrics.append(("global_max", global_max))
+            ratio_max = np.maximum(ratio_max, r_best)
+            global_max = np.maximum(global_max, g_best)
+    metrics.append(("bessel_max", float(ratio_max)))
+    metrics.append(("global_max", float(global_max)))
     if ratio_max > 1.0:
         failures.append(f"level ratio {ratio_max:.3g} above recorded bound 1")
     failures += _fold_failures(edge, cfg)
@@ -634,8 +636,8 @@ def run_model_sum(cfg: ExperimentConfig):
         rng = trial_rng(cfg, t)
         tiles = compact_family(cfg.seed + t, scale_bits=cfg.scale_bits,
                                c0=cfg.compact_spread)
-        edge = max(edge, operator_band_edge(tiles, cfg.slope,
-                                            cfg.support_factor))
+        edge = np.maximum(edge, operator_band_edge(tiles, cfg.slope,
+                                                   cfg.support_factor))
         fs = tuple(_random_input(cfg, rng, 2.0, 4.0) for _ in range(3))
         trees = greedy_select(tiles, cfg.span_bits, cfg.scale_bits)
         tree = max(trees, key=lambda tr: len(tr.members))
@@ -646,15 +648,15 @@ def run_model_sum(cfg: ExperimentConfig):
                                      cfg.scale_bits)
         ratio = lhs / rhs if rhs > 0 else math.inf
         metrics.append((f"audit_ratio_t{t}", ratio))
-        audit_max = max(audit_max, ratio)
+        audit_max = np.maximum(audit_max, ratio)
         if exps is not None:
             denom = math.prod(f.norm(p) for f, p in zip(fs, exps))
             form = abs(term_sum(terms)) / denom if denom > 0 else math.inf
             metrics.append((f"form_ratio_t{t}", form))
-            form_max = max(form_max, form)
-    metrics.append(("audit_ratio_max", audit_max))
+            form_max = np.maximum(form_max, form)
+    metrics.append(("audit_ratio_max", float(audit_max)))
     if exps is not None:
-        metrics.append(("form_ratio_max", form_max))
+        metrics.append(("form_ratio_max", float(form_max)))
     if audit_max > 1.0:
         failures.append(f"tree audit ratio {audit_max:.3g} above recorded "
                         "bound 1")

@@ -132,10 +132,14 @@ class TreeSizer:
     (top, component), keyed on the tree's (zeta, lo, hi) top as it is, and
     caches the filtered powers |f * m|^2 of the :func:`multiplier_family`
     symbols by window (lo, hi, marked frequency or None).  A batch of trees
-    is filled at once: one :func:`tail_weight` call weighs every uncached
-    term, and one :func:`multiplier_family` call and one
-    :meth:`GridFunction.bank` per mark kind filter the new windows.  Weight
-    rows never outlive the call.
+    (:meth:`tree_sizes`) is filled at once: one :func:`tail_weight` call
+    weighs every uncached term, and one :func:`multiplier_family` call and
+    one :meth:`GridFunction.bank` per mark kind filter the new windows.
+    Weight rows never outlive the call.  A sub-tree of a sized tree with
+    the same top needs no fill, so sizing a family's maximal trees in one
+    batch, as :func:`freqbench.timefreq.forest_decompose` does, fills every
+    term its threshold sweep reads.  Each term is computed by itself, so a
+    size does not depend on the batch it was filled in.
     """
 
     def __init__(self, f: GridFunction, tiles: Family, slope: float,
@@ -159,11 +163,15 @@ class TreeSizer:
         return self._terms[key]
 
     def tree_size(self, tree: Tree, i: int) -> float:
-        return self._sizes([tree], i, {})[0]
+        return self.tree_sizes([tree], i)[0]
+
+    def tree_sizes(self, trees: list[Tree], i: int) -> list[float]:
+        """Sizes of ``trees`` in component i, from one batched fill."""
+        return self._sizes(trees, i, {})
 
     def collection_size(self, i: int, trees: list[Tree]) -> float:
         """Largest tree size over ``trees``, from one batched fill."""
-        return float(np.max(self._sizes(trees, i, {}), initial=0.0))
+        return float(np.max(self.tree_sizes(trees, i), initial=0.0))
 
     def _sizes(self, trees: list[Tree], i: int, rows: dict) -> list[float]:
         """Tree sizes after filling every uncached term; ``rows`` holds the

@@ -32,7 +32,8 @@ Contents:
   (:func:`maximal_trees`), greedy maximal selection
   (:func:`greedy_select`), its order-convexity audit as counts over tile
   x tile masks (:func:`selection_convexity_violations`) and a threshold
-  sweep into forests driven by a size callback (:func:`forest_decompose`),
+  sweep into forests driven by a batched size callback
+  (:func:`forest_decompose`),
 - seeded generators of families that pass every check
   (:func:`cluster_family`, :func:`compact_family`).
 
@@ -455,32 +456,48 @@ def selection_convexity_violations(tiles: Family,
               + earlier.sum(axis=0) @ later.sum(axis=1))
     return checked, bad
 
-def forest_decompose(tiles: Family, size_fn, span_bits: int,
+def forest_decompose(tiles: Family, sizes_fn, span_bits: int,
                      scale_bits: int) -> dict[int, list[Tree]]:
     """Split a family into forests by a dyadic threshold sweep on tree size.
 
-    ``size_fn(tree)`` must be a nonnegative functional, monotone under
-    adding members.  Level n collects greedily selected maximal trees whose
-    size exceeds 2**-(n+1); once no remaining top produces such a tree the
-    level closes and the threshold halves.  Tiles invisible to ``size_fn``
-    at every level land in level ``SINK_LEVEL``.  A non-finite size of a
-    maximal tree raises ValueError: NaN compares false against every
-    threshold and would land its tiles in the sink unseen.
+    ``sizes_fn(trees)`` maps a list of trees to the list of their sizes, a
+    nonnegative functional, monotone under adding members.  Level n
+    collects greedily selected maximal trees whose size exceeds
+    2**-(n+1); once no remaining top produces such a tree the level closes
+    and the threshold halves.  Tiles invisible to ``sizes_fn`` at every
+    level land in level ``SINK_LEVEL``.  A non-finite size raises
+    ValueError: NaN compares false against every threshold and would land
+    its tiles in the sink unseen.
+
+    The maximal trees are sized in one call, and so are the remaining
+    trees after each level; every later tree is a sub-tree of a maximal
+    tree with the same top, so a sizer that caches per-member and per-top
+    terms fills them all in that first call.  A level is visited only when
+    the largest remaining size passes its threshold, by the comparison the
+    accept uses.  A level that fails it would take no tree and leave the
+    remaining trees and their sizes as they are, so skipping it leaves the
+    forest unchanged.  The first level is floor(-log2) of the largest
+    maximal size.
     """
     pool = candidate_tops(tiles, span_bits, scale_bits)
     member = tree_members(tiles, pool)
-    sizes = [size_fn(tree) for tree in _trees(pool, member)]
-    if not all(map(math.isfinite, sizes)):
-        raise ValueError("non-finite tree size of a maximal tree")
-    start = max((s for s in sizes if s > 0), default=None)
-    n = SINK_LEVEL if start is None else math.floor(-math.log2(start))
     remaining = np.ones(len(tiles), dtype=bool)
+
+    def largest_size() -> float:
+        sizes = sizes_fn(list(_trees(pool, member & remaining)))
+        if not all(map(math.isfinite, sizes)):
+            raise ValueError("non-finite tree size")
+        return max(sizes, default=0.0)
+
+    peak = largest_size()
+    n = math.floor(-math.log2(peak)) if peak > 0 else SINK_LEVEL
     out: dict[int, list[Tree]] = {}
     while remaining.any() and n < SINK_LEVEL:
         threshold = 2.0 ** (-n - 1)
-        if trees := _select(pool, member, remaining,
-                            lambda t: size_fn(t) > threshold):
-            out[n] = trees
+        if peak > threshold:
+            out[n] = _select(pool, member, remaining,
+                             lambda t: sizes_fn([t])[0] > threshold)
+            peak = largest_size()
         n += 1
     if remaining.any():
         rest = np.flatnonzero(remaining)

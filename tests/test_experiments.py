@@ -12,9 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqbench.experiments as ex
+import freqbench.timefreq as tf
 from freqbench.cli import main as cli_main
 from freqbench.grid import PositiveBandKernel, maximal_average
 from freqbench.sizes import exceptional_mask
+from freqbench.timefreq import SINK_LEVEL, Tree
 
 
 def small(kind, **tweaks):
@@ -293,6 +295,16 @@ def nan_wrapped(result):
     return result[0], types.SimpleNamespace(wrapped_fraction=math.nan)
 
 
+def nan_last_level(forest):
+    """One more level, deeper than every real one, whose tree's top length
+    is NaN."""
+    return {**forest, SINK_LEVEL - 1: [Tree((0.0, 0.0, math.nan),
+                                            np.arange(1))]}
+
+
+FOLD_EDGE = "operator band reaches the fold frequency"
+
+
 # kind, patched owner and name, the call (from 0) whose result is spoiled,
 # the spoil, and the failure it must cause
 NAN_FOLDS = [
@@ -327,6 +339,23 @@ NAN_FOLDS = [
     pytest.param("polygon-scan", ex.bil, "bilinear_apply", 1,
                  nan_wrapped, "metric wrapped_fraction_max is not finite (nan)",
                  id="polygon-scan-wrapped"),
+    pytest.param("forest-bessel", ex, "forest_decompose", 1, nan_last_level,
+                 "metric bessel_max is not finite (nan)",
+                 id="forest-bessel-r_best"),
+    pytest.param("forest-bessel", ex, "forest_decompose", 1, nan_last_level,
+                 "metric global_max is not finite (nan)",
+                 id="forest-bessel-g_best"),
+    pytest.param("forest-bessel", ex, "operator_band_edge", 1,
+                 lambda edge: math.nan, FOLD_EDGE, id="forest-bessel-edge"),
+    pytest.param("model-sum", ex, "single_tree_audit", 1,
+                 lambda out: (math.nan, out[1]),
+                 "metric audit_ratio_max is not finite (nan)",
+                 id="model-sum-audit_max"),
+    pytest.param("model-sum", ex, "term_sum", 1, lambda total: math.nan,
+                 "metric form_ratio_max is not finite (nan)",
+                 id="model-sum-form_max"),
+    pytest.param("model-sum", ex, "operator_band_edge", 1,
+                 lambda edge: math.nan, FOLD_EDGE, id="model-sum-edge"),
 ]
 
 
@@ -466,6 +495,30 @@ class TestDrivers:
         assert len(seen) > at
         assert not res.passed
         assert any(failure in line for line in res.failures), res.failures
+
+    def test_forest_bessel_fills_once_and_visits_taking_levels(self,
+                                                                monkeypatch):
+        # the maximal trees of each component are sized in one fill, which
+        # every later tree reuses; a level no tree passes is skipped
+        fills, taken, forests = [], [], []
+
+        def spy(owner, name, log, keep=lambda out: out):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                log.append(keep(out))
+                return out
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(ex.TreeSizer, "_fill", fills)
+        spy(tf, "_select", taken, len)
+        spy(ex, "forest_decompose", forests)
+        res = ex.run(small("forest-bessel", trials=1))
+        assert res.passed
+        assert len(forests) == 3 and len(fills) == 3
+        assert 0 not in taken
+        assert len(taken) == sum(map(len, forests))
 
     @pytest.mark.parametrize("c0", [12, 13])
     def test_partition_cover_check_sees_the_residual_points(self, c0):

@@ -364,8 +364,8 @@ class TestTreeSize:
         # put every tile in the sink level unseen
         sizer = self.nan_sizer()
         with pytest.raises(ValueError, match="non-finite tree size"):
-            forest_decompose(sizer.tiles, lambda tr: sizer.tree_size(tr, 0),
-                             *BITS)
+            forest_decompose(sizer.tiles,
+                             lambda trees: sizer.tree_sizes(trees, 0), *BITS)
 
 
 def supinf_maximal_bound(f, tiles):
@@ -670,7 +670,7 @@ class TestTreeSizesBatch:
             single = TreeSizer(f, tiles, SLOPE, *SIZE)
             for i in range(3):
                 calls.clear()
-                got = batched._sizes(trees, i, {})
+                got = batched.tree_sizes(trees, i)
                 assert calls.count("weigh") == 1
                 assert calls.count("family") == calls.count("bank") <= 2
                 assert got == [single.tree_size(tree, i) for tree in trees]

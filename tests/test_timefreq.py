@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import scalar_timefreq as S
 from freqbench import experiments as ex
 from freqbench import timefreq as tf
+from freqbench.sizes import TreeSizer
 from freqbench.timefreq import (
     CLUSTER_SPACING,
     MAX_TILES,
@@ -78,6 +79,11 @@ def kinds(violations):
 def members_of(tiles, top):
     """Indices of the maximal tree of one top."""
     return np.flatnonzero(tree_members(tiles, [top])[0])
+
+
+def batched(size):
+    """The batched form forest_decompose takes of a per-tree size."""
+    return lambda trees: [size(tree) for tree in trees]
 
 
 def weight_size(tiles):
@@ -314,10 +320,52 @@ class TestGreedySelection:
         assert bad == 0
 
 
+def level_by_level_forest(tiles, size_fn, span_bits, scale_bits):
+    """The threshold sweep sizing one tree per call and visiting every
+    level in turn: the reference for forest_decompose's batched sizes and
+    skipped levels."""
+    pool = candidate_tops(tiles, span_bits, scale_bits)
+    member = tree_members(tiles, pool)
+    sizes = [size_fn(tree) for tree in tf._trees(pool, member)]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError("non-finite tree size of a maximal tree")
+    start = max((s for s in sizes if s > 0), default=None)
+    n = SINK_LEVEL if start is None else math.floor(-math.log2(start))
+    remaining = np.ones(len(tiles), dtype=bool)
+    out = {}
+    while remaining.any() and n < SINK_LEVEL:
+        threshold = 2.0 ** (-n - 1)
+        if trees := tf._select(pool, member, remaining,
+                               lambda t: size_fn(t) > threshold):
+            out[n] = trees
+        n += 1
+    if remaining.any():
+        rest = np.flatnonzero(remaining)
+        out[SINK_LEVEL] = [
+            Tree(t.top, rest[t.members])
+            for t in greedy_select(tiles.take(rest), span_bits, scale_bits)]
+    return out
+
+
+# per-tile values behind the synthetic sizes, by the tile's rank in a seeded
+# shuffle; a size folds them over the tree's members
+TILE_VALUES = {
+    "ties": lambda r: 2.0 ** -r,                  # sizes on the thresholds
+    "ulp-above": lambda r: np.nextafter(2.0 ** -(r + 2), 1.0),  # log2 rounds
+    "plateaus": lambda r: 2.0 ** -(r // 8),       # trees of equal size
+    "gaps": lambda r: 0.75 * 2.0 ** (-5 * r),     # 5 levels apart
+    "above-one": lambda r: 2.0 ** (3 - r),        # negative levels
+    "one-tile": lambda r: np.where(r == 0, 0.3, 0.0),  # the rest sinks
+    "zero": lambda r: 0.0 * r,                    # everything sinks
+    "below-sink": lambda r: 2.0 ** -70 + 0.0 * r,  # starts past the sink
+}
+
+
 class TestForestDecompose:
     def test_levels_partition(self):
         tiles = cluster_family(13, *CLUSTER)
-        forests = forest_decompose(tiles, weight_size(tiles), *BITS)
+        forests = forest_decompose(tiles, batched(weight_size(tiles)),
+                                   *BITS)
         seen = [j for trees in forests.values() for t in trees
                 for j in t.members.tolist()]
         assert sorted(seen) == list(range(len(tiles)))
@@ -325,7 +373,8 @@ class TestForestDecompose:
     def test_level_thresholds(self):
         tiles = cluster_family(14, *CLUSTER)
         size = weight_size(tiles)
-        for n, trees in forest_decompose(tiles, size, *BITS).items():
+        for n, trees in forest_decompose(tiles, batched(size),
+                                         *BITS).items():
             if n >= SINK_LEVEL:
                 continue
             for t in trees:
@@ -333,14 +382,63 @@ class TestForestDecompose:
 
     def test_zero_size_falls_through(self):
         tiles = cluster_family(15, *CLUSTER)
-        forests = forest_decompose(tiles, lambda t: 0.0, *BITS)
+        forests = forest_decompose(tiles, batched(lambda t: 0.0), *BITS)
         assert list(forests) == [SINK_LEVEL]
         assert forest_rows(forests) == forest_rows(
             {SINK_LEVEL: greedy_select(tiles, *BITS)})
 
     def test_empty_family_has_no_forest(self):
         tiles = cluster_family(15, *CLUSTER).take([])
-        assert forest_decompose(tiles, weight_size(tiles), *BITS) == {}
+        assert forest_decompose(tiles, batched(weight_size(tiles)),
+                                *BITS) == {}
+
+    @pytest.mark.parametrize("fold", [np.max, np.sum])
+    @pytest.mark.parametrize("values", TILE_VALUES)
+    def test_skipping_levels_matches_level_by_level(self, values, fold):
+        for seed in (13, 14, 21):
+            tiles = cluster_family(seed, *CLUSTER)
+            rank = np.random.default_rng(seed).permutation(len(tiles))
+            v = TILE_VALUES[values](rank.astype(float))
+
+            def size(tree):
+                return float(fold(v[tree.members]))
+            new = forest_decompose(tiles, batched(size), *BITS)
+            old = level_by_level_forest(tiles, size, *BITS)
+            assert forest_rows(new) == forest_rows(old)
+            assert list(new) == list(old)
+
+    def test_nan_size_raises_like_level_by_level(self):
+        tiles = cluster_family(13, *CLUSTER)
+        v = np.full(len(tiles), 0.25)
+        v[len(tiles) // 2] = math.nan
+
+        def size(tree):
+            return float(v[tree.members].max())
+        with pytest.raises(ValueError, match="non-finite tree size"):
+            level_by_level_forest(tiles, size, *BITS)
+        with pytest.raises(ValueError, match="non-finite tree size"):
+            forest_decompose(tiles, batched(size), *BITS)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sizer_forests_match_level_by_level(self, seed):
+        # forest-bessel's first trial at config seed ``seed``; the reference
+        # reads a fresh sizer one tree at a time
+        cfg = ex.default_config("forest-bessel")
+        cfg.seed = seed
+        tiles = compact_family(seed, cfg.scale_bits, cfg.compact_spread)
+        spans = ex.random_spans(ex.trial_rng(cfg, 0), cfg.domain_len,
+                                cfg.set_count, 2.0, 4.0)
+        f = ex.restricted_input(cfg.grid_n, cfg.domain_len, spans,
+                                cfg.moll_width)
+        knobs = (cfg.slope, cfg.order, cfg.support_factor, cfg.weight_power)
+        sizer, fresh = TreeSizer(f, tiles, *knobs), TreeSizer(f, tiles, *knobs)
+        for i in range(3):
+            new = forest_decompose(
+                tiles, lambda trees: sizer.tree_sizes(trees, i), *BITS)
+            old = level_by_level_forest(
+                tiles, lambda tree: fresh.tree_size(tree, i), *BITS)
+            assert forest_rows(new) == forest_rows(old)
+            assert list(new) == list(old)
 
 
 class TestOperatorIntervals:
@@ -589,7 +687,7 @@ class TestScalarEquivalence:
             def old_size(tree):
                 top = max(p.cube.side for p in tree.members)
                 return top / 1024.0 if top > floor else 0.0
-            new = forest_decompose(tiles, size, *BITS)
+            new = forest_decompose(tiles, batched(size), *BITS)
             old = S.forest_decompose(objs, old_size)
             assert forest_rows(new) == forest_rows(old, position)
             assert list(new) == list(old)
